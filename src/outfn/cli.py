@@ -65,6 +65,8 @@ def cmd_gersten(args) -> int:
     n = args.n
     if not 3 <= n <= 8:
         raise UsageError("presentation checks support 3 <= n <= 8")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     rep = words.verify_gersten(n, jobs=args.jobs)
     checks = [
         check(f"family: {fam['name']} ({fam['count']} tuples)",
@@ -229,9 +231,9 @@ def _builtin_graph(token: str) -> graphs.Graph:
 
 def _builtin_action(graph_token: str, group: str) -> graphs.GraphAction:
     name, _, arg = graph_token.partition(":")
-    k = int(arg) if arg else 0
     g = group.upper()
     try:
+        k = int(arg) if arg else 0
         if g == "TRIVIAL":
             return actions.trivial_action(_builtin_graph(graph_token))
         if name == "rose":
@@ -334,7 +336,10 @@ def cmd_graph(args) -> int:
         action = _action_from_args(args)
         if action.failed_relations():
             raise UsageError("action fails its defining relations")
-        res = graphs.invariant_orientation(action)
+        try:
+            res = graphs.invariant_orientation(action)
+        except ValueError as exc:
+            raise UsageError(str(exc))
         checks.append(check("invariant orientation exists",
                             res["orientation"] is not None,
                             {"obstruction_edge": str(res["obstruction_edge"])}))

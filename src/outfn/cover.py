@@ -114,11 +114,11 @@ def symbols_to_word(symbol_word, n: int) -> Word:
 # the matrix representations
 
 
-def _cover_grid(a: Automorphism) -> list:
-    """Integer matrix of the action on the abelianised kernel.
+def cover_matrix(a: Automorphism) -> Matrix:
+    """The (2n-1)-dimensional representation of the stabiliser.
 
-    Column j is the exponent vector of the rewritten image of the j-th
-    basis symbol.
+    Integer matrix of the action on the abelianised kernel: column j is
+    the exponent vector of the rewritten image of the j-th basis symbol.
     """
     n = a.rank
     if not stabilizes_base_functional(a):
@@ -128,22 +128,7 @@ def _cover_grid(a: Automorphism) -> list:
     for j, (_, definition) in enumerate(schreier_symbols(n)):
         for index, e in rewrite_in_kernel(a.apply(definition)):
             grid[index][j] += e
-    return grid
-
-
-def cover_matrix(a: Automorphism) -> Matrix:
-    """The (2n-1)-dimensional representation of the stabiliser."""
-    return Matrix(_cover_grid(a))
-
-
-def deck_grid(n: int) -> list:
-    d = 2 * n - 1
-    grid = [[0] * d for _ in range(d)]
-    for i in range(n - 1):
-        grid[i][n - 1 + i] = 1
-        grid[n - 1 + i][i] = 1
-    grid[d - 1][d - 1] = 1
-    return grid
+    return Matrix(grid)
 
 
 def deck_matrix(n: int) -> Matrix:
@@ -152,17 +137,23 @@ def deck_matrix(n: int) -> Matrix:
     This is the matrix of conjugation by the last generator; every
     cover matrix commutes with it.
     """
-    return Matrix(deck_grid(n))
+    d = 2 * n - 1
+    grid = [[0] * d for _ in range(d)]
+    for i in range(n - 1):
+        grid[i][n - 1 + i] = 1
+        grid[n - 1 + i][i] = 1
+    grid[d - 1][d - 1] = 1
+    return Matrix(grid)
 
 
-def minus_grid(a: Automorphism) -> list:
+def minus_eigenspace_matrix(a: Automorphism) -> Matrix:
     """Restriction to the (-1)-eigenspace of the deck involution.
 
     Basis alpha_i = x_i - y_i; commutation with the deck involution is
     asserted structurally while extracting the restriction.
     """
     n = a.rank
-    m = _cover_grid(a)
+    m = cover_matrix(a).data
     d = 2 * n - 1
     out = [[0] * (n - 1) for _ in range(n - 1)]
     for i in range(n - 1):
@@ -175,11 +166,7 @@ def minus_grid(a: Automorphism) -> list:
             if col[l] != -col[n - 1 + l]:
                 raise AssertionError("deck commutation fails: not anti-invariant")
             out[l][i] = col[l]
-    return out
-
-
-def minus_eigenspace_matrix(a: Automorphism) -> Matrix:
-    return Matrix(minus_grid(a))
+    return Matrix(out)
 
 
 def commutes_with_deck(a: Automorphism) -> bool:
@@ -212,15 +199,15 @@ def transvection_commutator(i: int, j: int, k: int, n: int) -> Automorphism:
     return a * b * a.inverse() * b.inverse()
 
 
-def expected_partial_conjugation(n: int, i: int, j: int) -> list:
+def expected_partial_conjugation(n: int, i: int, j: int) -> Matrix:
     """Case table: alpha_i is negated when j = n, all else is fixed."""
     out = [[1 if r == c else 0 for c in range(n - 1)] for r in range(n - 1)]
     if j == n:
         out[i - 1][i - 1] = -1
-    return out
+    return Matrix(out)
 
 
-def expected_commutator(n: int, i: int, j: int, k: int) -> list:
+def expected_commutator(n: int, i: int, j: int, k: int) -> Matrix:
     """Case table: the image of alpha_i gains -2 alpha_k when j = n and
     +2 alpha_j when k = n; every other alpha_l is fixed."""
     out = [[1 if r == c else 0 for c in range(n - 1)] for r in range(n - 1)]
@@ -228,7 +215,7 @@ def expected_commutator(n: int, i: int, j: int, k: int) -> list:
         out[k - 1][i - 1] = -2
     elif k == n:
         out[j - 1][i - 1] = 2
-    return out
+    return Matrix(out)
 
 
 def verify_ia_action_tables(n: int) -> dict:
@@ -247,7 +234,7 @@ def verify_ia_action_tables(n: int) -> dict:
             if i == j:
                 continue
             g = partial_conjugation(i, j, n)
-            got = minus_grid(g)
+            got = minus_eigenspace_matrix(g)
             want = expected_partial_conjugation(n, i, j)
             checks.append({
                 "name": f"partial conjugation i={i},j={j}",
@@ -260,19 +247,18 @@ def verify_ia_action_tables(n: int) -> dict:
                 if len({i, j, k}) != 3:
                     continue
                 g = transvection_commutator(i, j, k, n)
-                got = minus_grid(g)
+                got = minus_eigenspace_matrix(g)
                 want = expected_commutator(n, i, j, k)
                 checks.append({
                     "name": f"commutator i={i},j={j},k={k}",
                     "ok": got == want,
                 })
 
-    ident = [[1 if r == c else 0 for c in range(n - 1)] for r in range(n - 1)]
-    neg = [[-v for v in row] for row in ident]
+    ident = Matrix.identity(n - 1)
     for i in range(1, n + 1):
         g = inner(generator_word(i, n))
-        got = minus_grid(g)
-        want = neg if i == n else ident
+        got = minus_eigenspace_matrix(g)
+        want = -ident if i == n else ident
         checks.append({
             "name": f"conjugation by generator {i}",
             "ok": got == want,

@@ -37,6 +37,30 @@ def _edge_cap() -> int:
 # graphs
 
 
+def _union_find(items):
+    """Disjoint sets over ``items``; returns the pair ``(find, union)``.
+
+    ``union(a, b)`` merges the class of a into the class of b and returns
+    False when both already lie in one class.
+    """
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b) -> bool:
+        a, b = find(a), find(b)
+        if a == b:
+            return False
+        parent[a] = b
+        return True
+
+    return find, union
+
+
 @dataclass(frozen=True)
 class Graph:
     vertices: tuple
@@ -75,19 +99,9 @@ class Graph:
         return [e for e in self.edges if v in self.ends[e]]
 
     def component_count(self) -> int:
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        find, union = _union_find(self.vertices)
         for e in self.edges:
-            io, ta = self.ends[e]
-            a, b = find(io), find(ta)
-            if a != b:
-                parent[a] = b
+            union(*self.ends[e])
         return len({find(v) for v in self.vertices})
 
     def is_connected(self) -> bool:
@@ -103,7 +117,7 @@ class Graph:
         weightings balanced at every vertex.
         """
         vindex = {v: i for i, v in enumerate(self.vertices)}
-        rows = [[Fraction(0)] * len(self.edges) for _ in self.vertices]
+        rows = [[0] * len(self.edges) for _ in self.vertices]
         for j, e in enumerate(self.edges):
             io, ta = self.ends[e]
             rows[vindex[ta]][j] += 1
@@ -396,10 +410,9 @@ def signed_edge_matrix(aut: GraphAut) -> Matrix:
     """Push-forward of edge weightings; orientation reversal negates."""
     g = aut.graph
     eindex = {e: i for i, e in enumerate(g.edges)}
-    m = [[Fraction(0)] * len(g.edges) for _ in g.edges]
+    m = [[0] * len(g.edges) for _ in g.edges]
     for e in g.edges:
-        sign = -1 if aut.flip(e) else 1
-        m[eindex[aut.emap[e]]][eindex[e]] = Fraction(sign)
+        m[eindex[aut.emap[e]]][eindex[e]] = -1 if aut.flip(e) else 1
     return Matrix(m, cols=len(g.edges))
 
 
@@ -461,19 +474,9 @@ def collapse(graph: Graph, edge_subset) -> CollapseResult:
     unknown = chosen - set(graph.edges)
     if unknown:
         raise ValueError(f"unknown edges: {sorted(map(str, unknown))}")
-    parent = {v: v for v in graph.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    find, union = _union_find(graph.vertices)
     for e in chosen:
-        io, ta = graph.ends[e]
-        a, b = find(io), find(ta)
-        if a != b:
-            parent[a] = b
+        union(*graph.ends[e])
     new_vertices = tuple(sorted({find(v) for v in graph.vertices}, key=str))
     survivors = [e for e in graph.edges if e not in chosen]
     recs = [(e, find(graph.iota(e)), find(graph.tau(e))) for e in survivors]
@@ -482,8 +485,8 @@ def collapse(graph: Graph, edge_subset) -> CollapseResult:
     eindex = {e: i for i, e in enumerate(graph.edges)}
     proj_rows = []
     for e in survivors:
-        row = [Fraction(0)] * len(graph.edges)
-        row[eindex[e]] = Fraction(1)
+        row = [0] * len(graph.edges)
+        row[eindex[e]] = 1
         proj_rows.append(row)
     projection = Matrix(proj_rows, cols=len(graph.edges))
 
@@ -629,23 +632,9 @@ def admissibility_obstruction(graph: Graph):
 
 
 def is_forest(graph: Graph, edge_subset) -> bool:
-    parent = {v: v for v in graph.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edge_subset:
-        io, ta = graph.ends[e]
-        if io == ta:
-            return False
-        a, b = find(io), find(ta)
-        if a == b:
-            return False
-        parent[a] = b
-    return True
+    # a loop edge, or an edge inside one component, closes a cycle
+    _, union = _union_find(graph.vertices)
+    return all(union(*graph.ends[e]) for e in edge_subset)
 
 
 def invariant_forests(action: GraphAction, orbit_cap: int = 20) -> list:
@@ -691,7 +680,7 @@ def flips_all_simple_loops(graph: Graph, xi: GraphAut) -> bool:
     p = signed_edge_matrix(xi)
     for loop in simple_loops(graph):
         v = loop.edge_vector(graph)
-        if p.apply(v) != [-Fraction(x) for x in v]:
+        if p.apply(v) != [-x for x in v]:
             return False
     return True
 
@@ -802,14 +791,7 @@ def double_tree_decomposition(graph: Graph, xi: GraphAut) -> DoubleTree:
                         if lifted.emap[e] == e and not lifted.flip(e))
 
     movable = [e for e in sub.edges if e not in f_edges]
-    parent = {e: e for e in movable}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    find, union = _union_find(movable)
     by_vertex: dict = {}
     for e in movable:
         for v in sub.ends[e]:
@@ -817,9 +799,7 @@ def double_tree_decomposition(graph: Graph, xi: GraphAut) -> DoubleTree:
                 by_vertex.setdefault(v, []).append(e)
     for group in by_vertex.values():
         for e in group[1:]:
-            a, b = find(group[0]), find(e)
-            if a != b:
-                parent[a] = b
+            union(group[0], e)
 
     components: dict = {}
     for e in movable:

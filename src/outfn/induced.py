@@ -18,17 +18,16 @@ factoring through the integral linear quotient would send the whole
 kernel to finite order elements jointly with its finite image there
 being trivial.
 
-Blocks are kept as integer grids; no division occurs anywhere in the
-construction.
+Blocks are integer ``Matrix`` values; no division occurs anywhere in
+the construction, so every entry stays a Python ``int``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .linalg import Matrix
+from .linalg import Matrix, schur_square
 from .words import (
     Automorphism,
     abelianize,
@@ -38,11 +37,12 @@ from .words import (
     gersten_relators,
     identity_automorphism,
     lam,
+    nielsen,
     rho,
     sigma,
 )
-from .cover import base_functional, minus_grid, partial_conjugation, \
-    transvection_commutator
+from .cover import base_functional, minus_eigenspace_matrix, \
+    partial_conjugation, transvection_commutator
 
 
 # ---------------------------------------------------------------------------
@@ -90,57 +90,15 @@ def coset_transversal(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# integer block matrices
-
-
-def _int_matmul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
-
-
-def _int_identity(d):
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
-def _is_int_identity(g):
-    d = len(g)
-    return all(g[i][j] == (1 if i == j else 0) for i in range(d) for j in range(d))
-
-
-def _schur_grid(g, mu):
-    """Degree-2 square functor on an integer grid."""
-    d = len(g)
-    mu = tuple(mu)
-    if mu == (1, 1):
-        pairs = list(combinations(range(d), 2))
-        return tuple(
-            tuple(g[p][r] * g[q][s] - g[p][s] * g[q][r] for (r, s) in pairs)
-            for (p, q) in pairs
-        )
-    if mu == (2,):
-        pairs = list(combinations_with_replacement(range(d), 2))
-        out = []
-        for (p, q) in pairs:
-            row = []
-            for (r, s) in pairs:
-                if p == q:
-                    row.append(g[p][r] * g[p][s])
-                elif r == s:
-                    row.append(2 * g[p][r] * g[q][r])
-                else:
-                    row.append(g[p][r] * g[q][s] + g[q][r] * g[p][s])
-            out.append(tuple(row))
-        return tuple(out)
-    raise ValueError(f"unsupported partition {mu!r}")
+# block matrices
 
 
 @dataclass(frozen=True)
 class BlockMatrix:
     """Square matrix with one nonzero block per row and column.
 
-    ``columns[c] = (r, grid)``: the only nonzero block in block-column c
-    sits in block-row r and equals the integer grid.
+    ``columns[c] = (r, block)``: the only nonzero block in block-column c
+    sits in block-row r and equals the ``Matrix`` block.
     """
 
     size: int
@@ -154,7 +112,7 @@ class BlockMatrix:
 
     @classmethod
     def identity(cls, size: int, dim: int) -> "BlockMatrix":
-        ident = _int_identity(dim)
+        ident = Matrix.identity(dim)
         return cls(size, dim, tuple((c, ident) for c in range(size)))
 
     def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
@@ -164,11 +122,11 @@ class BlockMatrix:
         for c in range(self.size):
             mid, q = other.columns[c]
             r, p = self.columns[mid]
-            cols.append((r, _int_matmul(p, q)))
+            cols.append((r, p * q))
         return BlockMatrix(self.size, self.dim, tuple(cols))
 
     def is_identity(self) -> bool:
-        return all(r == c and _is_int_identity(g)
+        return all(r == c and g.is_identity()
                    for c, (r, g) in enumerate(self.columns))
 
     def block_permutation_is_trivial(self) -> bool:
@@ -185,16 +143,14 @@ class BlockMatrix:
             return None
         worst = 0
         for _, g in self.columns:
-            d = len(g)
-            nil = tuple(tuple(g[i][j] - (1 if i == j else 0) for j in range(d))
-                        for i in range(d))
-            power = _int_identity(d)
+            power = ident = Matrix.identity(self.dim)
+            nil = g - ident
             index = None
-            for k in range(0, d + 1):
-                if all(x == 0 for row in power for x in row):
+            for k in range(0, self.dim + 1):
+                if power.is_zero():
                     index = k
                     break
-                power = _int_matmul(power, nil)
+                power = power * nil
             if index is None:
                 return None
             worst = max(worst, index)
@@ -204,18 +160,13 @@ class BlockMatrix:
         m = self.size * self.dim
         data = [[0] * m for _ in range(m)]
         for c, (r, g) in enumerate(self.columns):
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    data[r * self.dim + i][c * self.dim + j] = g[i][j]
+            for i, row in enumerate(g.data):
+                data[r * self.dim + i][c * self.dim:(c + 1) * self.dim] = row
         return Matrix(data, cols=m)
 
 
 # ---------------------------------------------------------------------------
 # the induced representation
-
-
-def _u_grid(a: Automorphism, mu) -> tuple:
-    return _schur_grid(tuple(map(tuple, minus_grid(a))), mu)
 
 
 def dim_u(n: int, mu) -> int:
@@ -253,7 +204,8 @@ class InducedRep:
                 self.transversal[target].inverse(),
                 compose_automorphisms(a, self.transversal[mask]),
             )
-            cols.append((index[target], _u_grid(h, self.mu)))
+            block = schur_square(minus_eigenspace_matrix(h), self.mu)
+            cols.append((index[target], block))
         return BlockMatrix(len(self.cosets), self.dim_u, tuple(cols))
 
     def matrix(self, name: str) -> Matrix:
@@ -262,13 +214,7 @@ class InducedRep:
     def _letter_block(self, cache: dict, token, e: int) -> BlockMatrix:
         key = (token, e)
         if key not in cache:
-            kind, i, j = token
-            if kind == "rho":
-                g = rho(i, j, self.n)
-            elif kind == "lam":
-                g = lam(i, j, self.n)
-            else:
-                g = eps(i, self.n)
+            g = nielsen(*token, self.n)
             if e < 0:
                 g = g.inverse()
             cache[key] = self.block_of(g)

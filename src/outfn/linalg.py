@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module is built on ``fractions.Fraction``; no floating
-point enters at any stage.  Elimination picks pivots with the smallest
-numerator magnitude, which keeps intermediate entries small for the
-structured matrices this package produces (signed permutations,
-transvections, graph incidence matrices).
+Entries are integer-first: every integral entry is stored as a Python
+``int`` and a ``fractions.Fraction`` appears only where elimination
+leaves a non-integer.  The constructor normalises each entry that way,
+so every result of this module keeps the invariant, and division goes
+through ``Fraction``; no floating point enters at any stage.  Integer
+matrices (signed permutations, transvections, graph incidence matrices,
+induced blocks) thus multiply in plain integer arithmetic.  Elimination
+picks pivots with the smallest numerator magnitude, which keeps
+intermediate entries small for these structured matrices.
 
 Also provides the two degree-2 square functors on linear maps: the
 exterior square and the symmetric square.
@@ -14,10 +18,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from operator import mul
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _frac(x):
+    """An exact entry: an ``int`` when integral, else a ``Fraction``."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Matrix:
@@ -48,15 +58,15 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+        return cls([[0] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "Matrix":
-        columns = [list(map(_frac, c)) for c in columns]
+        columns = [list(c) for c in columns]
         if not columns:
             if rows is None:
                 raise ValueError("need explicit row count for an empty basis")
@@ -137,10 +147,10 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("inner dimension mismatch")
-            bt = other.transpose().data
+            # zip drops the columns of a matrix without rows
+            bt = list(zip(*other.data)) or [()] * other.cols
             return Matrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in bt]
-                 for row in self.data],
+                [[sum(map(mul, row, col)) for col in bt] for row in self.data],
                 cols=other.cols,
             )
         return self.scale(other)
@@ -153,12 +163,12 @@ class Matrix:
         if len(vector) != self.cols:
             raise ValueError("length mismatch")
         vec = list(map(_frac, vector))
-        return [sum(a * v for a, v in zip(row, vec)) for row in self.data]
+        return [_frac(sum(a * v for a, v in zip(row, vec))) for row in self.data]
 
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum(self.data[i][i] for i in range(self.rows))
+        return _frac(sum(self.data[i][i] for i in range(self.rows)))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -193,7 +203,9 @@ class Matrix:
             i = best[1]
             m[r], m[i] = m[i], m[r]
             piv = m[r][c]
-            m[r] = [x / piv for x in m[r]]
+            if piv != 1:
+                inv = Fraction(1, piv)
+                m[r] = [_frac(x * inv) for x in m[r]]
             for k in range(self.rows):
                 if k != r and m[k][c] != 0:
                     f = m[k][c]
@@ -215,8 +227,8 @@ class Matrix:
         free = [c for c in range(self.cols) if c not in pivots]
         cols = []
         for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
+            v = [0] * self.cols
+            v[f] = 1
             for r, c in enumerate(pivots):
                 v[c] = -red.data[r][f]
             cols.append(v)
@@ -238,7 +250,7 @@ class Matrix:
         red, pivots = aug.rref()
         if any(p >= self.cols for p in pivots):
             return None
-        sol = [[Fraction(0)] * rhs.cols for _ in range(self.cols)]
+        sol = [[0] * rhs.cols for _ in range(self.cols)]
         for r, c in enumerate(pivots):
             for k in range(rhs.cols):
                 sol[c][k] = red.data[r][self.cols + k]
@@ -257,7 +269,7 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         m = [list(row) for row in self.data]
         n = self.rows
-        det = Fraction(1)
+        det = 1
         for c in range(n):
             piv = None
             for i in range(c, n):
@@ -266,18 +278,18 @@ class Matrix:
                     if piv is None or key < piv[0]:
                         piv = (key, i)
             if piv is None:
-                return Fraction(0)
+                return 0
             i = piv[1]
             if i != c:
                 m[c], m[i] = m[i], m[c]
                 det = -det
             det *= m[c][c]
-            inv = 1 / m[c][c]
+            inv = Fraction(1, m[c][c])
             for k in range(c + 1, n):
                 if m[k][c] != 0:
                     f = m[k][c] * inv
                     m[k] = [x - f * y for x, y in zip(m[k], m[c])]
-        return det
+        return _frac(det)
 
     # -- serialisation ---------------------------------------------------
 
@@ -285,7 +297,7 @@ class Matrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[_frac_str(x) for x in row] for row in self.data],
+            "entries": [[str(x) for x in row] for row in self.data],
         }
 
     @classmethod
@@ -295,10 +307,6 @@ class Matrix:
         if m.rows != obj["rows"]:
             raise ValueError("row count disagrees with entries")
         return m
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # -- square functors ----------------------------------------------------

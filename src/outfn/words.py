@@ -274,8 +274,9 @@ def inner(w: Word) -> Automorphism:
 def nielsen(kind: str, i=None, j=None, n=None) -> Automorphism:
     """Build a named elementary automorphism.
 
-    kind is one of rho, lambda, eps, sigma, sigma_star, delta; index
-    arguments that a kind does not use may be omitted.
+    kind is one of rho, lam (alias lambda), eps, sigma, sigma_star,
+    delta; index arguments that a kind does not use may be omitted.  A
+    relator token ``(kind, i, j)`` evaluates as ``nielsen(kind, i, j, n)``.
     """
     if n is None:
         raise ValueError("rank n is required")
@@ -356,17 +357,6 @@ def outer_equal(a: Automorphism, b: Automorphism) -> bool:
 
 def _tok(kind, i=None, j=None):
     return (kind, i, j)
-
-
-def _gen_from_token(tok, n):
-    kind, i, j = tok
-    if kind == "rho":
-        return rho(i, j, n)
-    if kind == "lam":
-        return lam(i, j, n)
-    if kind == "eps":
-        return eps(i, n)
-    raise ValueError(f"bad token {tok!r}")
 
 
 def _comm(a, b):
@@ -467,7 +457,7 @@ def relator_automorphism(n: int, token_word) -> Automorphism:
     """Evaluate a token word; rightmost letter acts first."""
     acc = identity_automorphism(n)
     for tok, e in token_word:
-        g = _gen_from_token(tok, n)
+        g = nielsen(*tok, n)
         if e < 0:
             g = g.inverse()
         acc = acc * g

@@ -63,6 +63,10 @@ class TestGersten:
     def test_large_rank_is_usage_error(self):
         assert run(["gersten", "--n", "9"]) == 2
 
+    def test_jobs_below_one_is_usage_error(self):
+        assert run(["gersten", "--n", "3", "--jobs", "0"]) == 2
+        assert run(["gersten", "--n", "3", "--jobs", "-2"]) == 2
+
     def test_parallel_jobs_agree(self, tmp_path):
         a, b = tmp_path / "serial.json", tmp_path / "jobs.json"
         run(["gersten", "--n", "3", "--json", str(a)])
@@ -196,6 +200,16 @@ class TestGraph:
     def test_unknown_group(self):
         assert run(["graph", "admissible", "--builtin", "cage:5",
                     "--group", "Q8"]) == 2
+
+    def test_non_integer_builtin_size_is_usage_error(self, capsys):
+        assert run(["graph", "admissible", "--builtin", "rose:x",
+                    "--group", "S3"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_rose_lemma_off_a_rose_is_usage_error(self, capsys):
+        assert run(["graph", "rose-lemma", "--builtin", "cage:5",
+                    "--group", "S5"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_inputs(self):
         assert run(["graph", "admissible"]) == 2

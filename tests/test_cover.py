@@ -126,25 +126,24 @@ class TestMinusEigenspace:
     def test_partial_conjugation_into_last(self):
         n = 4
         for i in range(1, n):
-            got = cover.minus_grid(cover.partial_conjugation(i, n, n))
+            got = cover.minus_eigenspace_matrix(cover.partial_conjugation(i, n, n))
             want = [[1 if r == c else 0 for c in range(n - 1)]
                     for r in range(n - 1)]
             want[i - 1][i - 1] = -1
-            assert got == want
+            assert got == Matrix(want)
 
     def test_commutator_with_last(self):
         n = 4
-        got = cover.minus_grid(cover.transvection_commutator(1, 2, n, n))
-        assert got[1][0] == 2          # alpha_1 gains 2 alpha_2
-        assert got[0][0] == 1
-        got = cover.minus_grid(cover.transvection_commutator(1, n, 3, n))
-        assert got[2][0] == -2         # alpha_1 loses 2 alpha_3
+        got = cover.minus_eigenspace_matrix(cover.transvection_commutator(1, 2, n, n))
+        assert got.data[1][0] == 2     # alpha_1 gains 2 alpha_2
+        assert got.data[0][0] == 1
+        got = cover.minus_eigenspace_matrix(cover.transvection_commutator(1, n, 3, n))
+        assert got.data[2][0] == -2    # alpha_1 loses 2 alpha_3
 
     def test_low_commutators_act_trivially(self):
         n = 4
-        got = cover.minus_grid(cover.transvection_commutator(1, 2, 3, n))
-        assert got == [[1 if r == c else 0 for c in range(n - 1)]
-                       for r in range(n - 1)]
+        got = cover.minus_eigenspace_matrix(cover.transvection_commutator(1, 2, 3, n))
+        assert got.is_identity()
 
 
 class TestTables:
@@ -159,10 +158,10 @@ class TestTables:
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                m = cover.minus_grid(cover.partial_conjugation(i, j, n))
+                m = cover.minus_eigenspace_matrix(cover.partial_conjugation(i, j, n))
                 for l in range(1, n):
                     if l != i:
-                        col = [m[r][l - 1] for r in range(n - 1)]
+                        col = m.col(l - 1)
                         assert col == [1 if r == l - 1 else 0
                                        for r in range(n - 1)]
 

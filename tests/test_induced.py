@@ -5,7 +5,7 @@ import random
 import pytest
 
 from outfn import cover, induced, words as W
-from outfn.linalg import Matrix, schur_square
+from outfn.linalg import Matrix
 
 
 class TestTransversal:
@@ -57,15 +57,6 @@ class TestBlocks:
             lhs = rep.block_of(g * h)
             rhs = rep.block_of(g) * rep.block_of(h)
             assert lhs.to_matrix() == rhs.to_matrix()
-
-    def test_schur_grid_agrees_with_matrix_functor(self):
-        rng = random.Random(9)
-        for mu in ((1, 1), (2,)):
-            grid = tuple(tuple(rng.randint(-3, 3) for _ in range(3))
-                         for _ in range(3))
-            got = Matrix([list(r) for r in induced._schur_grid(grid, mu)])
-            want = schur_square(Matrix([list(r) for r in grid]), mu)
-            assert got == want
 
 
 class TestInduce:
@@ -155,4 +146,4 @@ class TestCertificate:
         base_index = rep.cosets.index(
             induced.functional_to_mask(cover.base_functional(3)))
         row, grid = bm.columns[base_index]
-        assert row == base_index and induced._is_int_identity(grid)
+        assert row == base_index and grid.is_identity()

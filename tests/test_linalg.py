@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from outfn import graphs
 from outfn.linalg import Matrix, exterior_square, schur_square, symmetric_square
@@ -11,6 +12,131 @@ from outfn.linalg import Matrix, exterior_square, schur_square, symmetric_square
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
     return Matrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+# -- an independent oracle on plain lists of Fractions ----------------------
+
+
+def oracle_mul(a, b):
+    return [[sum((Fraction(a[i][k]) * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def oracle_rref(a):
+    """Textbook Gauss-Jordan, taking the first nonzero entry as pivot."""
+    m = [[Fraction(x) for x in row] for row in a]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for k in range(len(m)):
+            f = m[k][c]
+            if k != r:
+                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+    return m, tuple(pivots)
+
+
+def oracle_det(a):
+    """Laplace expansion along the first row."""
+    if len(a) == 1:
+        return Fraction(a[0][0])
+    return sum((-1) ** j * Fraction(a[0][j])
+               * oracle_det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)))
+
+
+def exact(x) -> bool:
+    """An int, or a Fraction that is not an integer; never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def all_exact(m: Matrix) -> bool:
+    return all(exact(x) for row in m.data for x in row)
+
+
+ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+def lists(rows, cols):
+    return st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def chain(draw, count, square=False):
+    """``count`` matrices whose consecutive products are defined."""
+    dims = [draw(st.integers(1, 4))]
+    for _ in range(count):
+        dims.append(dims[0] if square else draw(st.integers(1, 4)))
+    return [draw(lists(r, c)) for r, c in zip(dims, dims[1:])]
+
+
+class TestOracle:
+    """Integer-first Matrix against the plain-Fraction oracle above."""
+
+    @given(chain(2))
+    def test_product(self, ab):
+        a, b = ab
+        got = Matrix(a) * Matrix(b)
+        assert got.data == oracle_mul(a, b)
+        assert all_exact(got)
+
+    @given(chain(1))
+    def test_rref(self, ms):
+        (a,) = ms
+        red, pivots = Matrix(a).rref()
+        assert (red.data, pivots) == oracle_rref(a)
+        assert all_exact(red)
+
+    @given(chain(2), st.data())
+    def test_solve(self, ax, data):
+        a, x = ax
+        b = data.draw(lists(len(a), len(x[0])))
+        for rhs in (oracle_mul(a, x), b):
+            sol = Matrix(a).solve(Matrix(rhs))
+            augmented = [ra + rb for ra, rb in zip(a, rhs)]
+            if len(oracle_rref(augmented)[1]) > len(oracle_rref(a)[1]):
+                assert sol is None
+            else:
+                assert oracle_mul(a, sol.data) == rhs
+                assert all_exact(sol)
+
+    @given(chain(1, square=True))
+    def test_inverse(self, ms):
+        (a,) = ms
+        if oracle_det(a) == 0:
+            with pytest.raises(ValueError):
+                Matrix(a).inverse()
+            return
+        inv = Matrix(a).inverse()
+        assert oracle_mul(a, inv.data) == Matrix.identity(len(a)).data
+        assert all_exact(inv)
+
+    @given(chain(1))
+    def test_kernel_basis(self, ms):
+        (a,) = ms
+        k = Matrix(a).kernel_basis()
+        assert k.cols == len(a[0]) - len(oracle_rref(a)[1])
+        assert all_exact(k)
+        if k.cols:
+            assert all(x == 0 for row in oracle_mul(a, k.data) for x in row)
+            assert len(oracle_rref(k.data)[1]) == k.cols
+
+    @given(chain(2, square=True))
+    def test_determinant(self, ab):
+        a, b = ab
+        det_a, det_b = Matrix(a).determinant(), Matrix(b).determinant()
+        assert det_a == oracle_det(a) and exact(det_a)
+        det_ab = (Matrix(a) * Matrix(b)).determinant()
+        assert det_ab == det_a * det_b and exact(det_ab)
 
 
 class TestKernel:
