@@ -145,17 +145,12 @@ def cmd_section4(args) -> int:
     if not 3 <= n <= 6:
         raise UsageError("cover table checks support 3 <= n <= 6")
     rep = cover.verify_ia_action_tables(n)
-    groups: dict = {}
-    for c in rep["checks"]:
-        key = c["name"].split(" i=")[0]
-        entry = groups.setdefault(key, {"count": 0, "failures": []})
-        entry["count"] += 1
-        if not c["ok"]:
-            entry["failures"].append(c["name"])
+    families = words.family_report(
+        (c["name"].split(" i=")[0], c["name"], c["ok"]) for c in rep["checks"])
     checks = [
-        check(f"{name} ({data['count']} cases)", not data["failures"],
-              {"failures": data["failures"]})
-        for name, data in groups.items()
+        check(f"{fam['name']} ({fam['count']} cases)", not fam["failures"],
+              {"failures": fam["failures"]})
+        for fam in families
     ]
     plus, minus = cover.deck_eigenspace_dims(n)
     checks.append(check("deck eigenspace dimensions (n, n-1)",
@@ -362,7 +357,10 @@ def cmd_graph(args) -> int:
         if not args.xi:
             raise UsageError("double-tree needs --xi")
         xi = _builtin_xi(g, args.xi)
-        flips = graphs.flips_all_simple_loops(g, xi)
+        try:
+            flips = graphs.flips_all_simple_loops(g, xi)
+        except ValueError as exc:
+            raise UsageError(str(exc))
         checks.append(check("involution flips every simple loop", flips))
         if flips:
             dt = graphs.double_tree_decomposition(g, xi)

@@ -9,19 +9,22 @@ matrix, and group elements act on it through signed edge permutations:
 an edge mapped with a reversed orientation picks up a minus sign.
 
 On top of that sit the combinatorial certificates used by the rest of
-the package: complete simple-loop enumeration (graphs are desk scale;
-a hard edge cap keeps the exhaustive semantics honest), admissibility
-via invariant forests, minimal-loop obstruction witnesses, orientation
-equivariance on roses, loop-flipping involutions, and the splitting of
-a graph into two trees exchanged by such an involution.
+the package, each polynomial in the size of the graph and, where it
+averages over the acting group, in the group order: admissibility
+via forest edge orbits, minimal-loop lengths by breadth-first search
+and the obstruction witnesses built from them, orientation
+equivariance on roses, loop-flipping involutions checked on a cycle
+basis, trivial multiplicities from the Hopf trace formula, and the
+splitting of a graph into two trees exchanged by such an involution.
+Complete simple-loop enumeration is kept as a public enumerator and a
+reference for the tests; its hard edge cap bounds only that
+enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Matrix
 from .symreps import FiniteRep, GroupDescriptor
@@ -434,21 +437,35 @@ def induced_rep(action: GraphAction, basis: CycleBasis | None = None) -> FiniteR
     return FiniteRep(action.group, basis.dim, gens)
 
 
-def trivial_multiplicity(action: GraphAction, basis: CycleBasis | None = None) -> int:
+def homology_trace(aut: GraphAut) -> int:
+    """Trace of the automorphism on rational first homology.
+
+    By the Hopf trace formula tr(g|H1) = tr(g|C1) - tr(g|C0) + tr(g|H0):
+    fixed edges count +1, or -1 when reversed; fixed vertices count 1;
+    components mapped to themselves count 1.
+    """
+    g = aut.graph
+    find, union = _union_find(g.vertices)
+    for e in g.edges:
+        union(*g.ends[e])
+    edges = sum(-1 if aut.flip(e) else 1 for e in g.edges if aut.emap[e] == e)
+    vertices = sum(aut.vmap[v] == v for v in g.vertices)
+    components = sum(find(aut.vmap[v]) == v for v in g.vertices if find(v) == v)
+    return edges - vertices + components
+
+
+def trivial_multiplicity(action: GraphAction, elements: list | None = None) -> int:
     """Multiplicity of the trivial module in the homology action.
 
     Averages traces over the full (enumerated) group, so it applies to
-    any finite acting group without character bookkeeping.
+    any finite acting group without character bookkeeping.  ``elements``
+    is the enumerated group when the caller already has it.
     """
-    basis = basis or h1_basis(action.graph)
-    elements = action.elements()
-    total = Fraction(0)
-    for aut in elements:
-        total += induced_matrix(aut, basis).trace()
-    value = total / len(elements)
-    if value.denominator != 1 or value < 0:
+    elements = elements or action.elements()
+    value, rest = divmod(sum(map(homology_trace, elements)), len(elements))
+    if rest or value < 0:
         raise AssertionError("trace average is not a nonnegative integer")
-    return int(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -584,28 +601,34 @@ def simple_loops(graph: Graph) -> list:
 
 
 def min_loop_through_edge(graph: Graph, e) -> int | None:
-    """Length of the shortest simple loop through e; None if e separates."""
+    """Length of the shortest simple loop through e; None if e separates.
+
+    A loop edge is a loop of length one; otherwise the shortest loop is
+    e followed by a shortest path between its endpoints avoiding e.
+    """
     if e not in graph.ends:
         raise ValueError(f"unknown edge {e!r}")
-    best = None
-    for loop in simple_loops(graph):
-        if e in loop.edge_set and (best is None or len(loop) < best):
-            best = len(loop)
-    return best
+    start, goal = graph.ends[e]
+    if start == goal:
+        return 1
+    neighbours = {v: [] for v in graph.vertices}
+    for f in graph.edges:
+        if f != e:
+            a, b = graph.ends[f]
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    distance = {start: 0}
+    queue = [start]
+    for v in queue:  # the queue grows while it is read: breadth first
+        for w in neighbours[v]:
+            if w not in distance:
+                distance[w] = distance[v] + 1
+                queue.append(w)
+    return distance[goal] + 1 if goal in distance else None
 
 
 def separating_edges(graph: Graph) -> list:
-    lengths = _min_loop_table(graph)
-    return [e for e in graph.edges if lengths[e] is None]
-
-
-def _min_loop_table(graph: Graph) -> dict:
-    table = {e: None for e in graph.edges}
-    for loop in simple_loops(graph):
-        for e in loop.edge_set:
-            if table[e] is None or len(loop) < table[e]:
-                table[e] = len(loop)
-    return table
+    return [e for e in graph.edges if min_loop_through_edge(graph, e) is None]
 
 
 def admissibility_obstruction(graph: Graph):
@@ -616,7 +639,7 @@ def admissibility_obstruction(graph: Graph):
     Separating edges are skipped here; they are a diagnosis of their
     own (see ``separating_edges``).
     """
-    table = _min_loop_table(graph)
+    table = {e: min_loop_through_edge(graph, e) for e in graph.edges}
     for e in graph.edges:
         if table[e] is None:
             continue
@@ -637,22 +660,14 @@ def is_forest(graph: Graph, edge_subset) -> bool:
     return all(union(*graph.ends[e]) for e in edge_subset)
 
 
-def invariant_forests(action: GraphAction, orbit_cap: int = 20) -> list:
-    """All nonempty unions of edge orbits that are forests.
+def invariant_forests(action: GraphAction) -> list:
+    """The edge orbits that are forests, each sorted.
 
-    A union of orbits is invariant and every invariant edge set is such
-    a union, so this enumeration is complete.
+    Every invariant edge set is a union of orbits, and every subset of
+    a forest is a forest, so there is a nonempty invariant forest
+    exactly when this list is nonempty.
     """
-    orbits = action.edge_orbits()
-    if len(orbits) > orbit_cap:
-        raise ValueError(f"too many edge orbits to enumerate ({len(orbits)})")
-    forests = []
-    for r in range(1, len(orbits) + 1):
-        for combo in itertools.combinations(range(len(orbits)), r):
-            union = [e for k in combo for e in orbits[k]]
-            if is_forest(action.graph, union):
-                forests.append(sorted(union, key=str))
-    return forests
+    return [o for o in action.edge_orbits() if is_forest(action.graph, o)]
 
 
 def is_admissible(action: GraphAction) -> bool:
@@ -672,17 +687,16 @@ def is_admissible(action: GraphAction) -> bool:
 def flips_all_simple_loops(graph: Graph, xi: GraphAut) -> bool:
     """Does the involution send every simple loop to itself reversed?
 
-    Checked on cycle vectors: a loop is flipped exactly when its edge
-    vector is negated by the signed push-forward.
+    A loop is flipped exactly when its edge vector is negated by the
+    signed push-forward; simple loops span the cycle space, so this
+    holds for all of them exactly when it holds on a cycle basis.
     """
+    if xi.graph != graph:
+        raise ValueError("xi is an automorphism of another graph")
     if not (xi * xi).is_identity():
         raise ValueError("xi must be an involution")
-    p = signed_edge_matrix(xi)
-    for loop in simple_loops(graph):
-        v = loop.edge_vector(graph)
-        if p.apply(v) != [-x for x in v]:
-            return False
-    return True
+    cycles = h1_basis(graph).matrix
+    return signed_edge_matrix(xi) * cycles == -cycles
 
 
 @dataclass
@@ -871,7 +885,7 @@ def invariant_orientation(action: GraphAction) -> dict:
                 if image in orientation and orientation[image] != sign:
                     raise AssertionError("orientation transport is inconsistent")
                 orientation[image] = sign
-    mult = trivial_multiplicity(action)
+    mult = trivial_multiplicity(action, elements)
     return {
         "orientation": None if obstruction is not None else orientation,
         "obstruction_edge": obstruction,
@@ -881,11 +895,40 @@ def invariant_orientation(action: GraphAction) -> dict:
     }
 
 
+def _is_perfect(action: GraphAction, elements: list) -> bool:
+    """Is the acting image, enumerated as ``elements``, its own commutator
+    subgroup?
+
+    The commutator subgroup is the normal closure of the commutators of
+    the generators.  The closure is grown from the identity by right
+    multiplication with those commutators and conjugation by the
+    generators, and stops once it has every element.
+    """
+    gens = [action.maps[name] for name in action.group.generators]
+    inverses = [g.inverse() for g in gens]
+    commutators = [gens[i] * gens[j] * inverses[i] * inverses[j]
+                   for i in range(len(gens)) for j in range(i)]
+    ident = identity_aut(action.graph)
+    found = {ident.key()}
+    frontier = [ident]
+    while frontier and len(found) < len(elements):
+        cur = frontier.pop()
+        images = [cur * c for c in commutators]
+        images += [g * cur * gi for g, gi in zip(gens, inverses)]
+        for nxt in images:
+            k = nxt.key()
+            if k not in found:
+                found.add(k)
+                frontier.append(nxt)
+    return len(found) == len(elements)
+
+
 def cage_trivial_multiplicity_check(action: GraphAction) -> dict:
     """On a cage, trivial multiplicity must be the orbit count minus one.
 
     Stated for perfect acting groups (they cannot swap the two cage
-    vertices); the descriptor must carry the perfect flag.
+    vertices); the descriptor must carry the perfect flag, and the
+    acting image is checked to be perfect.
     """
     g = action.graph
     verts = set(g.vertices)
@@ -896,8 +939,11 @@ def cage_trivial_multiplicity_check(action: GraphAction) -> dict:
     failed = action.failed_relations()
     if failed:
         raise ValueError(f"action fails its defining relations: {failed}")
+    elements = action.elements()
+    if not _is_perfect(action, elements):
+        raise ValueError("the acting image is not perfect")
     orbits = action.edge_orbits()
-    mult = trivial_multiplicity(action)
+    mult = trivial_multiplicity(action, elements)
     return {
         "orbit_count": len(orbits),
         "trivial_multiplicity": mult,

@@ -34,6 +34,7 @@ from .words import (
     act_on_functional,
     compose_automorphisms,
     eps,
+    family_report,
     gersten_relators,
     identity_automorphism,
     lam,
@@ -228,23 +229,18 @@ class InducedRep:
         certifies the representation is constant on outer classes.
         """
         cache: dict = {}
-        families: dict = {}
+        rows = []
         for family, label, word in gersten_relators(self.n):
             acc = BlockMatrix.identity(len(self.cosets), self.dim_u)
             for token, e in word:
                 acc = acc * self._letter_block(cache, token, e)
-            entry = families.setdefault(family, {"count": 0, "failures": []})
-            entry["count"] += 1
-            if not acc.is_identity():
-                entry["failures"].append(label)
+            rows.append((family, label, acc.is_identity()))
+        families = family_report(rows)
         return {
             "n": self.n,
             "m": self.m,
-            "families": [
-                {"name": k, "count": v["count"], "failures": v["failures"]}
-                for k, v in families.items()
-            ],
-            "ok": all(not v["failures"] for v in families.values()),
+            "families": families,
+            "ok": all(not fam["failures"] for fam in families),
         }
 
     def to_json(self) -> dict:

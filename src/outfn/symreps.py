@@ -513,40 +513,3 @@ def multiplicity(rep: FiniteRep, name: str, n: int) -> int:
     if value.denominator != 1 or value < 0:
         raise ValueError(f"inconsistent rep: multiplicity of {name} is {value}")
     return int(value)
-
-
-def branching_check(n: int) -> dict:
-    """Restrict the (n+1)-letter standard module to n letters.
-
-    The standard module is realised concretely on the cycle space of
-    the graph with two vertices and n+1 parallel edges; restriction to
-    the subgroup fixing the last edge must contain the standard and
-    trivial modules once each and nothing else.
-
-    For n = 3 the signed standard module has the same character as the
-    standard one (the partition (2,1) is self-conjugate), so it is
-    excluded from the "nothing else" clause there.
-    """
-    if n < 3:
-        raise ValueError("needs rank at least 3")
-    from . import graphs
-    from . import actions
-
-    action = actions.symmetric_cage(n + 1)
-    big = graphs.induced_rep(action)
-    if not big.verify_relations():
-        raise AssertionError("cage action fails its defining relations")
-    small = FiniteRep(
-        symmetric_group(n), big.dim,
-        {f"s{i}": big.generators[f"s{i}"] for i in range(1, n)},
-    )
-    if not small.verify_relations():
-        raise AssertionError("restricted rep fails its defining relations")
-    expected = {"standard": 1, "trivial": 1, "determinant": 0, "signed_standard": 0}
-    got = {}
-    for name in expected:
-        if n == 3 and name == "signed_standard":
-            continue
-        got[name] = multiplicity(small, name, n)
-    ok = all(got[k] == v for k, v in expected.items() if k in got)
-    return {"n": n, "multiplicities": got, "ok": ok}

@@ -469,6 +469,22 @@ def _check_relator(args):
     return is_inner(relator_automorphism(n, token_word)) is not None
 
 
+def family_report(rows) -> list:
+    """Group ``(family, label, ok)`` rows by family, in first-seen order.
+
+    Each family becomes ``{"name", "count", "failures"}``, the failures
+    listing the labels of its rows that are not ok, in row order.
+    """
+    families: dict = {}
+    for family, label, ok in rows:
+        entry = families.setdefault(family, {"name": family, "count": 0,
+                                             "failures": []})
+        entry["count"] += 1
+        if not ok:
+            entry["failures"].append(label)
+    return list(families.values())
+
+
 def verify_gersten(n: int, jobs: int = 1) -> dict:
     """Instantiate every relator family and check it in the outer group.
 
@@ -484,22 +500,14 @@ def verify_gersten(n: int, jobs: int = 1) -> dict:
     else:
         results = [_check_relator((n, w)) for (_, _, w) in items]
 
-    families: dict = {}
-    for (family, label, _), ok in zip(items, results):
-        entry = families.setdefault(family, {"count": 0, "failures": []})
-        entry["count"] += 1
-        if not ok:
-            entry["failures"].append(label)
-    report = {
+    families = family_report((family, label, ok)
+                             for (family, label, _), ok in zip(items, results))
+    return {
         "n": n,
-        "families": [
-            {"name": name, "count": data["count"], "failures": data["failures"]}
-            for name, data in families.items()
-        ],
+        "families": families,
         "total": len(items),
-        "ok": all(not data["failures"] for data in families.values()),
+        "ok": all(not fam["failures"] for fam in families),
     }
-    return report
 
 
 # ---------------------------------------------------------------------------

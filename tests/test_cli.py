@@ -214,6 +214,41 @@ class TestGraph:
     def test_missing_inputs(self):
         assert run(["graph", "admissible"]) == 2
 
+    def test_involution_of_another_graph_is_usage_error(self, capsys):
+        # def57 lives on the 6-cage, not on the six-edge daisy chain
+        assert run(["graph", "double-tree", "--builtin", "daisy:3",
+                    "--xi", "def57"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert run(["graph", "double-tree", "--builtin", "cage:7",
+                    "--xi", "def57"]) == 0
+
+    def test_false_perfect_flag_is_usage_error(self, tmp_path, capsys):
+        from outfn import actions, graphs
+        g = graphs.cage(3)
+        obj = {"graph": g.to_json(),
+               "group": {"name": "Z2", "generators": ["d"],
+                         "relations": [["d", "d"]], "perfect": True},
+               "maps": {"d": actions.vertex_swap(g).to_json()}}
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps(obj))
+        assert run(["graph", "cage-lemma", "--file", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_double_tree_beyond_the_loop_edge_cap(self, tmp_path):
+        out = tmp_path / "dt.json"
+        assert run(["graph", "double-tree", "--builtin", "cage:40",
+                    "--xi", "vertex-swap", "--json", str(out)]) == 0
+        load_report(out)
+
+    def test_admissible_with_many_orbits_reports_forest_orbits(self, tmp_path):
+        out = tmp_path / "a.json"
+        assert run(["graph", "admissible", "--builtin", "cage:25",
+                    "--group", "trivial", "--json", str(out)]) == 1
+        report = load_report(out)
+        forests = next(c for c in report["checks"]
+                       if c["name"] == "no invariant nontrivial forest")
+        assert forests["details"]["forests"] == [[f"c{i}"] for i in range(1, 26)]
+
     def test_action_file(self, tmp_path):
         from outfn import actions
         act = actions.cage_full(3)

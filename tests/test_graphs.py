@@ -1,5 +1,7 @@
 """Graphs, homology, simple loops, admissibility, flips, double trees."""
 
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,12 +13,45 @@ from outfn import actions, graphs, symreps
 from outfn.linalg import Matrix
 
 
-def random_multigraph(rng):
+def random_multigraph(rng, max_edges=16):
     nv = rng.randint(1, 8)
-    ne = rng.randint(0, 16)
+    ne = rng.randint(0, max_edges)
     verts = [f"v{i}" for i in range(nv)]
     recs = [(f"e{i}", rng.choice(verts), rng.choice(verts)) for i in range(ne)]
     return graphs.make_graph(verts, recs)
+
+
+def stock_actions():
+    return [actions.symmetric_rose(3), actions.alternating_rose(4),
+            actions.signed_rose(3), actions.symmetric_cage(4),
+            actions.alternating_cage(5), actions.alternating_doubled_cage(3),
+            actions.cage_full(4), actions.cage_central_alternating(4)]
+
+
+def two_cages_and_a_loop():
+    """A disconnected graph with an action that swaps two components."""
+    g = graphs.make_graph(
+        ["u1", "w1", "u2", "w2", "x"],
+        [("a1", "u1", "w1"), ("b1", "u1", "w1"),
+         ("a2", "u2", "w2"), ("b2", "u2", "w2"), ("l", "x", "x")])
+    fixed_x = {"x": "x"}
+    swap = graphs.GraphAut(
+        g, {"u1": "u2", "w1": "w2", "u2": "u1", "w2": "w1", **fixed_x},
+        {"a1": "a2", "b1": "b2", "a2": "a1", "b2": "b1", "l": "l"}, {})
+    reverse = graphs.GraphAut(
+        g, {"u1": "w1", "w1": "u1", "u2": "w2", "w2": "u2", **fixed_x},
+        {e: e for e in g.edges}, {e: e != "l" for e in g.edges})
+    strands = graphs.GraphAut(
+        g, {v: v for v in g.vertices},
+        {"a1": "b1", "b1": "a1", "a2": "a2", "b2": "b2", "l": "l"}, {"l": True})
+    desc = symreps.GroupDescriptor("D", ("s", "r", "t"), ())
+    return graphs.GraphAction(g, desc, {"s": swap, "r": reverse, "t": strands})
+
+
+def flips_every_listed_loop(g, xi):
+    p = graphs.signed_edge_matrix(xi)
+    return all(p.apply(v) == [-x for x in v]
+               for v in (loop.edge_vector(g) for loop in graphs.simple_loops(g)))
 
 
 class TestBuilders:
@@ -128,6 +163,18 @@ class TestInducedAction:
             rhs = (graphs.induced_matrix(act.maps[a], basis)
                    * graphs.induced_matrix(act.maps[b], basis))
             assert lhs == rhs
+
+    def test_hopf_trace_matches_induced_matrix(self):
+        for act in stock_actions() + [two_cages_and_a_loop()]:
+            basis = graphs.h1_basis(act.graph)
+            for aut in act.elements():
+                assert (graphs.homology_trace(aut)
+                        == graphs.induced_matrix(aut, basis).trace())
+
+    def test_hopf_trace_counts_swapped_components(self):
+        act = two_cages_and_a_loop()
+        assert graphs.homology_trace(graphs.identity_aut(act.graph)) == 3
+        assert graphs.homology_trace(act.maps["s"]) == 1
 
 
 class TestCollapse:
@@ -253,6 +300,19 @@ class TestMinLoopAndObstruction:
         assert witness in brute
         assert witness == brute[0]
 
+    def test_bfs_matches_subset_oracle_on_random_multigraphs(self):
+        rng = random.Random(1103)
+        for _ in range(80):
+            g = random_multigraph(rng, max_edges=10)
+            m = {e: oracle_min_loop(g, e) for e in g.edges}
+            assert {e: graphs.min_loop_through_edge(g, e) for e in g.edges} == m
+            assert graphs.separating_edges(g) == [e for e in g.edges if m[e] is None]
+            brute = [(e, x) for e in g.edges if m[e] is not None
+                     for x in dict.fromkeys(g.ends[e])
+                     if all(m[f] != m[e] for f in g.edges
+                            if f != e and x in g.ends[f])]
+            assert graphs.admissibility_obstruction(g) == (brute[0] if brute else None)
+
 
 class TestAdmissibility:
     def test_full_cage_action_is_admissible(self):
@@ -275,6 +335,25 @@ class TestAdmissibility:
         act = actions.trivial_action(graphs.rose(2))
         assert graphs.invariant_forests(act) == []
         assert graphs.is_admissible(act)
+
+    def test_forest_orbits_match_orbit_union_brute_force(self):
+        rng = random.Random(4)
+        small = [graphs.cage(2), graphs.cage(3), graphs.rose(2), graphs.barbell(),
+                 graphs.daisy_chain(3), graphs.cover_of_rose(3)]
+        small += [random_multigraph(rng, max_edges=8) for _ in range(30)]
+        acts = [actions.trivial_action(g) for g in small]
+        acts += [actions.cage_full(3), actions.symmetric_cage(3),
+                 actions.signed_rose(2), actions.cage_central_alternating(4)]
+        for act in acts:
+            cycles = oracle_simple_cycles(act.graph)
+            orbits = act.edge_orbits()
+            brute = any(not any(c <= set(union) for c in cycles)
+                        for r in range(1, len(orbits) + 1)
+                        for combo in itertools.combinations(orbits, r)
+                        for union in [[e for o in combo for e in o]])
+            forests = graphs.invariant_forests(act)
+            assert bool(forests) == brute
+            assert all(f in orbits for f in forests)
 
 
 class TestFlipsAndDoubleTree:
@@ -303,6 +382,32 @@ class TestFlipsAndDoubleTree:
             flipped = p.apply(v) == [-Fraction(x) for x in v]
             assert flipped == (len(l) == 2)
         assert not graphs.flips_all_simple_loops(g, sw)
+
+    def test_cycle_basis_check_matches_per_loop_oracle(self):
+        xis = []
+        for act in (actions.cage_full(4), actions.signed_rose(3),
+                    actions.symmetric_cage(4)):
+            xis += [(act.graph, a) for a in act.elements() if (a * a).is_identity()]
+        for k in range(1, 6):
+            xis.append((graphs.cage(k), actions.vertex_swap(graphs.cage(k))))
+            xis.append((graphs.rose(k), actions.petal_flip_involution(graphs.rose(k))))
+            xis.append((graphs.cage(k + 1), actions.parity_involution(k)))
+        for k in range(2, 5):
+            xis.append((graphs.daisy_chain(k), actions.strand_swap(graphs.daisy_chain(k))))
+        outcomes = set()
+        for g, xi in xis:
+            got = graphs.flips_all_simple_loops(g, xi)
+            assert got == flips_every_listed_loop(g, xi)
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_involution_of_another_graph_rejected(self):
+        g = graphs.daisy_chain(3)
+        xi = actions.parity_involution(5)   # lives on the 6-cage
+        with pytest.raises(ValueError):
+            graphs.flips_all_simple_loops(g, xi)
+        with pytest.raises(ValueError):
+            graphs.double_tree_decomposition(g, xi)
 
     def test_cage_double_tree_is_star(self):
         n = 5
@@ -395,6 +500,22 @@ class TestCageMultiplicity:
     def test_requires_perfect_group(self):
         with pytest.raises(ValueError):
             graphs.cage_trivial_multiplicity_check(actions.symmetric_cage(4))
+
+    def test_false_perfect_claim_rejected(self):
+        # S4 has commutator subgroup A4; Z2 is abelian
+        s4 = actions.symmetric_cage(4)
+        s4.group = dataclasses.replace(s4.group, perfect=True)
+        g = graphs.cage(3)
+        desc = symreps.GroupDescriptor("Z2", ("d",), (("d", "d"),), perfect=True)
+        z2 = graphs.GraphAction(g, desc, {"d": actions.vertex_swap(g)})
+        for act in (s4, z2):
+            with pytest.raises(ValueError):
+                graphs.cage_trivial_multiplicity_check(act)
+
+    def test_one_edge_cage(self):
+        act = actions.trivial_action(graphs.cage(1), perfect=True, group_name="1")
+        out = graphs.cage_trivial_multiplicity_check(act)
+        assert out == {"orbit_count": 1, "trivial_multiplicity": 0, "ok": True}
 
 
 class TestSignedRose:

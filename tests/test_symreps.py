@@ -178,7 +178,7 @@ class TestMultiplicity:
 class TestBranching:
     def test_branching_rule(self):
         for n in (4, 5):
-            out = symreps.branching_check(n)
+            out = actions.branching_check(n)
             assert out["ok"]
             assert out["multiplicities"]["standard"] == 1
             assert out["multiplicities"]["trivial"] == 1
@@ -192,7 +192,7 @@ class TestBranching:
 
     def test_small_rank_rejected(self):
         with pytest.raises(ValueError):
-            symreps.branching_check(2)
+            actions.branching_check(2)
 
 
 class TestCrossModuleDecomposition:
