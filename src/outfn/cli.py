@@ -3,9 +3,11 @@
 Every check is a subcommand emitting a JSON report with a fixed shape:
 command, parameters, a list of named checks with pass/fail/skip status,
 and summary counts.  Exit codes: 0 when every check passes, 1 when some
-check fails, 2 on usage or input errors.  Reports contain no
-timestamps, so identical invocations produce byte-identical output; all
-numbers are exact (integers or "p/q" strings).
+check fails, 2 on usage or input errors (a ``UsageError``, or a library
+``ValueError`` for an input that fails a precondition), 3 on any other
+exception, reported in one line.  ``main`` alone maps exceptions to exit
+codes.  Reports contain no timestamps, so identical invocations produce
+byte-identical output; all numbers are exact (integers or "p/q" strings).
 """
 
 from __future__ import annotations
@@ -57,6 +59,16 @@ def emit(report: dict, json_path) -> int:
     return 0 if s["failed"] == 0 else 1
 
 
+def _load(path, what: str, build):
+    """``build`` applied to the JSON in ``path``; malformed files are usage errors."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:
+        raise UsageError(f"cannot read {what} file: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # gersten
 
@@ -83,15 +95,6 @@ def cmd_gersten(args) -> int:
 # decompose
 
 
-def _load_rep(path) -> symreps.FiniteRep:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        return symreps.FiniteRep.from_json(obj)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"cannot read rep file: {exc}")
-
-
 def _signed_rank(rep: symreps.FiniteRep) -> int:
     names = rep.generators
     n_e = sum(1 for name in names if name.startswith("e") and name[1:].isdigit())
@@ -103,17 +106,25 @@ def _signed_rank(rep: symreps.FiniteRep) -> int:
     raise UsageError("rep must supply e1..en, or e1 plus the adjacent swaps")
 
 
+def _rho_pairs(names, n: int) -> list:
+    """The pairs (i, j), 1 <= i != j <= n, named by the ``rho...`` generators."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    found = []
+    for name in names:
+        match = [(i, j) for i, j in pairs if name == f"rho{i}{j}"]
+        if name.startswith("rho") and len(match) != 1:
+            raise UsageError(f"{name!r} is not rho{{i}}{{j}} for one 1 <= i != j <= {n}")
+        found += match
+    return sorted(found)
+
+
 def cmd_decompose(args) -> int:
-    rep = _load_rep(args.rep)
+    rep = _load(args.rep, "rep", symreps.FiniteRep.from_json)
     failed = rep.failed_relations()
     if failed:
         raise UsageError(f"rep fails {len(failed)} defining relation(s)")
     n = _signed_rank(rep)
-    try:
-        invs = symreps.involution_family(rep, n)
-        decomp = symreps.simultaneous_eigenspaces(invs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    decomp = symreps.simultaneous_eigenspaces(symreps.involution_family(rep, n))
     checks = []
     table = {
         ",".join(map(str, sorted(subset))) or "-": space.dim
@@ -125,11 +136,7 @@ def cmd_decompose(args) -> int:
     div = symreps.divisibility_check(decomp)
     checks.append(check("layer dimensions divisible by binomials",
                         div["ok"], {"layers": div["layers"]}))
-    rho_pairs = []
-    for name in rep.generators:
-        if name.startswith("rho") and len(name) == 5 and name[3:].isdigit():
-            rho_pairs.append((int(name[3]), int(name[4])))
-    for i, j in sorted(rho_pairs):
+    for i, j in _rho_pairs(rep.generators, n):
         ok = symreps.check_diamond(rep, decomp, i, j)
         checks.append(check(f"diamond containment rho{i}{j}", ok))
     report = make_report("decompose", {"rep": str(args.rep), "n": n}, checks)
@@ -177,11 +184,7 @@ def cmd_induce(args) -> int:
     n = args.n
     if n not in (3, 4, 5):
         raise UsageError("induction supports n in {3, 4, 5}")
-    mu = _parse_mu(args.mu)
-    try:
-        rep = induced.induce(n, mu)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    rep = induced.induce(n, _parse_mu(args.mu))
     checks = [check(f"dimension m = {rep.m}",
                     rep.m == (2 ** n - 1) * rep.dim_u,
                     {"m": rep.m, "cosets": len(rep.cosets), "dim_u": rep.dim_u})]
@@ -205,79 +208,58 @@ def cmd_induce(args) -> int:
 # graph
 
 
+# The tables look builders up on their module at call time, never at import,
+# so that a patched module attribute (as in tracing) takes effect.
+
+# builtin graph name -> builder of the size after the colon
+_GRAPHS = {
+    "rose": lambda k: graphs.rose(k),
+    "cage": lambda k: graphs.cage(k),
+    "daisy": lambda k: graphs.daisy_chain(k),
+    "cover": lambda k: graphs.cover_of_rose(k),
+    "barbell": lambda k: graphs.barbell(),
+}
+
+_INVOLUTIONS = {
+    "vertex-swap": lambda g: actions.vertex_swap(g),
+    "strand-swap": lambda g: actions.strand_swap(g),
+    "flip-all": lambda g: actions.petal_flip_involution(g),
+    "def57": lambda g: actions.parity_involution(len(g.edges) - 1),
+}
+
+
 def _builtin_graph(token: str) -> graphs.Graph:
     name, _, arg = token.partition(":")
-    try:
-        k = int(arg) if arg else None
-        if name == "rose":
-            return graphs.rose(k)
-        if name == "cage":
-            return graphs.cage(k)
-        if name == "daisy":
-            return graphs.daisy_chain(k)
-        if name == "cover":
-            return graphs.cover_of_rose(k)
-        if name == "barbell":
-            return graphs.barbell()
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad builtin graph {token!r}: {exc}")
-    raise UsageError(f"unknown builtin graph {token!r}")
+    if name not in _GRAPHS:
+        raise UsageError(f"unknown builtin graph {token!r}")
+    return _GRAPHS[name](int(arg or 0))
 
 
 def _builtin_action(graph_token: str, group: str) -> graphs.GraphAction:
     name, _, arg = graph_token.partition(":")
-    g = group.upper()
-    try:
-        k = int(arg) if arg else 0
-        if g == "TRIVIAL":
-            return actions.trivial_action(_builtin_graph(graph_token))
-        if name == "rose":
-            if g == f"S{k}":
-                return actions.symmetric_rose(k)
-            if g == f"A{k}":
-                return actions.alternating_rose(k)
-            if g == f"W{k}":
-                return actions.signed_rose(k)
-        if name == "cage":
-            if g == f"S{k}":
-                return actions.symmetric_cage(k)
-            if g == f"A{k}":
-                return actions.alternating_cage(k)
-            if g == f"G{k-1}":
-                return actions.cage_full(k)
-            if g == f"B{k-1}":
-                return actions.cage_central_alternating(k)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    raise UsageError(f"no builtin action of {group!r} on {graph_token!r}")
-
-
-def _builtin_xi(graph: graphs.Graph, name: str) -> graphs.GraphAut:
-    try:
-        if name == "vertex-swap":
-            return actions.vertex_swap(graph)
-        if name == "strand-swap":
-            return actions.strand_swap(graph)
-        if name == "flip-all":
-            return actions.petal_flip_involution(graph)
-        if name == "def57":
-            n = len(graph.edges) - 1
-            return actions.parity_involution(n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    raise UsageError(f"unknown involution {name!r}")
+    k = int(arg or 0)
+    if group.upper() == "TRIVIAL":
+        return actions.trivial_action(_builtin_graph(graph_token))
+    build = {
+        ("rose", f"S{k}"): actions.symmetric_rose,
+        ("rose", f"A{k}"): actions.alternating_rose,
+        ("rose", f"W{k}"): actions.signed_rose,
+        ("cage", f"S{k}"): actions.symmetric_cage,
+        ("cage", f"A{k}"): actions.alternating_cage,
+        ("cage", f"G{k - 1}"): actions.cage_full,
+        ("cage", f"B{k - 1}"): actions.cage_central_alternating,
+    }.get((name, group.upper()))
+    if build is None:
+        raise UsageError(f"no builtin action of {group!r} on {graph_token!r}")
+    return build(k)
 
 
 def _graph_from_args(args) -> graphs.Graph:
     if args.builtin:
         return _builtin_graph(args.builtin)
     if args.file:
-        try:
-            with open(args.file) as fh:
-                obj = json.load(fh)
-            return graphs.Graph.from_json(obj.get("graph", obj))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"cannot read graph file: {exc}")
+        return _load(args.file, "graph",
+                     lambda obj: graphs.Graph.from_json(obj.get("graph", obj)))
     raise UsageError("supply --builtin or --file")
 
 
@@ -287,13 +269,8 @@ def _action_from_args(args) -> graphs.GraphAction:
             raise UsageError("builtin actions need --group")
         return _builtin_action(args.builtin, args.group)
     if args.file:
-        try:
-            with open(args.file) as fh:
-                obj = json.load(fh)
-            g = graphs.Graph.from_json(obj["graph"])
-            return graphs.action_from_json(g, obj)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"cannot read action file: {exc}")
+        return _load(args.file, "action", lambda obj: graphs.action_from_json(
+            graphs.Graph.from_json(obj["graph"]), obj))
     raise UsageError("supply --builtin with --group, or --file")
 
 
@@ -331,10 +308,7 @@ def cmd_graph(args) -> int:
         action = _action_from_args(args)
         if action.failed_relations():
             raise UsageError("action fails its defining relations")
-        try:
-            res = graphs.invariant_orientation(action)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        res = graphs.invariant_orientation(action)
         checks.append(check("invariant orientation exists",
                             res["orientation"] is not None,
                             {"obstruction_edge": str(res["obstruction_edge"])}))
@@ -345,22 +319,16 @@ def cmd_graph(args) -> int:
 
     elif sub == "cage-lemma":
         action = _action_from_args(args)
-        try:
-            res = graphs.cage_trivial_multiplicity_check(action)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        res = graphs.cage_trivial_multiplicity_check(action)
         checks.append(check("trivial multiplicity equals orbit count minus one",
                             res["ok"], res))
 
     elif sub == "double-tree":
         g = _graph_from_args(args)
-        if not args.xi:
-            raise UsageError("double-tree needs --xi")
-        xi = _builtin_xi(g, args.xi)
-        try:
-            flips = graphs.flips_all_simple_loops(g, xi)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        if args.xi not in _INVOLUTIONS:
+            raise UsageError(f"double-tree needs --xi {' | '.join(_INVOLUTIONS)}")
+        xi = _INVOLUTIONS[args.xi](g)
+        flips = graphs.flips_all_simple_loops(g, xi)
         checks.append(check("involution flips every simple loop", flips))
         if flips:
             dt = graphs.double_tree_decomposition(g, xi)
@@ -386,9 +354,6 @@ def cmd_graph(args) -> int:
              "quotient_dim": res.quotient_basis.dim,
              "quotient_vertices": len(res.quotient.vertices),
              "quotient_edges": len(res.quotient.edges)}))
-
-    else:
-        raise UsageError(f"unknown graph subaction {sub!r}")
 
     report = make_report("graph", params, checks)
     return emit(report, args.json)
@@ -444,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default=None,
                    help="SN | AN | WN | GN | BN | trivial")
     p.add_argument("--xi", default=None,
-                   help="vertex-swap | strand-swap | flip-all | def57")
+                   help=" | ".join(_INVOLUTIONS))
     p.add_argument("--edges", default=None, help="comma separated edge ids")
     p.add_argument("--file", default=None)
     p.add_argument("--json", default=None)
@@ -461,9 +426,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -103,13 +103,6 @@ class Matrix:
     def col(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)], cols=self.rows)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
@@ -154,9 +147,6 @@ class Matrix:
                 cols=other.cols,
             )
         return self.scale(other)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self * other
 
     def apply(self, vector):
         """Multiply by a column vector given as a plain list."""
@@ -235,7 +225,7 @@ class Matrix:
         return Matrix.from_columns(cols, rows=self.cols)
 
     def solve(self, rhs: "Matrix"):
-        """A particular solution ``X`` of ``self @ X = rhs``, or None.
+        """A particular solution ``X`` of ``self * X = rhs``, or None.
 
         When the columns of ``self`` are independent the solution is
         unique, which is how coordinates with respect to a basis are

@@ -34,6 +34,14 @@ class GroupDescriptor:
     perfect: bool = False
     order: int | None = None
 
+    def __post_init__(self):
+        known = set(self.generators)
+        for rel in self.relations:
+            for letter in rel:
+                if letter not in known:
+                    raise ValueError(f"relation {list(rel)} names {letter!r}, "
+                                     f"which is not a generator")
+
     def to_json(self):
         return {
             "name": self.name,
@@ -168,6 +176,9 @@ class FiniteRep:
     generators: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in self.group.generators:
+            if name not in self.generators:
+                raise ValueError(f"no matrix supplied for generator {name!r}")
         for name, m in self.generators.items():
             if not isinstance(m, Matrix) or m.shape != (self.dim, self.dim):
                 raise ValueError(f"generator {name!r} has the wrong shape")
@@ -226,6 +237,9 @@ def involution_family(rep: FiniteRep, n: int) -> list:
     """
     if all(f"e{i}" in rep.generators for i in range(1, n + 1)):
         return [rep.generators[f"e{i}"] for i in range(1, n + 1)]
+    for name in ["e1"] + [f"s{i}" for i in range(1, n)]:
+        if name not in rep.generators:
+            raise ValueError(f"rep has no generator {name!r}")
     mats = [rep.generators["e1"]]
     for i in range(1, n):
         s = rep.generators[f"s{i}"]

@@ -1,11 +1,16 @@
 """Exit codes, report schema, and determinism of the command line harness."""
 
+import contextlib
+import copy
+import io
 import json
 
 import jsonschema
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import signed_permutation_rep, with_transvections
-from outfn import cli
+from outfn import actions, cli, graphs
 from outfn.linalg import Matrix
 
 
@@ -271,3 +276,231 @@ class TestArgparse:
 
     def test_missing_required(self):
         assert run(["gersten"]) == 2
+
+
+def assert_usage_error(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def write_json(tmp_path, obj, name="input.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def rep_without(n, missing):
+    """The signed permutation rep of rank n with some generators left out."""
+    obj = signed_permutation_rep(n).to_json()
+    group = obj["group"]
+    group["generators"] = [g for g in group["generators"] if g not in missing]
+    group["relations"] = [r for r in group["relations"]
+                          if not set(r) & set(missing)]
+    for name in missing:
+        del obj["generators"][name]
+    return obj
+
+
+def cage_action_file():
+    act = actions.cage_full(3)
+    obj = act.to_json()
+    obj["graph"] = act.graph.to_json()
+    return obj
+
+
+class TestFailureBoundary:
+    """Every input error exits 2 with one ``error:`` line; faults exit 3."""
+
+    def test_double_tree_on_an_edgeless_graph(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"vertices": ["a"], "edges": []})
+        assert_usage_error(run(["graph", "double-tree", "--file", path,
+                                "--xi", "flip-all"]), capsys)
+
+    def test_non_integer_mu(self, tmp_path, capsys):
+        assert_usage_error(run(["induce", "--n", "3", "--mu", "a",
+                                "--out", str(tmp_path / "m.json")]), capsys)
+
+    def test_rep_without_an_adjacent_swap(self, tmp_path, capsys):
+        # e1, s1, s3: the rank is 3, so the involution family needs s2
+        path = write_json(tmp_path, rep_without(4, ["s2"]))
+        assert_usage_error(run(["decompose", "--rep", path]), capsys)
+
+    def test_rep_relation_names_an_unknown_generator(self, tmp_path, capsys):
+        obj = signed_permutation_rep(3).to_json()
+        obj["group"]["relations"].append(["e1", "x"])
+        path = write_json(tmp_path, obj)
+        assert_usage_error(run(["decompose", "--rep", path]), capsys)
+
+    @pytest.mark.parametrize("name", ["rho19", "rho11", "rho5", "rhox"])
+    def test_rho_outside_the_rank(self, tmp_path, capsys, name):
+        rep = with_transvections(signed_permutation_rep(4), 4)
+        obj = rep.to_json()
+        obj["generators"][name] = Matrix.identity(4).to_json()
+        obj["group"]["generators"].append(name)
+        path = write_json(tmp_path, obj)
+        assert_usage_error(run(["decompose", "--rep", path]), capsys)
+
+    def test_rho_names_at_rank_ten_and_beyond(self):
+        assert cli._rho_pairs(["rho110", "rho101", "rho12", "e1"], 10) == [
+            (1, 2), (1, 10), (10, 1)]
+        assert cli._rho_pairs(["rho1011"], 11) == [(10, 11)]
+        with pytest.raises(cli.UsageError):
+            cli._rho_pairs(["rho111"], 11)  # (1, 11) or (11, 1)
+        with pytest.raises(cli.UsageError):
+            cli._rho_pairs(["rho1011"], 10)
+
+    def test_action_relation_names_an_unknown_generator(self, tmp_path, capsys):
+        obj = cage_action_file()
+        obj["group"]["relations"].append(["zz"])
+        path = write_json(tmp_path, obj)
+        assert_usage_error(run(["graph", "admissible", "--file", path]), capsys)
+
+    def test_graph_file_holding_a_list(self, tmp_path, capsys):
+        path = write_json(tmp_path, [1, 2])
+        assert_usage_error(run(["graph", "homology", "--file", path]), capsys)
+
+    def test_edge_map_that_is_not_an_object(self, tmp_path, capsys):
+        obj = cage_action_file()
+        name = obj["group"]["generators"][0]
+        obj["maps"][name]["edge_map"] = ["c1", "c2", "c3"]
+        path = write_json(tmp_path, obj)
+        assert_usage_error(run(["graph", "admissible", "--file", path]), capsys)
+
+    def test_json_nested_too_deep_to_decode(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        assert_usage_error(run(["graph", "homology", "--file", str(path)]), capsys)
+
+    @pytest.mark.parametrize("fault", [RuntimeError, AssertionError, KeyError])
+    def test_fault_is_exit_three_in_one_line(self, monkeypatch, capsys, fault):
+        def broken(graph):
+            raise fault("boom")
+        monkeypatch.setattr(graphs, "h1_basis", broken)
+        assert run(["graph", "homology", "--builtin", "cage:3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: {fault.__name__}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_builtin_tables_see_patched_builders(self, monkeypatch):
+        calls = []
+        real = actions.cage_full
+        monkeypatch.setattr(actions, "cage_full",
+                            lambda k: calls.append(k) or real(k))
+        assert run(["graph", "admissible", "--builtin", "cage:4",
+                    "--group", "G3"]) == 0
+        assert calls == [4]
+
+
+# -- fuzzing the exit-code contract -------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("acesv123-/", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("abc", max_size=2), inner, max_size=3),
+    max_leaves=6)
+
+
+def mutate(data, obj):
+    """``obj`` with a few values replaced or deleted at random paths."""
+    obj = copy.deepcopy(obj)
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent, key, node = None, None, obj
+        while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, data.draw(st.sampled_from(list(keys)))
+            node = node[key]
+        if parent is None:
+            return data.draw(JSON_VALUES)
+        if data.draw(st.booleans()):
+            parent[key] = data.draw(JSON_VALUES)
+        elif isinstance(parent, dict):
+            del parent[key]
+        else:
+            parent.pop(key)
+    return obj
+
+
+def assert_contract(argv):
+    """``cli.main`` exits 0, 1 or 2; an escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+SIZES = st.one_of(st.integers(-1, 5).map(str), st.sampled_from(["", "x", "2.5"]))
+BUILTINS = st.builds(lambda name, sep, k: name + sep + k,
+                     st.sampled_from(["rose", "cage", "daisy", "cover", "barbell", "moose"]),
+                     st.sampled_from([":", "", "::"]), SIZES)
+GROUPS = st.builds(lambda letter, k: letter + k,
+                   st.sampled_from(["S", "A", "W", "G", "B", "s", "Q", "trivial", ""]),
+                   st.one_of(st.just(""), SIZES))
+XIS = st.sampled_from(["vertex-swap", "strand-swap", "flip-all", "def57", "", "nope"])
+SUBACTIONS = st.sampled_from(["admissible", "homology", "rose-lemma",
+                              "cage-lemma", "double-tree", "collapse", "bogus"])
+
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzz:
+    """Exit codes stay in {0, 1, 2} and no exception escapes ``main``.
+
+    Examples share one temporary directory, which is also the cwd, so
+    that ``--json`` and ``induce`` write nowhere else.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _in_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @FUZZ
+    @given(sub=SUBACTIONS, builtin=st.none() | BUILTINS, group=st.none() | GROUPS,
+           xi=st.none() | XIS, edges=st.none() | st.text("c123,", max_size=4))
+    def test_graph_argv(self, sub, builtin, group, xi, edges):
+        argv = ["graph", sub]
+        for flag, value in (("--builtin", builtin), ("--group", group),
+                            ("--xi", xi), ("--edges", edges)):
+            if value is not None:
+                argv += [flag, value]
+        assert_contract(argv)
+
+    @FUZZ
+    @given(tokens=st.lists(st.sampled_from(
+        ["gersten", "section4", "induce", "decompose", "graph", "--n", "--mu",
+         "--rep", "--builtin", "-1", "0", "2", "3", "4", "9", "x", "1,1",
+         "homology", "cage:3", "--json"]), max_size=5))
+    def test_argv_tokens(self, tokens):
+        assert_contract(tokens)
+
+    @FUZZ
+    @given(mu=st.text("12,a -", max_size=4))
+    def test_induce_mu(self, mu):
+        assert_contract(["induce", "--n", "3", "--mu", mu])
+
+    @FUZZ
+    @given(data=st.data())
+    def test_malformed_rep_file(self, data):
+        rep = with_transvections(signed_permutation_rep(3), 3).to_json()
+        assert_contract(["decompose", "--rep", self._file(data, rep)])
+
+    @FUZZ
+    @given(data=st.data(), sub=SUBACTIONS, xi=XIS)
+    def test_malformed_graph_or_action_file(self, data, sub, xi):
+        obj = data.draw(st.sampled_from([graphs.daisy_chain(3).to_json(),
+                                         cage_action_file()]))
+        argv = ["graph", sub, "--file", self._file(data, obj), "--edges", "c1"]
+        assert_contract(argv + (["--xi", xi] if xi else []))
+
+    @staticmethod
+    def _file(data, valid):
+        """``input.json`` in the cwd, holding a mutated ``valid`` object or raw text."""
+        with open("input.json", "w") as fh:
+            if data.draw(st.integers(0, 9)) == 0:
+                fh.write(data.draw(st.text(max_size=8)))
+            else:
+                json.dump(mutate(data, valid), fh)
+        return "input.json"
