@@ -113,7 +113,7 @@ def trivial_action(graph: Graph, perfect: bool = False,
     """
     desc = symreps.trivial_group()
     if group_name is not None:
-        desc = GroupDescriptor(group_name, (), (), perfect=perfect, order=1)
+        desc = GroupDescriptor(group_name, (), (), perfect=perfect)
     return GraphAction(graph, desc, {})
 
 

@@ -127,8 +127,8 @@ def cmd_decompose(args) -> int:
     decomp = symreps.simultaneous_eigenspaces(symreps.involution_family(rep, n))
     checks = []
     table = {
-        ",".join(map(str, sorted(subset))) or "-": space.dim
-        for subset, space in decomp.spaces.items() if space.dim
+        ",".join(map(str, sorted(subset))) or "-": basis.cols
+        for subset, basis in decomp.spaces.items()
     }
     checks.append(check("eigenspaces fill the space",
                         decomp.total_dim() == rep.dim,
@@ -137,8 +137,9 @@ def cmd_decompose(args) -> int:
     checks.append(check("layer dimensions divisible by binomials",
                         div["ok"], {"layers": div["layers"]}))
     for i, j in _rho_pairs(rep.generators, n):
-        ok = symreps.check_diamond(rep, decomp, i, j)
-        checks.append(check(f"diamond containment rho{i}{j}", ok))
+        outside = symreps.diamond_violations(rep, decomp, i, j)
+        witness = {"noncommuting": [f"e{k}" for k in outside]} if outside else None
+        checks.append(check(f"diamond containment rho{i}{j}", not outside, witness))
     report = make_report("decompose", {"rep": str(args.rep), "n": n}, checks)
     return emit(report, args.json)
 
@@ -293,7 +294,7 @@ def cmd_graph(args) -> int:
         forests = graphs.invariant_forests(action)
         checks.append(check("no invariant nontrivial forest", not forests,
                             {"forests": [list(map(str, f)) for f in forests]}))
-        checks.append(check("admissible", graphs.is_admissible(action)))
+        checks.append(check("admissible", all(c["status"] == "pass" for c in checks)))
 
     elif sub == "homology":
         g = _graph_from_args(args)

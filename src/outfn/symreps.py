@@ -7,6 +7,11 @@ decompositions satisfy, and character multiplicities for the named
 symmetric-group modules (trivial, determinant, standard, permutation,
 signed standard).
 
+The joint eigenspaces are found by splitting the space under one
+involution at a time, and the containment law is decided by
+commutation with the involutions, so neither enumerates the 2^n
+subsets.
+
 Group presentations are carried explicitly so that every matrix
 representation can be relation-checked before any law is asserted
 about it.
@@ -32,7 +37,6 @@ class GroupDescriptor:
     generators: tuple
     relations: tuple  # tuples of generator names; each must equal 1
     perfect: bool = False
-    order: int | None = None
 
     def __post_init__(self):
         known = set(self.generators)
@@ -48,7 +52,6 @@ class GroupDescriptor:
             "generators": list(self.generators),
             "relations": [list(r) for r in self.relations],
             "perfect": self.perfect,
-            "order": self.order,
         }
 
     @classmethod
@@ -58,12 +61,11 @@ class GroupDescriptor:
             generators=tuple(obj["generators"]),
             relations=tuple(tuple(r) for r in obj.get("relations", [])),
             perfect=bool(obj.get("perfect", False)),
-            order=obj.get("order"),
         )
 
 
 def trivial_group() -> GroupDescriptor:
-    return GroupDescriptor("1", (), (), perfect=False, order=1)
+    return GroupDescriptor("1", (), ())
 
 
 def symmetric_group(k: int) -> GroupDescriptor:
@@ -79,7 +81,7 @@ def symmetric_group(k: int) -> GroupDescriptor:
     for i in range(1, k):
         for j in range(i + 2, k):
             rels.append((f"s{i}", f"s{j}") * 2)
-    return GroupDescriptor(f"S{k}", gens, tuple(rels), order=math.factorial(k))
+    return GroupDescriptor(f"S{k}", gens, tuple(rels))
 
 
 def alternating_group(k: int) -> GroupDescriptor:
@@ -96,9 +98,7 @@ def alternating_group(k: int) -> GroupDescriptor:
         rels.append((g, g, g))
     for a, b in itertools.combinations(gens, 2):
         rels.append((a, b) * 2)
-    return GroupDescriptor(
-        f"A{k}", gens, tuple(rels), perfect=(k >= 5), order=math.factorial(k) // 2
-    )
+    return GroupDescriptor(f"A{k}", gens, tuple(rels), perfect=(k >= 5))
 
 
 def three_cycle(i: int, k: int) -> tuple:
@@ -122,9 +122,7 @@ def signed_permutation_group(n: int) -> GroupDescriptor:
     for i in range(2, n):
         rels.append(("e1", f"s{i}") * 2)
     rels.extend(base.relations)
-    return GroupDescriptor(
-        f"W{n}", gens, tuple(rels), order=(2 ** n) * math.factorial(n)
-    )
+    return GroupDescriptor(f"W{n}", gens, tuple(rels))
 
 
 def cage_group(k: int) -> GroupDescriptor:
@@ -140,7 +138,7 @@ def cage_group(k: int) -> GroupDescriptor:
     for s in base.generators:
         rels.append(("delta", s) * 2)
     rels.extend(base.relations)
-    return GroupDescriptor(f"G{k-1}", gens, tuple(rels), order=2 * math.factorial(k))
+    return GroupDescriptor(f"G{k-1}", gens, tuple(rels))
 
 
 def with_central_involution(base: GroupDescriptor, name: str = "xi",
@@ -158,9 +156,7 @@ def with_central_involution(base: GroupDescriptor, name: str = "xi",
         o = orders.get(g, 3 if g.startswith("t") else 2)
         # xi g xi g^(o-1) = [xi, g] rewritten without inverses
         rels.append((name, g, name) + (g,) * (o - 1))
-    order = None if base.order is None else 2 * base.order
-    return GroupDescriptor(base.name + "x2", gens, tuple(rels),
-                           perfect=False, order=order)
+    return GroupDescriptor(base.name + "x2", gens, tuple(rels))
 
 
 # ---------------------------------------------------------------------------
@@ -252,82 +248,43 @@ def involution_family(rep: FiniteRep, n: int) -> list:
 
 
 @dataclass
-class Subspace:
-    ambient: int
-    basis: Matrix  # columns
-
-    def __post_init__(self):
-        if self.basis.rows != self.ambient:
-            raise ValueError("basis lives in the wrong ambient space")
-        if self.basis.cols and self.basis.rank() != self.basis.cols:
-            raise ValueError("basis columns are dependent")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.cols
-
-    def contains_vector(self, v) -> bool:
-        col = Matrix.column_vector(v)
-        if self.dim == 0:
-            return col.is_zero()
-        return self.basis.solve(col) is not None
-
-    def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(other.basis.col(j))
-                   for j in range(other.dim))
-
-    def same_as(self, other: "Subspace") -> bool:
-        return self.dim == other.dim and self.contains(other)
-
-
-def kernel(m: Matrix) -> Subspace:
-    """The exact right nullspace of a matrix."""
-    return Subspace(m.cols, m.kernel_basis())
-
-
-def span_union(ambient: int, spaces) -> Subspace:
-    cols = []
-    for s in spaces:
-        cols.extend(s.basis.col(j) for j in range(s.dim))
-    if not cols:
-        return Subspace(ambient, Matrix.from_columns([], rows=ambient))
-    stacked = Matrix.from_columns(cols, rows=ambient)
-    red, pivots = stacked.rref()
-    keep = [stacked.col(c) for c in pivots]
-    return Subspace(ambient, Matrix.from_columns(keep, rows=ambient))
-
-
-@dataclass
 class EpsDecomposition:
     """Joint eigenspaces of n commuting involutions.
 
-    ``spaces`` maps each subset of {1..n} (as a frozenset) to the
-    subspace on which the j-th involution acts by -1 exactly for j in
-    the subset; ``layer_dims[i]`` adds up the dimensions over subsets
-    of size i.
+    ``spaces`` maps each subset of {1..n} (as a frozenset) whose joint
+    eigenspace is nonzero to a basis of that eigenspace, given as the
+    columns of a matrix; the j-th involution acts by -1 there exactly
+    for j in the subset.  Subsets come in bitmask order (involution j is
+    bit j-1).  ``layer_dims[i]`` adds up the dimensions over subsets of
+    size i.
     """
 
     n: int
     ambient: int
+    involutions: list
     spaces: dict
 
     @property
     def layer_dims(self) -> tuple:
         dims = [0] * (self.n + 1)
-        for subset, space in self.spaces.items():
-            dims[len(subset)] += space.dim
+        for subset, basis in self.spaces.items():
+            dims[len(subset)] += basis.cols
         return tuple(dims)
 
     def total_dim(self) -> int:
-        return sum(space.dim for space in self.spaces.values())
+        return sum(basis.cols for basis in self.spaces.values())
 
 
 def simultaneous_eigenspaces(involutions) -> EpsDecomposition:
-    """Split the ambient space under commuting involutions.
+    """Split the ambient space under commuting involutions, one at a time.
 
     Raises if any input fails to square to the identity or if any pair
-    fails to commute; with those hypotheses the pieces always fill the
-    whole space.
+    fails to commute.  Each involution commutes with the earlier ones,
+    so it maps every piece split off so far into itself and splits it
+    into its +1 and -1 eigenspaces (commuting involutions over Q are
+    simultaneously diagonalisable; Hoffman-Kunze, *Linear Algebra*
+    §6.5).  At most d pieces are nonzero, so this takes O(n d) kernels of
+    small matrices, and the pieces always fill the whole space.
     """
     mats = list(involutions)
     if not mats:
@@ -341,18 +298,20 @@ def simultaneous_eigenspaces(involutions) -> EpsDecomposition:
     for a, b in itertools.combinations(mats, 2):
         if a * b != b * a:
             raise ValueError("involutions do not commute")
-    n = len(mats)
     ident = Matrix.identity(d)
-    spaces = {}
-    for mask in range(2 ** n):
-        subset = frozenset(j + 1 for j in range(n) if mask >> j & 1)
-        stacked = None
-        for j, m in enumerate(mats):
-            sign = -1 if (j + 1) in subset else 1
-            block = m - ident.scale(sign)
-            stacked = block if stacked is None else stacked.vstack(block)
-        spaces[subset] = kernel(stacked)
-    decomp = EpsDecomposition(n, d, spaces)
+    pieces = {frozenset(): ident}
+    for j, m in enumerate(mats, start=1):
+        fixed, flipped = m - ident, m + ident
+        split = {}
+        for subset, basis in pieces.items():
+            for key, shift in ((subset, fixed), (subset | {j}, flipped)):
+                part = basis * (shift * basis).kernel_basis()
+                if part.cols:
+                    split[key] = part
+        pieces = split
+    bitmask_order = sorted(pieces, key=lambda s: sum(1 << k for k in s))
+    spaces = {s: pieces[s] for s in bitmask_order}
+    decomp = EpsDecomposition(len(mats), d, mats, spaces)
     if decomp.total_dim() != d:
         raise AssertionError("eigenspaces do not fill the space")
     return decomp
@@ -369,29 +328,21 @@ def check_diamond(rep: FiniteRep, decomp: EpsDecomposition, i: int, j: int) -> b
 
 
 def diamond_violations(rep: FiniteRep, decomp: EpsDecomposition, i: int, j: int) -> list:
+    """The k outside {i, j} whose involution e_k does not commute with rho{i}{j}.
+
+    The pieces allowed for a subset I add up to exactly the vectors on
+    which every e_k with k outside {i, j} acts by the sign of I.  The
+    pieces fill the space, so ``rho{i}{j}`` maps every piece into its
+    allowed sum if and only if it commutes with each such e_k.
+    """
     name = f"rho{i}{j}"
     if name not in rep.generators:
         raise ValueError(f"rep has no generator {name!r}")
     r = rep.generators[name]
     if r.rows != decomp.ambient:
         raise ValueError("dimension mismatch")
-    out = []
-    for subset, space in decomp.spaces.items():
-        if space.dim == 0:
-            continue
-        allowed_sets = {
-            subset,
-            subset ^ frozenset([i]),
-            subset ^ frozenset([j]),
-            subset ^ frozenset([i, j]),
-        }
-        allowed = span_union(decomp.ambient,
-                             [decomp.spaces[a] for a in allowed_sets])
-        for c in range(space.dim):
-            image = r.apply(space.basis.col(c))
-            if not allowed.contains_vector(image):
-                out.append((sorted(subset), c))
-    return out
+    return [k for k, e in enumerate(decomp.involutions, start=1)
+            if k not in (i, j) and e * r != r * e]
 
 
 def divisibility_check(decomp: EpsDecomposition) -> dict:

@@ -85,7 +85,7 @@ def with_transvections(rep: symreps.FiniteRep, n,
             if i != j:
                 gens[f"rho{i}{j}"] = build(i, j, n)
     desc = symreps.GroupDescriptor(rep.group.name + "+rho", tuple(gens),
-                                   rep.group.relations, order=rep.group.order)
+                                   rep.group.relations)
     return symreps.FiniteRep(desc, rep.dim, gens)
 
 

@@ -164,7 +164,7 @@ def test_criterion_6_admissibility():
     bb = graphs.barbell()
     swap = graphs.GraphAut(
         bb, {"u": "w", "w": "u"}, {"lu": "lw", "lw": "lu", "b": "b"}, {"b": True})
-    desc = symreps.GroupDescriptor("Z2", ("f",), (("f", "f"),), order=2)
+    desc = symreps.GroupDescriptor("Z2", ("f",), (("f", "f"),))
     act = graphs.GraphAction(bb, desc, {"f": swap})
     assert act.verify_relations()
     assert ["b"] in graphs.invariant_forests(act)

@@ -123,7 +123,11 @@ class TestDecompose:
         doctored["generators"]["rho12"] = bad
         path = tmp_path / "planted.json"
         path.write_text(json.dumps(doctored))
-        assert run(["decompose", "--rep", str(path)]) == 1
+        out = tmp_path / "d.json"
+        assert run(["decompose", "--rep", str(path), "--json", str(out)]) == 1
+        checks = {c["name"]: c for c in load_report(out)["checks"]}
+        assert checks["diamond containment rho12"]["details"] == {"noncommuting": ["e3"]}
+        assert checks["diamond containment rho13"]["details"] == {}
 
 
 class TestSection4:

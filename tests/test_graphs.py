@@ -471,7 +471,7 @@ class TestInvariantOrientation:
 
     def test_flip_obstruction(self):
         g = graphs.rose(1)
-        desc = symreps.GroupDescriptor("Z2", ("f",), (("f", "f"),), order=2)
+        desc = symreps.GroupDescriptor("Z2", ("f",), (("f", "f"),))
         act = graphs.GraphAction(g, desc, {"f": actions.petal_flip_involution(g)})
         res = graphs.invariant_orientation(act)
         assert res["orientation"] is None

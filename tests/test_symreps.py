@@ -2,12 +2,14 @@
 symmetric-group characters and multiplicities."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
     determinant_rep,
+    exterior_square_rep,
     flip_matrix,
     signed_permutation_rep,
     symmetric_group_perm_rep,
@@ -15,7 +17,66 @@ from conftest import (
     with_transvections,
 )
 from outfn import actions, graphs, symreps
-from outfn.linalg import Matrix
+from outfn.linalg import Matrix, exterior_square
+
+
+def oracle_stacked_spaces(mats) -> dict:
+    """One kernel of the stacked (n d) x d matrix per subset, all 2^n of
+    them: the joint eigenspaces without splitting one involution at a
+    time."""
+    n, d = len(mats), mats[0].rows
+    ident = Matrix.identity(d)
+    out = {}
+    for mask in range(2 ** n):
+        subset = frozenset(j + 1 for j in range(n) if mask >> j & 1)
+        blocks = [m - ident.scale(-1 if j in subset else 1)
+                  for j, m in enumerate(mats, start=1)]
+        stacked = blocks[0]
+        for block in blocks[1:]:
+            stacked = stacked.vstack(block)
+        out[subset] = stacked.kernel_basis()
+    return out
+
+
+def oracle_diamond_holds(rho: Matrix, spaces: dict, i: int, j: int) -> bool:
+    """The containment law subset by subset: each image of a basis
+    vector of a piece must solve into the span of the allowed pieces."""
+    for subset, basis in spaces.items():
+        if not basis.cols:
+            continue
+        allowed = [spaces[subset ^ frozenset(flip)]
+                   for flip in ((), (i,), (j,), (i, j))]
+        span = Matrix.from_columns(
+            [b.col(c) for b in allowed for c in range(b.cols)], rows=rho.rows)
+        for c in range(basis.cols):
+            image = Matrix.column_vector(rho.apply(basis.col(c)))
+            if span.solve(image) is None:
+                return False
+    return True
+
+
+def oracle_corpus() -> list:
+    """(rank, rep) pairs whose rho matrices satisfy the containment law."""
+    corpus = [(n, with_transvections(signed_permutation_rep(n), n)) for n in (2, 3, 4)]
+    corpus.append((3, corpus[1][1].direct_sum(corpus[1][1])))
+    corpus.append((4, with_transvections(
+        exterior_square_rep(4), 4,
+        build=lambda i, j, nn: exterior_square(transvection(i, j, nn)))))
+    return corpus
+
+
+def perturbed(rep, rng):
+    """A copy of rep with one entry of one rho moved by +-1, kept invertible."""
+    while True:
+        name = rng.choice(sorted(g for g in rep.generators if g.startswith("rho")))
+        data = [list(row) for row in rep.generators[name].data]
+        a, b = rng.randrange(rep.dim), rng.randrange(rep.dim)
+        data[a][b] += rng.choice((1, -1))
+        m = Matrix(data)
+        if m.determinant() != 0:
+            gens = dict(rep.generators, **{name: m})
+            return symreps.FiniteRep(
+                symreps.GroupDescriptor("perturbed", tuple(gens), ()), rep.dim, gens)
 
 
 class TestSimultaneousEigenspaces:
@@ -25,16 +86,43 @@ class TestSimultaneousEigenspaces:
         assert rep.verify_relations()
         dec = symreps.simultaneous_eigenspaces(symreps.involution_family(rep, n))
         assert dec.layer_dims == (0, n, 0, 0, 0)
+        assert list(dec.spaces) == [frozenset([i]) for i in range(1, n + 1)]
         for i in range(1, n + 1):
-            space = dec.spaces[frozenset([i])]
-            assert space.dim == 1
-            e_i = [Fraction(1 if k == i - 1 else 0) for k in range(n)]
-            assert space.contains_vector(e_i)
+            basis = dec.spaces[frozenset([i])]
+            assert basis.shape == (n, 1)
+            column = basis.col(0)
+            assert column[i - 1] != 0
+            assert all(x == 0 for k, x in enumerate(column) if k != i - 1)
 
     def test_all_identity(self):
         dec = symreps.simultaneous_eigenspaces([Matrix.identity(3)] * 2)
-        assert dec.spaces[frozenset()].dim == 3
+        assert list(dec.spaces) == [frozenset()]
+        assert dec.spaces[frozenset()].rank() == 3
         assert dec.total_dim() == 3
+
+    def test_matches_stacked_kernel_oracle(self):
+        rng = random.Random(5)
+        families = [symreps.involution_family(rep, n) for n, rep in oracle_corpus()]
+        families.append([Matrix.identity(3)] * 2)
+        for _ in range(6):
+            # conjugating by a random invertible matrix keeps the family
+            # commuting but scrambles the coordinates
+            d = 4
+            p = Matrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+            if p.determinant() != 0:
+                q = p.inverse()
+                families.append([q * m * p for m in symreps.involution_family(
+                    signed_permutation_rep(d), d)])
+        for mats in families:
+            dec = symreps.simultaneous_eigenspaces(mats)
+            oracle = oracle_stacked_spaces(mats)
+            nonzero = [s for s, basis in oracle.items() if basis.cols]
+            assert list(dec.spaces) == nonzero  # bitmask order, nonzero only
+            for subset, basis in dec.spaces.items():
+                assert basis.cols == oracle[subset].cols
+                assert basis.rank() == basis.cols
+                for j, m in enumerate(mats, start=1):
+                    assert m * basis == basis.scale(-1 if j in subset else 1)
 
     def test_non_involution_rejected(self):
         with pytest.raises(ValueError):
@@ -105,7 +193,27 @@ class TestDiamond:
             symreps.GroupDescriptor("planted", tuple(bad), ()), n, bad)
         dec = symreps.simultaneous_eigenspaces(symreps.involution_family(badrep, n))
         assert not symreps.check_diamond(badrep, dec, 1, 2)
-        assert symreps.diamond_violations(badrep, dec, 1, 2)
+        assert symreps.diamond_violations(badrep, dec, 1, 2) == [3]
+
+    def test_commutation_matches_subset_oracle(self):
+        rng = random.Random(11)
+        cases = []
+        for n, rep in oracle_corpus():
+            cases.append((n, rep))
+            cases.extend((n, perturbed(rep, rng)) for _ in range(8))
+        verdicts = []
+        for n, rep in cases:
+            mats = symreps.involution_family(rep, n)
+            dec = symreps.simultaneous_eigenspaces(mats)
+            oracle = oracle_stacked_spaces(mats)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if i != j:
+                        holds = oracle_diamond_holds(
+                            rep.generators[f"rho{i}{j}"], oracle, i, j)
+                        assert symreps.check_diamond(rep, dec, i, j) == holds, (n, i, j)
+                        verdicts.append(holds)
+        assert True in verdicts and False in verdicts
 
 
 class TestCharacters:

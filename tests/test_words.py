@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from outfn import words as W
 
@@ -158,6 +158,62 @@ class TestInner:
             assert W.inner(found).forward == W.inner(w).forward
 
 
+def reduced_words(n, max_len):
+    """Every freely reduced word of rank n with at most max_len letters."""
+    letters = [s * i for i in range(1, n + 1) for s in (1, -1)]
+    frontier, out = [()], [()]
+    for _ in range(max_len):
+        frontier = [w + (x,) for w in frontier for x in letters if not w or w[-1] != -x]
+        out += frontier
+    return [W.Word(w, n) for w in out]
+
+
+@st.composite
+def short_nielsen_products(draw):
+    """A product of at most three elementary factors at rank 2 or 3.
+
+    Partial conjugations and conjugations by a generator are among the
+    factors, so inner products turn up as often as outer ones."""
+    n = draw(st.sampled_from([2, 3]))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    factor = st.one_of(
+        st.tuples(st.sampled_from(["rho", "lam", "sigma"]), st.sampled_from(pairs))
+        .map(lambda t: W.nielsen(t[0], *t[1], n=n)),
+        st.tuples(st.sampled_from(["eps", "sigma_star"]), st.integers(1, n))
+        .map(lambda t: W.nielsen(t[0], t[1], n=n)),
+        st.just(W.delta(n)),
+        st.sampled_from(pairs).map(lambda p: W.rho(*p, n) * W.lam(*p, n).inverse()),
+        st.integers(1, n).map(lambda i: W.inner(W.generator_word(i, n))),
+    )
+    product = W.identity_automorphism(n)
+    for f in draw(st.lists(factor, max_size=3)):
+        product = product * f
+    return product
+
+
+class TestInnerBruteForce:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3]).flatmap(lambda n: st.lists(
+        st.sampled_from([s * i for i in range(1, n + 1) for s in (1, -1)]), max_size=3)
+        .map(lambda seq: W.reduce_word(seq, n))))
+    def test_recovers_the_conjugator(self, w):
+        assert W.is_inner(W.inner(w)) == w
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(short_nielsen_products())
+    def test_none_exactly_when_no_short_conjugator(self, a):
+        # for reduced w, some generator's image under c_w has 2|w| + 1
+        # letters, so every conjugator is at most this long
+        bound = (max(len(img) for img in a.forward.images) - 1) // 2
+        conjugators = [w for w in reduced_words(a.rank, bound)
+                       if W.inner(w).forward == a.forward]
+        found = W.is_inner(a)
+        if found is None:
+            assert conjugators == []
+        else:
+            assert conjugators == [found]
+
+
 class TestOuterEqual:
     def test_reflexive(self):
         assert W.outer_equal(W.rho(1, 2, 3), W.rho(1, 2, 3))
@@ -276,3 +332,12 @@ class TestJson:
         a = W.rho(1, 2, 3) * W.eps(2, 3)
         b = W.Automorphism.from_json(a.to_json())
         assert b.forward == a.forward and b.backward == a.backward
+
+    def test_automorphism_rejects_a_table_that_is_not_an_inverse(self):
+        square = {"n": 2, "images": [[1, 1], [2]], "inverse_images": [[1], [2]]}
+        for obj in (dict(W.rho(1, 2, 3).to_json(), inverse_images=[[1, 2], [2], [3]]),
+                    dict(W.eps(1, 3).to_json(), inverse_images=[[1], [2], [3]]),
+                    dict(W.sigma(1, 2, 3).to_json(), inverse_images=[[1], [3], [2]]),
+                    square):
+            with pytest.raises(ValueError):
+                W.Automorphism.from_json(obj)
