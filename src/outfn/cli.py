@@ -80,12 +80,13 @@ def cmd_gersten(args) -> int:
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     rep = words.verify_gersten(n, jobs=args.jobs)
-    checks = [
-        check(f"family: {fam['name']} ({fam['count']} tuples)",
-              not fam["failures"],
-              {"tuples": fam["count"], "failures": fam["failures"]})
-        for fam in rep["families"]
-    ]
+    checks = []
+    for fam in rep["families"]:
+        details = {"tuples": fam["count"], "failures": fam["failures"]}
+        if fam["failures"]:
+            details["images"] = fam["images"]
+        checks.append(check(f"family: {fam['name']} ({fam['count']} tuples)",
+                            not fam["failures"], details))
     report = make_report("gersten", {"n": n, "jobs": args.jobs,
                                      "relators": rep["total"]}, checks)
     return emit(report, args.json)

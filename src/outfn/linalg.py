@@ -16,6 +16,7 @@ exterior square and the symmetric square.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import mul
@@ -28,6 +29,19 @@ def _frac(x):
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _entry_from_json(x):
+    """``_frac(Fraction(str(x)))``, with integer literals parsed as ``int``.
+
+    ``str`` of a JSON int is such a literal too; every other entry (and
+    every rejection) goes through ``Fraction``.
+    """
+    s = str(x)
+    return int(s) if _INTEGER.fullmatch(s) else _frac(Fraction(s))
 
 
 class Matrix:
@@ -292,7 +306,7 @@ class Matrix:
 
     @classmethod
     def from_json(cls, obj) -> "Matrix":
-        entries = [[Fraction(str(x)) for x in row] for row in obj["entries"]]
+        entries = [[_entry_from_json(x) for x in row] for row in obj["entries"]]
         m = cls(entries, cols=obj["cols"])
         if m.rows != obj["rows"]:
             raise ValueError("row count disagrees with entries")

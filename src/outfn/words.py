@@ -4,7 +4,11 @@ A word in the free group of rank n is a tuple of nonzero integers:
 ``k`` stands for the k-th generator, ``-k`` for its inverse, and every
 stored word is freely reduced.  Automorphisms carry a generator-image
 table together with a certified inverse table, so inversion is free and
-every identity claimed here is checked exactly.
+every identity claimed here is checked exactly.  Relators are evaluated
+on forward image tuples alone: right multiplication by an elementary
+generator is a Nielsen move that rewrites one or a few images (one
+reduced concatenation each), and deciding innerness reads only those
+images, so no inverse table is built along the way.
 
 Conventions, fixed once and used everywhere:
 
@@ -165,6 +169,11 @@ class Automorphism:
     def rank(self) -> int:
         return self.forward.rank
 
+    @property
+    def images(self) -> tuple:
+        """The forward images, as for an ``Endomorphism``."""
+        return self.forward.images
+
     def apply(self, w: Word) -> Word:
         return self.forward.apply(w)
 
@@ -203,40 +212,120 @@ def identity_automorphism(rank: int) -> Automorphism:
 
 
 # ---------------------------------------------------------------------------
-# Nielsen generators
+# Nielsen generators as moves on image tuples
 
 
-def _table(rank, overrides):
-    images = []
-    for i in range(1, rank + 1):
-        images.append(Word(tuple(overrides.get(i, (i,))), rank))
-    return Endomorphism(rank, tuple(images))
+def _inv(u: tuple) -> tuple:
+    return tuple(-x for x in reversed(u))
+
+
+def _join(u: tuple, v: tuple) -> tuple:
+    """The reduced product of two reduced letter tuples.
+
+    Cancellation can only happen at the seam, so it is enough to strip
+    the longest suffix of u that is inverse to a prefix of v.
+    """
+    k, m = 0, min(len(u), len(v))
+    while k < m and u[-1 - k] == -v[k]:
+        k += 1
+    return u[:len(u) - k] + v[k:]
+
+
+# Each move takes the forward images ``img`` of some acc (a list of
+# reduced letter tuples, img[k] = acc(a_{k+1})) and turns it in place
+# into the images of acc * g, where g is the generator for e >= 0 and
+# its inverse for e < 0.  Since ``acc * g`` applies g first, this is a
+# Nielsen move on the tuple.  Each move checks its indices first.
+
+
+def _rho_move(img, i, j, e):
+    _check_pair(i, j, len(img))
+    img[i - 1] = _join(img[i - 1], img[j - 1] if e >= 0 else _inv(img[j - 1]))
+
+
+def _lam_move(img, i, j, e):
+    _check_pair(i, j, len(img))
+    img[i - 1] = _join(img[j - 1] if e >= 0 else _inv(img[j - 1]), img[i - 1])
+
+
+def _eps_move(img, i, j, e):
+    _check_index(i, len(img))
+    img[i - 1] = _inv(img[i - 1])
+
+
+def _sigma_move(img, i, j, e):
+    _check_pair(i, j, len(img))
+    img[i - 1], img[j - 1] = img[j - 1], img[i - 1]
+
+
+def _sigma_star_move(img, i, j, e):
+    _check_index(i, len(img))
+    ai = _inv(img[i - 1])
+    img[:] = [ai if k == i else _join(u, ai) for k, u in enumerate(img, 1)]
+
+
+def _delta_move(img, i, j, e):
+    img[:] = [_inv(u) for u in img]
+
+
+_MOVES = {
+    "rho": _rho_move,
+    "lam": _lam_move,
+    "lambda": _lam_move,
+    "eps": _eps_move,
+    "sigma": _sigma_move,
+    "sigma_star": _sigma_star_move,
+    "delta": _delta_move,
+}
+
+
+def _move(kind):
+    try:
+        return _MOVES[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown generator kind {kind!r}") from None
+
+
+def _moved_images(n: int, token_word) -> Endomorphism:
+    """The identity's images after one move per letter ``((kind, i, j), e)``."""
+    img = [(k,) for k in range(1, n + 1)]
+    for (kind, i, j), e in token_word:
+        _move(kind)(img, i, j, e)
+    return Endomorphism(n, tuple(Word(u, n) for u in img))
+
+
+def nielsen(kind: str, i=None, j=None, n=None) -> Automorphism:
+    """Build a named elementary automorphism.
+
+    kind is one of rho, lam (alias lambda), eps, sigma, sigma_star,
+    delta; index arguments that a kind does not use may be omitted.  A
+    relator token ``(kind, i, j)`` denotes ``nielsen(kind, i, j, n)``.
+    """
+    if n is None:
+        raise ValueError("rank n is required")
+    letter = (kind, i, j)
+    return Automorphism(_moved_images(n, [(letter, 1)]),
+                        _moved_images(n, [(letter, -1)]))
 
 
 def rho(i: int, j: int, n: int) -> Automorphism:
     """a_i -> a_i a_j, other generators fixed."""
-    _check_pair(i, j, n)
-    return Automorphism(_table(n, {i: (i, j)}), _table(n, {i: (i, -j)}))
+    return nielsen("rho", i, j, n)
 
 
 def lam(i: int, j: int, n: int) -> Automorphism:
     """a_i -> a_j a_i, other generators fixed."""
-    _check_pair(i, j, n)
-    return Automorphism(_table(n, {i: (j, i)}), _table(n, {i: (-j, i)}))
+    return nielsen("lam", i, j, n)
 
 
 def eps(i: int, n: int) -> Automorphism:
     """a_i -> a_i^-1, an involution."""
-    _check_index(i, n)
-    t = _table(n, {i: (-i,)})
-    return Automorphism(t, t)
+    return nielsen("eps", i, None, n)
 
 
 def sigma(i: int, j: int, n: int) -> Automorphism:
     """Swap a_i and a_j, an involution."""
-    _check_pair(i, j, n)
-    t = _table(n, {i: (j,), j: (i,)})
-    return Automorphism(t, t)
+    return nielsen("sigma", i, j, n)
 
 
 def sigma_star(i: int, n: int) -> Automorphism:
@@ -245,19 +334,12 @@ def sigma_star(i: int, n: int) -> Automorphism:
     This is the extra transposition that extends the index action of the
     symmetric group on n letters to one on n+1 letters.
     """
-    _check_index(i, n)
-    overrides = {i: (-i,)}
-    for j in range(1, n + 1):
-        if j != i:
-            overrides[j] = (j, -i)
-    t = _table(n, overrides)
-    return Automorphism(t, t)
+    return nielsen("sigma_star", i, None, n)
 
 
 def delta(n: int) -> Automorphism:
     """Invert every generator; the product of all the eps_i."""
-    t = _table(n, {i: (-i,) for i in range(1, n + 1)})
-    return Automorphism(t, t)
+    return nielsen("delta", None, None, n)
 
 
 def inner(w: Word) -> Automorphism:
@@ -269,30 +351,6 @@ def inner(w: Word) -> Automorphism:
     bwd = Endomorphism(n, tuple(conjugate_word(generator_word(i, n), wi)
                                 for i in range(1, n + 1)))
     return Automorphism(fwd, bwd)
-
-
-def nielsen(kind: str, i=None, j=None, n=None) -> Automorphism:
-    """Build a named elementary automorphism.
-
-    kind is one of rho, lam (alias lambda), eps, sigma, sigma_star,
-    delta; index arguments that a kind does not use may be omitted.  A
-    relator token ``(kind, i, j)`` evaluates as ``nielsen(kind, i, j, n)``.
-    """
-    if n is None:
-        raise ValueError("rank n is required")
-    if kind == "rho":
-        return rho(i, j, n)
-    if kind in ("lambda", "lam"):
-        return lam(i, j, n)
-    if kind == "eps":
-        return eps(i, n)
-    if kind == "sigma":
-        return sigma(i, j, n)
-    if kind == "sigma_star":
-        return sigma_star(i, n)
-    if kind == "delta":
-        return delta(n)
-    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def _check_index(i, n):
@@ -311,36 +369,37 @@ def _check_pair(i, j, n):
 # inner detection and outer equality
 
 
-def is_inner(a: Automorphism):
+def is_inner(a):
     """Return a conjugating word w with a = c_w, or None.
 
-    The search is complete: if ``a = c_w`` and w is written ``a_1^t u``
-    with u not starting in a_1 or its inverse, then u can be read off
-    the reduced image of a_1 (it is the suffix after the middle letter)
-    and ``|t|`` is bounded by half the longest generator image, because
-    images of the other generators have length exactly
-    ``2 len(u) + 2|t| + 1``.
+    ``a`` is an ``Automorphism`` or an ``Endomorphism``; only the
+    forward images are read.  The search is complete: if ``a = c_w``
+    and w is written ``a_1^t u`` with u not starting in a_1 or its
+    inverse, then u can be read off the reduced image of a_1 (it is the
+    suffix after the middle letter) and ``|t|`` is bounded by half the
+    longest generator image, because images of the other generators
+    have length exactly ``2 len(u) + 2|t| + 1``.
     """
     n = a.rank
+    imgs = [w.letters for w in a.images]
     if n == 1:
-        return empty_word(1) if a.is_identity() else None
-    u1 = a.forward.images[0]
+        return empty_word(1) if imgs == [(1,)] else None
+    u1 = imgs[0]
     if len(u1) % 2 == 0:
         return None
     mid = len(u1) // 2
-    if u1.letters[mid] != 1:
+    if u1[mid] != 1:
         return None
-    tail = Word(u1.letters[mid + 1:], n)
-    if conjugate_word(generator_word(1, n), tail) != u1:
+    tail = u1[mid + 1:]
+    if _join(_join(_inv(tail), (1,)), tail) != u1:
         return None
-    bound = max(len(img) for img in a.forward.images)
-    gens = [generator_word(i, n) for i in range(1, n + 1)]
+    bound = max(len(u) for u in imgs)
     for t in range(0, bound + 1):
         for sign in ((1,) if t == 0 else (1, -1)):
-            w = Word((sign,) * t, n) * tail
-            if all(a.forward.images[k] == conjugate_word(gens[k], w)
-                   for k in range(n)):
-                return w
+            w = _join((sign,) * t, tail)
+            wi = _inv(w)
+            if all(imgs[k - 1] == _join(_join(wi, (k,)), w) for k in range(1, n + 1)):
+                return Word(w, n)
     return None
 
 
@@ -453,20 +512,22 @@ def gersten_relators(n: int):
         yield fam, f"j={j}", word
 
 
-def relator_automorphism(n: int, token_word) -> Automorphism:
-    """Evaluate a token word; rightmost letter acts first."""
-    acc = identity_automorphism(n)
-    for tok, e in token_word:
-        g = nielsen(*tok, n)
-        if e < 0:
-            g = g.inverse()
-        acc = acc * g
-    return acc
+def relator_automorphism(n: int, token_word) -> Endomorphism:
+    """The forward images of a token word; rightmost letter acts first.
+
+    Starting from the identity images, each letter is one Nielsen move
+    from ``_MOVES``, so no inverse table is built or certified.
+    """
+    return _moved_images(n, token_word)
 
 
 def _check_relator(args):
+    """None when the relator is inner, else its reduced forward images."""
     n, token_word = args
-    return is_inner(relator_automorphism(n, token_word)) is not None
+    endo = relator_automorphism(n, token_word)
+    if is_inner(endo) is not None:
+        return None
+    return [w.to_json() for w in endo.images]
 
 
 def family_report(rows) -> list:
@@ -489,7 +550,9 @@ def verify_gersten(n: int, jobs: int = 1) -> dict:
     """Instantiate every relator family and check it in the outer group.
 
     Returns a report listing, per family, how many index tuples were
-    instantiated and which of them (if any) failed.
+    instantiated and which of them (if any) failed.  A family with
+    failures also gets ``images``: each failing label's reduced forward
+    images, as lists of letters.
     """
     items = list(gersten_relators(n))
     if jobs > 1:
@@ -500,8 +563,14 @@ def verify_gersten(n: int, jobs: int = 1) -> dict:
     else:
         results = [_check_relator((n, w)) for (_, _, w) in items]
 
-    families = family_report((family, label, ok)
-                             for (family, label, _), ok in zip(items, results))
+    rows = [(family, label, images)
+            for (family, label, _), images in zip(items, results)]
+    families = family_report((family, label, images is None)
+                             for family, label, images in rows)
+    for fam in families:
+        if fam["failures"]:
+            fam["images"] = {label: images for family, label, images in rows
+                             if family == fam["name"] and images is not None}
     return {
         "n": n,
         "families": families,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import signed_permutation_rep, with_transvections
-from outfn import actions, cli, graphs
+from outfn import actions, cli, graphs, words
 from outfn.linalg import Matrix
 
 
@@ -85,6 +85,24 @@ class TestGersten:
         run(["gersten", "--n", "3", "--json", str(a)])
         run(["gersten", "--n", "3", "--json", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_relator_reports_its_images(self, tmp_path, monkeypatch, jobs):
+        def bare_rho12(n):
+            yield "bare", "rho12", [(("rho", 1, 2), 1)]
+        monkeypatch.setattr(words, "gersten_relators", bare_rho12)
+        out = tmp_path / "g.json"
+        assert run(["gersten", "--n", "3", "--jobs", jobs, "--json", str(out)]) == 1
+        [fam] = load_report(out)["checks"]
+        assert fam["status"] == "fail"
+        assert fam["details"] == {"tuples": 1, "failures": ["rho12"],
+                                  "images": {"rho12": [[1, 2], [2], [3]]}}
+
+    def test_passing_families_carry_no_images(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert run(["gersten", "--n", "3", "--json", str(out)]) == 0
+        for fam in load_report(out)["checks"]:
+            assert fam["details"].keys() == {"tuples", "failures"}
 
 
 class TestDecompose:

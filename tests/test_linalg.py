@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from outfn import graphs
+from outfn import graphs, linalg
 from outfn.linalg import Matrix, exterior_square, schur_square, symmetric_square
 
 
@@ -202,6 +202,28 @@ class TestElimination:
     def test_json_round_trip(self):
         m = Matrix([[Fraction(1, 3), 2], [0, Fraction(-5, 7)]])
         assert Matrix.from_json(m.to_json()) == m
+
+    @staticmethod
+    def _outcome(parse, x):
+        try:
+            value = parse(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc)
+        return type(value), value
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.integers(), st.integers().map(str), st.booleans(), st.floats(),
+        st.tuples(st.integers(), st.integers(-9, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.sampled_from(["+3", " 3", "3 ", "1_000", "-0", "00", "3.0", "1e3",
+                         "\u0663", "--3", "", "-", "3/", "nan", "inf", "True"]),
+        st.text(max_size=6),
+    ))
+    def test_json_entries_parse_as_fraction_of_str(self, x):
+        # integer literals take a shortcut to int; every other entry, and
+        # every rejection, must be what Fraction(str(x)) gives
+        oracle = lambda y: linalg._frac(Fraction(str(y)))  # noqa: E731
+        assert self._outcome(linalg._entry_from_json, x) == self._outcome(oracle, x)
 
 
 class TestSquareFunctors:

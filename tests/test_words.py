@@ -260,6 +260,126 @@ class TestGersten:
         assert fams["right-right and left-left commuting pairs"]["count"] == 12 * 2 * 2 * 2
 
 
+def oracle_relator_automorphism(n, token_word):
+    """A token word evaluated through certified automorphism products."""
+    acc = W.identity_automorphism(n)
+    for tok, e in token_word:
+        g = W.nielsen(*tok, n)
+        if e < 0:
+            g = g.inverse()
+        acc = acc * g
+    return acc
+
+
+def oracle_is_inner(a):
+    """The conjugator search of ``is_inner``, on ``Word`` arithmetic."""
+    n = a.rank
+    if n == 1:
+        return W.empty_word(1) if a.is_identity() else None
+    u1 = a.forward.images[0]
+    if len(u1) % 2 == 0:
+        return None
+    mid = len(u1) // 2
+    if u1.letters[mid] != 1:
+        return None
+    tail = W.Word(u1.letters[mid + 1:], n)
+    if W.conjugate_word(W.generator_word(1, n), tail) != u1:
+        return None
+    bound = max(len(img) for img in a.forward.images)
+    gens = [W.generator_word(i, n) for i in range(1, n + 1)]
+    for t in range(0, bound + 1):
+        for sign in ((1,) if t == 0 else (1, -1)):
+            w = W.Word((sign,) * t, n) * tail
+            if all(a.forward.images[k] == W.conjugate_word(gens[k], w)
+                   for k in range(n)):
+                return w
+    return None
+
+
+def flipped(word, rng):
+    """The token word with one letter's exponent reversed."""
+    k = rng.randrange(len(word))
+    tok, e = word[k]
+    return word[:k] + [(tok, -e)] + word[k + 1:]
+
+
+@st.composite
+def token_words(draw):
+    """A token word over all six kinds, the alias lambda included."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    token = st.one_of(
+        st.tuples(st.sampled_from(["rho", "lam", "lambda", "sigma"]), st.sampled_from(pairs))
+        .map(lambda t: (t[0], *t[1])),
+        st.tuples(st.sampled_from(["eps", "sigma_star"]), st.integers(1, n))
+        .map(lambda t: (t[0], t[1], None)),
+        st.just(("delta", None, None)),
+    )
+    return n, draw(st.lists(st.tuples(token, st.sampled_from([1, -1])), max_size=8))
+
+
+# Generator images at rank 3, written out by hand: (forward, backward).
+HAND_TABLES = {
+    ("rho", 2, 3): ([[1], [2, 3], [3]], [[1], [2, -3], [3]]),
+    ("lam", 2, 3): ([[1], [3, 2], [3]], [[1], [-3, 2], [3]]),
+    ("lambda", 3, 1): ([[1], [2], [1, 3]], [[1], [2], [-1, 3]]),
+    ("eps", 2, None): ([[1], [-2], [3]], [[1], [-2], [3]]),
+    ("sigma", 1, 3): ([[3], [2], [1]], [[3], [2], [1]]),
+    ("sigma_star", 2, None): ([[1, -2], [-2], [3, -2]], [[1, -2], [-2], [3, -2]]),
+    ("delta", None, None): ([[-1], [-2], [-3]], [[-1], [-2], [-3]]),
+}
+
+
+def image_lists(endo):
+    return [list(w.letters) for w in endo.images]
+
+
+class TestRelatorMoves:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_relator_agrees_with_the_oracle(self, n):
+        rng = random.Random(1000 + n)
+        relators = [word for _, _, word in W.gersten_relators(n)]
+        flips = [flipped(word, rng) for word in relators[::3]]
+        outer = 0
+        for word in relators + flips:
+            fast = W.relator_automorphism(n, word)
+            slow = oracle_relator_automorphism(n, word)
+            assert fast == slow.forward
+            found = W.is_inner(fast)
+            assert found == oracle_is_inner(slow)
+            outer += found is None
+        # most flips are not inner, so both verdicts are exercised
+        assert len(flips) // 2 < outer <= len(flips)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(token_words())
+    def test_images_agree_with_the_oracle_on_every_kind(self, case):
+        n, word = case
+        assert W.relator_automorphism(n, word) == oracle_relator_automorphism(n, word).forward
+
+    @pytest.mark.parametrize("token", sorted(HAND_TABLES, key=str))
+    def test_generator_tables_match_hand_images(self, token):
+        forward, backward = HAND_TABLES[token]
+        a = W.nielsen(*token, 3)
+        assert image_lists(a.forward) == forward
+        assert image_lists(a.backward) == backward
+        assert image_lists(W.relator_automorphism(3, [(token, 1)])) == forward
+        assert image_lists(W.relator_automorphism(3, [(token, -1)])) == backward
+
+    @pytest.mark.parametrize("token", [
+        ("frob", 1, 2), ("rho", 1, 1), ("lam", 2, 2), ("sigma", 3, 3),
+        ("rho", 1, 4), ("lam", 0, 2), ("eps", 4, None), ("sigma_star", 0, None),
+    ])
+    def test_bad_tokens_are_value_errors(self, token):
+        with pytest.raises(ValueError):
+            W.relator_automorphism(3, [(("rho", 1, 2), 1), (token, 1)])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(short_nielsen_products())
+    def test_is_inner_reads_only_forward_images(self, a):
+        assert W.is_inner(a) == W.is_inner(a.forward)
+
+
 class TestAbelianize:
     def test_rho_is_elementary(self):
         m = W.abelianize(W.rho(1, 2, 3))
