@@ -65,7 +65,7 @@ def _load(path, what: str, build):
         with open(path) as fh:
             return build(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            RecursionError) as exc:
+            RecursionError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot read {what} file: {exc}")
 
 

@@ -22,7 +22,6 @@ from .linalg import Matrix
 from .words import (
     Automorphism,
     Word,
-    act_on_functional,
     generator_word,
     inner,
     lam,
@@ -38,13 +37,16 @@ def base_functional(n: int) -> tuple:
     return tuple(1 if i == n - 1 else 0 for i in range(n))
 
 
-def stabilizes_base_functional(a: Automorphism) -> bool:
+def stabilizes_base_functional(a) -> bool:
     """Does the automorphism fix the base functional?
 
     Equivalently: the parity of the last generator in the image of a_i
-    is 1 exactly when i = n.
+    is 1 exactly when i = n, which is what is read off here, so ``a``
+    may be an ``Automorphism`` or just its forward ``Endomorphism``.
     """
-    return act_on_functional(a, base_functional(a.rank)) == base_functional(a.rank)
+    n = a.rank
+    return all(sum(abs(x) == n for x in img.letters) % 2 == (i == n - 1)
+               for i, img in enumerate(a.images))
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +116,13 @@ def symbols_to_word(symbol_word, n: int) -> Word:
 # the matrix representations
 
 
-def cover_matrix(a: Automorphism) -> Matrix:
+def cover_matrix(a) -> Matrix:
     """The (2n-1)-dimensional representation of the stabiliser.
 
     Integer matrix of the action on the abelianised kernel: column j is
     the exponent vector of the rewritten image of the j-th basis symbol.
+    Only forward images are read, so ``a`` may be an ``Automorphism``
+    or an ``Endomorphism``.
     """
     n = a.rank
     if not stabilizes_base_functional(a):
@@ -146,8 +150,11 @@ def deck_matrix(n: int) -> Matrix:
     return Matrix(grid)
 
 
-def minus_eigenspace_matrix(a: Automorphism) -> Matrix:
+def minus_eigenspace_matrix(a) -> Matrix:
     """Restriction to the (-1)-eigenspace of the deck involution.
+
+    Like ``cover_matrix``, accepts an ``Automorphism`` or an
+    ``Endomorphism``.
 
     Basis alpha_i = x_i - y_i; commutation with the deck involution is
     asserted structurally while extracting the restriction.

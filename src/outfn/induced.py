@@ -18,13 +18,22 @@ factoring through the integral linear quotient would send the whole
 kernel to finite order elements jointly with its finite image there
 being trivial.
 
-Blocks are integer ``Matrix`` values; no division occurs anywhere in
-the construction, so every entry stays a Python ``int``.
+The relators and the certificate candidates are evaluated on the
+stored generator blocks, the matrices that ``to_json`` writes out: a
+token word's block is the product of its letters' blocks, and a
+relator u v passes when the blocks of u and v^-1 agree.  The block of
+an inverse letter is the transposed block permutation with each block
+inverted by ``Matrix.inverse``.
+
+Blocks are integer ``Matrix`` values.  The construction and the
+products divide nowhere; the inverses do, but the blocks are
+unimodular, so every entry still comes out as a Python ``int``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import permutations
 from math import comb
 
 from .linalg import Matrix, schur_square
@@ -32,18 +41,18 @@ from .words import (
     Automorphism,
     abelianize,
     act_on_functional,
+    compose,
     compose_automorphisms,
     eps,
     family_report,
     gersten_relators,
     identity_automorphism,
     lam,
-    nielsen,
+    relator_automorphism,
     rho,
     sigma,
 )
-from .cover import base_functional, minus_eigenspace_matrix, \
-    partial_conjugation, transvection_commutator
+from .cover import base_functional, minus_eigenspace_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +135,13 @@ class BlockMatrix:
             cols.append((r, p * q))
         return BlockMatrix(self.size, self.dim, tuple(cols))
 
+    def inverse(self) -> "BlockMatrix":
+        """Transposed block permutation, each block inverted exactly."""
+        cols = [None] * self.size
+        for c, (r, g) in enumerate(self.columns):
+            cols[r] = (c, g.inverse())
+        return BlockMatrix(self.size, self.dim, tuple(cols))
+
     def is_identity(self) -> bool:
         return all(r == c and g.is_identity()
                    for c, (r, g) in enumerate(self.columns))
@@ -179,6 +195,14 @@ def dim_u(n: int, mu) -> int:
     raise ValueError(f"unsupported partition {mu!r}")
 
 
+def generator_name(token) -> str:
+    """Name of the stored block of a relator token ``(kind, i, j)``:
+    ``eps1``, ``rho{i}{j}`` and ``lam{i}{j}`` are the keys of
+    ``InducedRep.generators``."""
+    kind, i, j = token
+    return kind + "".join(str(x) for x in (i, j) if x is not None)
+
+
 @dataclass
 class InducedRep:
     n: int
@@ -186,6 +210,8 @@ class InducedRep:
     cosets: tuple          # masks, ascending; index = block position
     transversal: dict      # mask -> Automorphism
     generators: dict       # name -> BlockMatrix
+    _inverses: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)   # name -> inverse BlockMatrix
 
     @property
     def dim_u(self) -> int:
@@ -196,45 +222,57 @@ class InducedRep:
         return len(self.cosets) * self.dim_u
 
     def block_of(self, a: Automorphism) -> BlockMatrix:
-        """Induced block matrix of an arbitrary automorphism."""
+        """Induced block matrix of an arbitrary automorphism.
+
+        The coset element t_target^-1 a t_mask is composed from forward
+        tables only: a and the transversal are certified already.
+        """
         index = {mask: i for i, mask in enumerate(self.cosets)}
         cols = []
         for mask in self.cosets:
             target = act_on_mask(a, mask)
-            h = compose_automorphisms(
-                self.transversal[target].inverse(),
-                compose_automorphisms(a, self.transversal[mask]),
-            )
+            h = compose(self.transversal[target].backward,
+                        compose(a.forward, self.transversal[mask].forward))
             block = schur_square(minus_eigenspace_matrix(h), self.mu)
             cols.append((index[target], block))
         return BlockMatrix(len(self.cosets), self.dim_u, tuple(cols))
 
-    def matrix(self, name: str) -> Matrix:
-        return self.generators[name].to_matrix()
+    def _letter_block(self, token, e: int) -> BlockMatrix:
+        """The stored block of a token (KeyError when there is none),
+        inverted for exponent -1."""
+        name = generator_name(token)
+        block = self.generators[name]
+        if e == 1:
+            return block
+        if name not in self._inverses:
+            self._inverses[name] = block.inverse()
+        return self._inverses[name]
 
-    def _letter_block(self, cache: dict, token, e: int) -> BlockMatrix:
-        key = (token, e)
-        if key not in cache:
-            g = nielsen(*token, self.n)
-            if e < 0:
-                g = g.inverse()
-            cache[key] = self.block_of(g)
-        return cache[key]
+    def word_block(self, word) -> BlockMatrix:
+        """Product of the letter blocks of a token word; the identity
+        for the empty word."""
+        if not word:
+            return BlockMatrix.identity(len(self.cosets), self.dim_u)
+        acc = self._letter_block(*word[0])
+        for token, e in word[1:]:
+            acc = acc * self._letter_block(token, e)
+        return acc
 
     def relator_report(self) -> dict:
         """Evaluate the full relator suite through the induced matrices.
 
         Every relator must land on the exact identity; the suite
         includes the relator that is merely inner, so passing it
-        certifies the representation is constant on outer classes.
+        certifies the representation is constant on outer classes.  A
+        relator u v is checked as ``word_block(u) == word_block(v^-1)``,
+        which takes two block products fewer than the whole word.
         """
-        cache: dict = {}
         rows = []
         for family, label, word in gersten_relators(self.n):
-            acc = BlockMatrix.identity(len(self.cosets), self.dim_u)
-            for token, e in word:
-                acc = acc * self._letter_block(cache, token, e)
-            rows.append((family, label, acc.is_identity()))
+            half = len(word) // 2
+            v_inverse = [(token, -e) for token, e in reversed(word[half:])]
+            rows.append((family, label,
+                         self.word_block(word[:half]) == self.word_block(v_inverse)))
         families = family_report(rows)
         return {
             "n": self.n,
@@ -275,13 +313,31 @@ def induce(n: int, mu=None) -> InducedRep:
     transversal = coset_transversal(n)
     cosets = tuple(sorted(transversal))
     rep = InducedRep(n, mu, cosets, transversal, {})
-    rep.generators["eps1"] = rep.block_of(eps(1, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                rep.generators[f"rho{i}{j}"] = rep.block_of(rho(i, j, n))
-                rep.generators[f"lam{i}{j}"] = rep.block_of(lam(i, j, n))
+    stored = [(("eps", 1, None), eps(1, n))]
+    for i, j in permutations(range(1, n + 1), 2):
+        stored += [(("rho", i, j), rho(i, j, n)), (("lam", i, j), lam(i, j, n))]
+    for token, a in stored:
+        rep.generators[generator_name(token)] = rep.block_of(a)
     return rep
+
+
+def certificate_candidates(n: int) -> list:
+    """``(label, token word)`` for the generators of the kernel of
+    abelianisation that the certificate scans, in scan order.
+
+    A partial conjugation is rho_ij lam_ij^-1 (``cover.partial_conjugation``)
+    and a transvection commutator is [rho_ij, rho_ik]
+    (``cover.transvection_commutator``).
+    """
+    out = []
+    for i, j in permutations(range(1, n + 1), 2):
+        out.append((f"partial conjugation i={i},j={j}",
+                    [(("rho", i, j), 1), (("lam", i, j), -1)]))
+    for i, j, k in permutations(range(1, n + 1), 3):
+        a, b = ("rho", i, j), ("rho", i, k)
+        out.append((f"commutator i={i},j={j},k={k}",
+                    [(a, 1), (b, 1), (a, -1), (b, -1)]))
+    return out
 
 
 def check_not_factoring(rep: InducedRep) -> dict:
@@ -292,28 +348,14 @@ def check_not_factoring(rep: InducedRep) -> dict:
     transvection commutators) for one whose induced matrix is unipotent
     and not the identity; such a matrix generates an infinite cyclic
     group, so the representation cannot factor through the integral
-    linear quotient.  Membership in the kernel is certified by the
-    abelianisation being the identity matrix.
+    linear quotient.  Each candidate's block is the product of stored
+    blocks along its token word; membership in the kernel is certified
+    for the one found by the abelianisation of the word's forward
+    images being the identity matrix.
     """
-    n = rep.n
-    candidates = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                candidates.append(
-                    (f"partial conjugation i={i},j={j}", partial_conjugation(i, j, n))
-                )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if len({i, j, k}) == 3:
-                    candidates.append(
-                        (f"commutator i={i},j={j},k={k}",
-                         transvection_commutator(i, j, k, n))
-                    )
     scanned = []
-    for label, g in candidates:
-        block = rep.block_of(g)
+    for label, word in certificate_candidates(rep.n):
+        block = rep.word_block(word)
         if block.is_identity():
             scanned.append({"generator": label, "result": "identity"})
             continue
@@ -325,7 +367,8 @@ def check_not_factoring(rep: InducedRep) -> dict:
             "found": True,
             "generator": label,
             "nilpotency_index": index,
-            "kernel_membership": abelianize(g).is_identity(),
+            "kernel_membership":
+                abelianize(relator_automorphism(rep.n, word)).is_identity(),
             "scanned": scanned,
         }
     return {"found": False, "scanned": scanned}

@@ -583,10 +583,11 @@ def verify_gersten(n: int, jobs: int = 1) -> dict:
 # abelianisation and mod-2 functionals
 
 
-def _abelian_columns(endo: Endomorphism):
-    n = endo.rank
+def _abelian_columns(a):
+    """Exponent sums of the (forward) images of ``a``, one column each."""
+    n = a.rank
     cols = []
-    for img in endo.images:
+    for img in a.images:
         v = [0] * n
         for x in img.letters:
             v[abs(x) - 1] += 1 if x > 0 else -1
@@ -594,22 +595,24 @@ def _abelian_columns(endo: Endomorphism):
     return cols
 
 
-def abelianize(a: Automorphism) -> Matrix:
+def abelianize(a) -> Matrix:
     """The induced matrix on the abelianisation, columns = images.
 
+    Takes an ``Automorphism`` or the forward ``Endomorphism`` of one.
     The column convention makes this a homomorphism for ``*``; the
     determinant of the result is +1 or -1.
     """
-    cols = _abelian_columns(a.forward)
+    cols = _abelian_columns(a)
     m = Matrix.from_columns(cols)
     if abs(m.determinant()) != 1:
         raise ValueError("abelianised automorphism is not unimodular")
     return m
 
 
-def abelianize_mod2(a: Automorphism):
-    """Mod-2 abelianisation as a tuple of row tuples."""
-    cols = _abelian_columns(a.forward)
+def abelianize_mod2(a):
+    """Mod-2 abelianisation as a tuple of row tuples (of an
+    ``Automorphism`` or an ``Endomorphism``, through its images)."""
+    cols = _abelian_columns(a)
     n = a.rank
     return tuple(tuple(cols[j][i] % 2 for j in range(n)) for i in range(n))
 
@@ -621,6 +624,6 @@ def act_on_functional(a: Automorphism, s) -> tuple:
         raise ValueError("functional length mismatch")
     if not any(s):
         raise ValueError("functional must be nonzero")
-    m = abelianize_mod2(a.inverse())
+    m = abelianize_mod2(a.backward)
     n = a.rank
     return tuple(sum(s[l] * m[l][k] for l in range(n)) % 2 for k in range(n))

@@ -394,6 +394,12 @@ class TestFailureBoundary:
         path.write_text("[" * 200000)
         assert_usage_error(run(["graph", "homology", "--file", str(path)]), capsys)
 
+    def test_zero_denominator_entry(self, tmp_path, capsys):
+        obj = signed_permutation_rep(3).to_json()
+        obj["generators"]["e1"]["entries"][0][0] = "1/0"
+        path = write_json(tmp_path, obj)
+        assert_usage_error(run(["decompose", "--rep", path]), capsys)
+
     @pytest.mark.parametrize("fault", [RuntimeError, AssertionError, KeyError])
     def test_fault_is_exit_three_in_one_line(self, monkeypatch, capsys, fault):
         def broken(graph):

@@ -1,11 +1,13 @@
 """Coset transversal, block induction, relator suite, non-factoring."""
 
+import dataclasses
 import random
+from itertools import permutations
 
 import pytest
 
 from outfn import cover, induced, words as W
-from outfn.linalg import Matrix
+from outfn.linalg import Matrix, schur_square
 
 
 class TestTransversal:
@@ -147,3 +149,211 @@ class TestCertificate:
             induced.functional_to_mask(cover.base_functional(3)))
         row, grid = bm.columns[base_index]
         assert row == base_index and grid.is_identity()
+
+
+# ---------------------------------------------------------------------------
+# oracles: the certified evaluation that the stored-block path replaced
+
+
+def oracle_act_on_functional(a, s):
+    """s -> s o ab2(a^-1), through the certified inverse."""
+    m = W.abelianize_mod2(a.inverse())
+    n = a.rank
+    return tuple(sum(s[l] * m[l][k] for l in range(n)) % 2 for k in range(n))
+
+
+def oracle_block_of(rep, a):
+    """Every coset element t_target^-1 a t_mask built as a certified
+    ``Automorphism``, its block read off the minus eigenspace."""
+    index = {mask: i for i, mask in enumerate(rep.cosets)}
+    cols = []
+    for mask in rep.cosets:
+        s = induced.mask_to_functional(mask, rep.n)
+        target = induced.functional_to_mask(oracle_act_on_functional(a, s))
+        h = W.compose_automorphisms(
+            rep.transversal[target].inverse(),
+            W.compose_automorphisms(a, rep.transversal[mask]))
+        cols.append((index[target],
+                     schur_square(cover.minus_eigenspace_matrix(h), rep.mu)))
+    return induced.BlockMatrix(len(rep.cosets), rep.dim_u, tuple(cols))
+
+
+def oracle_letters(rep):
+    """Letter blocks by ``oracle_block_of`` of the Nielsen generator."""
+    cache = {}
+
+    def letter(token, e):
+        if (token, e) not in cache:
+            g = W.nielsen(*token, rep.n)
+            cache[token, e] = oracle_block_of(rep, g if e > 0 else g.inverse())
+        return cache[token, e]
+    return letter
+
+
+def oracle_relator_report(rep, letter=None):
+    """Each relator as the product of its letter blocks from the identity."""
+    letter = letter or oracle_letters(rep)
+    rows = []
+    for family, label, word in W.gersten_relators(rep.n):
+        acc = induced.BlockMatrix.identity(len(rep.cosets), rep.dim_u)
+        for token, e in word:
+            acc = acc * letter(token, e)
+        rows.append((family, label, acc.is_identity()))
+    families = W.family_report(rows)
+    return {"n": rep.n, "m": rep.m, "families": families,
+            "ok": all(not fam["failures"] for fam in families)}
+
+
+def stored_tokens(n):
+    return [("eps", 1, None)] + [(kind, i, j) for i, j in permutations(range(1, n + 1), 2)
+                                 for kind in ("rho", "lam")]
+
+
+def nielsen_product(rng, n, length):
+    kinds = [("rho", True), ("lam", True), ("sigma", True), ("eps", False),
+             ("sigma_star", False), ("delta", None)]
+    a = W.identity_automorphism(n)
+    for _ in range(length):
+        kind, pair = rng.choice(kinds)
+        i, j = rng.sample(range(1, n + 1), 2)
+        args = (i, j) if pair else (i, None) if pair is False else (None, None)
+        g = W.nielsen(kind, *args, n)
+        a = a * (g if rng.random() < 0.5 else g.inverse())
+    return a
+
+
+def elementary(dim, a, b, c=1):
+    """I + c e_ab, a unimodular elementary row operation."""
+    return Matrix([[int(r == k) + (c if (r, k) == (a, b) else 0)
+                    for k in range(dim)] for r in range(dim)])
+
+
+def failing_labels(report):
+    return [(fam["name"], label) for fam in report["families"]
+            for label in fam["failures"]]
+
+
+@pytest.fixture(scope="module")
+def reps():
+    return {3: induced.induce(3), 4: induced.induce(4)}
+
+
+class TestStoredBlockOracle:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_relator_families_match_the_old_evaluation(self, reps, n):
+        rep = reps[n]
+        new = rep.relator_report()
+        assert new == oracle_relator_report(rep)
+        assert new["ok"]
+
+    @pytest.mark.parametrize("n,name,column,op", [
+        (3, "rho12", 0, (0, 1, 1)),
+        (3, "lam23", 4, (2, 0, -1)),
+        (3, "eps1", 6, (1, 2, 2)),
+        (4, "rho31", 9, (2, 1, 1)),
+    ])
+    def test_perturbed_block_fails_the_same_relators(self, reps, n, name, column, op):
+        rep = reps[n]
+        good = rep.generators[name]
+        row = good.columns[column][0]
+        e = elementary(rep.dim_u, *op)
+        e_inv = elementary(rep.dim_u, op[0], op[1], -op[2])
+
+        def only_block(mat):
+            ident = Matrix.identity(rep.dim_u)
+            return induced.BlockMatrix(len(rep.cosets), rep.dim_u, tuple(
+                (c, mat if c == row else ident) for c in range(len(rep.cosets))))
+
+        bad = only_block(e) * good
+        assert sum(b != g for b, g in zip(bad.columns, good.columns)) == 1
+        token = next(t for t in stored_tokens(n) if induced.generator_name(t) == name)
+        bad_inverse = oracle_block_of(rep, W.nielsen(*token, n).inverse()) * only_block(e_inv)
+        base = oracle_letters(rep)
+
+        def letter(tok, sign):
+            if tok == token:
+                return bad if sign > 0 else bad_inverse
+            return base(tok, sign)
+
+        perturbed = dataclasses.replace(rep, generators={**rep.generators, name: bad})
+        new = failing_labels(perturbed.relator_report())
+        assert new and new == failing_labels(oracle_relator_report(rep, letter))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_block_of_matches_the_certified_evaluation(self, reps, n):
+        rep = reps[n]
+        rng = random.Random(n)
+        for length in [0, 1, 1, 2, 3, 4, 5, 6]:
+            a = nielsen_product(rng, n, length)
+            assert rep.block_of(a) == oracle_block_of(rep, a)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_generator_inverses(self, reps, n):
+        rep = reps[n]
+        tokens = stored_tokens(n)
+        assert [induced.generator_name(t) for t in tokens] == list(rep.generators)
+        ident = induced.BlockMatrix.identity(len(rep.cosets), rep.dim_u)
+        for token in tokens:
+            g = rep.generators[induced.generator_name(token)]
+            inv = g.inverse()
+            assert g * inv == ident == inv * g
+            assert inv == oracle_block_of(rep, W.nielsen(*token, n).inverse())
+            assert all(type(x) is int for _, b in inv.columns
+                       for row in b.data for x in row)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_certificate_words_are_the_cover_automorphisms(self, reps, n):
+        rep = reps[n]
+        want = [(f"partial conjugation i={i},j={j}", cover.partial_conjugation(i, j, n))
+                for i, j in permutations(range(1, n + 1), 2)]
+        want += [(f"commutator i={i},j={j},k={k}",
+                  cover.transvection_commutator(i, j, k, n))
+                 for i, j, k in permutations(range(1, n + 1), 3)]
+        got = induced.certificate_candidates(n)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (_, word), (_, g) in zip(got, want):
+            assert W.relator_automorphism(n, word) == g.forward
+            assert rep.word_block(word) == rep.block_of(g)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_stabilizer_test_matches_the_functional_action(self, reps, n):
+        rep = reps[n]
+        base = cover.base_functional(n)
+        rng = random.Random(10 + n)
+        pool = [nielsen_product(rng, n, rng.randrange(0, 5)) for _ in range(40)]
+        for mask, t in rep.transversal.items():
+            a = pool[mask % len(pool)]
+            target = induced.act_on_mask(a, mask)
+            pool.append(rep.transversal[target].inverse() * a * t)
+        seen = set()
+        for a in pool:
+            want = oracle_act_on_functional(a, base) == base
+            assert W.act_on_functional(a, base) == oracle_act_on_functional(a, base)
+            assert cover.stabilizes_base_functional(a) == want
+            assert cover.stabilizes_base_functional(a.forward) == want
+            seen.add(want)
+        assert seen == {True, False}
+
+
+class TestWordBlocks:
+    def test_empty_word_is_the_identity(self, reps):
+        assert reps[3].word_block([]).is_identity()
+
+    def test_letter_without_a_stored_block_raises(self, reps):
+        with pytest.raises(KeyError, match="sigma12"):
+            reps[3].word_block([(("rho", 1, 2), 1), (("sigma", 1, 2), 1)])
+
+    def test_no_certified_automorphism_on_the_block_path(self, monkeypatch):
+        rep = induced.induce(3)
+        a = W.rho(1, 2, 3) * W.eps(1, 3) * W.sigma_star(2, 3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the block path")
+        monkeypatch.setattr(W.Automorphism, "__post_init__", forbidden)
+        for mod in (W, induced):
+            monkeypatch.setattr(mod, "compose_automorphisms", forbidden)
+        monkeypatch.setattr(W, "nielsen", forbidden)
+        rep.block_of(a)
+        monkeypatch.setattr(induced.InducedRep, "block_of", forbidden)
+        assert rep.relator_report()["ok"]
+        assert induced.check_not_factoring(rep)["found"]
