@@ -9,31 +9,25 @@ matrix, and group elements act on it through signed edge permutations:
 an edge mapped with a reversed orientation picks up a minus sign.
 
 On top of that sit the combinatorial certificates used by the rest of
-the package, each polynomial in the size of the graph and, where it
-averages over the acting group, in the group order: admissibility
-via forest edge orbits, minimal-loop lengths by breadth-first search
-and the obstruction witnesses built from them, orientation
-equivariance on roses, loop-flipping involutions checked on a cycle
-basis, trivial multiplicities from the Hopf trace formula, and the
-splitting of a graph into two trees exchanged by such an involution.
-Complete simple-loop enumeration is kept as a public enumerator and a
-reference for the tests; its hard edge cap bounds only that
-enumeration.
+the package, each polynomial in the size of the graph and in the number
+of generators of the acting group: admissibility via forest edge
+orbits, minimal-loop lengths by breadth-first search and the
+obstruction witnesses built from them, loop-flipping involutions checked
+on a cycle basis, and the splitting of a graph into two trees exchanged
+by such an involution.  Trivial multiplicities and equivariant
+orientations come from the generators alone: a vector is fixed by the
+group exactly when every generator fixes it, and an invariant
+orientation exists exactly when the generators never carry an edge's
+two darts (its two oriented copies) into one orbit.  Only the cage
+lemma's perfectness check enumerates the group.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .linalg import Matrix
 from .symreps import FiniteRep, GroupDescriptor
-
-DEFAULT_EDGE_CAP = 32
-
-
-def _edge_cap() -> int:
-    return int(os.environ.get("OUTFN_MAX_EDGES", DEFAULT_EDGE_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -437,35 +431,20 @@ def induced_rep(action: GraphAction, basis: CycleBasis | None = None) -> FiniteR
     return FiniteRep(action.group, basis.dim, gens)
 
 
-def homology_trace(aut: GraphAut) -> int:
-    """Trace of the automorphism on rational first homology.
-
-    By the Hopf trace formula tr(g|H1) = tr(g|C1) - tr(g|C0) + tr(g|H0):
-    fixed edges count +1, or -1 when reversed; fixed vertices count 1;
-    components mapped to themselves count 1.
-    """
-    g = aut.graph
-    find, union = _union_find(g.vertices)
-    for e in g.edges:
-        union(*g.ends[e])
-    edges = sum(-1 if aut.flip(e) else 1 for e in g.edges if aut.emap[e] == e)
-    vertices = sum(aut.vmap[v] == v for v in g.vertices)
-    components = sum(find(aut.vmap[v]) == v for v in g.vertices if find(v) == v)
-    return edges - vertices + components
-
-
-def trivial_multiplicity(action: GraphAction, elements: list | None = None) -> int:
+def trivial_multiplicity(action: GraphAction) -> int:
     """Multiplicity of the trivial module in the homology action.
 
-    Averages traces over the full (enumerated) group, so it applies to
-    any finite acting group without character bookkeeping.  ``elements``
-    is the enumerated group when the caller already has it.
+    The vectors fixed by the group are those fixed by every generator.
+    The cycle basis B has full column rank, so B x is fixed by s exactly
+    when (P_s B - B) x = 0, with P_s the signed edge matrix of s; the
+    multiplicity is dim H1 minus the rank of those blocks stacked over
+    the generators.
     """
-    elements = elements or action.elements()
-    value, rest = divmod(sum(map(homology_trace, elements)), len(elements))
-    if rest or value < 0:
-        raise AssertionError("trace average is not a nonnegative integer")
-    return value
+    cycles = h1_basis(action.graph).matrix
+    moved = []
+    for name in action.group.generators:
+        moved += (signed_edge_matrix(action.maps[name]) * cycles - cycles).data
+    return cycles.cols - Matrix(moved, cols=cycles.cols).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -525,79 +504,7 @@ def collapse(graph: Graph, edge_subset) -> CollapseResult:
 
 
 # ---------------------------------------------------------------------------
-# simple loops
-
-
-@dataclass(frozen=True)
-class SimpleLoop:
-    """A simple loop: cyclic edge path repeating no vertex.
-
-    ``steps`` lists (edge, direction) with direction +1 when the edge
-    is traversed from iota to tau; loops of length one (a single loop
-    edge) and two (a pair of parallel edges) are included.
-    """
-
-    steps: tuple
-    edge_set: frozenset
-
-    def __len__(self):
-        return len(self.steps)
-
-    def edge_vector(self, graph: Graph) -> list:
-        v = [0] * len(graph.edges)
-        index = {e: i for i, e in enumerate(graph.edges)}
-        for e, d in self.steps:
-            v[index[e]] += d
-        return v
-
-
-def simple_loops(graph: Graph) -> list:
-    """Complete enumeration up to rotation and reversal.
-
-    Guarded by the edge cap (override with OUTFN_MAX_EDGES); two loops
-    are the same exactly when they use the same edge set.
-    """
-    cap = _edge_cap()
-    if len(graph.edges) > cap:
-        raise ValueError(f"graph exceeds the edge cap ({cap})")
-    loops = []
-    seen = set()
-    for e in graph.edges:
-        if graph.is_loop(e):
-            key = frozenset([e])
-            if key not in seen:
-                seen.add(key)
-                loops.append(SimpleLoop(((e, 1),), key))
-
-    order = {v: i for i, v in enumerate(graph.vertices)}
-    non_loop = [e for e in graph.edges if not graph.is_loop(e)]
-    at = {}
-    for e in non_loop:
-        io, ta = graph.ends[e]
-        at.setdefault(io, []).append((e, ta, 1))
-        at.setdefault(ta, []).append((e, io, -1))
-
-    def walk(start, current, used_edges, steps, visited):
-        for e, other, d in at.get(current, ()):
-            if e in used_edges:
-                continue
-            if other == start:
-                if len(steps) >= 1:
-                    key = frozenset(used_edges | {e})
-                    if key not in seen:
-                        seen.add(key)
-                        loops.append(SimpleLoop(tuple(steps + [(e, d)]), key))
-                continue
-            if order[other] <= order[start] or other in visited:
-                continue
-            walk(start, other, used_edges | {e}, steps + [(e, d)],
-                 visited | {other})
-
-    for start in graph.vertices:
-        walk(start, start, frozenset(), [], frozenset())
-
-    loops.sort(key=lambda l: (len(l), sorted(map(str, l.edge_set))))
-    return loops
+# minimal loops
 
 
 def min_loop_through_edge(graph: Graph, e) -> int | None:
@@ -855,39 +762,36 @@ def double_tree_decomposition(graph: Graph, xi: GraphAut) -> DoubleTree:
 def invariant_orientation(action: GraphAction) -> dict:
     """Equivariant orientation data for a group acting on a rose.
 
-    For each edge orbit the setwise stabiliser of a representative must
-    preserve its orientation; when that holds an equivariant
-    orientation is assembled (+1 keeps the stored direction).  The
-    orbit count always equals the multiplicity of the trivial module in
-    homology when the orientation exists, and both are reported.
+    An edge e has two darts, (e, +1) in its stored direction and (e, -1)
+    reversed, and a generator carries (e, d) to (g.e, -d) when it flips
+    e and to (g.e, d) otherwise.  Some element stabilises e and reverses
+    it exactly when both darts of e lie in one dart orbit; the first such
+    edge is the obstruction.  Otherwise the orientation gives e the sign
+    +1 exactly when (e, +1) lies in the orbit of (rep, +1), rep being
+    the first edge of e's orbit.  The orbit count equals the
+    multiplicity of the trivial module in homology when the orientation
+    exists, and both are reported.
     """
     g = action.graph
     if len(g.vertices) != 1 or not all(g.is_loop(e) for e in g.edges):
         raise ValueError("orientation equivariance is implemented for roses")
-    elements = action.elements()
-    orbits = action.edge_orbits()
-    orientation: dict = {}
-    obstruction = None
-    for aut in elements:
+    find, union = _union_find([(e, d) for e in g.edges for d in (1, -1)])
+    for name in action.group.generators:
+        aut = action.maps[name]
         for e in g.edges:
-            if aut.emap[e] == e and aut.flip(e):
-                obstruction = e
-                break
-        if obstruction is not None:
-            break
+            sign = -1 if aut.flip(e) else 1
+            for d in (1, -1):
+                union((e, d), (aut.emap[e], d * sign))
+    obstruction = next((e for e in g.edges if find((e, 1)) == find((e, -1))), None)
+    orbits = action.edge_orbits()
+    orientation = None
     if obstruction is None:
-        for orbit in orbits:
-            rep = orbit[0]
-            orientation[rep] = 1
-            for aut in elements:
-                image = aut.emap[rep]
-                sign = -1 if aut.flip(rep) else 1
-                if image in orientation and orientation[image] != sign:
-                    raise AssertionError("orientation transport is inconsistent")
-                orientation[image] = sign
-    mult = trivial_multiplicity(action, elements)
+        rep = {e: orbit[0] for orbit in orbits for e in orbit}
+        orientation = {e: 1 if find((e, 1)) == find((rep[e], 1)) else -1
+                       for e in g.edges}
+    mult = trivial_multiplicity(action)
     return {
-        "orientation": None if obstruction is not None else orientation,
+        "orientation": orientation,
         "obstruction_edge": obstruction,
         "orbit_count": len(orbits),
         "trivial_multiplicity": mult,
@@ -943,7 +847,7 @@ def cage_trivial_multiplicity_check(action: GraphAction) -> dict:
     if not _is_perfect(action, elements):
         raise ValueError("the acting image is not perfect")
     orbits = action.edge_orbits()
-    mult = trivial_multiplicity(action, elements)
+    mult = trivial_multiplicity(action)
     return {
         "orbit_count": len(orbits),
         "trivial_multiplicity": mult,

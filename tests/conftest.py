@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from outfn import linalg, symreps
@@ -43,6 +44,117 @@ def oracle_simple_cycles(g):
 def oracle_min_loop(g, e):
     lengths = [len(c) for c in oracle_simple_cycles(g) if e in c]
     return min(lengths) if lengths else None
+
+
+@dataclass(frozen=True)
+class SimpleLoop:
+    """A simple loop: cyclic edge path repeating no vertex.
+
+    ``steps`` lists (edge, direction) with direction +1 when the edge
+    is traversed from iota to tau; loops of length one (a single loop
+    edge) and two (a pair of parallel edges) are included.
+    """
+
+    steps: tuple
+    edge_set: frozenset
+
+    def __len__(self):
+        return len(self.steps)
+
+    def edge_vector(self, graph) -> list:
+        v = [0] * len(graph.edges)
+        index = {e: i for i, e in enumerate(graph.edges)}
+        for e, d in self.steps:
+            v[index[e]] += d
+        return v
+
+
+def simple_loops(graph) -> list:
+    """Every simple loop, up to rotation and reversal, by depth-first
+    walks from the lowest vertex of each loop; two loops are the same
+    exactly when they use the same edge set."""
+    loops = []
+    seen = set()
+    for e in graph.edges:
+        if graph.is_loop(e):
+            key = frozenset([e])
+            if key not in seen:
+                seen.add(key)
+                loops.append(SimpleLoop(((e, 1),), key))
+
+    order = {v: i for i, v in enumerate(graph.vertices)}
+    at = {}
+    for e in graph.edges:
+        if not graph.is_loop(e):
+            io, ta = graph.ends[e]
+            at.setdefault(io, []).append((e, ta, 1))
+            at.setdefault(ta, []).append((e, io, -1))
+
+    def walk(start, current, used_edges, steps, visited):
+        for e, other, d in at.get(current, ()):
+            if e in used_edges:
+                continue
+            if other == start:
+                if len(steps) >= 1:
+                    key = frozenset(used_edges | {e})
+                    if key not in seen:
+                        seen.add(key)
+                        loops.append(SimpleLoop(tuple(steps + [(e, d)]), key))
+                continue
+            if order[other] <= order[start] or other in visited:
+                continue
+            walk(start, other, used_edges | {e}, steps + [(e, d)],
+                 visited | {other})
+
+    for start in graph.vertices:
+        walk(start, start, frozenset(), [], frozenset())
+
+    loops.sort(key=lambda l: (len(l), sorted(map(str, l.edge_set))))
+    return loops
+
+
+def oracle_homology_trace(aut) -> int:
+    """Trace of a graph automorphism on rational first homology.
+
+    By the Hopf trace formula tr(g|H1) = tr(g|C1) - tr(g|C0) + tr(g|H0):
+    fixed edges count +1, or -1 when reversed; fixed vertices count 1;
+    components mapped to themselves count 1.
+    """
+    g = aut.graph
+    component = {}
+    for v in g.vertices:
+        if v in component:
+            continue
+        component[v] = v
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for e in g.edges_at(x):
+                for y in g.ends[e]:
+                    if y not in component:
+                        component[y] = v
+                        stack.append(y)
+    edges = sum(-1 if aut.flip(e) else 1 for e in g.edges if aut.emap[e] == e)
+    vertices = sum(aut.vmap[v] == v for v in g.vertices)
+    components = sum(component[aut.vmap[v]] == v
+                     for v in g.vertices if component[v] == v)
+    return edges - vertices + components
+
+
+def oracle_trivial_multiplicity(action) -> int:
+    """The homology trace averaged over the enumerated group."""
+    elements = action.elements()
+    value, rest = divmod(sum(map(oracle_homology_trace, elements)), len(elements))
+    assert rest == 0 and value >= 0
+    return value
+
+
+def oracle_orientation_obstruction(action):
+    """The first edge, in graph order, that some enumerated element fixes
+    and reverses; None when no element does."""
+    reversed_edges = {e for aut in action.elements() for e in action.graph.edges
+                      if aut.emap[e] == e and aut.flip(e)}
+    return next((e for e in action.graph.edges if e in reversed_edges), None)
 
 
 def perm_matrix(perm, n) -> linalg.Matrix:

@@ -209,6 +209,23 @@ class TestGraph:
         assert run(["graph", "cage-lemma", "--builtin", "cage:5",
                     "--group", "A5"]) == 0
 
+    def test_rose_lemma_without_invariant_orientation_skips(self, tmp_path):
+        # flipping every petal fixes p1 and reverses it, so the lemma's
+        # hypothesis fails: both checks are skipped, and the run passes
+        g = graphs.rose(2)
+        obj = {"graph": g.to_json(),
+               "group": {"name": "Z2", "generators": ["f"], "relations": [["f", "f"]]},
+               "maps": {"f": actions.petal_flip_involution(g).to_json()}}
+        out = tmp_path / "r.json"
+        assert run(["graph", "rose-lemma", "--file", write_json(tmp_path, obj),
+                    "--json", str(out)]) == 0
+        report = load_report(out)
+        assert [(c["name"], c["status"], c["details"]) for c in report["checks"]] == [
+            ("invariant orientation exists", "skip", {"obstruction_edge": "p1"}),
+            ("trivial multiplicity equals orbit count", "skip",
+             {"orbit_count": 2, "trivial_multiplicity": 0})]
+        assert report["summary"] == {"total": 2, "passed": 0, "failed": 0, "skipped": 2}
+
     def test_double_tree(self, tmp_path):
         out = tmp_path / "dt.json"
         assert run(["graph", "double-tree", "--builtin", "cage:5",
@@ -377,6 +394,22 @@ class TestFailureBoundary:
         obj["group"]["relations"].append(["zz"])
         path = write_json(tmp_path, obj)
         assert_usage_error(run(["graph", "admissible", "--file", path]), capsys)
+
+    def test_failing_relations_are_named(self, tmp_path, capsys):
+        act = actions.symmetric_rose(3)
+        obj = act.to_json()
+        obj["graph"] = act.graph.to_json()
+        obj["group"]["relations"].append(["s1"])
+        path = write_json(tmp_path, obj, "action.json")
+        for sub in ("admissible", "rose-lemma"):
+            assert run(["graph", sub, "--file", path]) == 2
+            assert capsys.readouterr().err == (
+                "error: action fails 1 defining relation(s): [('s1',)]\n")
+        rep = signed_permutation_rep(3).to_json()
+        rep["group"]["relations"] += [["e1"], ["s2"]]
+        assert run(["decompose", "--rep", write_json(tmp_path, rep, "rep.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: rep fails 2 defining relation(s): [('e1',), ('s2',)]\n")
 
     def test_graph_file_holding_a_list(self, tmp_path, capsys):
         path = write_json(tmp_path, [1, 2])

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_min_loop, oracle_simple_cycles
+from conftest import (oracle_homology_trace, oracle_min_loop,
+                      oracle_orientation_obstruction, oracle_simple_cycles,
+                      oracle_trivial_multiplicity, simple_loops)
 from outfn import actions, graphs, symreps
 from outfn.linalg import Matrix
 
@@ -51,7 +53,7 @@ def two_cages_and_a_loop():
 def flips_every_listed_loop(g, xi):
     p = graphs.signed_edge_matrix(xi)
     return all(p.apply(v) == [-x for x in v]
-               for v in (loop.edge_vector(g) for loop in graphs.simple_loops(g)))
+               for v in (loop.edge_vector(g) for loop in simple_loops(g)))
 
 
 class TestBuilders:
@@ -168,13 +170,13 @@ class TestInducedAction:
         for act in stock_actions() + [two_cages_and_a_loop()]:
             basis = graphs.h1_basis(act.graph)
             for aut in act.elements():
-                assert (graphs.homology_trace(aut)
+                assert (oracle_homology_trace(aut)
                         == graphs.induced_matrix(aut, basis).trace())
 
     def test_hopf_trace_counts_swapped_components(self):
         act = two_cages_and_a_loop()
-        assert graphs.homology_trace(graphs.identity_aut(act.graph)) == 3
-        assert graphs.homology_trace(act.maps["s"]) == 1
+        assert oracle_homology_trace(graphs.identity_aut(act.graph)) == 3
+        assert oracle_homology_trace(act.maps["s"]) == 1
 
 
 class TestCollapse:
@@ -216,18 +218,18 @@ class TestCollapse:
 class TestSimpleLoops:
     def test_cage_counts(self):
         for n in (2, 3, 4, 5):
-            loops = graphs.simple_loops(graphs.cage(n))
+            loops = simple_loops(graphs.cage(n))
             assert len(loops) == math.comb(n, 2)
             assert all(len(l) == 2 for l in loops)
 
     def test_rose_counts(self):
-        loops = graphs.simple_loops(graphs.rose(4))
+        loops = simple_loops(graphs.rose(4))
         assert len(loops) == 4
         assert all(len(l) == 1 for l in loops)
 
     def test_daisy_chain_counts(self):
         for k in (2, 3, 4):
-            loops = graphs.simple_loops(graphs.daisy_chain(k))
+            loops = simple_loops(graphs.daisy_chain(k))
             short = [l for l in loops if len(l) == 2]
             long = [l for l in loops if len(l) == k]
             if k == 2:
@@ -244,20 +246,13 @@ class TestSimpleLoops:
             g = random_multigraph(rng)
             if len(g.edges) > 10:
                 continue
-            mine = {l.edge_set for l in graphs.simple_loops(g)}
+            mine = {l.edge_set for l in simple_loops(g)}
             assert mine == set(oracle_simple_cycles(g))
-
-    def test_edge_cap(self, monkeypatch):
-        monkeypatch.setenv("OUTFN_MAX_EDGES", "4")
-        with pytest.raises(ValueError):
-            graphs.simple_loops(graphs.cage(5))
-        monkeypatch.delenv("OUTFN_MAX_EDGES")
-        assert graphs.simple_loops(graphs.cage(5))
 
     def test_loop_vectors_are_cycles(self):
         g = graphs.daisy_chain(3)
         inc = g.incidence_matrix()
-        for l in graphs.simple_loops(g):
+        for l in simple_loops(g):
             assert all(x == 0 for x in inc.apply(l.edge_vector(g)))
 
 
@@ -377,7 +372,7 @@ class TestFlipsAndDoubleTree:
         # every doubled-edge loop is flipped, the long strand loops are
         # exchanged instead, so the global answer is negative
         p = graphs.signed_edge_matrix(sw)
-        for l in graphs.simple_loops(g):
+        for l in simple_loops(g):
             v = l.edge_vector(g)
             flipped = p.apply(v) == [-Fraction(x) for x in v]
             assert flipped == (len(l) == 2)
@@ -516,6 +511,102 @@ class TestCageMultiplicity:
         act = actions.trivial_action(graphs.cage(1), perfect=True, group_name="1")
         out = graphs.cage_trivial_multiplicity_check(act)
         assert out == {"orbit_count": 1, "trivial_multiplicity": 0, "ok": True}
+
+
+def random_action(rng, graph):
+    """One to three random generators, no relations: signed petal
+    permutations on a rose, edge permutations with an optional vertex
+    swap (reversing every edge) on a cage."""
+    edges = list(graph.edges)
+    maps = {}
+    for i in range(rng.randint(1, 3)):
+        images = rng.sample(edges, len(edges))
+        emap = dict(zip(edges, images))
+        vmap = {v: v for v in graph.vertices}
+        if len(graph.vertices) == 1:
+            flips = {e: rng.random() < 0.3 for e in edges}
+        else:
+            swap = rng.random() < 0.5
+            if swap:
+                u, w = graph.vertices
+                vmap = {u: w, w: u}
+            flips = {e: swap for e in edges}
+        maps[f"g{i}"] = graphs.GraphAut(graph, vmap, emap, flips)
+    desc = symreps.GroupDescriptor("R", tuple(maps), ())
+    return graphs.GraphAction(graph, desc, maps)
+
+
+def random_actions():
+    rng = random.Random(6113)
+    return [random_action(rng, build(k))
+            for build, sizes in ((graphs.rose, range(1, 5)), (graphs.cage, range(2, 6)))
+            for k in sizes for _ in range(5)]
+
+
+def one_edge_cage():
+    return actions.trivial_action(graphs.cage(1), perfect=True, group_name="1")
+
+
+def single_petal_flip():
+    g = graphs.rose(1)
+    desc = symreps.GroupDescriptor("Z2", ("f",), (("f", "f"),))
+    return graphs.GraphAction(g, desc, {"f": actions.petal_flip_involution(g)})
+
+
+class TestGeneratorMultiplicity:
+    """Multiplicities and orientations from the generators, against the
+    trace average and the element scan over the enumerated group."""
+
+    def _all(self):
+        return (stock_actions() + [two_cages_and_a_loop(), one_edge_cage(),
+                                   single_petal_flip()] + random_actions())
+
+    def test_multiplicity_matches_trace_average(self):
+        values = set()
+        for act in self._all():
+            got = graphs.trivial_multiplicity(act)
+            assert got == oracle_trivial_multiplicity(act)
+            values.add(got)
+        assert {0, 1, 2} <= values
+
+    def test_orientation_matches_element_scan(self):
+        obstructed = set()
+        for act in self._all():
+            if len(act.graph.vertices) != 1:
+                continue
+            res = graphs.invariant_orientation(act)
+            obstruction = oracle_orientation_obstruction(act)
+            assert res["obstruction_edge"] == obstruction
+            assert res["trivial_multiplicity"] == oracle_trivial_multiplicity(act)
+            orbits = act.edge_orbits()
+            assert res["orbit_count"] == len(orbits)
+            assert res["counts_match"] == (
+                obstruction is None and len(orbits) == res["trivial_multiplicity"])
+            obstructed.add(obstruction is not None)
+            if obstruction is not None:
+                assert res["orientation"] is None
+                continue
+            orientation = res["orientation"]
+            assert set(orientation) == set(act.graph.edges)
+            assert all(orientation[orbit[0]] == 1 for orbit in orbits)
+            for aut in act.maps.values():
+                for e in act.graph.edges:
+                    assert (orientation[aut.emap[e]]
+                            == orientation[e] * (-1 if aut.flip(e) else 1))
+        assert obstructed == {True, False}
+
+    def test_no_group_enumeration(self, monkeypatch):
+        def refuse(self, cap=200000):
+            raise AssertionError("the group was enumerated")
+
+        monkeypatch.setattr(graphs.GraphAction, "elements", refuse)
+        res = graphs.invariant_orientation(actions.alternating_rose(12))
+        assert res["orbit_count"] == res["trivial_multiplicity"] == 1
+        assert res["counts_match"]
+        res = graphs.invariant_orientation(actions.signed_rose(6))
+        assert res["obstruction_edge"] == "p1"
+        assert graphs.trivial_multiplicity(actions.cage_full(7)) == 0
+        assert graphs.trivial_multiplicity(actions.alternating_doubled_cage(6)) == 1
 
 
 class TestSignedRose:
