@@ -13,7 +13,6 @@ from __future__ import annotations
 from . import graphs
 from . import symreps
 from .graphs import Graph, GraphAction, GraphAut
-from .symreps import GroupDescriptor
 
 
 def _adjacent_swap(i: int, k: int) -> dict:
@@ -103,18 +102,9 @@ def alternating_doubled_cage(k: int) -> GraphAction:
     return GraphAction(g, symreps.alternating_group(k), maps)
 
 
-def trivial_action(graph: Graph, perfect: bool = False,
-                   group_name: str | None = None) -> GraphAction:
-    """The one-element group acting on anything.
-
-    The perfect flag lets the trivial action of a perfect group (every
-    generator acting as the identity) be represented faithfully for the
-    cage multiplicity check.
-    """
-    desc = symreps.trivial_group()
-    if group_name is not None:
-        desc = GroupDescriptor(group_name, (), (), perfect=perfect)
-    return GraphAction(graph, desc, {})
+def trivial_action(graph: Graph) -> GraphAction:
+    """The one-element group acting on anything."""
+    return GraphAction(graph, symreps.trivial_group(), {})
 
 
 def trivial_alternating_action(graph: Graph, k: int) -> GraphAction:

@@ -36,7 +36,6 @@ class GroupDescriptor:
     name: str
     generators: tuple
     relations: tuple  # tuples of generator names; each must equal 1
-    perfect: bool = False
 
     def __post_init__(self):
         known = set(self.generators)
@@ -51,7 +50,6 @@ class GroupDescriptor:
             "name": self.name,
             "generators": list(self.generators),
             "relations": [list(r) for r in self.relations],
-            "perfect": self.perfect,
         }
 
     @classmethod
@@ -60,7 +58,6 @@ class GroupDescriptor:
             name=obj["name"],
             generators=tuple(obj["generators"]),
             relations=tuple(tuple(r) for r in obj.get("relations", [])),
-            perfect=bool(obj.get("perfect", False)),
         )
 
 
@@ -98,7 +95,7 @@ def alternating_group(k: int) -> GroupDescriptor:
         rels.append((g, g, g))
     for a, b in itertools.combinations(gens, 2):
         rels.append((a, b) * 2)
-    return GroupDescriptor(f"A{k}", gens, tuple(rels), perfect=(k >= 5))
+    return GroupDescriptor(f"A{k}", gens, tuple(rels))
 
 
 def three_cycle(i: int, k: int) -> tuple:

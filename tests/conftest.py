@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from outfn import linalg, symreps
+from outfn import graphs, linalg, symreps
 
 
 def oracle_simple_cycles(g):
@@ -141,9 +141,69 @@ def oracle_homology_trace(aut) -> int:
     return edges - vertices + components
 
 
+def _aut_key(aut):
+    g = aut.graph
+    return (tuple(aut.vmap[v] for v in g.vertices),
+            tuple(aut.emap[e] for e in g.edges),
+            tuple(aut.flip(e) for e in g.edges))
+
+
+def _aut_inverse(aut):
+    g = aut.graph
+    return graphs.GraphAut(g, {w: v for v, w in aut.vmap.items()},
+                           {f: e for e, f in aut.emap.items()},
+                           {aut.emap[e]: aut.flip(e) for e in g.edges})
+
+
+def oracle_elements(action) -> list:
+    """Every element of the generated group, as graph automorphisms, by
+    closing the identity under left multiplication by the generators."""
+    ident = graphs.identity_aut(action.graph)
+    found = {_aut_key(ident): ident}
+    frontier = [ident]
+    gens = [action.maps[name] for name in action.group.generators]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = g * cur
+            k = _aut_key(nxt)
+            if k not in found:
+                found[k] = nxt
+                frontier.append(nxt)
+    return list(found.values())
+
+
+def oracle_is_perfect(action) -> bool:
+    """Is the enumerated group its own commutator subgroup?
+
+    The commutator subgroup is the normal closure of the commutators of
+    the generators.  The closure is grown from the identity by right
+    multiplication with those commutators and conjugation by the
+    generators, and stops once it has every element.
+    """
+    elements = oracle_elements(action)
+    gens = [action.maps[name] for name in action.group.generators]
+    inverses = [_aut_inverse(g) for g in gens]
+    commutators = [gens[i] * gens[j] * inverses[i] * inverses[j]
+                   for i in range(len(gens)) for j in range(i)]
+    ident = graphs.identity_aut(action.graph)
+    found = {_aut_key(ident)}
+    frontier = [ident]
+    while frontier and len(found) < len(elements):
+        cur = frontier.pop()
+        images = [cur * c for c in commutators]
+        images += [g * cur * gi for g, gi in zip(gens, inverses)]
+        for nxt in images:
+            k = _aut_key(nxt)
+            if k not in found:
+                found.add(k)
+                frontier.append(nxt)
+    return len(found) == len(elements)
+
+
 def oracle_trivial_multiplicity(action) -> int:
     """The homology trace averaged over the enumerated group."""
-    elements = action.elements()
+    elements = oracle_elements(action)
     value, rest = divmod(sum(map(oracle_homology_trace, elements)), len(elements))
     assert rest == 0 and value >= 0
     return value
@@ -152,7 +212,7 @@ def oracle_trivial_multiplicity(action) -> int:
 def oracle_orientation_obstruction(action):
     """The first edge, in graph order, that some enumerated element fixes
     and reverses; None when no element does."""
-    reversed_edges = {e for aut in action.elements() for e in action.graph.edges
+    reversed_edges = {e for aut in oracle_elements(action) for e in action.graph.edges
                       if aut.emap[e] == e and aut.flip(e)}
     return next((e for e in action.graph.edges if e in reversed_edges), None)
 

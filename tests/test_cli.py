@@ -209,6 +209,24 @@ class TestGraph:
         assert run(["graph", "cage-lemma", "--builtin", "cage:5",
                     "--group", "A5"]) == 0
 
+    @pytest.mark.parametrize("builtin, group, orbits, multiplicity", [
+        ("cage:12", "A12", 1, 0),     # far beyond enumerating the group
+        ("cage:5", "trivial", 5, 4),  # the trivial group is perfect
+    ])
+    def test_cage_lemma_on_perfect_images(self, tmp_path, builtin, group,
+                                          orbits, multiplicity):
+        out = tmp_path / "c.json"
+        assert run(["graph", "cage-lemma", "--builtin", builtin, "--group", group,
+                    "--json", str(out)]) == 0
+        assert load_report(out)["checks"][0]["details"] == {
+            "orbit_count": orbits, "trivial_multiplicity": multiplicity, "ok": True}
+
+    def test_cage_lemma_on_a_large_imperfect_image(self, capsys):
+        # S9 has 362880 elements and commutator subgroup A9
+        assert run(["graph", "cage-lemma", "--builtin", "cage:9",
+                    "--group", "S9"]) == 2
+        assert capsys.readouterr().err == "error: the acting image is not perfect\n"
+
     def test_rose_lemma_without_invariant_orientation_skips(self, tmp_path):
         # flipping every petal fixes p1 and reverses it, so the lemma's
         # hypothesis fails: both checks are skipped, and the run passes
@@ -410,6 +428,15 @@ class TestFailureBoundary:
         assert run(["decompose", "--rep", write_json(tmp_path, rep, "rep.json")]) == 2
         assert capsys.readouterr().err == (
             "error: rep fails 2 defining relation(s): [('e1',), ('s2',)]\n")
+
+    def test_flip_of_an_unknown_edge(self, tmp_path, capsys):
+        g = graphs.rose(2)
+        identity = graphs.identity_aut(g).to_json()
+        obj = {"graph": g.to_json(),
+               "group": {"name": "Z2", "generators": ["f"], "relations": [["f", "f"]]},
+               "maps": {"f": {**identity, "flips": {"P1": True}}}}
+        path = write_json(tmp_path, obj)
+        assert_usage_error(run(["graph", "rose-lemma", "--file", path]), capsys)
 
     def test_graph_file_holding_a_list(self, tmp_path, capsys):
         path = write_json(tmp_path, [1, 2])

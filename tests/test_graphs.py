@@ -1,6 +1,5 @@
 """Graphs, homology, simple loops, admissibility, flips, double trees."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -8,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_homology_trace, oracle_min_loop,
-                      oracle_orientation_obstruction, oracle_simple_cycles,
-                      oracle_trivial_multiplicity, simple_loops)
+from conftest import (oracle_elements, oracle_homology_trace, oracle_is_perfect,
+                      oracle_min_loop, oracle_orientation_obstruction,
+                      oracle_simple_cycles, oracle_trivial_multiplicity,
+                      simple_loops)
 from outfn import actions, graphs, symreps
 from outfn.linalg import Matrix
 
@@ -169,7 +169,7 @@ class TestInducedAction:
     def test_hopf_trace_matches_induced_matrix(self):
         for act in stock_actions() + [two_cages_and_a_loop()]:
             basis = graphs.h1_basis(act.graph)
-            for aut in act.elements():
+            for aut in oracle_elements(act):
                 assert (oracle_homology_trace(aut)
                         == graphs.induced_matrix(aut, basis).trace())
 
@@ -382,7 +382,7 @@ class TestFlipsAndDoubleTree:
         xis = []
         for act in (actions.cage_full(4), actions.signed_rose(3),
                     actions.symmetric_cage(4)):
-            xis += [(act.graph, a) for a in act.elements() if (a * a).is_identity()]
+            xis += [(act.graph, a) for a in oracle_elements(act) if (a * a).is_identity()]
         for k in range(1, 6):
             xis.append((graphs.cage(k), actions.vertex_swap(graphs.cage(k))))
             xis.append((graphs.rose(k), actions.petal_flip_involution(graphs.rose(k))))
@@ -430,8 +430,20 @@ class TestFlipsAndDoubleTree:
 
     def test_precondition_enforced(self):
         g = graphs.rose(2)
-        with pytest.raises(ValueError):
-            graphs.double_tree_decomposition(g, graphs.identity_aut(g))
+        assert graphs.double_tree_decomposition(g, graphs.identity_aut(g)) is None
+
+    def test_flip_check_comes_first(self):
+        # two components: the strand swap exchanges the petals at each
+        # vertex, which flips no loop, so there is nothing to decompose;
+        # flipping every petal flips every loop, but the graph is
+        # disconnected
+        g = graphs.make_graph(["u", "x"], [("d1a", "u", "u"), ("d1b", "u", "u"),
+                                           ("d2a", "x", "x"), ("d2b", "x", "x")])
+        assert graphs.double_tree_decomposition(g, actions.strand_swap(g)) is None
+        flip = graphs.GraphAut(g, {v: v for v in g.vertices},
+                               {e: e for e in g.edges}, {e: True for e in g.edges})
+        with pytest.raises(ValueError, match="connected"):
+            graphs.double_tree_decomposition(g, flip)
 
     def test_pointwise_fixed_edge(self):
         # a tripod whose two outer edges are exchanged and whose third
@@ -499,16 +511,17 @@ class TestCageMultiplicity:
     def test_false_perfect_claim_rejected(self):
         # S4 has commutator subgroup A4; Z2 is abelian
         s4 = actions.symmetric_cage(4)
-        s4.group = dataclasses.replace(s4.group, perfect=True)
         g = graphs.cage(3)
-        desc = symreps.GroupDescriptor("Z2", ("d",), (("d", "d"),), perfect=True)
+        desc = symreps.GroupDescriptor("Z2", ("d",), (("d", "d"),))
         z2 = graphs.GraphAction(g, desc, {"d": actions.vertex_swap(g)})
         for act in (s4, z2):
-            with pytest.raises(ValueError):
+            assert not oracle_is_perfect(act)
+            with pytest.raises(ValueError, match="not perfect"):
                 graphs.cage_trivial_multiplicity_check(act)
 
     def test_one_edge_cage(self):
-        act = actions.trivial_action(graphs.cage(1), perfect=True, group_name="1")
+        act = actions.trivial_action(graphs.cage(1))
+        assert oracle_is_perfect(act)
         out = graphs.cage_trivial_multiplicity_check(act)
         assert out == {"orbit_count": 1, "trivial_multiplicity": 0, "ok": True}
 
@@ -544,7 +557,7 @@ def random_actions():
 
 
 def one_edge_cage():
-    return actions.trivial_action(graphs.cage(1), perfect=True, group_name="1")
+    return actions.trivial_action(graphs.cage(1))
 
 
 def single_petal_flip():
@@ -595,11 +608,7 @@ class TestGeneratorMultiplicity:
                             == orientation[e] * (-1 if aut.flip(e) else 1))
         assert obstructed == {True, False}
 
-    def test_no_group_enumeration(self, monkeypatch):
-        def refuse(self, cap=200000):
-            raise AssertionError("the group was enumerated")
-
-        monkeypatch.setattr(graphs.GraphAction, "elements", refuse)
+    def test_no_group_enumeration(self):
         res = graphs.invariant_orientation(actions.alternating_rose(12))
         assert res["orbit_count"] == res["trivial_multiplicity"] == 1
         assert res["counts_match"]
@@ -607,6 +616,58 @@ class TestGeneratorMultiplicity:
         assert res["obstruction_edge"] == "p1"
         assert graphs.trivial_multiplicity(actions.cage_full(7)) == 0
         assert graphs.trivial_multiplicity(actions.alternating_doubled_cage(6)) == 1
+        out = graphs.cage_trivial_multiplicity_check(actions.alternating_cage(12))
+        assert out == {"orbit_count": 1, "trivial_multiplicity": 0, "ok": True}
+
+
+def two_three_cycles():
+    """A5 on the 5-cage generated by (1 2 3) and (3 4 5) alone; the
+    conjugates of their commutator by (1 2 3) generate a proper subgroup."""
+    g = graphs.cage(5)
+
+    def cycle(i, j, k):
+        emap = {e: e for e in g.edges}
+        emap.update({f"c{i}": f"c{j}", f"c{j}": f"c{k}", f"c{k}": f"c{i}"})
+        return graphs.GraphAut(g, {v: v for v in g.vertices}, emap, {})
+
+    desc = symreps.GroupDescriptor("A5", ("a", "b"), ())
+    return graphs.GraphAction(g, desc, {"a": cycle(1, 2, 3), "b": cycle(3, 4, 5)})
+
+
+def perfectness_actions():
+    """A5/A6 on cages, the doubled cage, A5 acting trivially, S4, S5 on
+    a rose, G4, B5, W3, the one-edge cage and A5 from two generators."""
+    return [actions.alternating_cage(5), actions.alternating_cage(6),
+            actions.alternating_doubled_cage(5),
+            actions.trivial_alternating_action(graphs.cage(3), 5),
+            actions.symmetric_cage(4), actions.symmetric_rose(5),
+            actions.cage_full(5), actions.cage_central_alternating(6),
+            actions.signed_rose(3), one_edge_cage(), two_three_cycles()]
+
+
+class TestPerfectness:
+    """The stabiliser-chain perfectness check against the commutator
+    closure over the enumerated group."""
+
+    def test_matches_commutator_closure(self):
+        verdicts = []
+        for act in perfectness_actions() + random_actions():
+            got = graphs.is_perfect(act)
+            assert got == oracle_is_perfect(act)
+            verdicts.append(got)
+        assert verdicts[:11] == [True, True, True, True, False, False,
+                                 False, False, False, True, True]
+        assert set(verdicts[11:]) == {True, False}
+
+    def test_chain_holds_the_group(self):
+        for act in perfectness_actions() + random_actions():
+            chain = graphs._closure(
+                [graphs._points(act.maps[name]) for name in act.group.generators], [])
+            elements = oracle_elements(act)
+            assert math.prod(len(back) for _, _, back in chain) == len(elements)
+            for aut in elements:
+                residue, _ = graphs._sift(chain, graphs._points(aut))
+                assert residue == tuple(range(len(residue)))
 
 
 class TestSignedRose:
