@@ -15,74 +15,58 @@ from . import symreps
 from .graphs import Graph, GraphAction, GraphAut
 
 
-def _adjacent_swap(i: int, k: int) -> dict:
-    out = {m: m for m in range(1, k + 1)}
-    out[i], out[i + 1] = i + 1, i
-    return out
+def _index_aut(graph: Graph, perm) -> GraphAut:
+    """Move the m-th edge in graph order onto the perm[m]-th, both counted
+    from 1 as in one-line form, fixing every vertex."""
+    edges = graph.edges
+    return GraphAut(graph, {v: v for v in graph.vertices},
+                    {e: edges[perm[m] - 1] for m, e in enumerate(edges)}, {})
 
 
-def _perm_aut(graph: Graph, labels, perm, vmap=None, flip_all=False) -> GraphAut:
-    """Lift an index permutation to the listed edges.
-
-    ``labels[m]`` is the edge carrying index m; indices missing from the
-    permutation are fixed.
-    """
-    emap = {e: e for e in graph.edges}
-    for m, target in perm.items():
-        emap[labels[m]] = labels[target]
-    vmap = vmap or {v: v for v in graph.vertices}
-    flips = {e: True for e in graph.edges} if flip_all else {}
-    return GraphAut(graph, vmap, emap, flips)
+def _swaps(graph: Graph) -> dict:
+    """The adjacent transpositions s1..s(|E|-1) of the edges in graph order."""
+    maps = {}
+    for i in range(1, len(graph.edges)):
+        perm = list(range(1, len(graph.edges) + 1))
+        perm[i - 1], perm[i] = i + 1, i
+        maps[f"s{i}"] = _index_aut(graph, perm)
+    return maps
 
 
-def _index_labels(prefix: str, k: int) -> dict:
-    return {m: f"{prefix}{m}" for m in range(1, k + 1)}
+def _alternating(graph: Graph, k: int) -> dict:
+    """The 3-cycles t3..tk, t_i = (1 2 i), acting alike on each
+    consecutive block of k edges."""
+    blocks = range(0, len(graph.edges), k)
+    return {f"t{i}": _index_aut(graph, [b + m for b in blocks
+                                        for m in symreps.three_cycle(i, k)])
+            for i in range(3, k + 1)}
 
 
 def symmetric_rose(k: int) -> GraphAction:
     g = graphs.rose(k)
-    labels = _index_labels("p", k)
-    maps = {f"s{i}": _perm_aut(g, labels, _adjacent_swap(i, k))
-            for i in range(1, k)}
-    return GraphAction(g, symreps.symmetric_group(k), maps)
+    return GraphAction(g, symreps.symmetric_group(k), _swaps(g))
 
 
 def alternating_rose(k: int) -> GraphAction:
     g = graphs.rose(k)
-    labels = _index_labels("p", k)
-    maps = {}
-    for i in range(3, k + 1):
-        perm = {m: v for m, v in enumerate(symreps.three_cycle(i, k), start=1)}
-        maps[f"t{i}"] = _perm_aut(g, labels, perm)
-    return GraphAction(g, symreps.alternating_group(k), maps)
+    return GraphAction(g, symreps.alternating_group(k), _alternating(g, k))
 
 
 def signed_rose(n: int) -> GraphAction:
     """The full symmetry group of the rose: permutations plus petal flips."""
     g = graphs.rose(n)
-    labels = _index_labels("p", n)
-    maps = {f"s{i}": _perm_aut(g, labels, _adjacent_swap(i, n))
-            for i in range(1, n)}
-    maps["e1"] = GraphAut(g, {"v": "v"}, {e: e for e in g.edges}, {"p1": True})
-    return GraphAction(g, symreps.signed_permutation_group(n), maps)
+    e1 = GraphAut(g, {"v": "v"}, {e: e for e in g.edges}, {"p1": True})
+    return GraphAction(g, symreps.signed_permutation_group(n), {**_swaps(g), "e1": e1})
 
 
 def symmetric_cage(k: int) -> GraphAction:
     g = graphs.cage(k)
-    labels = _index_labels("c", k)
-    maps = {f"s{i}": _perm_aut(g, labels, _adjacent_swap(i, k))
-            for i in range(1, k)}
-    return GraphAction(g, symreps.symmetric_group(k), maps)
+    return GraphAction(g, symreps.symmetric_group(k), _swaps(g))
 
 
 def alternating_cage(k: int) -> GraphAction:
     g = graphs.cage(k)
-    labels = _index_labels("c", k)
-    maps = {}
-    for i in range(3, k + 1):
-        perm = {m: v for m, v in enumerate(symreps.three_cycle(i, k), start=1)}
-        maps[f"t{i}"] = _perm_aut(g, labels, perm)
-    return GraphAction(g, symreps.alternating_group(k), maps)
+    return GraphAction(g, symreps.alternating_group(k), _alternating(g, k))
 
 
 def alternating_doubled_cage(k: int) -> GraphAction:
@@ -92,14 +76,7 @@ def alternating_doubled_cage(k: int) -> GraphAction:
     checks with several orbits.
     """
     g = graphs.cage(2 * k)
-    labels = _index_labels("c", 2 * k)
-    maps = {}
-    for i in range(3, k + 1):
-        cyc = symreps.three_cycle(i, k)
-        perm = {m: cyc[m - 1] for m in range(1, k + 1)}
-        perm.update({k + m: k + cyc[m - 1] for m in range(1, k + 1)})
-        maps[f"t{i}"] = _perm_aut(g, labels, perm)
-    return GraphAction(g, symreps.alternating_group(k), maps)
+    return GraphAction(g, symreps.alternating_group(k), _alternating(g, k))
 
 
 def trivial_action(graph: Graph) -> GraphAction:
@@ -127,20 +104,16 @@ def vertex_swap(g: Graph) -> GraphAut:
 def cage_full(k: int) -> GraphAction:
     """The full symmetry group of the k-cage: edge permutations and the
     central vertex swap reversing every edge."""
-    base = symmetric_cage(k)
-    maps = dict(base.maps)
-    maps["delta"] = vertex_swap(base.graph)
-    return GraphAction(base.graph, symreps.cage_group(k), maps)
+    g = graphs.cage(k)
+    return GraphAction(g, symreps.cage_group(k), {**_swaps(g), "delta": vertex_swap(g)})
 
 
 def cage_central_alternating(k: int) -> GraphAction:
     """Alternating edge permutations of the k-cage together with the
     central vertex swap; the direct product A_k x Z_2."""
-    base = alternating_cage(k)
-    maps = dict(base.maps)
-    maps["xi"] = vertex_swap(base.graph)
+    g = graphs.cage(k)
     desc = symreps.with_central_involution(symreps.alternating_group(k))
-    return GraphAction(base.graph, desc, maps)
+    return GraphAction(g, desc, {**_alternating(g, k), "xi": vertex_swap(g)})
 
 
 def petal_flip_involution(g: Graph) -> GraphAut:
@@ -175,9 +148,7 @@ def parity_involution(n: int) -> "GraphAut":
     swap = vertex_swap(g)
     if n % 2 == 0:
         return swap
-    labels = _index_labels("c", n + 1)
-    trans = _perm_aut(g, labels, _adjacent_swap(1, n + 1))
-    return swap * trans
+    return swap * _index_aut(g, [2, 1, *range(3, n + 2)])
 
 
 def branching_check(n: int) -> dict:

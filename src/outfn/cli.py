@@ -351,11 +351,11 @@ def cmd_graph(args) -> int:
 
     elif sub == "collapse":
         g = _graph_from_args(args)
-        subset = [e for e in (args.edges or "").split(",") if e]
-        known = set(map(str, g.edges))
-        if not set(subset) <= known:
-            raise UsageError(f"unknown edges {sorted(set(subset) - known)}")
-        res = graphs.collapse(g, subset)
+        names = [e for e in (args.edges or "").split(",") if e]
+        ids = {str(e): e for e in g.edges}
+        if not set(names) <= set(ids):
+            raise UsageError(f"unknown edges {sorted(set(names) - set(ids))}")
+        res = graphs.collapse(g, [ids[name] for name in names])
         checks.append(check(
             "homology map is onto", res.cycle_map.rank() == res.quotient_basis.dim,
             {"source_dim": res.source_basis.dim,

@@ -379,25 +379,16 @@ class GraphAction:
         return not self.failed_relations()
 
     def edge_orbits(self) -> list:
-        """Orbits of edges, each sorted, ordered by smallest member."""
-        gens = [self.maps[name] for name in self.group.generators]
-        seen = set()
-        orbits = []
+        """Orbits of edges, each sorted by ``str``, in the graph order of
+        their first edges."""
+        find, union = _union_find(self.graph.edges)
+        for name in self.group.generators:
+            for e, f in self.maps[name].emap.items():
+                union(e, f)
+        orbits: dict = {}
         for e in self.graph.edges:
-            if e in seen:
-                continue
-            orbit = {e}
-            frontier = [e]
-            while frontier:
-                cur = frontier.pop()
-                for g in gens:
-                    nxt = g.emap[cur]
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
-            seen |= orbit
-            orbits.append(sorted(orbit, key=str))
-        return orbits
+            orbits.setdefault(find(e), []).append(e)
+        return [sorted(orbit, key=str) for orbit in orbits.values()]
 
     def to_json(self):
         return {
@@ -475,9 +466,9 @@ def induced_matrix(aut: GraphAut, basis: CycleBasis) -> Matrix:
     return coords
 
 
-def induced_rep(action: GraphAction, basis: CycleBasis | None = None) -> FiniteRep:
+def induced_rep(action: GraphAction) -> FiniteRep:
     """Package the homology action of every generator as a matrix rep."""
-    basis = basis or h1_basis(action.graph)
+    basis = h1_basis(action.graph)
     gens = {name: induced_matrix(aut, basis) for name, aut in action.maps.items()}
     return FiniteRep(action.group, basis.dim, gens)
 
@@ -505,7 +496,6 @@ def trivial_multiplicity(action: GraphAction) -> int:
 @dataclass
 class CollapseResult:
     quotient: Graph
-    edge_projection: Matrix   # quotient edges x source edges, 0/1
     cycle_map: Matrix         # quotient cycle coords x source cycle coords
     source_basis: CycleBasis
     quotient_basis: CycleBasis
@@ -514,8 +504,10 @@ class CollapseResult:
 def collapse(graph: Graph, edge_subset) -> CollapseResult:
     """Collapse each component of the chosen subgraph to a point.
 
-    The induced map on cycle spaces forgets the collapsed coordinates;
-    it is surjective onto the quotient's cycle space, which is checked.
+    The induced map on cycle spaces forgets the collapsed coordinates:
+    column j of ``cycle_map`` holds the quotient coordinates of the
+    surviving rows of source cycle j.  The map is onto the quotient's
+    cycle space; deciding that is left to the caller.
     """
     chosen = set(edge_subset)
     unknown = chosen - set(graph.edges)
@@ -529,29 +521,14 @@ def collapse(graph: Graph, edge_subset) -> CollapseResult:
     recs = [(e, find(graph.iota(e)), find(graph.tau(e))) for e in survivors]
     quotient = make_graph(new_vertices, recs)
 
-    eindex = {e: i for i, e in enumerate(graph.edges)}
-    proj_rows = []
-    for e in survivors:
-        row = [0] * len(graph.edges)
-        row[eindex[e]] = 1
-        proj_rows.append(row)
-    projection = Matrix(proj_rows, cols=len(graph.edges))
-
     src = h1_basis(graph)
     dst = h1_basis(quotient)
-    if dst.dim == 0 or src.dim == 0:
-        cycle_map = Matrix.zeros(max(dst.dim, 1), max(src.dim, 1))
-        if dst.dim > 0 and src.dim == 0:
-            raise AssertionError("collapse cannot create new cycles")
-    else:
-        pushed = projection * src.matrix
-        coords = dst.matrix.solve(pushed)
-        if coords is None:
-            raise AssertionError("projected cycle is not balanced downstairs")
-        cycle_map = coords
-        if cycle_map.rank() != dst.dim:
-            raise AssertionError("collapse map failed to be onto in homology")
-    return CollapseResult(quotient, projection, cycle_map, src, dst)
+    eindex = {e: i for i, e in enumerate(graph.edges)}
+    pushed = Matrix([src.matrix.data[eindex[e]] for e in survivors], cols=src.dim)
+    cycle_map = dst.matrix.solve(pushed) if dst.dim else Matrix([], cols=src.dim)
+    if cycle_map is None:
+        raise AssertionError("projected cycle is not balanced downstairs")
+    return CollapseResult(quotient, cycle_map, src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +724,10 @@ def double_tree_decomposition(graph: Graph, xi: GraphAut) -> DoubleTree | None:
     None when xi does not flip every simple loop; otherwise the graph
     must be connected and have an edge.  The complement of the fixed set
     falls apart into components paired off by xi; one component per
-    pair, together with the fixed set, forms a tree D with D union xi.D
-    the whole graph and D intersect xi.D the fixed set.
+    pair, together with the fixed set, forms D.  The lemma says D and
+    xi.D are trees, D union xi.D is the whole graph and D intersect xi.D
+    is the fixed set; ``DoubleTree.conclusions`` tests these four claims,
+    and deciding them is left to the caller.
     """
     if not flips_all_simple_loops(graph, xi):
         return None
@@ -798,12 +777,8 @@ def double_tree_decomposition(graph: Graph, xi: GraphAut) -> DoubleTree | None:
     for e in d_edges:
         d_vertices.update(sub.ends[e])
     # fixed vertices incident only to mirrored components still belong to D
-    result = DoubleTree(sub, lifted, frozenset(d_vertices), frozenset(d_edges),
-                        f_vertices, f_edges)
-    conclusions = result.conclusions()
-    if not all(conclusions.values()):
-        raise AssertionError(f"double-tree conclusions failed: {conclusions}")
-    return result
+    return DoubleTree(sub, lifted, frozenset(d_vertices), frozenset(d_edges),
+                      f_vertices, f_edges)
 
 
 # ---------------------------------------------------------------------------

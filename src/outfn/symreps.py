@@ -138,21 +138,19 @@ def cage_group(k: int) -> GroupDescriptor:
     return GroupDescriptor(f"G{k-1}", gens, tuple(rels))
 
 
-def with_central_involution(base: GroupDescriptor, name: str = "xi",
-                            generator_orders: dict | None = None) -> GroupDescriptor:
-    """Extend a descriptor by a central involution.
+def with_central_involution(base: GroupDescriptor) -> GroupDescriptor:
+    """Extend a descriptor by a central involution ``xi``.
 
     Commutation relations are spelled as positive words, which needs
-    the order of each base generator (default 3 for t-generators, 2
-    otherwise, matching the presets above).
+    the order of each base generator: 3 for t-generators, 2 otherwise,
+    matching the presets above.
     """
-    orders = generator_orders or {}
-    gens = base.generators + (name,)
-    rels = list(base.relations) + [(name, name)]
+    gens = base.generators + ("xi",)
+    rels = list(base.relations) + [("xi", "xi")]
     for g in base.generators:
-        o = orders.get(g, 3 if g.startswith("t") else 2)
+        o = 3 if g.startswith("t") else 2
         # xi g xi g^(o-1) = [xi, g] rewritten without inverses
-        rels.append((name, g, name) + (g,) * (o - 1))
+        rels.append(("xi", g, "xi") + (g,) * (o - 1))
     return GroupDescriptor(base.name + "x2", gens, tuple(rels))
 
 

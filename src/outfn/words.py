@@ -455,29 +455,18 @@ def gersten_relators(n: int):
             yield fam, f"i={i},j={j},k={k},l={l}", \
                 _comm(_tok("lam", i, j), _tok("rho", k, l))
 
-    fam = "rho commutator identities"
-    for i, j, k in itertools.permutations(idx, 3):
-        lab = f"i={i},j={j},k={k}"
-        r_ik = _tok("rho", i, k)
-        a, b = _tok("rho", i, j), _tok("rho", j, k)
-        c = _tok("lam", j, k)
-        yield fam, "inv-inv " + lab, [(a, -1), (b, -1), (a, 1), (b, 1), (r_ik, 1)]
-        yield fam, "mixed " + lab, _comm(a, c) + [(r_ik, 1)]
-        yield fam, "inv-plain " + lab, [(a, -1), (b, 1), (a, 1), (b, -1), (r_ik, -1)]
-        yield fam, "mixed-inv " + lab, \
-            [(a, 1), (c, -1), (a, -1), (c, 1), (r_ik, -1)]
-
-    fam = "lambda commutator identities"
-    for i, j, k in itertools.permutations(idx, 3):
-        lab = f"i={i},j={j},k={k}"
-        l_ik = _tok("lam", i, k)
-        a, b = _tok("lam", i, j), _tok("lam", j, k)
-        c = _tok("rho", j, k)
-        yield fam, "inv-inv " + lab, [(a, -1), (b, -1), (a, 1), (b, 1), (l_ik, 1)]
-        yield fam, "mixed " + lab, _comm(a, c) + [(l_ik, 1)]
-        yield fam, "inv-plain " + lab, [(a, -1), (b, 1), (a, 1), (b, -1), (l_ik, -1)]
-        yield fam, "mixed-inv " + lab, \
-            [(a, 1), (c, -1), (a, -1), (c, 1), (l_ik, -1)]
+    for fam, x, y in (("rho commutator identities", "rho", "lam"),
+                      ("lambda commutator identities", "lam", "rho")):
+        for i, j, k in itertools.permutations(idx, 3):
+            lab = f"i={i},j={j},k={k}"
+            x_ik = _tok(x, i, k)
+            a, b = _tok(x, i, j), _tok(x, j, k)
+            c = _tok(y, j, k)
+            yield fam, "inv-inv " + lab, [(a, -1), (b, -1), (a, 1), (b, 1), (x_ik, 1)]
+            yield fam, "mixed " + lab, _comm(a, c) + [(x_ik, 1)]
+            yield fam, "inv-plain " + lab, [(a, -1), (b, 1), (a, 1), (b, -1), (x_ik, -1)]
+            yield fam, "mixed-inv " + lab, \
+                [(a, 1), (c, -1), (a, -1), (c, 1), (x_ik, -1)]
 
     fam = "quarter turns"
     for i, j in itertools.permutations(idx, 2):

@@ -217,6 +217,99 @@ def oracle_orientation_obstruction(action):
     return next((e for e in action.graph.edges if e in reversed_edges), None)
 
 
+def oracle_edge_orbits(action) -> list:
+    """Edge orbits by breadth-first search from each edge not yet seen,
+    in graph order; each orbit sorted by ``str``."""
+    gens = [action.maps[name] for name in action.group.generators]
+    seen = set()
+    orbits = []
+    for e in action.graph.edges:
+        if e in seen:
+            continue
+        orbit = {e}
+        frontier = [e]
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                nxt = g.emap[cur]
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        seen |= orbit
+        orbits.append(sorted(orbit, key=str))
+    return orbits
+
+
+def _oracle_perm_aut(graph, prefix, perm):
+    """Edge ``prefix<m>`` goes to ``prefix<perm[m]>``; other edges and
+    every vertex are fixed."""
+    emap = {e: e for e in graph.edges}
+    for m, target in perm.items():
+        emap[f"{prefix}{m}"] = f"{prefix}{target}"
+    return graphs.GraphAut(graph, {v: v for v in graph.vertices}, emap, {})
+
+
+def _oracle_swaps(graph, prefix, k) -> dict:
+    maps = {}
+    for i in range(1, k):
+        perm = {m: m for m in range(1, k + 1)}
+        perm[i], perm[i + 1] = i + 1, i
+        maps[f"s{i}"] = _oracle_perm_aut(graph, prefix, perm)
+    return maps
+
+
+def _oracle_three_cycles(graph, prefix, k, blocks=1) -> dict:
+    """t_i = (1 2 i) for i = 3..k, on each of ``blocks`` runs of k edges."""
+    maps = {}
+    for i in range(3, k + 1):
+        perm = {}
+        for b in range(blocks):
+            perm.update({b * k + 1: b * k + 2, b * k + 2: b * k + i, b * k + i: b * k + 1})
+        maps[f"t{i}"] = _oracle_perm_aut(graph, prefix, perm)
+    return maps
+
+
+def _oracle_vertex_swap(graph):
+    return graphs.GraphAut(graph, {"u": "w", "w": "u"}, {e: e for e in graph.edges},
+                           {e: True for e in graph.edges})
+
+
+def oracle_builtin_action(name, letter, k):
+    """``(generators, maps)`` of the builtin action of the group with
+    the given letter (S, A, W, G, B) on ``rose:k`` or ``cage:k``, written
+    out from the petal and cage-edge indices."""
+    g = graphs.rose(k) if name == "rose" else graphs.cage(k)
+    prefix = "p" if name == "rose" else "c"
+    swaps, cycles = _oracle_swaps(g, prefix, k), _oracle_three_cycles(g, prefix, k)
+    if letter == "S":
+        return tuple(swaps), swaps
+    if letter == "A":
+        return tuple(cycles), cycles
+    if letter == "W":
+        e1 = graphs.GraphAut(g, {"v": "v"}, {e: e for e in g.edges}, {"p1": True})
+        return ("e1",) + tuple(swaps), {**swaps, "e1": e1}
+    if letter == "G":
+        return ("delta",) + tuple(swaps), {**swaps, "delta": _oracle_vertex_swap(g)}
+    assert letter == "B"
+    return tuple(cycles) + ("xi",), {**cycles, "xi": _oracle_vertex_swap(g)}
+
+
+def oracle_doubled_cage_maps(k) -> dict:
+    """A_k on the 2k-cage, the same 3-cycles on both halves."""
+    return _oracle_three_cycles(graphs.cage(2 * k), "c", k, blocks=2)
+
+
+def oracle_parity_involution(n):
+    """The vertex swap of the (n+1)-cage, after the swap of c1 and c2 at odd n."""
+    g = graphs.cage(n + 1)
+    if n % 2 == 0:
+        return _oracle_vertex_swap(g)
+    emap = {e: e for e in g.edges}
+    emap["c1"], emap["c2"] = "c2", "c1"
+    return _oracle_vertex_swap(g) * graphs.GraphAut(
+        g, {v: v for v in g.vertices}, emap, {})
+
+
 def perm_matrix(perm, n) -> linalg.Matrix:
     """Column j is the image basis vector of e_j under the permutation."""
     return linalg.Matrix(

@@ -256,6 +256,28 @@ class TestGraph:
         assert run(["graph", "collapse", "--builtin", "cage:3",
                     "--edges", "c1"]) == 0
 
+    def test_collapse_of_integer_edge_ids(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": [0, 1], "edges": [
+            {"id": 1, "iota": 0, "tau": 1}, {"id": 2, "iota": 0, "tau": 1},
+            {"id": 3, "iota": 1, "tau": 0}]}))
+        out = tmp_path / "c.json"
+        assert run(["graph", "collapse", "--file", str(path), "--edges", "1",
+                    "--json", str(out)]) == 0
+        details = load_report(out)["checks"][0]["details"]
+        assert (details["source_dim"], details["quotient_dim"]) == (2, 2)
+
+    def test_false_double_tree_conclusion_fails_its_check(self, tmp_path, monkeypatch):
+        real = graphs.DoubleTree.conclusions
+        monkeypatch.setattr(graphs.DoubleTree, "conclusions",
+                            lambda self: {**real(self), "d_is_tree": False})
+        out = tmp_path / "dt.json"
+        assert run(["graph", "double-tree", "--builtin", "cage:5",
+                    "--xi", "vertex-swap", "--json", str(out)]) == 1
+        status = {c["name"]: c["status"] for c in load_report(out)["checks"]}
+        assert status["d is tree"] == "fail"
+        assert status["mirror is tree"] == "pass"
+
     def test_unknown_builtin(self):
         assert run(["graph", "homology", "--builtin", "moose:3"]) == 2
 

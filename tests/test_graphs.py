@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_elements, oracle_homology_trace, oracle_is_perfect,
-                      oracle_min_loop, oracle_orientation_obstruction,
+from conftest import (oracle_builtin_action, oracle_doubled_cage_maps,
+                      oracle_edge_orbits, oracle_elements, oracle_homology_trace,
+                      oracle_is_perfect, oracle_min_loop,
+                      oracle_orientation_obstruction, oracle_parity_involution,
                       oracle_simple_cycles, oracle_trivial_multiplicity,
                       simple_loops)
-from outfn import actions, graphs, symreps
+from outfn import actions, cli, graphs, symreps
 from outfn.linalg import Matrix
 
 
@@ -213,6 +215,14 @@ class TestCollapse:
             subset = [e for e in g.edges if rng.random() < 0.4]
             res = graphs.collapse(g, subset)
             assert res.cycle_map.rank() == res.quotient_basis.dim
+
+
+    def test_cycle_map_is_quotient_by_source(self):
+        for g, edges, shape in ((graphs.cage(1), ["c1"], (0, 0)),
+                                (graphs.barbell(), ["lu", "lw", "b"], (0, 2))):
+            res = graphs.collapse(g, edges)
+            assert res.cycle_map.shape == shape
+            assert shape == (res.quotient_basis.dim, res.source_basis.dim)
 
 
 class TestSimpleLoops:
@@ -695,6 +705,69 @@ class TestSignedRose:
         g6 = graphs.cage(6)
         assert (xi5 * xi5).is_identity()
         assert not graphs.flips_all_simple_loops(g6, xi5)
+
+
+def relabelled(rng, action):
+    """The action on a copy of its graph with fresh vertex and edge names
+    and the edges listed in a shuffled order."""
+    g = action.graph
+
+    def fresh(prefix, items):
+        numbers = rng.sample(range(10, 1000), len(items))
+        return {x: f"{prefix}{m}" for x, m in zip(items, numbers)}
+
+    vname, ename = fresh("v", g.vertices), fresh("e", g.edges)
+    h = graphs.make_graph([vname[v] for v in g.vertices],
+                          [(ename[e], vname[g.iota(e)], vname[g.tau(e)])
+                           for e in rng.sample(g.edges, len(g.edges))])
+    maps = {name: graphs.GraphAut(h, {vname[v]: vname[w] for v, w in aut.vmap.items()},
+                                  {ename[e]: ename[f] for e, f in aut.emap.items()},
+                                  {ename[e]: f for e, f in aut.flips.items()})
+            for name, aut in action.maps.items()}
+    return graphs.GraphAction(h, action.group, maps)
+
+
+class TestEdgeOrbits:
+    def test_union_find_matches_breadth_first_search(self):
+        rng = random.Random(4242)
+        acts = stock_actions() + [two_cages_and_a_loop()]
+        acts += [relabelled(rng, act) for act in acts + random_actions()]
+        out_of_str_order = 0
+        for act in acts:
+            orbits = act.edge_orbits()
+            assert orbits == oracle_edge_orbits(act)
+            out_of_str_order += orbits != sorted(orbits, key=lambda o: str(o[0]))
+        # graph order, not the smallest member, orders the orbits
+        assert out_of_str_order > 0
+
+
+def _parts(aut):
+    return aut.vmap, aut.emap, aut.flips
+
+
+class TestBuiltinActions:
+    """The stock builders against the actions written out by index."""
+
+    def test_builtin_actions_match_the_oracle(self):
+        for k in range(3, 8):
+            for name, letter, size in (("rose", "S", k), ("rose", "A", k), ("rose", "W", k),
+                                       ("cage", "S", k), ("cage", "A", k),
+                                       ("cage", "G", k - 1), ("cage", "B", k - 1)):
+                act = cli._builtin_action(f"{name}:{k}", f"{letter}{size}")
+                gens, maps = oracle_builtin_action(name, letter, k)
+                assert act.group.generators == gens
+                assert list(act.maps) == list(maps)
+                assert all(_parts(act.maps[s]) == _parts(maps[s]) for s in gens)
+
+    def test_doubled_cage_and_parity_involution(self):
+        for k in range(3, 8):
+            maps = oracle_doubled_cage_maps(k)
+            act = actions.alternating_doubled_cage(k)
+            assert list(act.maps) == list(maps) == list(act.group.generators)
+            assert all(_parts(act.maps[s]) == _parts(maps[s]) for s in maps)
+        for n in range(0, 8):
+            got, want = actions.parity_involution(n), oracle_parity_involution(n)
+            assert _parts(got) == _parts(want)
 
 
 class TestActionSerialisation:
