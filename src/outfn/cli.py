@@ -82,8 +82,8 @@ def _load(path, what: str, build):
 
 def cmd_gersten(args) -> int:
     n = args.n
-    if not 3 <= n <= 8:
-        raise UsageError("presentation checks support 3 <= n <= 8")
+    if not 3 <= n <= 10:
+        raise UsageError("presentation checks support 3 <= n <= 10")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     rep = words.verify_gersten(n, jobs=args.jobs)

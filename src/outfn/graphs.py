@@ -72,7 +72,10 @@ class Graph:
             raise ValueError("duplicate vertex ids")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edge ids")
+        printed = {}
         for e in self.edges:
+            if printed.setdefault(str(e), e) != e:
+                raise ValueError(f"edge ids {printed[str(e)]!r} and {e!r} print alike")
             io, ta = self.ends[e]
             if io not in vset or ta not in vset:
                 raise ValueError(f"edge {e!r} has a missing endpoint")
@@ -429,12 +432,7 @@ class CycleBasis:
         return self.matrix.cols
 
     def coordinates(self, edge_vector) -> list:
-        col = Matrix.column_vector(edge_vector)
-        if self.dim == 0:
-            if not col.is_zero():
-                raise ValueError("vector is not in the cycle space")
-            return []
-        sol = self.matrix.solve(col)
+        sol = self.matrix.solve(Matrix.column_vector(edge_vector))
         if sol is None:
             raise ValueError("vector is not in the cycle space")
         return sol.col(0)
@@ -525,7 +523,7 @@ def collapse(graph: Graph, edge_subset) -> CollapseResult:
     dst = h1_basis(quotient)
     eindex = {e: i for i, e in enumerate(graph.edges)}
     pushed = Matrix([src.matrix.data[eindex[e]] for e in survivors], cols=src.dim)
-    cycle_map = dst.matrix.solve(pushed) if dst.dim else Matrix([], cols=src.dim)
+    cycle_map = dst.matrix.solve(pushed)
     if cycle_map is None:
         raise AssertionError("projected cycle is not balanced downstairs")
     return CollapseResult(quotient, cycle_map, src, dst)

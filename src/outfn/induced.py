@@ -21,9 +21,19 @@ being trivial.
 The relators and the certificate candidates are evaluated on the
 stored generator blocks, the matrices that ``to_json`` writes out: a
 token word's block is the product of its letters' blocks, and a
-relator u v passes when the blocks of u and v^-1 agree.  The block of
-an inverse letter is the transposed block permutation with each block
-inverted by ``Matrix.inverse``.
+relator u v passes when the blocks of u and v^-1 agree.
+
+Few distinct blocks occur, and the relator suite multiplies the same
+pairs over and over, so each representation interns its blocks: every
+distinct block is stored once under an integer id, keyed by its exact
+entries.  A word is then a tuple of ``(block row, block id)`` per
+block-column; the product of two blocks is computed by
+``Matrix.__mul__`` once per pair of ids and remembered, and so is the
+inverse of each block by ``Matrix.inverse``.  An inverse letter is the
+transposed block permutation of the inverted ids.  A relator u v passes
+when the id tuples of u and v^-1 are equal.  That comparison is exact:
+two blocks get the same id only when all their entries are equal, so
+equal id tuples are equal block matrices and unequal ones differ.
 
 Blocks are integer ``Matrix`` values.  The construction and the
 products divide nowhere; the inverses do, but the blocks are
@@ -120,28 +130,6 @@ class BlockMatrix:
         if sorted(rows) != list(range(self.size)):
             raise ValueError("block rows do not form a permutation")
 
-    @classmethod
-    def identity(cls, size: int, dim: int) -> "BlockMatrix":
-        ident = Matrix.identity(dim)
-        return cls(size, dim, tuple((c, ident) for c in range(size)))
-
-    def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
-        if (self.size, self.dim) != (other.size, other.dim):
-            raise ValueError("block shape mismatch")
-        cols = []
-        for c in range(self.size):
-            mid, q = other.columns[c]
-            r, p = self.columns[mid]
-            cols.append((r, p * q))
-        return BlockMatrix(self.size, self.dim, tuple(cols))
-
-    def inverse(self) -> "BlockMatrix":
-        """Transposed block permutation, each block inverted exactly."""
-        cols = [None] * self.size
-        for c, (r, g) in enumerate(self.columns):
-            cols[r] = (c, g.inverse())
-        return BlockMatrix(self.size, self.dim, tuple(cols))
-
     def is_identity(self) -> bool:
         return all(r == c and g.is_identity()
                    for c, (r, g) in enumerate(self.columns))
@@ -182,6 +170,41 @@ class BlockMatrix:
         return Matrix(data, cols=m)
 
 
+class _Blocks:
+    """Interned blocks of one representation, with memoised products
+    and inverses.
+
+    Each distinct block is stored once, keyed by its exact entries, and
+    named by its position in ``matrices``; equal ids are equal blocks.
+    """
+
+    def __init__(self):
+        self.matrices = []     # id -> Matrix
+        self._ids = {}         # entries -> id
+        self._products = {}    # (id, id) -> id
+        self._inverses = {}    # id -> id
+
+    def intern(self, g: Matrix) -> int:
+        key = tuple(map(tuple, g.data))
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.matrices)
+            self.matrices.append(g)
+        return i
+
+    def product(self, i: int, j: int) -> int:
+        k = self._products.get((i, j))
+        if k is None:
+            k = self._products[i, j] = self.intern(self.matrices[i] * self.matrices[j])
+        return k
+
+    def inverse(self, i: int) -> int:
+        k = self._inverses.get(i)
+        if k is None:
+            k = self._inverses[i] = self.intern(self.matrices[i].inverse())
+        return k
+
+
 # ---------------------------------------------------------------------------
 # the induced representation
 
@@ -210,8 +233,10 @@ class InducedRep:
     cosets: tuple          # masks, ascending; index = block position
     transversal: dict      # mask -> Automorphism
     generators: dict       # name -> BlockMatrix
-    _inverses: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)   # name -> inverse BlockMatrix
+    _blocks: _Blocks = field(default_factory=_Blocks, init=False, repr=False,
+                             compare=False)
+    _letters: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)   # (token, e) -> ((row, id), ...)
 
     @property
     def dim_u(self) -> int:
@@ -237,26 +262,42 @@ class InducedRep:
             cols.append((index[target], block))
         return BlockMatrix(len(self.cosets), self.dim_u, tuple(cols))
 
-    def _letter_block(self, token, e: int) -> BlockMatrix:
-        """The stored block of a token (KeyError when there is none),
-        inverted for exponent -1."""
-        name = generator_name(token)
-        block = self.generators[name]
-        if e == 1:
-            return block
-        if name not in self._inverses:
-            self._inverses[name] = block.inverse()
-        return self._inverses[name]
+    def _letter(self, token, e: int) -> tuple:
+        """``(row, block id)`` per block-column of a token's stored block
+        (KeyError when there is none), inverted for exponent -1: the
+        transposed permutation of the inverted ids."""
+        ids = self._letters.get((token, e))
+        if ids is None:
+            if e == 1:
+                ids = tuple((r, self._blocks.intern(g)) for r, g in
+                            self.generators[generator_name(token)].columns)
+            else:
+                inverse = [None] * len(self.cosets)
+                for c, (r, i) in enumerate(self._letter(token, 1)):
+                    inverse[r] = (c, self._blocks.inverse(i))
+                ids = tuple(inverse)
+            self._letters[token, e] = ids
+        return ids
+
+    def _word_ids(self, word) -> tuple:
+        """The ``(row, block id)`` columns of the product of a token
+        word's letter blocks; the identity for the empty word."""
+        if not word:
+            ident = self._blocks.intern(Matrix.identity(self.dim_u))
+            return tuple((c, ident) for c in range(len(self.cosets)))
+        product = self._blocks.product
+        acc = self._letter(*word[0])
+        for token, e in word[1:]:
+            acc = tuple((acc[mid][0], product(acc[mid][1], q))
+                        for mid, q in self._letter(token, e))
+        return acc
 
     def word_block(self, word) -> BlockMatrix:
         """Product of the letter blocks of a token word; the identity
         for the empty word."""
-        if not word:
-            return BlockMatrix.identity(len(self.cosets), self.dim_u)
-        acc = self._letter_block(*word[0])
-        for token, e in word[1:]:
-            acc = acc * self._letter_block(token, e)
-        return acc
+        blocks = self._blocks.matrices
+        return BlockMatrix(len(self.cosets), self.dim_u, tuple(
+            (r, blocks[i]) for r, i in self._word_ids(word)))
 
     def relator_report(self) -> dict:
         """Evaluate the full relator suite through the induced matrices.
@@ -264,15 +305,15 @@ class InducedRep:
         Every relator must land on the exact identity; the suite
         includes the relator that is merely inner, so passing it
         certifies the representation is constant on outer classes.  A
-        relator u v is checked as ``word_block(u) == word_block(v^-1)``,
-        which takes two block products fewer than the whole word.
+        relator u v is checked as equal block ids of u and v^-1, which
+        takes two block products fewer than the whole word.
         """
         rows = []
         for family, label, word in gersten_relators(self.n):
             half = len(word) // 2
             v_inverse = [(token, -e) for token, e in reversed(word[half:])]
             rows.append((family, label,
-                         self.word_block(word[:half]) == self.word_block(v_inverse)))
+                         self._word_ids(word[:half]) == self._word_ids(v_inverse)))
         families = family_report(rows)
         return {
             "n": self.n,
@@ -282,13 +323,22 @@ class InducedRep:
         }
 
     def to_json(self) -> dict:
+        """The generators as ``Matrix.to_json`` objects, written
+        straight from the integer blocks."""
+        d, m = self.dim_u, self.m
+        generators = {}
+        for name, bm in self.generators.items():
+            entries = [["0"] * m for _ in range(m)]
+            for c, (r, g) in enumerate(bm.columns):
+                for i, row in enumerate(g.data):
+                    entries[r * d + i][c * d:(c + 1) * d] = map(str, row)
+            generators[name] = {"rows": m, "cols": m, "entries": entries}
         return {
             "n": self.n,
             "mu": list(self.mu),
             "m": self.m,
             "cosets": list(self.cosets),
-            "generators": {name: bm.to_matrix().to_json()
-                           for name, bm in self.generators.items()},
+            "generators": generators,
         }
 
 

@@ -248,8 +248,8 @@ class Matrix:
         if rhs.rows != self.rows:
             raise ValueError("row count mismatch")
         if self.cols == 0:
-            # only the zero vector lies in the span of an empty basis
-            return None
+            # only zero columns lie in the span of an empty basis
+            return Matrix([], cols=rhs.cols) if rhs.is_zero() else None
         aug = self.hstack(rhs)
         red, pivots = aug.rref()
         if any(p >= self.cols for p in pivots):

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 
@@ -66,7 +67,7 @@ class TestGersten:
         assert run(["gersten", "--n", "2"]) == 2
 
     def test_large_rank_is_usage_error(self):
-        assert run(["gersten", "--n", "9"]) == 2
+        assert run(["gersten", "--n", "11"]) == 2
 
     def test_jobs_below_one_is_usage_error(self):
         assert run(["gersten", "--n", "3", "--jobs", "0"]) == 2
@@ -182,6 +183,30 @@ class TestInduce:
     def test_bad_mu(self):
         assert run(["induce", "--n", "4", "--mu", "7"]) == 2
 
+    # sha256 of the --out file and of the --json report, both written
+    # under relative names into the working directory
+    GOLDEN = {
+        ("3", "2"): ("ea500198d6e21d176c536f460342f0fedef85d2809dfc533e019f0ea089e6c8d",
+                     "6499aaa8e269ce78daf8ac6c83b94d550b78e49cce93bf988ca0ed5a73c938f0"),
+        ("3", None): ("ea500198d6e21d176c536f460342f0fedef85d2809dfc533e019f0ea089e6c8d",
+                      "6499aaa8e269ce78daf8ac6c83b94d550b78e49cce93bf988ca0ed5a73c938f0"),
+        ("4", "1,1"): ("507169e6710a5f3b62083c215c3b6722a8698e7062797139e8fa3da6208ec7fa",
+                       "41a54d68b6b552c62e871135c0ebbc26749af0340805038f42de8465991e1ecb"),
+        ("4", "2"): ("73ccf0c7aed594f93debc11ee28747e3480c509f4bf6a2d7021f79221f32a2b6",
+                     "a19da72484de36f118926af71bb5e95efc3c146213469d5dd7b7f63a1f36525c"),
+        ("5", None): ("fef64d346f394a32b15303501eafe19e6b5f3449b6be48a8a1460bc6cdb5961a",
+                      "29b12df844a249ef471bff1e594aaefc9cb0213b42bad0b96328300dd753b806"),
+    }
+
+    @pytest.mark.parametrize("n,mu", list(GOLDEN))
+    def test_output_bytes_are_pinned(self, tmp_path, monkeypatch, n, mu):
+        monkeypatch.chdir(tmp_path)
+        argv = ["induce", "--n", n, "--out", "m.json", "--json", "r.json"]
+        assert run(argv + (["--mu", mu] if mu else [])) == 0
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in ("m.json", "r.json"))
+        assert digests == self.GOLDEN[n, mu]
+
 
 class TestGraph:
     def test_admissible_builtin(self, tmp_path):
@@ -266,6 +291,14 @@ class TestGraph:
                     "--json", str(out)]) == 0
         details = load_report(out)["checks"][0]["details"]
         assert (details["source_dim"], details["quotient_dim"]) == (2, 2)
+
+    def test_edge_ids_that_print_alike_are_usage_errors(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": [0, 1], "edges": [
+            {"id": 1, "iota": 0, "tau": 1}, {"id": "1", "iota": 0, "tau": 1},
+            {"id": 3, "iota": 1, "tau": 0}]}))
+        assert run(["graph", "collapse", "--file", str(path), "--edges", "1"]) == 2
+        assert "edge ids 1 and '1' print alike" in capsys.readouterr().err
 
     def test_false_double_tree_conclusion_fails_its_check(self, tmp_path, monkeypatch):
         real = graphs.DoubleTree.conclusions

@@ -48,7 +48,10 @@ class TestBlocks:
         rep = induced.induce(3)
         a = rep.generators["rho12"]
         b = rep.generators["eps1"]
-        assert (a * b).to_matrix() == a.to_matrix() * b.to_matrix()
+        dense = a.to_matrix() * b.to_matrix()
+        assert block_product(a, b).to_matrix() == dense
+        word = [(("rho", 1, 2), 1), (("eps", 1, None), 1)]
+        assert rep.word_block(word).to_matrix() == dense
 
     def test_block_of_is_multiplicative(self):
         rep = induced.induce(3)
@@ -57,7 +60,7 @@ class TestBlocks:
         for _ in range(10):
             g, h = rng.choice(pool), rng.choice(pool)
             lhs = rep.block_of(g * h)
-            rhs = rep.block_of(g) * rep.block_of(h)
+            rhs = block_product(rep.block_of(g), rep.block_of(h))
             assert lhs.to_matrix() == rhs.to_matrix()
 
 
@@ -152,7 +155,55 @@ class TestCertificate:
 
 
 # ---------------------------------------------------------------------------
-# oracles: the certified evaluation that the stored-block path replaced
+# oracles: the certified evaluation that the stored-block path replaced, and
+# the stored-block evaluation without interning or memoised products
+
+
+def block_identity(rep):
+    ident = Matrix.identity(rep.dim_u)
+    return induced.BlockMatrix(len(rep.cosets), rep.dim_u,
+                               tuple((c, ident) for c in range(len(rep.cosets))))
+
+
+def block_product(a, b):
+    """Block-column c of a b: the block of b in column c, sitting in
+    block-row mid, multiplied into block-column mid of a."""
+    cols = []
+    for c in range(a.size):
+        mid, q = b.columns[c]
+        r, p = a.columns[mid]
+        cols.append((r, p * q))
+    return induced.BlockMatrix(a.size, a.dim, tuple(cols))
+
+
+def block_inverse(a):
+    """Transposed block permutation, each block inverted exactly."""
+    cols = [None] * a.size
+    for c, (r, g) in enumerate(a.columns):
+        cols[r] = (c, g.inverse())
+    return induced.BlockMatrix(a.size, a.dim, tuple(cols))
+
+
+def stored_letters(rep):
+    """Letter blocks read from ``rep.generators``, inverted by
+    ``block_inverse`` for exponent -1."""
+    cache = {}
+
+    def letter(token, e):
+        if (token, e) not in cache:
+            block = rep.generators[induced.generator_name(token)]
+            cache[token, e] = block if e > 0 else block_inverse(block)
+        return cache[token, e]
+    return letter
+
+
+def oracle_word_block(rep, word, letter=None):
+    """Product of the letter blocks of a token word from the identity."""
+    letter = letter or stored_letters(rep)
+    acc = block_identity(rep)
+    for token, e in word:
+        acc = block_product(acc, letter(token, e))
+    return acc
 
 
 def oracle_act_on_functional(a, s):
@@ -193,12 +244,8 @@ def oracle_letters(rep):
 def oracle_relator_report(rep, letter=None):
     """Each relator as the product of its letter blocks from the identity."""
     letter = letter or oracle_letters(rep)
-    rows = []
-    for family, label, word in W.gersten_relators(rep.n):
-        acc = induced.BlockMatrix.identity(len(rep.cosets), rep.dim_u)
-        for token, e in word:
-            acc = acc * letter(token, e)
-        rows.append((family, label, acc.is_identity()))
+    rows = [(family, label, oracle_word_block(rep, word, letter).is_identity())
+            for family, label, word in W.gersten_relators(rep.n)]
     families = W.family_report(rows)
     return {"n": rep.n, "m": rep.m, "families": families,
             "ok": all(not fam["failures"] for fam in families)}
@@ -244,6 +291,7 @@ class TestStoredBlockOracle:
         rep = reps[n]
         new = rep.relator_report()
         assert new == oracle_relator_report(rep)
+        assert new == oracle_relator_report(rep, stored_letters(rep))
         assert new["ok"]
 
     @pytest.mark.parametrize("n,name,column,op", [
@@ -264,10 +312,11 @@ class TestStoredBlockOracle:
             return induced.BlockMatrix(len(rep.cosets), rep.dim_u, tuple(
                 (c, mat if c == row else ident) for c in range(len(rep.cosets))))
 
-        bad = only_block(e) * good
+        bad = block_product(only_block(e), good)
         assert sum(b != g for b, g in zip(bad.columns, good.columns)) == 1
         token = next(t for t in stored_tokens(n) if induced.generator_name(t) == name)
-        bad_inverse = oracle_block_of(rep, W.nielsen(*token, n).inverse()) * only_block(e_inv)
+        bad_inverse = block_product(oracle_block_of(rep, W.nielsen(*token, n).inverse()),
+                                    only_block(e_inv))
         base = oracle_letters(rep)
 
         def letter(tok, sign):
@@ -278,6 +327,8 @@ class TestStoredBlockOracle:
         perturbed = dataclasses.replace(rep, generators={**rep.generators, name: bad})
         new = failing_labels(perturbed.relator_report())
         assert new and new == failing_labels(oracle_relator_report(rep, letter))
+        assert new == failing_labels(
+            oracle_relator_report(perturbed, stored_letters(perturbed)))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_block_of_matches_the_certified_evaluation(self, reps, n):
@@ -292,12 +343,13 @@ class TestStoredBlockOracle:
         rep = reps[n]
         tokens = stored_tokens(n)
         assert [induced.generator_name(t) for t in tokens] == list(rep.generators)
-        ident = induced.BlockMatrix.identity(len(rep.cosets), rep.dim_u)
+        ident = block_identity(rep)
         for token in tokens:
             g = rep.generators[induced.generator_name(token)]
-            inv = g.inverse()
-            assert g * inv == ident == inv * g
+            inv = block_inverse(g)
+            assert block_product(g, inv) == ident == block_product(inv, g)
             assert inv == oracle_block_of(rep, W.nielsen(*token, n).inverse())
+            assert rep.word_block([(token, -1)]) == inv
             assert all(type(x) is int for _, b in inv.columns
                        for row in b.data for x in row)
 
@@ -313,7 +365,7 @@ class TestStoredBlockOracle:
         assert [label for label, _ in got] == [label for label, _ in want]
         for (_, word), (_, g) in zip(got, want):
             assert W.relator_automorphism(n, word) == g.forward
-            assert rep.word_block(word) == rep.block_of(g)
+            assert rep.word_block(word) == rep.block_of(g) == oracle_word_block(rep, word)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_stabilizer_test_matches_the_functional_action(self, reps, n):
@@ -338,6 +390,29 @@ class TestStoredBlockOracle:
 class TestWordBlocks:
     def test_empty_word_is_the_identity(self, reps):
         assert reps[3].word_block([]).is_identity()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_word_blocks_match_the_stored_block_oracle(self, reps, n):
+        rep = reps[n]
+        rng = random.Random(20 + n)
+        tokens = stored_tokens(n)
+        for length in range(9):
+            word = [(rng.choice(tokens), rng.choice((1, -1))) for _ in range(length)]
+            assert rep.word_block(word) == oracle_word_block(rep, word)
+
+    def test_block_products_are_memoised_per_representation(self, monkeypatch):
+        rep = induced.induce(3)
+        assert rep.relator_report()["ok"]
+        products = []
+        real = Matrix.__mul__
+        monkeypatch.setattr(Matrix, "__mul__",
+                            lambda a, b: products.append((a, b)) or real(a, b))
+        assert rep.relator_report()["ok"]
+        assert products == []
+        fresh = dataclasses.replace(rep, generators=dict(rep.generators))
+        assert fresh.relator_report()["ok"]
+        pairs = [tuple(tuple(map(tuple, g.data)) for g in pair) for pair in products]
+        assert pairs and len(set(pairs)) == len(pairs)
 
     def test_letter_without_a_stored_block_raises(self, reps):
         with pytest.raises(KeyError, match="sigma12"):

@@ -186,6 +186,12 @@ class TestElimination:
         x2 = a.solve(b2)
         assert a * x2 == b2
 
+    def test_solve_over_an_empty_basis(self):
+        basis = Matrix([[], [], []], cols=0)
+        assert basis.solve(Matrix.zeros(3, 2)) == Matrix([], cols=2)
+        assert basis.solve(Matrix([[0], [1], [0]])) is None
+        assert Matrix([], cols=0).solve(Matrix([], cols=2)) == Matrix([], cols=2)
+
     def test_determinant_multiplicative(self):
         rng = random.Random(13)
         for _ in range(10):
