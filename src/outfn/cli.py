@@ -4,11 +4,12 @@ Every check is a subcommand emitting a JSON report with a fixed shape:
 command, parameters, a list of named checks with pass/fail/skip status
 (skip when a lemma's hypothesis is not met), and summary counts.  Exit
 codes: 0 when no check fails, 1 when some check fails, 2 on usage or
-input errors (a ``UsageError``, or a library
-``ValueError`` for an input that fails a precondition), 3 on any other
-exception, reported in one line.  ``main`` alone maps exceptions to exit
-codes.  Reports contain no timestamps, so identical invocations produce
-byte-identical output; all numbers are exact (integers or "p/q" strings).
+input errors (a ``UsageError``, a library ``ValueError`` for an input
+that fails a precondition, or an ``OSError`` such as an unwritable
+output path), 3 on any other exception, reported in one line.  ``main``
+alone maps exceptions to exit codes.  Reports contain no timestamps, so
+identical invocations produce byte-identical output; all numbers are
+exact (integers or "p/q" strings).
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def cmd_section4(args) -> int:
         raise UsageError("cover table checks support 3 <= n <= 6")
     rep = cover.verify_ia_action_tables(n)
     families = words.family_report(
-        (c["name"].split(" i=")[0], c["name"], c["ok"]) for c in rep["checks"])
+        (c["family"], c["name"], c["ok"]) for c in rep["checks"])
     checks = [
         check(f"{fam['name']} ({fam['count']} cases)", not fam["failures"],
               {"failures": fam["failures"]})
@@ -434,7 +435,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

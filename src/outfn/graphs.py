@@ -252,10 +252,6 @@ class GraphAut:
                 and all(e == f for e, f in self.emap.items())
                 and not any(self.flips.values()))
 
-    def same_as(self, other: "GraphAut") -> bool:
-        return (self.vmap == other.vmap and self.emap == other.emap
-                and all(self.flip(e) == other.flip(e) for e in self.graph.edges))
-
     def to_json(self):
         return {
             "vertex_map": {str(k): v for k, v in self.vmap.items()},

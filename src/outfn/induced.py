@@ -1,12 +1,15 @@
 """Induction from the functional stabiliser to the whole outer group.
 
 The nonzero mod-2 functionals on the rank-n free group form a single
-orbit of size 2^n - 1; a deterministic transversal assigns to each
-functional an automorphism carrying the base functional onto it.  Given
-a degree-2 square functor applied to the (n-1)-dimensional eigenspace
-representation of the stabiliser, induction produces block matrices of
-size (2^n - 1) * dim U: one nonzero block per row and column, indexed
-by the coset the group element carries each functional to.
+orbit of size 2^n - 1.  Each is a bitmask (bit k reads the parity of
+a_{k+1}), and the action on them is read off an automorphism's
+backward table.  A deterministic transversal assigns to each mask one
+token word, evaluated once by ``words.automorphism``, carrying the base
+functional onto it.  Given a degree-2 square functor applied to the
+(n-1)-dimensional eigenspace representation of the stabiliser,
+induction produces block matrices of size (2^n - 1) * dim U: one
+nonzero block per row and column, indexed by the coset the group
+element carries each functional to.
 
 Because the square functors kill minus identity and conjugation by any
 word acts as a sign on the eigenspace, the induced matrices are
@@ -18,10 +21,11 @@ factoring through the integral linear quotient would send the whole
 kernel to finite order elements jointly with its finite image there
 being trivial.
 
-The relators and the certificate candidates are evaluated on the
-stored generator blocks, the matrices that ``to_json`` writes out: a
-token word's block is the product of its letters' blocks, and a
-relator u v passes when the blocks of u and v^-1 agree.
+The relators and the certificate candidates (the token words of
+``cover.kernel_generators``) are evaluated on the stored generator
+blocks, the matrices that ``to_json`` writes out: a token word's block
+is the product of its letters' blocks, and a relator u v passes when
+the blocks of u and v^-1 agree.
 
 Few distinct blocks occur, and the relator suite multiplies the same
 pairs over and over, so each representation interns its blocks: every
@@ -50,59 +54,55 @@ from .linalg import Matrix, schur_square
 from .words import (
     Automorphism,
     abelianize,
-    act_on_functional,
+    automorphism,
     compose,
-    compose_automorphisms,
-    eps,
     family_report,
     gersten_relators,
-    identity_automorphism,
-    lam,
     relator_automorphism,
-    rho,
-    sigma,
+    rho,  # noqa: F401  unused; perfbench/test_smoke.py traces it through this module
 )
-from .cover import base_functional, minus_eigenspace_matrix
+from .cover import kernel_generators, minus_eigenspace_matrix
 
 
 # ---------------------------------------------------------------------------
 # functionals as bitmasks, and the coset transversal
 
 
-def functional_to_mask(s) -> int:
-    return sum(1 << i for i, bit in enumerate(s) if bit % 2)
-
-
-def mask_to_functional(mask: int, n: int) -> tuple:
-    return tuple((mask >> i) & 1 for i in range(n))
-
-
 def act_on_mask(a: Automorphism, mask: int) -> int:
-    return functional_to_mask(act_on_functional(a, mask_to_functional(mask, a.rank)))
+    """Left action s -> s o ab2(a^-1) on mod-2 functionals, each a
+    bitmask whose bit k reads the parity of a_{k+1}.
+
+    Bit k of the image is the parity of the letters of a^-1(a_{k+1})
+    that the mask selects, read off the backward table.
+    """
+    out = 0
+    for k, img in enumerate(a.backward.images):
+        out |= (sum(mask >> (abs(x) - 1) & 1 for x in img.letters) & 1) << k
+    return out
 
 
 def coset_transversal(n: int) -> dict:
     """mask -> automorphism carrying the base functional to the mask.
 
-    The base coset gets the identity; any other target is reached by
-    first swapping the last index onto the smallest set bit, then
-    adding that bit into the remaining ones.  Every entry is verified
-    against the action before being returned.
+    The base functional reads the parity of a_n, so its mask is
+    ``1 << (n - 1)``.  Any target is reached by first swapping the last
+    index onto a pivot p (n itself when that bit is set, else the
+    smallest set bit), then adding p into each other set bit k: as one
+    token word, rho_kp for k from the highest down, then sigma_pn when
+    p != n.  The base coset gets the empty word.  Every entry is
+    verified against the action before being returned.
     """
     if n < 2:
         raise ValueError("needs rank at least 2")
-    base_mask = functional_to_mask(base_functional(n))
+    base_mask = 1 << (n - 1)
     out = {}
     for mask in range(1, 2 ** n):
-        bits = [i + 1 for i in range(n) if (mask >> i) & 1]
-        if mask == base_mask:
-            out[mask] = identity_automorphism(n)
-            continue
+        bits = [k for k in range(1, n + 1) if mask >> (k - 1) & 1]
         p = n if n in bits else bits[0]
-        t = sigma(p, n, n) if p != n else identity_automorphism(n)
-        for k in bits:
-            if k != p:
-                t = compose_automorphisms(rho(k, p, n), t)
+        word = [(("rho", k, p), 1) for k in reversed(bits) if k != p]
+        if p != n:
+            word.append((("sigma", p, n), 1))
+        t = automorphism(n, word)
         if act_on_mask(t, base_mask) != mask:
             raise AssertionError("transversal element misses its coset")
         out[mask] = t
@@ -363,40 +363,21 @@ def induce(n: int, mu=None) -> InducedRep:
     transversal = coset_transversal(n)
     cosets = tuple(sorted(transversal))
     rep = InducedRep(n, mu, cosets, transversal, {})
-    stored = [(("eps", 1, None), eps(1, n))]
+    stored = [("eps", 1, None)]
     for i, j in permutations(range(1, n + 1), 2):
-        stored += [(("rho", i, j), rho(i, j, n)), (("lam", i, j), lam(i, j, n))]
-    for token, a in stored:
-        rep.generators[generator_name(token)] = rep.block_of(a)
+        stored += [("rho", i, j), ("lam", i, j)]
+    for token in stored:
+        rep.generators[generator_name(token)] = rep.block_of(automorphism(n, [(token, 1)]))
     return rep
-
-
-def certificate_candidates(n: int) -> list:
-    """``(label, token word)`` for the generators of the kernel of
-    abelianisation that the certificate scans, in scan order.
-
-    A partial conjugation is rho_ij lam_ij^-1 (``cover.partial_conjugation``)
-    and a transvection commutator is [rho_ij, rho_ik]
-    (``cover.transvection_commutator``).
-    """
-    out = []
-    for i, j in permutations(range(1, n + 1), 2):
-        out.append((f"partial conjugation i={i},j={j}",
-                    [(("rho", i, j), 1), (("lam", i, j), -1)]))
-    for i, j, k in permutations(range(1, n + 1), 3):
-        a, b = ("rho", i, j), ("rho", i, k)
-        out.append((f"commutator i={i},j={j},k={k}",
-                    [(a, 1), (b, 1), (a, -1), (b, -1)]))
-    return out
 
 
 def check_not_factoring(rep: InducedRep) -> dict:
     """Certificate that the representation sees the kernel of
     abelianisation with infinite order.
 
-    Scans the generators of that kernel (partial conjugations, then
-    transvection commutators) for one whose induced matrix is unipotent
-    and not the identity; such a matrix generates an infinite cyclic
+    Scans the generators of that kernel (``cover.kernel_generators``:
+    partial conjugations, then transvection commutators) for one whose
+    induced matrix is unipotent and not the identity; such a matrix generates an infinite cyclic
     group, so the representation cannot factor through the integral
     linear quotient.  Each candidate's block is the product of stored
     blocks along its token word; membership in the kernel is certified
@@ -404,7 +385,7 @@ def check_not_factoring(rep: InducedRep) -> dict:
     images being the identity matrix.
     """
     scanned = []
-    for label, word in certificate_candidates(rep.n):
+    for _, label, word, _ in kernel_generators(rep.n):
         block = rep.word_block(word)
         if block.is_identity():
             scanned.append({"generator": label, "result": "identity"})

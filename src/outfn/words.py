@@ -69,10 +69,6 @@ class Word:
     def to_json(self):
         return list(self.letters)
 
-    @classmethod
-    def from_json(cls, data, rank: int) -> "Word":
-        return cls(tuple(int(x) for x in data), rank)
-
 
 def reduce_word(letters, rank: int) -> Word:
     """Freely reduce a raw letter sequence.
@@ -186,20 +182,6 @@ class Automorphism:
     def is_identity(self) -> bool:
         return self.forward.fixes_generators()
 
-    def to_json(self):
-        return {
-            "n": self.rank,
-            "images": [w.to_json() for w in self.forward.images],
-            "inverse_images": [w.to_json() for w in self.backward.images],
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "Automorphism":
-        n = int(obj["n"])
-        fwd = Endomorphism(n, tuple(Word.from_json(w, n) for w in obj["images"]))
-        bwd = Endomorphism(n, tuple(Word.from_json(w, n) for w in obj["inverse_images"]))
-        return cls(fwd, bwd)
-
 
 def compose_automorphisms(a: Automorphism, b: Automorphism) -> Automorphism:
     """a*b, i.e. apply b first."""
@@ -294,6 +276,14 @@ def _moved_images(n: int, token_word) -> Endomorphism:
     return Endomorphism(n, tuple(Word(u, n) for u in img))
 
 
+def automorphism(n: int, token_word) -> Automorphism:
+    """A token word as a certified automorphism: the forward table is
+    the moved images of the word, the backward table those of its
+    inverse word."""
+    return Automorphism(_moved_images(n, token_word),
+                        _moved_images(n, _inv_word(token_word)))
+
+
 def nielsen(kind: str, i=None, j=None, n=None) -> Automorphism:
     """Build a named elementary automorphism.
 
@@ -303,9 +293,7 @@ def nielsen(kind: str, i=None, j=None, n=None) -> Automorphism:
     """
     if n is None:
         raise ValueError("rank n is required")
-    letter = (kind, i, j)
-    return Automorphism(_moved_images(n, [(letter, 1)]),
-                        _moved_images(n, [(letter, -1)]))
+    return automorphism(n, [((kind, i, j), 1)])
 
 
 def rho(i: int, j: int, n: int) -> Automorphism:
@@ -569,19 +557,7 @@ def verify_gersten(n: int, jobs: int = 1) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# abelianisation and mod-2 functionals
-
-
-def _abelian_columns(a):
-    """Exponent sums of the (forward) images of ``a``, one column each."""
-    n = a.rank
-    cols = []
-    for img in a.images:
-        v = [0] * n
-        for x in img.letters:
-            v[abs(x) - 1] += 1 if x > 0 else -1
-        cols.append(v)
-    return cols
+# abelianisation
 
 
 def abelianize(a) -> Matrix:
@@ -591,28 +567,13 @@ def abelianize(a) -> Matrix:
     The column convention makes this a homomorphism for ``*``; the
     determinant of the result is +1 or -1.
     """
-    cols = _abelian_columns(a)
+    cols = []
+    for img in a.images:
+        v = [0] * a.rank
+        for x in img.letters:
+            v[abs(x) - 1] += 1 if x > 0 else -1
+        cols.append(v)
     m = Matrix.from_columns(cols)
     if abs(m.determinant()) != 1:
         raise ValueError("abelianised automorphism is not unimodular")
     return m
-
-
-def abelianize_mod2(a):
-    """Mod-2 abelianisation as a tuple of row tuples (of an
-    ``Automorphism`` or an ``Endomorphism``, through its images)."""
-    cols = _abelian_columns(a)
-    n = a.rank
-    return tuple(tuple(cols[j][i] % 2 for j in range(n)) for i in range(n))
-
-
-def act_on_functional(a: Automorphism, s) -> tuple:
-    """Left action on nonzero mod-2 row functionals: s -> s o ab2(a^-1)."""
-    s = tuple(int(x) % 2 for x in s)
-    if len(s) != a.rank:
-        raise ValueError("functional length mismatch")
-    if not any(s):
-        raise ValueError("functional must be nonzero")
-    m = abelianize_mod2(a.backward)
-    n = a.rank
-    return tuple(sum(s[l] * m[l][k] for l in range(n)) % 2 for k in range(n))

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from outfn import graphs, linalg, symreps
+from outfn import graphs, linalg, symreps, words
 
 
 def oracle_simple_cycles(g):
@@ -374,3 +374,48 @@ def symmetric_group_perm_rep(n) -> symreps.FiniteRep:
 def determinant_rep(n) -> symreps.FiniteRep:
     gens = {f"s{i}": linalg.Matrix([[Fraction(-1)]]) for i in range(1, n)}
     return symreps.FiniteRep(symreps.symmetric_group(n), 1, gens)
+
+
+# ---------------------------------------------------------------------------
+# the kernel generators as certified products, and mod-2 functionals as
+# tuples: the constructions that the token words and bitmasks replaced
+
+
+def partial_conjugation(i, j, n) -> words.Automorphism:
+    """rho_ij * lam_ij^-1: conjugates a_i by a_j, fixes the rest."""
+    return words.rho(i, j, n) * words.lam(i, j, n).inverse()
+
+
+def transvection_commutator(i, j, k, n) -> words.Automorphism:
+    """[rho_ij, rho_ik], a generator of the kernel of abelianisation."""
+    a, b = words.rho(i, j, n), words.rho(i, k, n)
+    return a * b * a.inverse() * b.inverse()
+
+
+def oracle_kernel_generators(n) -> list:
+    """``(label, automorphism)``: partial conjugations, then commutators."""
+    out = [(f"partial conjugation i={i},j={j}", partial_conjugation(i, j, n))
+           for i, j in itertools.permutations(range(1, n + 1), 2)]
+    out += [(f"commutator i={i},j={j},k={k}", transvection_commutator(i, j, k, n))
+            for i, j, k in itertools.permutations(range(1, n + 1), 3)]
+    return out
+
+
+def functional_to_mask(s) -> int:
+    return sum(1 << i for i, bit in enumerate(s) if bit % 2)
+
+
+def mask_to_functional(mask, n) -> tuple:
+    return tuple((mask >> i) & 1 for i in range(n))
+
+
+def oracle_act_on_functional(a, s) -> tuple:
+    """s -> s o ab2(a^-1), through the integer abelianisation of the
+    certified inverse."""
+    m = words.abelianize(a.inverse()).data
+    n = a.rank
+    return tuple(int(sum(s[l] * m[l][k] for l in range(n))) % 2 for k in range(n))
+
+
+def oracle_act_on_mask(a, mask) -> int:
+    return functional_to_mask(oracle_act_on_functional(a, mask_to_functional(mask, a.rank)))

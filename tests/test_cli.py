@@ -160,6 +160,20 @@ class TestSection4:
         assert run(["section4", "--n", "2"]) == 2
         assert run(["section4", "--n", "7"]) == 2
 
+    # sha256 of the --json report
+    GOLDEN = {
+        "3": "6bc23c1412570a77d00cd79c6e1c7c7a88f08421f384fb1e10d7ebda22933d87",
+        "4": "8f836dd938a1d1957309ad32449db1a91aea4514bc07acfaec8e7c96fb6cbe08",
+        "5": "53c3768cc0e5080f7164673e792f0518f52debd7462aeb21ca52c858abb23161",
+        "6": "8162b656301641f09b8246f72f9186c8e4ab0fc77cf8ecb8e6123a00a2e5e91f",
+    }
+
+    @pytest.mark.parametrize("n", list(GOLDEN))
+    def test_report_bytes_are_pinned(self, tmp_path, n):
+        out = tmp_path / "s.json"
+        assert run(["section4", "--n", n, "--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[n]
+
 
 class TestInduce:
     def test_rank_three(self, tmp_path, monkeypatch):
@@ -514,6 +528,15 @@ class TestFailureBoundary:
         obj["generators"]["e1"]["entries"][0][0] = "1/0"
         path = write_json(tmp_path, obj)
         assert_usage_error(run(["decompose", "--rep", path]), capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["gersten", "--n", "3", "--json", "{missing}/x.json"],
+        ["induce", "--n", "3", "--out", "{missing}/x.json"],
+        ["section4", "--n", "3", "--json", "{directory}"],
+    ], ids=["gersten", "induce", "section4"])
+    def test_unwritable_output_path(self, tmp_path, capsys, argv):
+        argv = [a.format(missing=tmp_path / "missing", directory=tmp_path) for a in argv]
+        assert_usage_error(run(argv), capsys)
 
     @pytest.mark.parametrize("fault", [RuntimeError, AssertionError, KeyError])
     def test_fault_is_exit_three_in_one_line(self, monkeypatch, capsys, fault):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import oracle_kernel_generators, partial_conjugation, transvection_commutator
 from outfn import cover, graphs, words as W
 from outfn.linalg import Matrix
 
@@ -58,7 +59,7 @@ class TestStabiliser:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i != j:
-                        g = cover.partial_conjugation(i, j, n)
+                        g = partial_conjugation(i, j, n)
                         assert cover.stabilizes_base_functional(g)
 
     def test_cover_matrix_requires_membership(self):
@@ -88,7 +89,7 @@ class TestCoverMatrix:
             j = rng.randint(1, n)
             if i == j:
                 continue
-            pool.append(cover.partial_conjugation(i, j, n))
+            pool.append(partial_conjugation(i, j, n))
             if j != n:
                 pool.append(W.rho(i, j, n))
                 pool.append(W.lam(i, j, n))
@@ -126,7 +127,7 @@ class TestMinusEigenspace:
     def test_partial_conjugation_into_last(self):
         n = 4
         for i in range(1, n):
-            got = cover.minus_eigenspace_matrix(cover.partial_conjugation(i, n, n))
+            got = cover.minus_eigenspace_matrix(partial_conjugation(i, n, n))
             want = [[1 if r == c else 0 for c in range(n - 1)]
                     for r in range(n - 1)]
             want[i - 1][i - 1] = -1
@@ -134,16 +135,29 @@ class TestMinusEigenspace:
 
     def test_commutator_with_last(self):
         n = 4
-        got = cover.minus_eigenspace_matrix(cover.transvection_commutator(1, 2, n, n))
+        got = cover.minus_eigenspace_matrix(transvection_commutator(1, 2, n, n))
         assert got.data[1][0] == 2     # alpha_1 gains 2 alpha_2
         assert got.data[0][0] == 1
-        got = cover.minus_eigenspace_matrix(cover.transvection_commutator(1, n, 3, n))
+        got = cover.minus_eigenspace_matrix(transvection_commutator(1, n, 3, n))
         assert got.data[2][0] == -2    # alpha_1 loses 2 alpha_3
 
     def test_low_commutators_act_trivially(self):
         n = 4
-        got = cover.minus_eigenspace_matrix(cover.transvection_commutator(1, 2, 3, n))
+        got = cover.minus_eigenspace_matrix(transvection_commutator(1, 2, 3, n))
         assert got.is_identity()
+
+
+class TestKernelGenerators:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_words_are_the_certified_products(self, n):
+        gens = cover.kernel_generators(n)
+        want = oracle_kernel_generators(n)
+        assert [label for _, label, _, _ in gens] == [label for label, _ in want]
+        assert [family for family, *_ in gens] == \
+            [label.split(" i=")[0] for label, _ in want]
+        for (_, _, word, _), (_, g) in zip(gens, want):
+            assert W.relator_automorphism(n, word) == g.forward
+            assert W.automorphism(n, word).backward == g.backward
 
 
 class TestTables:
@@ -152,13 +166,40 @@ class TestTables:
         out = cover.verify_ia_action_tables(n)
         assert out["ok"], [c for c in out["checks"] if not c["ok"]]
 
+    def test_checks_are_grouped_by_family(self):
+        n = 4
+        families = W.family_report((c["family"], c["name"], c["ok"])
+                                   for c in cover.verify_ia_action_tables(n)["checks"])
+        assert [(f["name"], f["count"]) for f in families] == [
+            ("partial conjugation", 12), ("commutator", 24),
+            *[(f"conjugation by generator {i}", 1) for i in range(1, n + 1)],
+            ("deck eigenspace dimensions", 1),
+            ("deck matrix is conjugation by the last generator", 1)]
+
+    def test_a_wrong_case_table_fails_its_check(self, monkeypatch):
+        n = 3
+        gens = cover.kernel_generators(n)
+        family, label, word, table = gens[5]
+        monkeypatch.setattr(cover, "kernel_generators", lambda _: [
+            *gens[:5], (family, label, word, -table), *gens[6:]])
+        out = cover.verify_ia_action_tables(n)
+        assert not out["ok"]
+        assert [c["name"] for c in out["checks"] if not c["ok"]] == [label]
+
+    def test_deck_commutation_is_checked_for_every_generator(self, monkeypatch):
+        n = 3
+        monkeypatch.setattr(cover, "commutes_with_deck", lambda a: False)
+        out = cover.verify_ia_action_tables(n)
+        assert [c["name"] for c in out["checks"] if not c["ok"]] == \
+            [label for _, label, _, _ in cover.kernel_generators(n)]
+
     def test_other_coordinates_always_fixed(self):
         n = 5
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                m = cover.minus_eigenspace_matrix(cover.partial_conjugation(i, j, n))
+                m = cover.minus_eigenspace_matrix(partial_conjugation(i, j, n))
                 for l in range(1, n):
                     if l != i:
                         col = m.col(l - 1)

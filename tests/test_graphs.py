@@ -772,10 +772,11 @@ class TestBuiltinActions:
 
 class TestActionSerialisation:
     def test_round_trip(self):
-        act = actions.cage_full(3)
-        obj = act.to_json()
-        obj["graph"] = act.graph.to_json()
-        g = graphs.Graph.from_json(obj["graph"])
-        back = graphs.action_from_json(g, obj)
-        assert back.verify_relations()
-        assert back.maps["delta"].same_as(act.maps["delta"])
+        for act in (actions.cage_full(3), actions.signed_rose(3),
+                    actions.cage_central_alternating(5)):
+            obj = act.to_json()
+            obj["graph"] = act.graph.to_json()
+            g = graphs.Graph.from_json(obj["graph"])
+            back = graphs.action_from_json(g, obj)
+            assert back.verify_relations()
+            assert back.maps == act.maps

@@ -6,6 +6,15 @@ from itertools import permutations
 
 import pytest
 
+from conftest import (
+    functional_to_mask,
+    mask_to_functional,
+    oracle_act_on_functional,
+    oracle_act_on_mask,
+    oracle_kernel_generators,
+    partial_conjugation,
+    transvection_commutator,
+)
 from outfn import cover, induced, words as W
 from outfn.linalg import Matrix, schur_square
 
@@ -15,7 +24,7 @@ class TestTransversal:
     def test_covers_every_functional(self, n):
         tr = induced.coset_transversal(n)
         assert len(tr) == 2 ** n - 1
-        base = induced.functional_to_mask(cover.base_functional(n))
+        base = 1 << (n - 1)
         assert tr[base].is_identity()
         for mask, t in tr.items():
             assert induced.act_on_mask(t, base) == mask
@@ -23,14 +32,38 @@ class TestTransversal:
     def test_single_bit_uses_a_swap(self):
         n = 3
         tr = induced.coset_transversal(n)
-        t = tr[induced.functional_to_mask((1, 0, 0))]
+        t = tr[functional_to_mask((1, 0, 0))]
         assert t.forward == W.sigma(1, 3, 3).forward
 
     def test_mask_round_trip(self):
         for n in (3, 4):
             for mask in range(1, 2 ** n):
-                s = induced.mask_to_functional(mask, n)
-                assert induced.functional_to_mask(s) == mask
+                s = mask_to_functional(mask, n)
+                assert functional_to_mask(s) == mask
+            # the base mask reads the parity of the last generator
+            assert mask_to_functional(1 << (n - 1), n) == (0,) * (n - 1) + (1,)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_compose_chain_construction(self, n):
+        tr = induced.coset_transversal(n)
+        want = oracle_coset_transversal(n)
+        assert list(tr) == list(want)
+        for mask, t in tr.items():
+            assert t.forward == want[mask].forward
+            assert t.backward == want[mask].backward
+
+
+class TestMaskAction:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_the_abelianisation_oracle_and_the_left_action_law(self, n):
+        rng = random.Random(30 + n)
+        for _ in range(12):
+            f = nielsen_product(rng, n, rng.randrange(0, 5))
+            g = nielsen_product(rng, n, rng.randrange(0, 5))
+            for mask in range(1, 2 ** n):
+                fg = induced.act_on_mask(f * g, mask)
+                assert fg == oracle_act_on_mask(f * g, mask)
+                assert fg == induced.act_on_mask(f, induced.act_on_mask(g, mask))
 
 
 class TestBlocks:
@@ -130,8 +163,8 @@ class TestCertificate:
         cert = induced.check_not_factoring(rep)
         label = cert["generator"]
         nums = [int(v) for v in re.findall(r"=(\d+)", label)]
-        g = cover.transvection_commutator(*nums, rep.n) if "commutator" in label \
-            else cover.partial_conjugation(*nums, rep.n)
+        g = transvection_commutator(*nums, rep.n) if "commutator" in label \
+            else partial_conjugation(*nums, rep.n)
         dense = rep.block_of(g).to_matrix()
         assert not dense.is_identity()
         nil = dense - Matrix.identity(rep.m)
@@ -144,12 +177,11 @@ class TestCertificate:
         # nontrivial image, but with -1 eigenvalues mixed in: the scan
         # must classify it as not unipotent and move on
         rep = induced.induce(3)
-        g = cover.partial_conjugation(1, 2, 3)
+        g = partial_conjugation(1, 2, 3)
         bm = rep.block_of(g)
         assert not bm.is_identity()
         assert bm.unipotency_index() is None
-        base_index = rep.cosets.index(
-            induced.functional_to_mask(cover.base_functional(3)))
+        base_index = rep.cosets.index(functional_to_mask((0, 0, 1)))
         row, grid = bm.columns[base_index]
         assert row == base_index and grid.is_identity()
 
@@ -206,11 +238,21 @@ def oracle_word_block(rep, word, letter=None):
     return acc
 
 
-def oracle_act_on_functional(a, s):
-    """s -> s o ab2(a^-1), through the certified inverse."""
-    m = W.abelianize_mod2(a.inverse())
-    n = a.rank
-    return tuple(sum(s[l] * m[l][k] for l in range(n)) % 2 for k in range(n))
+def oracle_coset_transversal(n):
+    """The transversal as a chain of certified products: sigma_pn (or the
+    identity), then rho_kp composed on the left for each other set bit k
+    in ascending order, p being n when that bit is set, else the
+    smallest set bit."""
+    out = {}
+    for mask in range(1, 2 ** n):
+        bits = [i + 1 for i in range(n) if (mask >> i) & 1]
+        p = n if n in bits else bits[0]
+        t = W.sigma(p, n, n) if p != n else W.identity_automorphism(n)
+        for k in bits:
+            if k != p:
+                t = W.compose_automorphisms(W.rho(k, p, n), t)
+        out[mask] = t
+    return out
 
 
 def oracle_block_of(rep, a):
@@ -219,8 +261,7 @@ def oracle_block_of(rep, a):
     index = {mask: i for i, mask in enumerate(rep.cosets)}
     cols = []
     for mask in rep.cosets:
-        s = induced.mask_to_functional(mask, rep.n)
-        target = induced.functional_to_mask(oracle_act_on_functional(a, s))
+        target = oracle_act_on_mask(a, mask)
         h = W.compose_automorphisms(
             rep.transversal[target].inverse(),
             W.compose_automorphisms(a, rep.transversal[mask]))
@@ -356,21 +397,16 @@ class TestStoredBlockOracle:
     @pytest.mark.parametrize("n", [3, 4])
     def test_certificate_words_are_the_cover_automorphisms(self, reps, n):
         rep = reps[n]
-        want = [(f"partial conjugation i={i},j={j}", cover.partial_conjugation(i, j, n))
-                for i, j in permutations(range(1, n + 1), 2)]
-        want += [(f"commutator i={i},j={j},k={k}",
-                  cover.transvection_commutator(i, j, k, n))
-                 for i, j, k in permutations(range(1, n + 1), 3)]
-        got = induced.certificate_candidates(n)
-        assert [label for label, _ in got] == [label for label, _ in want]
-        for (_, word), (_, g) in zip(got, want):
-            assert W.relator_automorphism(n, word) == g.forward
+        got = cover.kernel_generators(n)
+        want = oracle_kernel_generators(n)
+        assert [label for _, label, _, _ in got] == [label for label, _ in want]
+        for (_, _, word, _), (_, g) in zip(got, want):
             assert rep.word_block(word) == rep.block_of(g) == oracle_word_block(rep, word)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_stabilizer_test_matches_the_functional_action(self, reps, n):
         rep = reps[n]
-        base = cover.base_functional(n)
+        base = (0,) * (n - 1) + (1,)
         rng = random.Random(10 + n)
         pool = [nielsen_product(rng, n, rng.randrange(0, 5)) for _ in range(40)]
         for mask, t in rep.transversal.items():
@@ -380,7 +416,8 @@ class TestStoredBlockOracle:
         seen = set()
         for a in pool:
             want = oracle_act_on_functional(a, base) == base
-            assert W.act_on_functional(a, base) == oracle_act_on_functional(a, base)
+            assert induced.act_on_mask(a, 1 << (n - 1)) == \
+                functional_to_mask(oracle_act_on_functional(a, base))
             assert cover.stabilizes_base_functional(a) == want
             assert cover.stabilizes_base_functional(a.forward) == want
             seen.add(want)
@@ -426,7 +463,8 @@ class TestWordBlocks:
             raise AssertionError("called on the block path")
         monkeypatch.setattr(W.Automorphism, "__post_init__", forbidden)
         for mod in (W, induced):
-            monkeypatch.setattr(mod, "compose_automorphisms", forbidden)
+            monkeypatch.setattr(mod, "automorphism", forbidden)
+        monkeypatch.setattr(W, "compose_automorphisms", forbidden)
         monkeypatch.setattr(W, "nielsen", forbidden)
         rep.block_of(a)
         monkeypatch.setattr(induced.InducedRep, "block_of", forbidden)

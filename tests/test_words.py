@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from outfn import words as W
+from conftest import oracle_act_on_mask
+from outfn import induced, words as W
 
 
 def lift(seq, n=3):
@@ -413,20 +414,27 @@ class TestAbelianize:
 
 
 class TestFunctionalAction:
+    """The left action on nonzero mod-2 functionals, as bitmasks whose
+    bit k reads the parity of a_{k+1}."""
+
     def test_eps_acts_trivially(self):
-        s = (1, 0, 1)
-        assert W.act_on_functional(W.eps(1, 3), s) == s
+        assert induced.act_on_mask(W.eps(1, 3), 0b101) == 0b101
 
     def test_swap(self):
-        assert W.act_on_functional(W.sigma(1, 2, 3), (1, 0, 0)) == (0, 1, 0)
+        assert induced.act_on_mask(W.sigma(1, 2, 3), 0b001) == 0b010
 
     def test_rho_fixes_base(self):
-        base = (0, 0, 1)
-        assert W.act_on_functional(W.rho(1, 2, 3), base) == base
+        assert induced.act_on_mask(W.rho(1, 2, 3), 0b100) == 0b100
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            W.act_on_functional(W.eps(1, 3), (0, 0, 0))
+        # the action is linear and invertible, so the zero functional is
+        # fixed and never reached: the nonzero masks are permuted
+        n = 3
+        for a in (W.rho(1, 2, n), W.lam(3, 1, n), W.sigma_star(2, n), W.delta(n)):
+            assert induced.act_on_mask(a, 0) == 0
+            assert sorted(induced.act_on_mask(a, m) for m in range(1, 2 ** n)) == \
+                list(range(1, 2 ** n))
+        assert 0 not in induced.coset_transversal(n)
 
     def test_left_action_law(self):
         rng = random.Random(4)
@@ -435,29 +443,20 @@ class TestFunctionalAction:
                 W.eps(2, n), W.sigma(1, 3, n), W.sigma_star(2, n)]
         for _ in range(30):
             f, g = rng.choice(pool), rng.choice(pool)
-            s = tuple(rng.randint(0, 1) for _ in range(n))
-            if not any(s):
-                s = (1,) + s[1:]
-            lhs = W.act_on_functional(f * g, s)
-            rhs = W.act_on_functional(f, W.act_on_functional(g, s))
-            assert lhs == rhs
+            mask = rng.randrange(1, 2 ** n)
+            lhs = induced.act_on_mask(f * g, mask)
+            rhs = induced.act_on_mask(f, induced.act_on_mask(g, mask))
+            assert lhs == rhs == oracle_act_on_mask(f * g, mask)
 
 
 class TestJson:
-    def test_word_round_trip(self):
-        w = W.reduce_word([1, -2, 1], 3)
-        assert W.Word.from_json(w.to_json(), 3) == w
-
-    def test_automorphism_round_trip(self):
-        a = W.rho(1, 2, 3) * W.eps(2, 3)
-        b = W.Automorphism.from_json(a.to_json())
-        assert b.forward == a.forward and b.backward == a.backward
-
     def test_automorphism_rejects_a_table_that_is_not_an_inverse(self):
-        square = {"n": 2, "images": [[1, 1], [2]], "inverse_images": [[1], [2]]}
-        for obj in (dict(W.rho(1, 2, 3).to_json(), inverse_images=[[1, 2], [2], [3]]),
-                    dict(W.eps(1, 3).to_json(), inverse_images=[[1], [2], [3]]),
-                    dict(W.sigma(1, 2, 3).to_json(), inverse_images=[[1], [3], [2]]),
-                    square):
+        def endo(n, images):
+            return W.Endomorphism(n, tuple(W.Word(tuple(w), n) for w in images))
+        for forward, backward in (
+                (W.rho(1, 2, 3).forward, endo(3, [[1, 2], [2], [3]])),
+                (W.eps(1, 3).forward, endo(3, [[1], [2], [3]])),
+                (W.sigma(1, 2, 3).forward, endo(3, [[1], [3], [2]])),
+                (endo(2, [[1, 1], [2]]), endo(2, [[1], [2]]))):
             with pytest.raises(ValueError):
-                W.Automorphism.from_json(obj)
+                W.Automorphism(forward, backward)
