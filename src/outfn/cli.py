@@ -193,18 +193,17 @@ def cmd_induce(args) -> int:
     if n not in (3, 4, 5):
         raise UsageError("induction supports n in {3, 4, 5}")
     rep = induced.induce(n, _parse_mu(args.mu))
-    checks = [check(f"dimension m = {rep.m}",
-                    rep.m == (2 ** n - 1) * rep.dim_u,
-                    {"m": rep.m, "cosets": len(rep.cosets), "dim_u": rep.dim_u})]
-    relators = rep.relator_report()
-    for fam in relators["families"]:
-        checks.append(check(f"relators: {fam['name']} ({fam['count']} tuples)",
-                            not fam["failures"], {"failures": fam["failures"]}))
-    cert = induced.check_not_factoring(rep)
-    details = {k: v for k, v in cert.items() if k != "scanned"}
-    checks.append(check("non-factoring certificate", cert["found"], details))
     out_path = args.out or f"induced_n{n}_mu{'-'.join(map(str, rep.mu))}.json"
+    # opened before the checks run, so that an unwritable path fails at once
     with open(out_path, "w") as fh:
+        checks = [check(f"dimension m = {rep.m}",
+                        rep.m == (2 ** n - 1) * rep.dim_u,
+                        {"m": rep.m, "cosets": len(rep.cosets), "dim_u": rep.dim_u})]
+        for fam in rep.relator_report()["families"]:
+            checks.append(check(f"relators: {fam['name']} ({fam['count']} tuples)",
+                                not fam["failures"], {"failures": fam["failures"]}))
+        cert = induced.check_not_factoring(rep)
+        checks.append(check("non-factoring certificate", cert["found"], cert))
         json.dump(rep.to_json(), fh)
         fh.write("\n")
     report = make_report("induce", {"n": n, "mu": list(rep.mu),

@@ -14,11 +14,14 @@ eigenspace is spanned by the differences alpha_i = x_i - y_i and the
 restriction there is the (n-1)-dimensional representation whose values
 on partial conjugations and transvection commutators are pinned down by
 exact case tables (verified wholesale by ``verify_ia_action_tables``).
+That eigenspace is H_1 of F_n twisted by the sign character of f
+(Shapiro's lemma), so the restriction is a twisted letter count of the
+forward images a(a_1)..a(a_{n-1}), with no Schreier rewrite.
 
 Those generators of the kernel of abelianisation are named once, as
 token words with their case tables, by ``kernel_generators``; the
 tables are checked on the forward images of each word, which is all
-that ``cover_matrix`` reads.
+that ``cover_matrix`` and ``minus_eigenspace_matrix`` read.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .words import (
     Word,
     generator_word,
     inner,
-    reduce_word,
     relator_automorphism,
     rho,  # noqa: F401  unused; perfbench/test_smoke.py traces it through this module
 )
@@ -101,16 +103,6 @@ def rewrite_in_kernel(w: Word) -> tuple:
     return tuple(out)
 
 
-def symbols_to_word(symbol_word, n: int) -> Word:
-    """Substitute the definitions back; inverse of the rewriting."""
-    defs = [w for _, w in schreier_symbols(n)]
-    letters = []
-    for index, e in symbol_word:
-        piece = defs[index].letters
-        letters.extend(piece if e > 0 else tuple(-x for x in reversed(piece)))
-    return reduce_word(letters, n)
-
-
 # ---------------------------------------------------------------------------
 # the matrix representations
 
@@ -150,28 +142,33 @@ def deck_matrix(n: int) -> Matrix:
 
 
 def minus_eigenspace_matrix(a) -> Matrix:
-    """Restriction to the (-1)-eigenspace of the deck involution.
-
-    Like ``cover_matrix``, accepts an ``Automorphism`` or an
+    """Restriction to the (-1)-eigenspace of the deck involution, in the
+    basis alpha_i = x_i - y_i; ``a`` may be an ``Automorphism`` or an
     ``Endomorphism``.
 
-    Basis alpha_i = x_i - y_i; commutation with the deck involution is
-    asserted structurally while extracting the restriction.
+    Column i is the twisted count of the forward image a(a_i): each
+    letter a_l^{+-1} with l < n adds +-1 to row l, negated when an odd
+    number of a_n^{+-1} letters precede it.
+
+    Proof.  The projection x_l -> alpha_l, y_l -> -alpha_l, z -> 0
+    turns the Schreier rewrite of any word into its twisted count.  The
+    image of alpha_i is rewrite(a(a_i)) - rewrite(a(a_n a_i a_n^-1)),
+    which lies in the (-1)-eigenspace, where the projection doubles.
+    As a(a_n) has odd a_n-parity and a(a_i) even, the second term
+    projects to minus the first: the projection is exactly twice the
+    image of alpha_i.
     """
     n = a.rank
-    m = cover_matrix(a).data
-    d = 2 * n - 1
+    if not stabilizes_base_functional(a):
+        raise ValueError("automorphism does not stabilise the base functional")
     out = [[0] * (n - 1) for _ in range(n - 1)]
-    for i in range(n - 1):
-        xi, yi = i, n - 1 + i
-        # image of alpha_{i+1}: column xi minus column yi
-        col = [m[r][xi] - m[r][yi] for r in range(d)]
-        if col[d - 1] != 0:
-            raise AssertionError("deck commutation fails: z component survives")
-        for l in range(n - 1):
-            if col[l] != -col[n - 1 + l]:
-                raise AssertionError("deck commutation fails: not anti-invariant")
-            out[l][i] = col[l]
+    for i, img in enumerate(a.images[:n - 1]):
+        sign = 1
+        for x in img.letters:
+            if abs(x) == n:
+                sign = -sign
+            else:
+                out[abs(x) - 1][i] += sign if x > 0 else -sign
     return Matrix(out)
 
 

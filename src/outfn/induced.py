@@ -382,7 +382,7 @@ def check_not_factoring(rep: InducedRep) -> dict:
     linear quotient.  Each candidate's block is the product of stored
     blocks along its token word; membership in the kernel is certified
     for the one found by the abelianisation of the word's forward
-    images being the identity matrix.
+    images being the identity matrix; a failure returns ``scanned``.
     """
     scanned = []
     for _, label, word, _ in kernel_generators(rep.n):
@@ -400,6 +400,5 @@ def check_not_factoring(rep: InducedRep) -> dict:
             "nilpotency_index": index,
             "kernel_membership":
                 abelianize(relator_automorphism(rep.n, word)).is_identity(),
-            "scanned": scanned,
         }
     return {"found": False, "scanned": scanned}

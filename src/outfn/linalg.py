@@ -111,9 +111,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
-    def row(self, i):
-        return list(self.data[i])
-
     def col(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from outfn import graphs, linalg, symreps, words
+from outfn import cover, graphs, linalg, symreps, words
 
 
 def oracle_simple_cycles(g):
@@ -390,6 +390,28 @@ def transvection_commutator(i, j, k, n) -> words.Automorphism:
     """[rho_ij, rho_ik], a generator of the kernel of abelianisation."""
     a, b = words.rho(i, j, n), words.rho(i, k, n)
     return a * b * a.inverse() * b.inverse()
+
+
+def oracle_minus_eigenspace_matrix(a) -> linalg.Matrix:
+    """Restriction to the (-1)-eigenspace of the deck involution, through
+    the Schreier rewrite: in the basis alpha_i = x_i - y_i, the image of
+    alpha_i is cover column x_i minus cover column y_i.  Commutation with
+    the deck involution is asserted while extracting the restriction."""
+    n = a.rank
+    m = cover.cover_matrix(a).data
+    d = 2 * n - 1
+    out = [[0] * (n - 1) for _ in range(n - 1)]
+    for i in range(n - 1):
+        xi, yi = i, n - 1 + i
+        # image of alpha_{i+1}: column xi minus column yi
+        col = [m[r][xi] - m[r][yi] for r in range(d)]
+        if col[d - 1] != 0:
+            raise AssertionError("deck commutation fails: z component survives")
+        for l in range(n - 1):
+            if col[l] != -col[n - 1 + l]:
+                raise AssertionError("deck commutation fails: not anti-invariant")
+            out[l][i] = col[l]
+    return linalg.Matrix(out)
 
 
 def oracle_kernel_generators(n) -> list:

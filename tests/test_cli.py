@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import signed_permutation_rep, with_transvections
-from outfn import actions, cli, graphs, words
+from outfn import actions, cli, cover, graphs, induced, words
 from outfn.linalg import Matrix
 
 
@@ -190,6 +190,27 @@ class TestInduce:
     def test_degenerate_partition_rejected(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["induce", "--n", "3", "--mu", "1,1"]) == 2
+        assert not (tmp_path / "induced_n3_mu1-1.json").exists()
+
+    def test_unwritable_out_fails_before_the_relator_suite(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def broken(rep):
+            raise RuntimeError("relator suite reached")
+        monkeypatch.setattr(induced.InducedRep, "relator_report", broken)
+        out = tmp_path / "missing" / "x.json"
+        assert_usage_error(run(["induce", "--n", "3", "--out", str(out)]), capsys)
+
+    def test_failed_certificate_carries_its_witness(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        partial = [g for g in cover.kernel_generators(3) if g[0] == "partial conjugation"]
+        assert len(partial) == 6
+        monkeypatch.setattr(induced, "kernel_generators", lambda n: partial)
+        assert run(["induce", "--n", "3", "--json", "r.json"]) == 1
+        [cert] = [c for c in load_report(tmp_path / "r.json")["checks"]
+                  if c["name"] == "non-factoring certificate"]
+        assert cert["status"] == "fail"
+        assert cert["details"] == {"found": False, "scanned": [
+            {"generator": label, "result": "not unipotent"} for _, label, _, _ in partial]}
 
     def test_rank_bounds(self):
         assert run(["induce", "--n", "6"]) == 2
@@ -210,6 +231,8 @@ class TestInduce:
                      "a19da72484de36f118926af71bb5e95efc3c146213469d5dd7b7f63a1f36525c"),
         ("5", None): ("fef64d346f394a32b15303501eafe19e6b5f3449b6be48a8a1460bc6cdb5961a",
                       "29b12df844a249ef471bff1e594aaefc9cb0213b42bad0b96328300dd753b806"),
+        ("5", "2"): ("c555d6fe4f41d6e078ec4336f8d10e419ad341f8de80d1218dae5bc630c1c393",
+                     "12bf8c6f52b637300f6a472f8463eb8aef17821d8ef7a1943e5e46f54ab82b02"),
     }
 
     @pytest.mark.parametrize("n,mu", list(GOLDEN))

@@ -4,8 +4,13 @@ import random
 
 import pytest
 
-from conftest import oracle_kernel_generators, partial_conjugation, transvection_commutator
-from outfn import cover, graphs, words as W
+from conftest import (
+    oracle_kernel_generators,
+    oracle_minus_eigenspace_matrix,
+    partial_conjugation,
+    transvection_commutator,
+)
+from outfn import cover, graphs, induced, words as W
 from outfn.linalg import Matrix
 
 
@@ -40,8 +45,11 @@ class TestRewriting:
         for _ in range(120):
             n = rng.choice([2, 3, 4, 5])
             w = rand_kernel_word(rng, n)
-            back = cover.symbols_to_word(cover.rewrite_in_kernel(w), n)
-            assert back == w
+            defs = [d.letters for _, d in cover.schreier_symbols(n)]
+            letters = []
+            for index, e in cover.rewrite_in_kernel(w):
+                letters += defs[index] if e > 0 else [-x for x in reversed(defs[index])]
+            assert W.reduce_word(letters, n) == w
 
     def test_symbol_count(self):
         assert len(cover.schreier_symbols(4)) == 7
@@ -65,6 +73,13 @@ class TestStabiliser:
     def test_cover_matrix_requires_membership(self):
         with pytest.raises(ValueError):
             cover.cover_matrix(W.rho(1, 3, 3))
+
+    def test_minus_eigenspace_matrix_requires_membership(self):
+        for a in (W.rho(1, 3, 3), W.sigma(2, 3, 3), W.sigma_star(4, 4)):
+            with pytest.raises(ValueError, match="does not stabilise"):
+                cover.minus_eigenspace_matrix(a)
+            with pytest.raises(ValueError, match="does not stabilise"):
+                cover.minus_eigenspace_matrix(a.forward)
 
 
 class TestCoverMatrix:
@@ -205,6 +220,60 @@ class TestTables:
                         col = m.col(l - 1)
                         assert col == [1 if r == l - 1 else 0
                                        for r in range(n - 1)]
+
+
+def coset_elements(n):
+    """Every coset element t_target^-1 a t_mask of every stored generator
+    of the induced representation, as a forward endomorphism."""
+    transversal = induced.coset_transversal(n)
+    tokens = [("eps", 1, None)] + [(kind, i, j) for i in range(1, n + 1)
+                                   for j in range(1, n + 1) if i != j
+                                   for kind in ("rho", "lam")]
+    for token in tokens:
+        a = W.nielsen(*token, n)
+        for mask, t in transversal.items():
+            target = transversal[induced.act_on_mask(a, mask)]
+            yield W.compose(target.backward, W.compose(a.forward, t.forward))
+
+
+def stabiliser_tokens(n):
+    """Nielsen tokens of all six kinds that fix the base functional."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    tokens = [(kind, i, j) for kind in ("rho", "lam", "sigma") for i, j in pairs]
+    tokens += [(kind, i, None) for kind in ("eps", "sigma_star") for i in range(1, n + 1)]
+    tokens.append(("delta", None, None))
+    return [t for t in tokens if cover.stabilizes_base_functional(W.nielsen(*t, n))]
+
+
+class TestTwistedCount:
+    """The one-pass twisted count against the restriction extracted from
+    the cover matrix through the Schreier rewrite."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_coset_elements_of_the_stored_generators(self, n):
+        count = 0
+        for h in coset_elements(n):
+            assert cover.minus_eigenspace_matrix(h) == oracle_minus_eigenspace_matrix(h)
+            count += 1
+        assert count == (1 + 2 * n * (n - 1)) * (2 ** n - 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_inner_automorphisms(self, n):
+        for i in range(1, n + 1):
+            a = W.inner(W.generator_word(i, n))
+            assert cover.minus_eigenspace_matrix(a) == oracle_minus_eigenspace_matrix(a)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_stabiliser_products(self, n):
+        rng = random.Random(1300 + n)
+        tokens = stabiliser_tokens(n)
+        assert {kind for kind, _, _ in tokens} == \
+            {"rho", "lam", "sigma", "eps", "sigma_star", "delta"}
+        for _ in range(150):
+            word = [(rng.choice(tokens), rng.choice((1, -1)))
+                    for _ in range(rng.randint(1, 8))]
+            a = W.automorphism(n, word)
+            assert cover.minus_eigenspace_matrix(a) == oracle_minus_eigenspace_matrix(a)
 
 
 class TestCrossModule:

@@ -12,6 +12,7 @@ from conftest import (
     oracle_act_on_functional,
     oracle_act_on_mask,
     oracle_kernel_generators,
+    oracle_minus_eigenspace_matrix,
     partial_conjugation,
     transvection_commutator,
 )
@@ -257,7 +258,8 @@ def oracle_coset_transversal(n):
 
 def oracle_block_of(rep, a):
     """Every coset element t_target^-1 a t_mask built as a certified
-    ``Automorphism``, its block read off the minus eigenspace."""
+    ``Automorphism``, its block read off the minus eigenspace through the
+    Schreier rewrite."""
     index = {mask: i for i, mask in enumerate(rep.cosets)}
     cols = []
     for mask in rep.cosets:
@@ -266,7 +268,7 @@ def oracle_block_of(rep, a):
             rep.transversal[target].inverse(),
             W.compose_automorphisms(a, rep.transversal[mask]))
         cols.append((index[target],
-                     schur_square(cover.minus_eigenspace_matrix(h), rep.mu)))
+                     schur_square(oracle_minus_eigenspace_matrix(h), rep.mu)))
     return induced.BlockMatrix(len(rep.cosets), rep.dim_u, tuple(cols))
 
 
@@ -468,5 +470,14 @@ class TestWordBlocks:
         monkeypatch.setattr(W, "nielsen", forbidden)
         rep.block_of(a)
         monkeypatch.setattr(induced.InducedRep, "block_of", forbidden)
+        assert rep.relator_report()["ok"]
+        assert induced.check_not_factoring(rep)["found"]
+
+    def test_no_schreier_rewrite_on_the_induce_path(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Schreier rewrite called on the induce path")
+        for name in ("cover_matrix", "rewrite_in_kernel", "schreier_symbols"):
+            monkeypatch.setattr(cover, name, forbidden)
+        rep = induced.induce(4)
         assert rep.relator_report()["ok"]
         assert induced.check_not_factoring(rep)["found"]
