@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import actions, cover, graphs, induced, symreps, words
@@ -194,18 +195,24 @@ def cmd_induce(args) -> int:
         raise UsageError("induction supports n in {3, 4, 5}")
     rep = induced.induce(n, _parse_mu(args.mu))
     out_path = args.out or f"induced_n{n}_mu{'-'.join(map(str, rep.mu))}.json"
-    # opened before the checks run, so that an unwritable path fails at once
+    # opened before the checks run, so that an unwritable path fails at
+    # once; removed again if anything raises before the dump completes
     with open(out_path, "w") as fh:
-        checks = [check(f"dimension m = {rep.m}",
-                        rep.m == (2 ** n - 1) * rep.dim_u,
-                        {"m": rep.m, "cosets": len(rep.cosets), "dim_u": rep.dim_u})]
-        for fam in rep.relator_report()["families"]:
-            checks.append(check(f"relators: {fam['name']} ({fam['count']} tuples)",
-                                not fam["failures"], {"failures": fam["failures"]}))
-        cert = induced.check_not_factoring(rep)
-        checks.append(check("non-factoring certificate", cert["found"], cert))
-        json.dump(rep.to_json(), fh)
-        fh.write("\n")
+        try:
+            checks = [check(f"dimension m = {rep.m}",
+                            rep.m == (2 ** n - 1) * rep.dim_u,
+                            {"m": rep.m, "cosets": len(rep.cosets), "dim_u": rep.dim_u})]
+            for fam in rep.relator_report()["families"]:
+                checks.append(check(f"relators: {fam['name']} ({fam['count']} tuples)",
+                                    not fam["failures"], {"failures": fam["failures"]}))
+            cert = induced.check_not_factoring(rep)
+            checks.append(check("non-factoring certificate", cert["found"], cert))
+            json.dump(rep.to_json(), fh)
+            fh.write("\n")
+        except BaseException:
+            if os.path.isfile(out_path) and not os.path.islink(out_path):
+                os.remove(out_path)  # a regular file, not /dev/stdout or a link
+            raise
     report = make_report("induce", {"n": n, "mu": list(rep.mu),
                                     "matrices": str(out_path)}, checks)
     return emit(report, args.json)

@@ -72,10 +72,12 @@ class Graph:
             raise ValueError("duplicate vertex ids")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edge ids")
-        printed = {}
+        for kind, ids in (("vertex", self.vertices), ("edge", self.edges)):
+            printed = {}
+            for x in ids:
+                if printed.setdefault(str(x), x) != x:
+                    raise ValueError(f"{kind} ids {printed[str(x)]!r} and {x!r} print alike")
         for e in self.edges:
-            if printed.setdefault(str(e), e) != e:
-                raise ValueError(f"edge ids {printed[str(e)]!r} and {e!r} print alike")
             io, ta = self.ends[e]
             if io not in vset or ta not in vset:
                 raise ValueError(f"edge {e!r} has a missing endpoint")
@@ -343,11 +345,15 @@ def _closure(gens: list, by: list) -> list:
 
 
 def graph_aut_from_json(graph: Graph, obj) -> GraphAut:
+    """Inverse of ``GraphAut.to_json``: JSON keys are strings, so each key
+    is read back as the vertex or edge id that prints as it."""
+    vids = {str(v): v for v in graph.vertices}
+    eids = {str(e): e for e in graph.edges}
     return GraphAut(
         graph,
-        {k: v for k, v in obj["vertex_map"].items()},
-        {k: v for k, v in obj["edge_map"].items()},
-        {k: bool(v) for k, v in obj.get("flips", {}).items()},
+        {vids.get(k, k): v for k, v in obj["vertex_map"].items()},
+        {eids.get(k, k): v for k, v in obj["edge_map"].items()},
+        {eids.get(k, k): bool(v) for k, v in obj.get("flips", {}).items()},
     )
 
 
@@ -426,12 +432,6 @@ class CycleBasis:
     @property
     def dim(self) -> int:
         return self.matrix.cols
-
-    def coordinates(self, edge_vector) -> list:
-        sol = self.matrix.solve(Matrix.column_vector(edge_vector))
-        if sol is None:
-            raise ValueError("vector is not in the cycle space")
-        return sol.col(0)
 
 
 def h1_basis(graph: Graph) -> CycleBasis:

@@ -88,10 +88,6 @@ class Matrix:
         r = len(columns[0])
         return cls([[columns[j][i] for j in range(len(columns))] for i in range(r)])
 
-    @classmethod
-    def column_vector(cls, entries) -> "Matrix":
-        return cls([[e] for e in entries])
-
     # -- basic structure ----------------------------------------------
 
     @property
@@ -110,9 +106,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-    def col(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -159,13 +152,6 @@ class Matrix:
             )
         return self.scale(other)
 
-    def apply(self, vector):
-        """Multiply by a column vector given as a plain list."""
-        if len(vector) != self.cols:
-            raise ValueError("length mismatch")
-        vec = list(map(_frac, vector))
-        return [_frac(sum(a * v for a, v in zip(row, vec))) for row in self.data]
-
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
@@ -185,10 +171,16 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------
 
-    def rref(self):
-        """Reduced row echelon form; returns ``(R, pivot_columns)``."""
+    def _eliminate(self):
+        """Gauss-Jordan reduction, the one elimination of this module.
+
+        Returns ``(rows, pivot_columns, product)``: the reduced rows (entries
+        not yet normalised), the pivot columns, and the product of the
+        pivots as found, negated once per row swap.
+        """
         m = [list(row) for row in self.data]
         pivots = []
+        product = 1
         r = 0
         for c in range(self.cols):
             if r == self.rows:
@@ -202,8 +194,11 @@ class Matrix:
             if best is None:
                 continue
             i = best[1]
-            m[r], m[i] = m[i], m[r]
+            if i != r:
+                m[r], m[i] = m[i], m[r]
+                product = -product
             piv = m[r][c]
+            product *= piv
             if piv != 1:
                 inv = Fraction(1, piv)
                 m[r] = [_frac(x * inv) for x in m[r]]
@@ -213,25 +208,26 @@ class Matrix:
                     m[k] = [x - f * y for x, y in zip(m[k], m[r])]
             pivots.append(c)
             r += 1
-        return Matrix(m, cols=self.cols), tuple(pivots)
+        return m, tuple(pivots), product
+
+    def rref(self):
+        """Reduced row echelon form; returns ``(R, pivot_columns)``."""
+        m, pivots, _ = self._eliminate()
+        return Matrix(m, cols=self.cols), pivots
 
     def rank(self) -> int:
-        if self.cols == 0:
-            return 0
-        return len(self.rref()[1])
+        return len(self._eliminate()[1])
 
     def kernel_basis(self) -> "Matrix":
         """Columns form a basis of the right nullspace, inside the domain."""
-        if self.cols == 0:
-            return Matrix([], cols=0)
-        red, pivots = self.rref()
+        red, pivots, _ = self._eliminate()
         free = [c for c in range(self.cols) if c not in pivots]
         cols = []
         for f in free:
             v = [0] * self.cols
             v[f] = 1
             for r, c in enumerate(pivots):
-                v[c] = -red.data[r][f]
+                v[c] = -red[r][f]
             cols.append(v)
         return Matrix.from_columns(cols, rows=self.cols)
 
@@ -244,53 +240,27 @@ class Matrix:
         """
         if rhs.rows != self.rows:
             raise ValueError("row count mismatch")
-        if self.cols == 0:
-            # only zero columns lie in the span of an empty basis
-            return Matrix([], cols=rhs.cols) if rhs.is_zero() else None
-        aug = self.hstack(rhs)
-        red, pivots = aug.rref()
+        red, pivots, _ = self.hstack(rhs)._eliminate()
         if any(p >= self.cols for p in pivots):
             return None
         sol = [[0] * rhs.cols for _ in range(self.cols)]
         for r, c in enumerate(pivots):
-            for k in range(rhs.cols):
-                sol[c][k] = red.data[r][self.cols + k]
+            sol[c] = red[r][self.cols:]
         return Matrix(sol, cols=rhs.cols)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise ValueError("only square matrices can be inverted")
-        red, pivots = self.hstack(Matrix.identity(self.rows)).rref()
-        if len(pivots) != self.rows or any(p >= self.rows for p in pivots):
+        inv = self.solve(Matrix.identity(self.rows))
+        if inv is None:
             raise ValueError("matrix is singular")
-        return Matrix([row[self.rows:] for row in red.data], cols=self.rows)
+        return inv
 
     def determinant(self):
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        m = [list(row) for row in self.data]
-        n = self.rows
-        det = 1
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    key = (abs(m[i][c].numerator), m[i][c].denominator, i)
-                    if piv is None or key < piv[0]:
-                        piv = (key, i)
-            if piv is None:
-                return 0
-            i = piv[1]
-            if i != c:
-                m[c], m[i] = m[i], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = Fraction(1, m[c][c])
-            for k in range(c + 1, n):
-                if m[k][c] != 0:
-                    f = m[k][c] * inv
-                    m[k] = [x - f * y for x, y in zip(m[k], m[c])]
-        return _frac(det)
+        _, pivots, product = self._eliminate()
+        return _frac(product) if len(pivots) == self.cols else 0
 
     # -- serialisation ---------------------------------------------------
 
@@ -313,51 +283,37 @@ class Matrix:
 # -- square functors ----------------------------------------------------
 
 
-def exterior_square(m: Matrix) -> Matrix:
-    """Induced map on the exterior square, basis e_p ^ e_q with p < q."""
+def schur_square(m: Matrix, mu) -> Matrix:
+    """Degree-2 Schur functor: mu=(1,1) exterior, mu=(2) symmetric.
+
+    The bases are e_p ^ e_q with p < q and e_p.e_q with p <= q.  Entry
+    ((p,q),(r,s)) is the determinant (exterior) or the permanent
+    (symmetric) of the 2x2 minor of m on rows p,q and columns r,s; on the
+    symmetric rows p = q it is the single product m_pr m_ps.  Both kill
+    -identity, so either factors through GL(V)/{+-1}.
+    """
+    mu = tuple(mu)
+    if mu not in ((1, 1), (2,)):
+        raise ValueError(f"unsupported partition {mu!r}; use (1,1) or (2,)")
     if not m.is_square():
         raise ValueError("square matrix required")
-    d = m.rows
-    pairs = list(combinations(range(d), 2))
-    a = m.data
-    out = [
-        [a[p][r] * a[q][s] - a[p][s] * a[q][r] for (r, s) in pairs]
-        for (p, q) in pairs
-    ]
-    if not pairs:
+    exterior = mu == (1, 1)
+    pairs = list((combinations if exterior else combinations_with_replacement)(
+        range(m.rows), 2))
+    if exterior and not pairs:
         raise ValueError("exterior square of a space of dimension < 2 is trivial")
-    return Matrix(out, cols=len(pairs))
+    sign = -1 if exterior else 1
+    a = m.data
+    return Matrix([[a[p][r] * a[p][s] if p == q
+                    else a[p][r] * a[q][s] + sign * a[p][s] * a[q][r]
+                    for (r, s) in pairs] for (p, q) in pairs], cols=len(pairs))
+
+
+def exterior_square(m: Matrix) -> Matrix:
+    """Induced map on the exterior square, basis e_p ^ e_q with p < q."""
+    return schur_square(m, (1, 1))
 
 
 def symmetric_square(m: Matrix) -> Matrix:
     """Induced map on the symmetric square, basis e_p.e_q with p <= q."""
-    if not m.is_square():
-        raise ValueError("square matrix required")
-    d = m.rows
-    pairs = list(combinations_with_replacement(range(d), 2))
-    a = m.data
-    out = []
-    for (p, q) in pairs:
-        row = []
-        for (r, s) in pairs:
-            if p == q:
-                row.append(a[p][r] * a[p][s])
-            elif r == s:
-                row.append(2 * a[p][r] * a[q][r])
-            else:
-                row.append(a[p][r] * a[q][s] + a[q][r] * a[p][s])
-        out.append(row)
-    return Matrix(out, cols=len(pairs))
-
-
-def schur_square(m: Matrix, mu) -> Matrix:
-    """Degree-2 Schur functor: mu=(1,1) exterior, mu=(2) symmetric.
-
-    Both kill -identity, so either factors through GL(V)/{+-1}.
-    """
-    mu = tuple(mu)
-    if mu == (1, 1):
-        return exterior_square(m)
-    if mu == (2,):
-        return symmetric_square(m)
-    raise ValueError(f"unsupported partition {mu!r}; use (1,1) or (2,)")
+    return schur_square(m, (2,))

@@ -200,6 +200,14 @@ class TestInduce:
         out = tmp_path / "missing" / "x.json"
         assert_usage_error(run(["induce", "--n", "3", "--out", str(out)]), capsys)
 
+    def test_fault_in_the_checks_leaves_no_out_file(self, tmp_path, monkeypatch):
+        def broken(rep):
+            raise RuntimeError("relator suite failed")
+        monkeypatch.setattr(induced.InducedRep, "relator_report", broken)
+        monkeypatch.chdir(tmp_path)
+        assert run(["induce", "--n", "3", "--out", "m.json"]) == 3
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_certificate_carries_its_witness(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         partial = [g for g in cover.kernel_generators(3) if g[0] == "partial conjugation"]
@@ -411,6 +419,32 @@ class TestGraph:
         path = tmp_path / "act.json"
         path.write_text(json.dumps(obj))
         assert run(["graph", "admissible", "--file", str(path)]) == 0
+
+    def test_action_file_with_integer_ids(self, tmp_path):
+        # JSON keys are strings; loading must map them back onto int ids
+        act = actions.cage_full(3)
+        g = graphs.make_graph([0, 1], [(1, 0, 1), (2, 0, 1), (3, 0, 1)])
+        vid, eid = {"u": 0, "w": 1}, {"c1": 1, "c2": 2, "c3": 3}
+        maps = {name: graphs.GraphAut(g, {vid[a]: vid[b] for a, b in aut.vmap.items()},
+                                      {eid[a]: eid[b] for a, b in aut.emap.items()},
+                                      {eid[a]: f for a, f in aut.flips.items()})
+                for name, aut in act.maps.items()}
+        checks = []
+        for action in (act, graphs.GraphAction(g, act.group, maps)):
+            path = tmp_path / "act.json"
+            path.write_text(json.dumps({**action.to_json(), "graph": action.graph.to_json()}))
+            out = tmp_path / "r.json"
+            assert run(["graph", "admissible", "--file", str(path), "--json", str(out)]) == 0
+            checks.append([(c["name"], c["status"]) for c in load_report(out)["checks"]])
+        assert checks[0] == checks[1]
+        assert checks[1][-1][0] == "admissible"
+
+    def test_vertex_ids_that_print_alike_are_usage_errors(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": [1, "1"], "edges": [
+            {"id": "a", "iota": 1, "tau": "1"}]}))
+        assert run(["graph", "homology", "--file", str(path)]) == 2
+        assert "vertex ids 1 and '1' print alike" in capsys.readouterr().err
 
     def test_graph_file(self, tmp_path):
         from outfn import graphs

@@ -217,7 +217,7 @@ class TestTables:
                 m = cover.minus_eigenspace_matrix(partial_conjugation(i, j, n))
                 for l in range(1, n):
                     if l != i:
-                        col = m.col(l - 1)
+                        col = [row[l - 1] for row in m.data]
                         assert col == [1 if r == l - 1 else 0
                                        for r in range(n - 1)]
 

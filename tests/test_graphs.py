@@ -54,8 +54,8 @@ def two_cages_and_a_loop():
 
 def flips_every_listed_loop(g, xi):
     p = graphs.signed_edge_matrix(xi)
-    return all(p.apply(v) == [-x for x in v]
-               for v in (loop.edge_vector(g) for loop in simple_loops(g)))
+    return all(p * v == -v for v in (Matrix.from_columns([loop.edge_vector(g)])
+                                     for loop in simple_loops(g)))
 
 
 class TestBuilders:
@@ -263,7 +263,7 @@ class TestSimpleLoops:
         g = graphs.daisy_chain(3)
         inc = g.incidence_matrix()
         for l in simple_loops(g):
-            assert all(x == 0 for x in inc.apply(l.edge_vector(g)))
+            assert (inc * Matrix.from_columns([l.edge_vector(g)])).is_zero()
 
 
 class TestMinLoopAndObstruction:
@@ -383,8 +383,8 @@ class TestFlipsAndDoubleTree:
         # exchanged instead, so the global answer is negative
         p = graphs.signed_edge_matrix(sw)
         for l in simple_loops(g):
-            v = l.edge_vector(g)
-            flipped = p.apply(v) == [-Fraction(x) for x in v]
+            v = Matrix.from_columns([l.edge_vector(g)])
+            flipped = p * v == -v
             assert flipped == (len(l) == 2)
         assert not graphs.flips_all_simple_loops(g, sw)
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,30 @@ def oracle_det(a):
     return sum((-1) ** j * Fraction(a[0][j])
                * oracle_det([row[:j] + row[j + 1:] for row in a[1:]])
                for j in range(len(a)))
+
+
+def oracle_exterior_square(a):
+    """Entry ((p,q),(r,s)) of the exterior square, p < q and r < s."""
+    pairs = list(combinations(range(len(a)), 2))
+    return [[a[p][r] * a[q][s] - a[p][s] * a[q][r] for (r, s) in pairs]
+            for (p, q) in pairs]
+
+
+def oracle_symmetric_square(a):
+    """Entry ((p,q),(r,s)) of the symmetric square, case by case."""
+    pairs = list(combinations_with_replacement(range(len(a)), 2))
+    out = []
+    for (p, q) in pairs:
+        row = []
+        for (r, s) in pairs:
+            if p == q:
+                row.append(a[p][r] * a[p][s])
+            elif r == s:
+                row.append(2 * a[p][r] * a[q][r])
+            else:
+                row.append(a[p][r] * a[q][s] + a[q][r] * a[p][s])
+        out.append(row)
+    return out
 
 
 def exact(x) -> bool:
@@ -130,6 +155,20 @@ class TestOracle:
             assert all(x == 0 for row in oracle_mul(a, k.data) for x in row)
             assert len(oracle_rref(k.data)[1]) == k.cols
 
+    @given(st.sampled_from([((1, 1), oracle_exterior_square, 2),
+                            ((2,), oracle_symmetric_square, 1)]),
+           st.data())
+    def test_square_functors(self, functor, data):
+        mu, oracle, low = functor
+        d = data.draw(st.integers(low, 5))
+        a = data.draw(st.one_of(
+            st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                     min_size=d, max_size=d),
+            lists(d, d)))
+        got = schur_square(Matrix(a), mu)
+        assert got.data == oracle(a)
+        assert all_exact(got)
+
     @given(chain(2, square=True))
     def test_determinant(self, ab):
         a, b = ab
@@ -145,6 +184,16 @@ class TestKernel:
 
     def test_zero_matrix_full_kernel(self):
         assert Matrix.zeros(2, 2).kernel_basis().cols == 2
+
+    def test_empty_matrices(self):
+        # no columns: rank 0 and a kernel without columns inside a 0-space
+        no_cols = Matrix([[], []], cols=0)
+        assert no_cols.rank() == 0
+        assert no_cols.kernel_basis() == Matrix([], cols=0)
+        # no rows: every column is free, so the kernel is the whole space
+        no_rows = Matrix([], cols=3)
+        assert no_rows.rank() == 0
+        assert no_rows.kernel_basis() == Matrix.identity(3)
 
     def test_cage_incidence_kernels(self):
         # rank-nullity: the incidence matrix of a k-cage has rank 1
