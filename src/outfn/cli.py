@@ -207,8 +207,15 @@ def cmd_induce(args) -> int:
                                     not fam["failures"], {"failures": fam["failures"]}))
             cert = induced.check_not_factoring(rep)
             checks.append(check("non-factoring certificate", cert["found"], cert))
-            json.dump(rep.to_json(), fh)
-            fh.write("\n")
+            # one C-encoder call per generator (``to_json``'s last key):
+            # ``json.dump`` runs the pure-Python encoder, slower; one
+            # ``json.dumps`` of it all holds every entry string at once
+            obj = rep.to_json()
+            generators = obj.pop("generators")
+            fh.write(json.dumps(obj)[:-1] + ', "generators": {')
+            for k, (name, matrix) in enumerate(generators.items()):
+                fh.write(f"{', ' if k else ''}{json.dumps(name)}: {json.dumps(matrix)}")
+            fh.write("}}\n")
         except BaseException:
             if os.path.isfile(out_path) and not os.path.islink(out_path):
                 os.remove(out_path)  # a regular file, not /dev/stdout or a link
@@ -335,6 +342,7 @@ def cmd_graph(args) -> int:
 
     elif sub == "cage-lemma":
         action = _action_from_args(args)
+        _require_relations("action", action.failed_relations())
         res = graphs.cage_trivial_multiplicity_check(action)
         checks.append(check("trivial multiplicity equals orbit count minus one",
                             res["ok"], res))

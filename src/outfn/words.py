@@ -26,6 +26,7 @@ calibration used to validate the composition order.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 from .linalg import Matrix
@@ -58,10 +59,10 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return reduce_word(self.letters + other.letters, self.rank)
+        return Word(_join(self.letters, other.letters), self.rank)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)), self.rank)
+        return Word(_inv(self.letters), self.rank)
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -70,12 +71,34 @@ class Word:
         return list(self.letters)
 
 
+def _inv(u: tuple) -> tuple:
+    return tuple(-x for x in reversed(u))
+
+
+def _join(u: tuple, v: tuple) -> tuple:
+    """The reduced product of two reduced letter tuples.
+
+    Cancellation can only happen at the seam, so it is enough to strip
+    the longest suffix of u that is inverse to a prefix of v.
+    """
+    k, m = 0, min(len(u), len(v))
+    while k < m and u[-1 - k] == -v[k]:
+        k += 1
+    return u[:len(u) - k] + v[k:]
+
+
+def _conj(x: tuple, w: tuple) -> tuple:
+    """w^-1 x w for reduced letter tuples, reduced."""
+    return _join(_join(_inv(w), x), w)
+
+
 def reduce_word(letters, rank: int) -> Word:
     """Freely reduce a raw letter sequence.
 
     Stack-based cancellation; the result does not depend on the order in
     which adjacent inverse pairs are removed (confluence of free
-    reduction).
+    reduction).  The one reducer of raw input: it validates every letter,
+    even one that cancels.  Products of reduced words use ``_join``.
     """
     out = []
     for x in letters:
@@ -98,7 +121,9 @@ def generator_word(i: int, rank: int) -> Word:
 
 def conjugate_word(x: Word, w: Word) -> Word:
     """w^-1 x w, reduced."""
-    return w.inverse() * x * w
+    if x.rank != w.rank:
+        raise ValueError("rank mismatch")
+    return Word(_conj(x.letters, w.letters), x.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +145,14 @@ class Endomorphism:
     def apply(self, w: Word) -> Word:
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
-        out = []
+        out = ()
         for x in w.letters:
             img = self.images[abs(x) - 1].letters
-            seq = img if x > 0 else tuple(-y for y in reversed(img))
-            for y in seq:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-        return Word(tuple(out), self.rank)
+            out = _join(out, img if x > 0 else _inv(img))
+        return Word(out, self.rank)
 
     def fixes_generators(self) -> bool:
         return all(img.letters == (i + 1,) for i, img in enumerate(self.images))
-
-
-def identity_endomorphism(rank: int) -> Endomorphism:
-    return Endomorphism(rank, tuple(generator_word(i, rank) for i in range(1, rank + 1)))
 
 
 def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
@@ -189,28 +205,11 @@ def compose_automorphisms(a: Automorphism, b: Automorphism) -> Automorphism:
 
 
 def identity_automorphism(rank: int) -> Automorphism:
-    e = identity_endomorphism(rank)
-    return Automorphism(e, e)
+    return automorphism(rank, [])
 
 
 # ---------------------------------------------------------------------------
 # Nielsen generators as moves on image tuples
-
-
-def _inv(u: tuple) -> tuple:
-    return tuple(-x for x in reversed(u))
-
-
-def _join(u: tuple, v: tuple) -> tuple:
-    """The reduced product of two reduced letter tuples.
-
-    Cancellation can only happen at the seam, so it is enough to strip
-    the longest suffix of u that is inverse to a prefix of v.
-    """
-    k, m = 0, min(len(u), len(v))
-    while k < m and u[-1 - k] == -v[k]:
-        k += 1
-    return u[:len(u) - k] + v[k:]
 
 
 # Each move takes the forward images ``img`` of some acc (a list of
@@ -268,8 +267,13 @@ def _move(kind):
         raise ValueError(f"unknown generator kind {kind!r}") from None
 
 
-def _moved_images(n: int, token_word) -> Endomorphism:
-    """The identity's images after one move per letter ``((kind, i, j), e)``."""
+def relator_automorphism(n: int, token_word) -> Endomorphism:
+    """The forward images of a token word; rightmost letter acts first.
+
+    Starting from the identity images, each letter ``((kind, i, j), e)``
+    is one Nielsen move from ``_MOVES``, so no inverse table is built or
+    certified.
+    """
     img = [(k,) for k in range(1, n + 1)]
     for (kind, i, j), e in token_word:
         _move(kind)(img, i, j, e)
@@ -280,8 +284,8 @@ def automorphism(n: int, token_word) -> Automorphism:
     """A token word as a certified automorphism: the forward table is
     the moved images of the word, the backward table those of its
     inverse word."""
-    return Automorphism(_moved_images(n, token_word),
-                        _moved_images(n, _inv_word(token_word)))
+    return Automorphism(relator_automorphism(n, token_word),
+                        relator_automorphism(n, _inv_word(token_word)))
 
 
 def nielsen(kind: str, i=None, j=None, n=None) -> Automorphism:
@@ -332,12 +336,9 @@ def delta(n: int) -> Automorphism:
 
 def inner(w: Word) -> Automorphism:
     """The inner automorphism c_w: x -> w^-1 x w."""
-    n = w.rank
-    fwd = Endomorphism(n, tuple(conjugate_word(generator_word(i, n), w)
-                                for i in range(1, n + 1)))
-    wi = w.inverse()
-    bwd = Endomorphism(n, tuple(conjugate_word(generator_word(i, n), wi)
-                                for i in range(1, n + 1)))
+    n, u = w.rank, w.letters
+    fwd, bwd = (Endomorphism(n, tuple(Word(_conj((k,), v), n) for k in range(1, n + 1)))
+                for v in (u, _inv(u)))
     return Automorphism(fwd, bwd)
 
 
@@ -358,36 +359,29 @@ def _check_pair(i, j, n):
 
 
 def is_inner(a):
-    """Return a conjugating word w with a = c_w, or None.
+    """Return the conjugating word w with a = c_w, or None.
 
     ``a`` is an ``Automorphism`` or an ``Endomorphism``; only the
-    forward images are read.  The search is complete: if ``a = c_w``
-    and w is written ``a_1^t u`` with u not starting in a_1 or its
-    inverse, then u can be read off the reduced image of a_1 (it is the
-    suffix after the middle letter) and ``|t|`` is bounded by half the
-    longest generator image, because images of the other generators
-    have length exactly ``2 len(u) + 2|t| + 1``.
+    forward images are read.  For n >= 2 the centre of F_n is trivial,
+    so w is unique, and two images determine it.  Write ``w = a_1^t u``
+    with u not starting in a_1 or its inverse.  Then
+    ``a(a_1) = u^-1 a_1 u`` is reduced as written, so u is its suffix
+    after the middle letter; and ``u a(a_2) u^-1 = a_1^-t a_2 a_1^t``
+    is reduced as written, so a_1^t is its suffix after the middle
+    letter.  That one candidate is returned if it conjugates every
+    generator to its image.  At rank 1 only the identity is inner, and
+    the empty word is returned for it.
     """
     n = a.rank
     imgs = [w.letters for w in a.images]
     if n == 1:
         return empty_word(1) if imgs == [(1,)] else None
-    u1 = imgs[0]
-    if len(u1) % 2 == 0:
-        return None
-    mid = len(u1) // 2
-    if u1[mid] != 1:
-        return None
-    tail = u1[mid + 1:]
-    if _join(_join(_inv(tail), (1,)), tail) != u1:
-        return None
-    bound = max(len(u) for u in imgs)
-    for t in range(0, bound + 1):
-        for sign in ((1,) if t == 0 else (1, -1)):
-            w = _join((sign,) * t, tail)
-            wi = _inv(w)
-            if all(imgs[k - 1] == _join(_join(wi, (k,)), w) for k in range(1, n + 1)):
-                return Word(w, n)
+    u = imgs[0][len(imgs[0]) // 2 + 1:]
+    v = _conj(imgs[1], _inv(u))
+    w = _join(v[len(v) // 2 + 1:], u)
+    wi = _inv(w)  # each _conj((k,), w) below, with w^-1 built once
+    if all(img == _join(_join(wi, (k,)), w) for k, img in enumerate(imgs, 1)):
+        return Word(w, n)
     return None
 
 
@@ -489,15 +483,6 @@ def gersten_relators(n: int):
         yield fam, f"j={j}", word
 
 
-def relator_automorphism(n: int, token_word) -> Endomorphism:
-    """The forward images of a token word; rightmost letter acts first.
-
-    Starting from the identity images, each letter is one Nielsen move
-    from ``_MOVES``, so no inverse table is built or certified.
-    """
-    return _moved_images(n, token_word)
-
-
 def _check_relator(args):
     """None when the relator is inner, else its reduced forward images."""
     n, token_word = args
@@ -529,16 +514,19 @@ def verify_gersten(n: int, jobs: int = 1) -> dict:
     Returns a report listing, per family, how many index tuples were
     instantiated and which of them (if any) failed.  A family with
     failures also gets ``images``: each failing label's reduced forward
-    images, as lists of letters.
+    images, as lists of letters.  ``jobs`` workers check the relators,
+    but never more than the CPU count.
     """
     items = list(gersten_relators(n))
-    if jobs > 1:
+    work = [(n, w) for (_, _, w) in items]
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_check_relator, [(n, w) for (_, _, w) in items])
+        with multiprocessing.Pool(workers) as pool:
+            results = pool.map(_check_relator, work)
     else:
-        results = [_check_relator((n, w)) for (_, _, w) in items]
+        results = list(map(_check_relator, work))
 
     rows = [(family, label, images)
             for (family, label, _), images in zip(items, results)]

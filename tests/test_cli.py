@@ -5,6 +5,8 @@ import copy
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 
 import jsonschema
 import pytest
@@ -98,6 +100,48 @@ class TestGersten:
         assert fam["status"] == "fail"
         assert fam["details"] == {"tuples": 1, "failures": ["rho12"],
                                   "images": {"rho12": [[1, 2], [2], [3]]}}
+
+    def test_jobs_are_capped_at_the_cpu_count(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and maps in process, so no
+        # worker is started whatever --jobs asks for
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return list(map(func, items))
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        a, b = tmp_path / "serial.json", tmp_path / "jobs.json"
+        assert run(["gersten", "--n", "3", "--json", str(a)]) == 0
+        assert run(["gersten", "--n", "3", "--jobs", "1000000", "--json", str(b)]) == 0
+        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+        assert rb["parameters"].pop("jobs") == 1000000
+        ra["parameters"].pop("jobs")
+        assert ra == rb
+        assert all(size <= (os.cpu_count() or 1) for size in sizes)
+
+    # sha256 of the --json report
+    GOLDEN = {
+        "3": "eec18e6e7f716e4b740e08f2bce40aa51d4f0404726ee37f328cfc293a108bbd",
+        "4": "1f1cad98fdf70bb29d75900de9b8d13ef48e2db582f9b482ded1cd4181cdc508",
+        "5": "b30659abf3a696b89ea1dd67a5c80826967e772023c5a41c93263f1782134d44",
+        "6": "fb2ab6cc07a377e58770f9de0e78164dac27205a0a410e19acef15e9264d08f5",
+    }
+
+    @pytest.mark.parametrize("n", list(GOLDEN))
+    def test_report_bytes_are_pinned(self, tmp_path, n):
+        out = tmp_path / "g.json"
+        assert run(["gersten", "--n", n, "--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[n]
 
     def test_passing_families_carry_no_images(self, tmp_path):
         out = tmp_path / "g.json"
@@ -545,7 +589,7 @@ class TestFailureBoundary:
         obj["graph"] = act.graph.to_json()
         obj["group"]["relations"].append(["s1"])
         path = write_json(tmp_path, obj, "action.json")
-        for sub in ("admissible", "rose-lemma"):
+        for sub in ("admissible", "rose-lemma", "cage-lemma"):
             assert run(["graph", sub, "--file", path]) == 2
             assert capsys.readouterr().err == (
                 "error: action fails 1 defining relation(s): [('s1',)]\n")

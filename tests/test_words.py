@@ -69,6 +69,42 @@ class TestApply:
             W.rho(1, 2, 3).forward.apply(W.reduce_word([1], 4))
 
 
+def oracle_apply(endo, w):
+    """The image of w, one letter at a time on a cancellation stack."""
+    out = []
+    for x in w.letters:
+        img = endo.images[abs(x) - 1].letters
+        seq = img if x > 0 else tuple(-y for y in reversed(img))
+        for y in seq:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return W.Word(tuple(out), endo.rank)
+
+
+def reduced(n, max_size):
+    """A strategy for freely reduced words of rank n."""
+    return st.lists(st.sampled_from([s * i for i in range(1, n + 1) for s in (1, -1)]),
+                    max_size=max_size).map(lambda seq: W.reduce_word(seq, n))
+
+
+@st.composite
+def endomorphisms_and_words(draw):
+    """A random endomorphism, not necessarily invertible, and a word."""
+    n = draw(st.integers(1, 4))
+    images = tuple(draw(reduced(n, 6)) for _ in range(n))
+    return W.Endomorphism(n, images), draw(reduced(n, 10))
+
+
+class TestApplyOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(endomorphisms_and_words())
+    def test_apply_agrees_with_the_stack_oracle(self, case):
+        endo, w = case
+        assert endo.apply(w) == oracle_apply(endo, w)
+
+
 class TestCompose:
     def test_involution_squares_to_identity(self):
         assert (W.eps(1, 3) * W.eps(1, 3)).is_identity()
@@ -215,6 +251,40 @@ class TestInnerBruteForce:
             assert conjugators == [found]
 
 
+# Conjugators a_1^t u with u not starting in a_1^+-1: the read-off in
+# ``is_inner`` splits exactly there, and random words seldom start with
+# a long a_1 run.
+TAILS = [(), (2,), (-2,), (2, 1), (-2, -1, -1, 3), (3, 1, -2, 1), (-3, 2, 2, -1, 3)]
+
+
+class TestInnerReadOff:
+    @pytest.mark.parametrize("t", range(-6, 7))
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_leading_generator_runs(self, t, tail):
+        w = W.Word((1 if t > 0 else -1,) * abs(t) + tail, 3)
+        a = W.inner(w)
+        assert W.is_inner(a) == w == oracle_is_inner(a)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_near_misses(self, n, tail):
+        # c_w with the image of one generator a_k replaced by its conjugate
+        # under another word v.  The images left alone pin any conjugator
+        # to w (two generators have trivial common centraliser), so the
+        # result is not inner once the replaced image has changed.
+        w = W.Word((1, 1) + tail, n)
+        images = W.inner(w).forward.images
+        misses = 0
+        for k in range(1, n + 1):
+            for v in [W.empty_word(n)] + [W.generator_word(j, n) * w for j in range(1, n + 1)]:
+                img = W.conjugate_word(W.generator_word(k, n), v)
+                if img != images[k - 1]:
+                    misses += 1
+                    near = images[:k - 1] + (img,) + images[k:]
+                    assert W.is_inner(W.Endomorphism(n, near)) is None
+        assert misses >= n * (n - 1)
+
+
 class TestOuterEqual:
     def test_reflexive(self):
         assert W.outer_equal(W.rho(1, 2, 3), W.rho(1, 2, 3))
@@ -273,7 +343,8 @@ def oracle_relator_automorphism(n, token_word):
 
 
 def oracle_is_inner(a):
-    """The conjugator search of ``is_inner``, on ``Word`` arithmetic."""
+    """A bounded conjugator search on ``Word`` arithmetic, the slow
+    oracle for the read-off in ``is_inner``."""
     n = a.rank
     if n == 1:
         return W.empty_word(1) if a.is_identity() else None
