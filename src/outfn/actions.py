@@ -69,26 +69,9 @@ def alternating_cage(k: int) -> GraphAction:
     return GraphAction(g, symreps.alternating_group(k), _alternating(g, k))
 
 
-def alternating_doubled_cage(k: int) -> GraphAction:
-    """A_k on the 2k-cage acting the same way on both halves.
-
-    Two edge orbits of size k; useful for the multiplicity-counting
-    checks with several orbits.
-    """
-    g = graphs.cage(2 * k)
-    return GraphAction(g, symreps.alternating_group(k), _alternating(g, k))
-
-
 def trivial_action(graph: Graph) -> GraphAction:
     """The one-element group acting on anything."""
     return GraphAction(graph, symreps.trivial_group(), {})
-
-
-def trivial_alternating_action(graph: Graph, k: int) -> GraphAction:
-    """A_k acting trivially: every generator is the identity automorphism."""
-    desc = symreps.alternating_group(k)
-    maps = {name: graphs.identity_aut(graph) for name in desc.generators}
-    return GraphAction(graph, desc, maps)
 
 
 def vertex_swap(g: Graph) -> GraphAut:

@@ -26,7 +26,6 @@ from the generators; no check lists the group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .linalg import Matrix
 from .symreps import FiniteRep, GroupDescriptor
@@ -60,27 +59,33 @@ def _union_find(items):
     return find, union
 
 
-@dataclass(frozen=True)
 class Graph:
-    vertices: tuple
-    edges: tuple
-    ends: dict  # edge -> (iota, tau)
+    __slots__ = ("vertices", "edges", "ends")
 
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+    def __init__(self, vertices: tuple, edges: tuple, ends: dict):
+        self.vertices = vertices
+        self.edges = edges
+        self.ends = ends  # edge -> (iota, tau)
+        vset = set(vertices)
+        if len(vset) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        if len(set(self.edges)) != len(self.edges):
+        if len(set(edges)) != len(edges):
             raise ValueError("duplicate edge ids")
-        for kind, ids in (("vertex", self.vertices), ("edge", self.edges)):
+        for kind, ids in (("vertex", vertices), ("edge", edges)):
             printed = {}
             for x in ids:
                 if printed.setdefault(str(x), x) != x:
                     raise ValueError(f"{kind} ids {printed[str(x)]!r} and {x!r} print alike")
-        for e in self.edges:
-            io, ta = self.ends[e]
+        for e in edges:
+            io, ta = ends[e]
             if io not in vset or ta not in vset:
                 raise ValueError(f"edge {e!r} has a missing endpoint")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.vertices, self.edges, self.ends)
+                == (other.vertices, other.edges, other.ends))
 
     def iota(self, e):
         return self.ends[e][0]
@@ -206,7 +211,6 @@ def cover_of_rose(n: int) -> Graph:
 # graph automorphisms and actions
 
 
-@dataclass(frozen=True)
 class GraphAut:
     """A graph automorphism with per-edge orientation bookkeeping.
 
@@ -214,27 +218,33 @@ class GraphAut:
     orientation, i.e. iota(g.e) = g.tau(e) instead of g.iota(e).
     """
 
-    graph: Graph
-    vmap: dict
-    emap: dict
-    flips: dict
+    __slots__ = ("graph", "vmap", "emap", "flips")
 
-    def __post_init__(self):
-        g = self.graph
-        if set(self.vmap) != set(g.vertices) or set(self.vmap.values()) != set(g.vertices):
+    def __init__(self, graph: Graph, vmap: dict, emap: dict, flips: dict):
+        self.graph = graph
+        self.vmap = vmap
+        self.emap = emap
+        self.flips = flips
+        if set(vmap) != set(graph.vertices) or set(vmap.values()) != set(graph.vertices):
             raise ValueError("vertex map is not a permutation")
-        if set(self.emap) != set(g.edges) or set(self.emap.values()) != set(g.edges):
+        if set(emap) != set(graph.edges) or set(emap.values()) != set(graph.edges):
             raise ValueError("edge map is not a permutation")
-        unknown = set(self.flips) - set(g.edges)
+        unknown = set(flips) - set(graph.edges)
         if unknown:
             raise ValueError(f"flips name unknown edges: {sorted(map(str, unknown))}")
-        for e in g.edges:
-            io, ta = g.ends[e]
-            im_io, im_ta = g.ends[self.emap[e]]
-            flip = bool(self.flips.get(e, False))
-            want = (self.vmap[ta], self.vmap[io]) if flip else (self.vmap[io], self.vmap[ta])
+        for e in graph.edges:
+            io, ta = graph.ends[e]
+            im_io, im_ta = graph.ends[emap[e]]
+            flip = bool(flips.get(e, False))
+            want = (vmap[ta], vmap[io]) if flip else (vmap[io], vmap[ta])
             if (im_io, im_ta) != want:
                 raise ValueError(f"incidence equivariance fails at edge {e!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.graph, self.vmap, self.emap, self.flips)
+                == (other.graph, other.vmap, other.emap, other.flips))
 
     def flip(self, e) -> bool:
         return bool(self.flips.get(e, False))
@@ -357,17 +367,17 @@ def graph_aut_from_json(graph: Graph, obj) -> GraphAut:
     )
 
 
-@dataclass
 class GraphAction:
     """A group acting on a graph through named generator automorphisms."""
 
-    graph: Graph
-    group: GroupDescriptor
-    maps: dict  # generator name -> GraphAut
+    __slots__ = ("graph", "group", "maps")
 
-    def __post_init__(self):
-        for name in self.group.generators:
-            if name not in self.maps:
+    def __init__(self, graph: Graph, group: GroupDescriptor, maps: dict):
+        self.graph = graph
+        self.group = group
+        self.maps = maps  # generator name -> GraphAut
+        for name in group.generators:
+            if name not in maps:
                 raise ValueError(f"no automorphism supplied for generator {name!r}")
 
     def aut_of(self, word) -> GraphAut:
@@ -413,20 +423,19 @@ def action_from_json(graph: Graph, obj) -> GraphAction:
 # homology
 
 
-@dataclass
 class CycleBasis:
     """A basis of the balanced edge weightings, one column per cycle."""
 
-    graph: Graph
-    matrix: Matrix  # |E| x dim
+    __slots__ = ("graph", "matrix")
 
-    def __post_init__(self):
-        g = self.graph
-        if self.matrix.rows != len(g.edges):
+    def __init__(self, graph: Graph, matrix: Matrix):
+        self.graph = graph
+        self.matrix = matrix  # |E| x dim
+        if matrix.rows != len(graph.edges):
             raise ValueError("column length must match the edge count")
-        if not (g.incidence_matrix() * self.matrix).is_zero():
+        if not (graph.incidence_matrix() * matrix).is_zero():
             raise ValueError("columns are not balanced at every vertex")
-        if self.matrix.cols != g.rank():
+        if matrix.cols != graph.rank():
             raise ValueError("wrong number of independent cycles")
 
     @property
@@ -487,12 +496,15 @@ def trivial_multiplicity(action: GraphAction) -> int:
 # collapsing
 
 
-@dataclass
 class CollapseResult:
-    quotient: Graph
-    cycle_map: Matrix         # quotient cycle coords x source cycle coords
-    source_basis: CycleBasis
-    quotient_basis: CycleBasis
+    __slots__ = ("quotient", "cycle_map", "source_basis", "quotient_basis")
+
+    def __init__(self, quotient: Graph, cycle_map: Matrix,
+                 source_basis: CycleBasis, quotient_basis: CycleBasis):
+        self.quotient = quotient
+        self.cycle_map = cycle_map    # quotient cycle coords x source cycle coords
+        self.source_basis = source_basis
+        self.quotient_basis = quotient_basis
 
 
 def collapse(graph: Graph, edge_subset) -> CollapseResult:
@@ -628,7 +640,6 @@ def flips_all_simple_loops(graph: Graph, xi: GraphAut) -> bool:
     return signed_edge_matrix(xi) * cycles == -cycles
 
 
-@dataclass
 class DoubleTree:
     """Splitting of a graph along the fixed set of a loop-flipping involution.
 
@@ -636,12 +647,16 @@ class DoubleTree:
     by the involution has been cut at its midpoint.
     """
 
-    subdivided: Graph
-    xi: GraphAut
-    d_vertices: frozenset
-    d_edges: frozenset
-    f_vertices: frozenset
-    f_edges: frozenset
+    __slots__ = ("subdivided", "xi", "d_vertices", "d_edges", "f_vertices", "f_edges")
+
+    def __init__(self, subdivided: Graph, xi: GraphAut, d_vertices: frozenset,
+                 d_edges: frozenset, f_vertices: frozenset, f_edges: frozenset):
+        self.subdivided = subdivided
+        self.xi = xi
+        self.d_vertices = d_vertices
+        self.d_edges = d_edges
+        self.f_vertices = f_vertices
+        self.f_edges = f_edges
 
     def d_prime_edges(self) -> frozenset:
         return frozenset(self.xi.emap[e] for e in self.d_edges)

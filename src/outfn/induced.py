@@ -46,7 +46,6 @@ unimodular, so every entry still comes out as a Python ``int``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 from math import comb
 
@@ -113,7 +112,6 @@ def coset_transversal(n: int) -> dict:
 # block matrices
 
 
-@dataclass(frozen=True)
 class BlockMatrix:
     """Square matrix with one nonzero block per row and column.
 
@@ -121,14 +119,21 @@ class BlockMatrix:
     sits in block-row r and equals the ``Matrix`` block.
     """
 
-    size: int
-    dim: int
-    columns: tuple
+    __slots__ = ("size", "dim", "columns")
 
-    def __post_init__(self):
-        rows = [r for r, _ in self.columns]
-        if sorted(rows) != list(range(self.size)):
+    def __init__(self, size: int, dim: int, columns: tuple):
+        self.size = size
+        self.dim = dim
+        self.columns = columns
+        rows = [r for r, _ in columns]
+        if sorted(rows) != list(range(size)):
             raise ValueError("block rows do not form a permutation")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.size, self.dim, self.columns)
+                == (other.size, other.dim, other.columns))
 
     def is_identity(self) -> bool:
         return all(r == c and g.is_identity()
@@ -226,17 +231,19 @@ def generator_name(token) -> str:
     return kind + "".join(str(x) for x in (i, j) if x is not None)
 
 
-@dataclass
 class InducedRep:
-    n: int
-    mu: tuple
-    cosets: tuple          # masks, ascending; index = block position
-    transversal: dict      # mask -> Automorphism
-    generators: dict       # name -> BlockMatrix
-    _blocks: _Blocks = field(default_factory=_Blocks, init=False, repr=False,
-                             compare=False)
-    _letters: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)   # (token, e) -> ((row, id), ...)
+    __slots__ = ("n", "mu", "cosets", "transversal", "generators",
+                 "_blocks", "_letters")
+
+    def __init__(self, n: int, mu: tuple, cosets: tuple, transversal: dict,
+                 generators: dict):
+        self.n = n
+        self.mu = mu
+        self.cosets = cosets              # masks, ascending; index = block position
+        self.transversal = transversal    # mask -> Automorphism
+        self.generators = generators      # name -> BlockMatrix
+        self._blocks = _Blocks()
+        self._letters = {}                # (token, e) -> ((row, id), ...)
 
     @property
     def dim_u(self) -> int:

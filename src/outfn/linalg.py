@@ -210,11 +210,6 @@ class Matrix:
             r += 1
         return m, tuple(pivots), product
 
-    def rref(self):
-        """Reduced row echelon form; returns ``(R, pivot_columns)``."""
-        m, pivots, _ = self._eliminate()
-        return Matrix(m, cols=self.cols), pivots
-
     def rank(self) -> int:
         return len(self._eliminate()[1])
 

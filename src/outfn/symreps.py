@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import Matrix
@@ -31,19 +30,25 @@ from .linalg import Matrix
 # group descriptors (generators plus defining relations as positive words)
 
 
-@dataclass(frozen=True)
 class GroupDescriptor:
-    name: str
-    generators: tuple
-    relations: tuple  # tuples of generator names; each must equal 1
+    __slots__ = ("name", "generators", "relations")
 
-    def __post_init__(self):
-        known = set(self.generators)
-        for rel in self.relations:
+    def __init__(self, name: str, generators: tuple, relations: tuple):
+        self.name = name
+        self.generators = generators
+        self.relations = relations  # tuples of generator names; each must equal 1
+        known = set(generators)
+        for rel in relations:
             for letter in rel:
                 if letter not in known:
                     raise ValueError(f"relation {list(rel)} names {letter!r}, "
                                      f"which is not a generator")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.generators, self.relations)
+                == (other.name, other.generators, other.relations))
 
     def to_json(self):
         return {
@@ -158,20 +163,20 @@ def with_central_involution(base: GroupDescriptor) -> GroupDescriptor:
 # matrix representations
 
 
-@dataclass
 class FiniteRep:
     """A matrix representation given on named generators."""
 
-    group: GroupDescriptor
-    dim: int
-    generators: dict = field(default_factory=dict)
+    __slots__ = ("group", "dim", "generators")
 
-    def __post_init__(self):
-        for name in self.group.generators:
+    def __init__(self, group: GroupDescriptor, dim: int, generators: dict | None = None):
+        self.group = group
+        self.dim = dim
+        self.generators = {} if generators is None else generators
+        for name in group.generators:
             if name not in self.generators:
                 raise ValueError(f"no matrix supplied for generator {name!r}")
         for name, m in self.generators.items():
-            if not isinstance(m, Matrix) or m.shape != (self.dim, self.dim):
+            if not isinstance(m, Matrix) or m.shape != (dim, dim):
                 raise ValueError(f"generator {name!r} has the wrong shape")
             if m.determinant() == 0:
                 raise ValueError(f"generator {name!r} is singular")
@@ -242,7 +247,6 @@ def involution_family(rep: FiniteRep, n: int) -> list:
 # eigenspace decompositions
 
 
-@dataclass
 class EpsDecomposition:
     """Joint eigenspaces of n commuting involutions.
 
@@ -254,10 +258,13 @@ class EpsDecomposition:
     size i.
     """
 
-    n: int
-    ambient: int
-    involutions: list
-    spaces: dict
+    __slots__ = ("n", "ambient", "involutions", "spaces")
+
+    def __init__(self, n: int, ambient: int, involutions: list, spaces: dict):
+        self.n = n
+        self.ambient = ambient
+        self.involutions = involutions
+        self.spaces = spaces
 
     @property
     def layer_dims(self) -> tuple:

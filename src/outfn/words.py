@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 
 from .linalg import Matrix
 
@@ -36,22 +35,30 @@ from .linalg import Matrix
 # words
 
 
-@dataclass(frozen=True)
 class Word:
     """A freely reduced word; ``letters`` may be empty (the identity)."""
 
-    letters: tuple
-    rank: int
+    __slots__ = ("letters", "rank")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, letters: tuple, rank: int):
+        self.letters = letters
+        self.rank = rank
+        if rank < 1:
             raise ValueError("rank must be at least 1")
-        for x in self.letters:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
-                raise ValueError(f"letter {x!r} out of range for rank {self.rank}")
-        for a, b in zip(self.letters, self.letters[1:]):
+        for x in letters:
+            if not isinstance(x, int) or x == 0 or abs(x) > rank:
+                raise ValueError(f"letter {x!r} out of range for rank {rank}")
+        for a, b in zip(letters, letters[1:]):
             if a == -b:
                 raise ValueError("word is not freely reduced")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letters, self.rank) == (other.letters, other.rank)
+
+    def __hash__(self):
+        return hash((self.letters, self.rank))
 
     def __len__(self):
         return len(self.letters)
@@ -130,17 +137,25 @@ def conjugate_word(x: Word, w: Word) -> Word:
 # endomorphisms and automorphisms
 
 
-@dataclass(frozen=True)
 class Endomorphism:
-    rank: int
-    images: tuple
+    __slots__ = ("rank", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.rank:
+    def __init__(self, rank: int, images: tuple):
+        self.rank = rank
+        self.images = images
+        if len(images) != rank:
             raise ValueError("need one image per generator")
-        for img in self.images:
-            if not isinstance(img, Word) or img.rank != self.rank:
+        for img in images:
+            if not isinstance(img, Word) or img.rank != rank:
                 raise ValueError("image rank mismatch")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.images) == (other.rank, other.images)
+
+    def __hash__(self):
+        return hash((self.rank, self.images))
 
     def apply(self, w: Word) -> Word:
         if w.rank != self.rank:
@@ -162,20 +177,33 @@ def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
     return Endomorphism(f.rank, tuple(f.apply(img) for img in g.images))
 
 
-@dataclass(frozen=True)
 class Automorphism:
     """An automorphism with a certified inverse table."""
 
-    forward: Endomorphism
-    backward: Endomorphism
+    __slots__ = ("forward", "backward")
+
+    def __init__(self, forward: Endomorphism, backward: Endomorphism):
+        self.forward = forward
+        self.backward = backward
+        self.__post_init__()
 
     def __post_init__(self):
+        """Certify the inverse table.  A method of its own, so that
+        ``perfbench/tracer.py`` can count certifications."""
         if self.forward.rank != self.backward.rank:
             raise ValueError("rank mismatch")
         if not compose(self.forward, self.backward).fixes_generators():
             raise ValueError("backward table is not a right inverse")
         if not compose(self.backward, self.forward).fixes_generators():
             raise ValueError("backward table is not a left inverse")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.forward, self.backward) == (other.forward, other.backward)
+
+    def __hash__(self):
+        return hash((self.forward, self.backward))
 
     @property
     def rank(self) -> int:

@@ -25,10 +25,27 @@ def random_multigraph(rng, max_edges=16):
     return graphs.make_graph(verts, recs)
 
 
+def alternating_doubled_cage(k: int) -> graphs.GraphAction:
+    """A_k on the 2k-cage acting the same way on both halves.
+
+    Two edge orbits of size k; useful for the multiplicity-counting
+    checks with several orbits.
+    """
+    g = graphs.cage(2 * k)
+    return graphs.GraphAction(g, symreps.alternating_group(k), actions._alternating(g, k))
+
+
+def trivial_alternating_action(graph: graphs.Graph, k: int) -> graphs.GraphAction:
+    """A_k acting trivially: every generator is the identity automorphism."""
+    desc = symreps.alternating_group(k)
+    maps = {name: graphs.identity_aut(graph) for name in desc.generators}
+    return graphs.GraphAction(graph, desc, maps)
+
+
 def stock_actions():
     return [actions.symmetric_rose(3), actions.alternating_rose(4),
             actions.signed_rose(3), actions.symmetric_cage(4),
-            actions.alternating_cage(5), actions.alternating_doubled_cage(3),
+            actions.alternating_cage(5), alternating_doubled_cage(3),
             actions.cage_full(4), actions.cage_central_alternating(4)]
 
 
@@ -506,11 +523,11 @@ class TestCageMultiplicity:
 
     def test_two_orbits(self):
         out = graphs.cage_trivial_multiplicity_check(
-            actions.alternating_doubled_cage(5))
+            alternating_doubled_cage(5))
         assert out == {"orbit_count": 2, "trivial_multiplicity": 1, "ok": True}
 
     def test_trivial_action_three_orbits(self):
-        act = actions.trivial_alternating_action(graphs.cage(3), 5)
+        act = trivial_alternating_action(graphs.cage(3), 5)
         out = graphs.cage_trivial_multiplicity_check(act)
         assert out == {"orbit_count": 3, "trivial_multiplicity": 2, "ok": True}
 
@@ -625,7 +642,7 @@ class TestGeneratorMultiplicity:
         res = graphs.invariant_orientation(actions.signed_rose(6))
         assert res["obstruction_edge"] == "p1"
         assert graphs.trivial_multiplicity(actions.cage_full(7)) == 0
-        assert graphs.trivial_multiplicity(actions.alternating_doubled_cage(6)) == 1
+        assert graphs.trivial_multiplicity(alternating_doubled_cage(6)) == 1
         out = graphs.cage_trivial_multiplicity_check(actions.alternating_cage(12))
         assert out == {"orbit_count": 1, "trivial_multiplicity": 0, "ok": True}
 
@@ -648,8 +665,8 @@ def perfectness_actions():
     """A5/A6 on cages, the doubled cage, A5 acting trivially, S4, S5 on
     a rose, G4, B5, W3, the one-edge cage and A5 from two generators."""
     return [actions.alternating_cage(5), actions.alternating_cage(6),
-            actions.alternating_doubled_cage(5),
-            actions.trivial_alternating_action(graphs.cage(3), 5),
+            alternating_doubled_cage(5),
+            trivial_alternating_action(graphs.cage(3), 5),
             actions.symmetric_cage(4), actions.symmetric_rose(5),
             actions.cage_full(5), actions.cage_central_alternating(6),
             actions.signed_rose(3), one_edge_cage(), two_three_cycles()]
@@ -762,7 +779,7 @@ class TestBuiltinActions:
     def test_doubled_cage_and_parity_involution(self):
         for k in range(3, 8):
             maps = oracle_doubled_cage_maps(k)
-            act = actions.alternating_doubled_cage(k)
+            act = alternating_doubled_cage(k)
             assert list(act.maps) == list(maps) == list(act.group.generators)
             assert all(_parts(act.maps[s]) == _parts(maps[s]) for s in maps)
         for n in range(0, 8):

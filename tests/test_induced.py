@@ -1,6 +1,5 @@
 """Coset transversal, block induction, relator suite, non-factoring."""
 
-import dataclasses
 import random
 from itertools import permutations
 
@@ -367,7 +366,8 @@ class TestStoredBlockOracle:
                 return bad if sign > 0 else bad_inverse
             return base(tok, sign)
 
-        perturbed = dataclasses.replace(rep, generators={**rep.generators, name: bad})
+        perturbed = induced.InducedRep(rep.n, rep.mu, rep.cosets, rep.transversal,
+                                       {**rep.generators, name: bad})
         new = failing_labels(perturbed.relator_report())
         assert new and new == failing_labels(oracle_relator_report(rep, letter))
         assert new == failing_labels(
@@ -448,7 +448,8 @@ class TestWordBlocks:
                             lambda a, b: products.append((a, b)) or real(a, b))
         assert rep.relator_report()["ok"]
         assert products == []
-        fresh = dataclasses.replace(rep, generators=dict(rep.generators))
+        fresh = induced.InducedRep(rep.n, rep.mu, rep.cosets, rep.transversal,
+                                   dict(rep.generators))
         assert fresh.relator_report()["ok"]
         pairs = [tuple(tuple(map(tuple, g.data)) for g in pair) for pair in products]
         assert pairs and len(set(pairs)) == len(pairs)

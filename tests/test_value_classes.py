@@ -1,0 +1,158 @@
+"""The plain value classes: start-up imports, field-wise equality and
+hashing, and the checks their constructors run."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from outfn import graphs, induced, symreps, words as W
+from outfn.linalg import Matrix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """``import outfn.cli`` in a fresh interpreter pulls in neither
+    ``dataclasses`` nor ``inspect`` (and their ``ast``/``dis``/``tokenize``)."""
+    code = ("import sys; before = set(sys.modules); import outfn.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "outfn.cli" in out
+    assert "dataclasses" not in out
+    assert "inspect" not in out
+
+
+def word(letters, rank=3):
+    return W.Word(tuple(letters), rank)
+
+
+def endo(*images, rank=3):
+    return W.Endomorphism(rank, tuple(word(u, rank) for u in images))
+
+
+# Each entry builds one object from fresh field values, so two calls
+# give equal but distinct objects; ``other`` differs in one field.
+HASHED = {
+    "Word": (lambda: word([1, -2]), [lambda: word([1, 2]), lambda: word([1, -2], 4)]),
+    "Endomorphism": (lambda: endo([1, 2], [2], [3]),
+                     [lambda: endo([1], [2], [3]),
+                      lambda: endo([1, 2], [2], [3], [4], rank=4)]),
+    "Automorphism": (lambda: W.rho(1, 2, 3), [lambda: W.lam(1, 2, 3), lambda: W.rho(1, 2, 4),
+                                             lambda: W.rho(1, 2, 3).inverse()]),
+}
+
+
+def block(size, dim, shift=0):
+    return induced.BlockMatrix(size, dim, tuple(
+        ((c + shift) % size, Matrix.identity(dim)) for c in range(size)))
+
+
+def graph(tau="w"):
+    return graphs.make_graph(["u", "w"], [("a", "u", "w"), ("b", "u", tau)])
+
+
+def swap(g, flips=None):
+    return graphs.GraphAut(g, {"u": "u", "w": "w"}, {"a": "b", "b": "a"},
+                           {} if flips is None else flips)
+
+
+COMPARED = {
+    "BlockMatrix": (lambda: block(3, 2), [lambda: block(3, 2, shift=1), lambda: block(2, 2)]),
+    "Graph": (graph, [lambda: graph("u"),
+                      lambda: graphs.make_graph(["u", "w", "x"],
+                                                [("a", "u", "w"), ("b", "u", "w")])]),
+    "GraphAut": (lambda: swap(graph()),
+                 [lambda: graphs.identity_aut(graph()),
+                  lambda: swap(graph(), {"a": False})]),
+    "GroupDescriptor": (lambda: symreps.symmetric_group(3),
+                        [lambda: symreps.symmetric_group(4),
+                         lambda: symreps.GroupDescriptor("S3", ("s1", "s2"), ())]),
+}
+
+
+class TestEquality:
+    @pytest.mark.parametrize("name", sorted(HASHED))
+    def test_hashed_classes(self, name):
+        make, others = HASHED[name]
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        for other in others:
+            assert a != other()
+
+    @pytest.mark.parametrize("name", sorted(COMPARED))
+    def test_compared_classes(self, name):
+        make, others = COMPARED[name]
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        for other in others:
+            assert a != other()
+
+    @pytest.mark.parametrize("make", [make for make, _ in {**HASHED, **COMPARED}.values()])
+    def test_other_types_are_unequal(self, make):
+        a = make()
+        assert a != object() and a != None  # noqa: E711
+
+
+class TestConstructorChecks:
+    def test_letter_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^letter 4 out of range for rank 3$"):
+            word([1, 4])
+        with pytest.raises(ValueError, match=r"^letter 0 out of range for rank 3$"):
+            word([0])
+        with pytest.raises(ValueError, match=r"^letter 1\.0 out of range for rank 3$"):
+            word([1.0])
+
+    def test_rank(self):
+        with pytest.raises(ValueError, match=r"^rank must be at least 1$"):
+            W.Word((), 0)
+
+    def test_unreduced_word(self):
+        with pytest.raises(ValueError, match=r"^word is not freely reduced$"):
+            word([2, 1, -1])
+
+    def test_endomorphism_images(self):
+        with pytest.raises(ValueError, match=r"^need one image per generator$"):
+            endo([1], [2])
+        with pytest.raises(ValueError, match=r"^image rank mismatch$"):
+            W.Endomorphism(2, (word([1], 2), word([2], 3)))
+
+    def test_backward_table_not_an_inverse(self):
+        a = W.rho(1, 2, 3)
+        with pytest.raises(ValueError, match=r"^backward table is not a right inverse$"):
+            W.Automorphism(a.forward, a.forward)
+        with pytest.raises(ValueError, match=r"^rank mismatch$"):
+            W.Automorphism(a.forward, W.rho(1, 2, 4).backward)
+
+    def test_automorphism_certifies_through_its_hook(self, monkeypatch):
+        seen = []
+        real = W.Automorphism.__post_init__
+        monkeypatch.setattr(W.Automorphism, "__post_init__",
+                            lambda self: seen.append(self) or real(self))
+        a = W.rho(1, 2, 3)
+        assert seen[-1] is a
+
+    def test_block_rows_form_a_permutation(self):
+        with pytest.raises(ValueError, match=r"^block rows do not form a permutation$"):
+            induced.BlockMatrix(2, 1, ((0, Matrix.identity(1)), (0, Matrix.identity(1))))
+
+    def test_finite_rep_generators_default_to_empty(self):
+        rep = symreps.FiniteRep(symreps.trivial_group(), 2)
+        assert rep.generators == {}
+        assert symreps.FiniteRep(symreps.trivial_group(), 2).generators is not rep.generators
+        with pytest.raises(ValueError, match=r"^no matrix supplied for generator 's1'$"):
+            symreps.FiniteRep(symreps.symmetric_group(2), 1)
+
+    def test_induced_rep_starts_with_empty_caches(self):
+        rep = induced.induce(3)
+        assert rep.relator_report()["ok"]
+        fresh = induced.InducedRep(rep.n, rep.mu, rep.cosets, rep.transversal,
+                                   rep.generators)
+        assert fresh._letters == {} and fresh._blocks.matrices == []
+        assert rep._letters and rep._blocks.matrices
