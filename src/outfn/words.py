@@ -300,12 +300,36 @@ def relator_automorphism(n: int, token_word) -> Endomorphism:
 
     Starting from the identity images, each letter ``((kind, i, j), e)``
     is one Nielsen move from ``_MOVES``, so no inverse table is built or
-    certified.
+    certified.  The moved tuples are valid words of rank n by
+    construction, so ``_moved_images`` does not scan them again: they
+    start as the generators ``(k,)``; a move checks its indices before
+    it touches a tuple, so it only reads and writes the n images; and
+    each move rewrites tuples with ``_join`` and ``_inv`` alone, which
+    keep reduced tuples of letters in range reduced and in range.
     """
     img = [(k,) for k in range(1, n + 1)]
     for (kind, i, j), e in token_word:
         _move(kind)(img, i, j, e)
-    return Endomorphism(n, tuple(Word(u, n) for u in img))
+    return _moved_images(n, img)
+
+
+def _moved_images(n: int, img) -> Endomorphism:
+    """The ``Endomorphism`` with image tuples ``img``, built without the
+    letter checks of ``Word`` and ``Endomorphism``.  Only for the move
+    engine's tuples, which are valid words (see ``relator_automorphism``);
+    no move changes the length of the list, so only a negative n can
+    make it differ from n.
+    """
+    if len(img) != n:
+        raise ValueError("need one image per generator")
+    words = []
+    for u in img:
+        w = Word.__new__(Word)
+        w.letters, w.rank = u, n
+        words.append(w)
+    endo = Endomorphism.__new__(Endomorphism)
+    endo.rank, endo.images = n, tuple(words)
+    return endo
 
 
 def automorphism(n: int, token_word) -> Automorphism:
@@ -397,13 +421,17 @@ def is_inner(a):
     after the middle letter; and ``u a(a_2) u^-1 = a_1^-t a_2 a_1^t``
     is reduced as written, so a_1^t is its suffix after the middle
     letter.  That one candidate is returned if it conjugates every
-    generator to its image.  At rank 1 only the identity is inner, and
-    the empty word is returned for it.
+    generator to its image.  When every image is its own generator the
+    empty word conjugates them all, and by uniqueness it is the word
+    the read-off would return, so it is returned at once.  At rank 1
+    only the identity is inner, and the empty word is returned for it.
     """
     n = a.rank
     imgs = [w.letters for w in a.images]
     if n == 1:
         return empty_word(1) if imgs == [(1,)] else None
+    if all(img == (k,) for k, img in enumerate(imgs, 1)):
+        return Word((), n)
     u = imgs[0][len(imgs[0]) // 2 + 1:]
     v = _conj(imgs[1], _inv(u))
     w = _join(v[len(v) // 2 + 1:], u)
@@ -536,6 +564,12 @@ def family_report(rows) -> list:
     return list(families.values())
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def verify_gersten(n: int, jobs: int = 1) -> dict:
     """Instantiate every relator family and check it in the outer group.
 
@@ -543,11 +577,12 @@ def verify_gersten(n: int, jobs: int = 1) -> dict:
     instantiated and which of them (if any) failed.  A family with
     failures also gets ``images``: each failing label's reduced forward
     images, as lists of letters.  ``jobs`` workers check the relators,
-    but never more than the CPU count.
+    but never more than the CPUs this process may run on (its affinity
+    mask where the platform reports one, else the CPU count).
     """
     items = list(gersten_relators(n))
     work = [(n, w) for (_, _, w) in items]
-    workers = min(jobs, os.cpu_count() or 1, len(items))
+    workers = min(jobs, _usable_cpus(), len(items))
     if workers > 1:
         import multiprocessing
 

@@ -101,7 +101,8 @@ class TestGersten:
         assert fam["details"] == {"tuples": 1, "failures": ["rho12"],
                                   "images": {"rho12": [[1, 2], [2], [3]]}}
 
-    def test_jobs_are_capped_at_the_cpu_count(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         # a stand-in pool records its size and maps in process, so no
         # worker is started whatever --jobs asks for
         sizes = []
@@ -120,6 +121,9 @@ class TestGersten:
                 return list(map(func, items))
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        return sizes
+
+    def test_jobs_are_capped_at_the_cpu_count(self, tmp_path, pool_sizes):
         a, b = tmp_path / "serial.json", tmp_path / "jobs.json"
         assert run(["gersten", "--n", "3", "--json", str(a)]) == 0
         assert run(["gersten", "--n", "3", "--jobs", "1000000", "--json", str(b)]) == 0
@@ -127,7 +131,19 @@ class TestGersten:
         assert rb["parameters"].pop("jobs") == 1000000
         ra["parameters"].pop("jobs")
         assert ra == rb
-        assert all(size <= (os.cpu_count() or 1) for size in sizes)
+        assert all(size <= (os.cpu_count() or 1) for size in pool_sizes)
+
+    def test_jobs_are_capped_at_the_affinity_mask(self, tmp_path, monkeypatch, pool_sizes):
+        # one usable CPU, as under ``taskset -c 0``, leaves no room for a pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        a, b = tmp_path / "serial.json", tmp_path / "jobs.json"
+        assert run(["gersten", "--n", "3", "--json", str(a)]) == 0
+        assert run(["gersten", "--n", "3", "--jobs", "2", "--json", str(b)]) == 0
+        assert pool_sizes == []
+        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+        assert rb["parameters"].pop("jobs") == 2
+        ra["parameters"].pop("jobs")
+        assert ra == rb
 
     # sha256 of the --json report
     GOLDEN = {
