@@ -143,6 +143,8 @@ class Endomorphism:
     def __init__(self, rank: int, images: tuple):
         self.rank = rank
         self.images = images
+        if rank < 1:
+            raise ValueError("rank must be at least 1")
         if len(images) != rank:
             raise ValueError("need one image per generator")
         for img in images:
@@ -317,11 +319,11 @@ def _moved_images(n: int, img) -> Endomorphism:
     """The ``Endomorphism`` with image tuples ``img``, built without the
     letter checks of ``Word`` and ``Endomorphism``.  Only for the move
     engine's tuples, which are valid words (see ``relator_automorphism``);
-    no move changes the length of the list, so only a negative n can
-    make it differ from n.
+    no move changes the length of the list, which holds n images for
+    every n >= 1, so the rank is the one thing left to check.
     """
-    if len(img) != n:
-        raise ValueError("need one image per generator")
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     words = []
     for u in img:
         w = Word.__new__(Word)

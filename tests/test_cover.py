@@ -231,9 +231,9 @@ def coset_elements(n):
                                    for kind in ("rho", "lam")]
     for token in tokens:
         a = W.nielsen(*token, n)
-        for mask, t in transversal.items():
-            target = transversal[induced.act_on_mask(a, mask)]
-            yield W.compose(target.backward, W.compose(a.forward, t.forward))
+        for mask, word in transversal.items():
+            target = W.automorphism(n, transversal[induced.act_on_mask(a.backward, mask)])
+            yield W.compose(target.backward, W.compose(a.forward, W.automorphism(n, word).forward))
 
 
 def stabiliser_tokens(n):

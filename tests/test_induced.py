@@ -1,6 +1,7 @@
 """Coset transversal, block induction, relator suite, non-factoring."""
 
 import random
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -25,15 +26,16 @@ class TestTransversal:
         tr = induced.coset_transversal(n)
         assert len(tr) == 2 ** n - 1
         base = 1 << (n - 1)
-        assert tr[base].is_identity()
-        for mask, t in tr.items():
-            assert induced.act_on_mask(t, base) == mask
+        assert tr[base] == ()
+        for mask, word in tr.items():
+            assert induced.act_on_mask(W.automorphism(n, word).backward, base) == mask
 
     def test_single_bit_uses_a_swap(self):
         n = 3
         tr = induced.coset_transversal(n)
-        t = tr[functional_to_mask((1, 0, 0))]
-        assert t.forward == W.sigma(1, 3, 3).forward
+        word = tr[functional_to_mask((1, 0, 0))]
+        assert word == ((("sigma", 1, 3), 1),)
+        assert W.relator_automorphism(n, word) == W.sigma(1, 3, 3).forward
 
     def test_mask_round_trip(self):
         for n in (3, 4):
@@ -48,7 +50,8 @@ class TestTransversal:
         tr = induced.coset_transversal(n)
         want = oracle_coset_transversal(n)
         assert list(tr) == list(want)
-        for mask, t in tr.items():
+        for mask, word in tr.items():
+            t = W.automorphism(n, word)
             assert t.forward == want[mask].forward
             assert t.backward == want[mask].backward
 
@@ -58,43 +61,73 @@ class TestMaskAction:
     def test_matches_the_abelianisation_oracle_and_the_left_action_law(self, n):
         rng = random.Random(30 + n)
         for _ in range(12):
-            f = nielsen_product(rng, n, rng.randrange(0, 5))
-            g = nielsen_product(rng, n, rng.randrange(0, 5))
+            f = random_word(rng, n, rng.randrange(0, 5))
+            g = random_word(rng, n, rng.randrange(0, 5))
+            fa, ga = W.automorphism(n, f), W.automorphism(n, g)
+            moved = W.relator_automorphism(n, W._inv_word(f + g))
             for mask in range(1, 2 ** n):
-                fg = induced.act_on_mask(f * g, mask)
-                assert fg == oracle_act_on_mask(f * g, mask)
-                assert fg == induced.act_on_mask(f, induced.act_on_mask(g, mask))
+                fg = induced.act_on_mask((fa * ga).backward, mask)
+                assert fg == oracle_act_on_mask(fa * ga, mask)
+                assert fg == induced.act_on_mask(moved, mask)
+                assert fg == induced.act_on_mask(fa.backward,
+                                                 induced.act_on_mask(ga.backward, mask))
+
+    def test_an_automorphism_is_refused(self):
+        # its forward images are not the images of the inverse: mod 2,
+        # rho12 rho23 has order 4
+        a = W.rho(1, 2, 3) * W.rho(2, 3, 3)
+        assert any(induced.act_on_mask(a.backward, mask) != induced.act_on_mask(a.forward, mask)
+                   for mask in range(1, 8))
+        with pytest.raises(TypeError, match="images of a\\^-1"):
+            induced.act_on_mask(a, 0b001)
 
 
 class TestBlocks:
     def test_identity_block(self):
         rep = induced.induce(3)
-        assert rep.block_of(W.identity_automorphism(3)).is_identity()
+        assert rep.is_identity(rep.block_of([]))
+        assert read(rep, rep.block_of([])) == block_identity(rep)
 
     def test_block_structure_is_a_permutation(self):
         rep = induced.induce(3)
-        for name, bm in rep.generators.items():
-            rows = sorted(r for r, _ in bm.columns)
+        for name, columns in rep.generators.items():
+            rows = sorted(r for r, _ in columns)
             assert rows == list(range(len(rep.cosets))), name
 
     def test_block_product_matches_dense_product(self):
         rep = induced.induce(3)
-        a = rep.generators["rho12"]
-        b = rep.generators["eps1"]
-        dense = a.to_matrix() * b.to_matrix()
-        assert block_product(a, b).to_matrix() == dense
+        a = read(rep, rep.generators["rho12"])
+        b = read(rep, rep.generators["eps1"])
+        dense = to_dense(rep, a) * to_dense(rep, b)
+        assert to_dense(rep, block_product(a, b)) == dense
         word = [(("rho", 1, 2), 1), (("eps", 1, None), 1)]
-        assert rep.word_block(word).to_matrix() == dense
+        assert to_dense(rep, read(rep, rep.word_block(word))) == dense
 
     def test_block_of_is_multiplicative(self):
         rep = induced.induce(3)
         rng = random.Random(3)
-        pool = [W.rho(1, 2, 3), W.lam(2, 3, 3), W.eps(1, 3), W.sigma(1, 3, 3)]
+        pool = [[(("rho", 1, 2), 1)], [(("lam", 2, 3), 1)], [(("eps", 1, None), 1)],
+                [(("sigma", 1, 3), 1)]]
         for _ in range(10):
             g, h = rng.choice(pool), rng.choice(pool)
-            lhs = rep.block_of(g * h)
-            rhs = block_product(rep.block_of(g), rep.block_of(h))
-            assert lhs.to_matrix() == rhs.to_matrix()
+            lhs = read(rep, rep.block_of(g + h))
+            rhs = block_product(read(rep, rep.block_of(g)), read(rep, rep.block_of(h)))
+            assert to_dense(rep, lhs) == to_dense(rep, rhs)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_wrong_target_fails_the_stabiliser_check(self, monkeypatch, n):
+        # flipping bit 1 of every odd target keeps the block rows a
+        # permutation, so only the stabiliser check can catch it
+        rep = induced.induce(n)
+        real = induced.act_on_mask
+
+        def flipped(inverse, mask):
+            target = real(inverse, mask)
+            return target ^ (target & 1) << 1
+        monkeypatch.setattr(induced, "act_on_mask", flipped)
+        for token in stored_tokens(n):
+            with pytest.raises(ValueError, match="does not stabilise the base functional"):
+                rep.block_of([(token, 1)])
 
 
 class TestInduce:
@@ -125,12 +158,13 @@ class TestInduce:
         # inner automorphisms must act trivially on the induced side
         n, j = 3, 2
         rep = induced.induce(n)
-        prod = W.identity_automorphism(n)
+        word = []
         for i in range(1, n + 1):
             if i != j:
-                prod = prod * (W.rho(i, j, n) * W.lam(i, j, n).inverse())
-        assert W.is_inner(prod) is not None
-        assert rep.block_of(prod).is_identity()
+                word += [(("rho", i, j), 1), (("lam", i, j), -1)]
+        assert W.is_inner(W.automorphism(n, word)) is not None
+        assert rep.is_identity(rep.block_of(word))
+        assert rep.is_identity(rep.word_block(word))
 
     def test_json_shape(self):
         rep = induced.induce(3)
@@ -140,6 +174,7 @@ class TestInduce:
         assert "rho12" in obj["generators"]
         m = Matrix.from_json(obj["generators"]["rho12"])
         assert m.shape == (21, 21)
+        assert m == to_dense(rep, read(rep, rep.generators["rho12"]))
 
 
 class TestCertificate:
@@ -165,7 +200,7 @@ class TestCertificate:
         nums = [int(v) for v in re.findall(r"=(\d+)", label)]
         g = transvection_commutator(*nums, rep.n) if "commutator" in label \
             else partial_conjugation(*nums, rep.n)
-        dense = rep.block_of(g).to_matrix()
+        dense = to_dense(rep, oracle_block_of(rep, g))
         assert not dense.is_identity()
         nil = dense - Matrix.identity(rep.m)
         power = Matrix.identity(rep.m)
@@ -177,43 +212,67 @@ class TestCertificate:
         # nontrivial image, but with -1 eigenvalues mixed in: the scan
         # must classify it as not unipotent and move on
         rep = induced.induce(3)
-        g = partial_conjugation(1, 2, 3)
-        bm = rep.block_of(g)
-        assert not bm.is_identity()
-        assert bm.unipotency_index() is None
+        columns = rep.block_of([(("rho", 1, 2), 1), (("lam", 1, 2), -1)])
+        assert not rep.is_identity(columns)
+        assert rep.unipotency_index(columns) is None
         base_index = rep.cosets.index(functional_to_mask((0, 0, 1)))
-        row, grid = bm.columns[base_index]
-        assert row == base_index and grid.is_identity()
+        row, i = columns[base_index]
+        assert row == base_index and rep.blocks.matrices[i].is_identity()
 
 
 # ---------------------------------------------------------------------------
 # oracles: the certified evaluation that the stored-block path replaced, and
-# the stored-block evaluation without interning or memoised products
+# the stored-block evaluation without interning or memoised products, both
+# on block matrices written out as tuples of (block row, Matrix) per
+# block-column
+
+
+def read(rep, columns):
+    """Columns of ids, read through the representation's block table."""
+    return tuple((r, rep.blocks.matrices[i]) for r, i in columns)
+
+
+def to_dense(rep, block):
+    m = rep.m
+    d = rep.dim_u
+    data = [[0] * m for _ in range(m)]
+    for c, (r, g) in enumerate(block):
+        for i, row in enumerate(g.data):
+            data[r * d + i][c * d:(c + 1) * d] = row
+    return Matrix(data, cols=m)
 
 
 def block_identity(rep):
     ident = Matrix.identity(rep.dim_u)
-    return induced.BlockMatrix(len(rep.cosets), rep.dim_u,
-                               tuple((c, ident) for c in range(len(rep.cosets))))
+    return tuple((c, ident) for c in range(len(rep.cosets)))
 
 
 def block_product(a, b):
     """Block-column c of a b: the block of b in column c, sitting in
     block-row mid, multiplied into block-column mid of a."""
     cols = []
-    for c in range(a.size):
-        mid, q = b.columns[c]
-        r, p = a.columns[mid]
+    for mid, q in b:
+        r, p = a[mid]
         cols.append((r, p * q))
-    return induced.BlockMatrix(a.size, a.dim, tuple(cols))
+    return tuple(cols)
 
 
 def block_inverse(a):
     """Transposed block permutation, each block inverted exactly."""
-    cols = [None] * a.size
-    for c, (r, g) in enumerate(a.columns):
+    cols = [None] * len(a)
+    for c, (r, g) in enumerate(a):
         cols[r] = (c, g.inverse())
-    return induced.BlockMatrix(a.size, a.dim, tuple(cols))
+    return tuple(cols)
+
+
+def copy_rep(rep, replaced=None):
+    """A fresh representation with the same generator blocks, interned
+    in a table of its own; ``replaced`` maps names to substitute blocks."""
+    out = induced.InducedRep(rep.n, rep.mu, rep.transversal)
+    for name, columns in rep.generators.items():
+        block = (replaced or {}).get(name) or read(rep, columns)
+        out.generators[name] = tuple((r, out.blocks.intern(g)) for r, g in block)
+    return out
 
 
 def stored_letters(rep):
@@ -223,7 +282,7 @@ def stored_letters(rep):
 
     def letter(token, e):
         if (token, e) not in cache:
-            block = rep.generators[induced.generator_name(token)]
+            block = read(rep, rep.generators[induced.generator_name(token)])
             cache[token, e] = block if e > 0 else block_inverse(block)
         return cache[token, e]
     return letter
@@ -238,6 +297,7 @@ def oracle_word_block(rep, word, letter=None):
     return acc
 
 
+@lru_cache(maxsize=None)
 def oracle_coset_transversal(n):
     """The transversal as a chain of certified products: sigma_pn (or the
     identity), then rho_kp composed on the left for each other set bit k
@@ -257,18 +317,19 @@ def oracle_coset_transversal(n):
 
 def oracle_block_of(rep, a):
     """Every coset element t_target^-1 a t_mask built as a certified
-    ``Automorphism``, its block read off the minus eigenspace through the
-    Schreier rewrite."""
+    ``Automorphism`` from the compose-chain transversal, its block read
+    off the minus eigenspace through the Schreier rewrite."""
+    transversal = oracle_coset_transversal(rep.n)
     index = {mask: i for i, mask in enumerate(rep.cosets)}
     cols = []
     for mask in rep.cosets:
         target = oracle_act_on_mask(a, mask)
         h = W.compose_automorphisms(
-            rep.transversal[target].inverse(),
-            W.compose_automorphisms(a, rep.transversal[mask]))
+            transversal[target].inverse(),
+            W.compose_automorphisms(a, transversal[mask]))
         cols.append((index[target],
                      schur_square(oracle_minus_eigenspace_matrix(h), rep.mu)))
-    return induced.BlockMatrix(len(rep.cosets), rep.dim_u, tuple(cols))
+    return tuple(cols)
 
 
 def oracle_letters(rep):
@@ -286,7 +347,8 @@ def oracle_letters(rep):
 def oracle_relator_report(rep, letter=None):
     """Each relator as the product of its letter blocks from the identity."""
     letter = letter or oracle_letters(rep)
-    rows = [(family, label, oracle_word_block(rep, word, letter).is_identity())
+    ident = block_identity(rep)
+    rows = [(family, label, oracle_word_block(rep, word, letter) == ident)
             for family, label, word in W.gersten_relators(rep.n)]
     families = W.family_report(rows)
     return {"n": rep.n, "m": rep.m, "families": families,
@@ -298,17 +360,18 @@ def stored_tokens(n):
                                  for kind in ("rho", "lam")]
 
 
-def nielsen_product(rng, n, length):
+def random_word(rng, n, length):
+    """A random token word over all six Nielsen kinds, each letter
+    inverted with probability one half."""
     kinds = [("rho", True), ("lam", True), ("sigma", True), ("eps", False),
              ("sigma_star", False), ("delta", None)]
-    a = W.identity_automorphism(n)
+    word = []
     for _ in range(length):
         kind, pair = rng.choice(kinds)
         i, j = rng.sample(range(1, n + 1), 2)
         args = (i, j) if pair else (i, None) if pair is False else (None, None)
-        g = W.nielsen(kind, *args, n)
-        a = a * (g if rng.random() < 0.5 else g.inverse())
-    return a
+        word.append(((kind, *args), 1 if rng.random() < 0.5 else -1))
+    return word
 
 
 def elementary(dim, a, b, c=1):
@@ -344,18 +407,17 @@ class TestStoredBlockOracle:
     ])
     def test_perturbed_block_fails_the_same_relators(self, reps, n, name, column, op):
         rep = reps[n]
-        good = rep.generators[name]
-        row = good.columns[column][0]
+        good = read(rep, rep.generators[name])
+        row = good[column][0]
         e = elementary(rep.dim_u, *op)
         e_inv = elementary(rep.dim_u, op[0], op[1], -op[2])
 
         def only_block(mat):
             ident = Matrix.identity(rep.dim_u)
-            return induced.BlockMatrix(len(rep.cosets), rep.dim_u, tuple(
-                (c, mat if c == row else ident) for c in range(len(rep.cosets))))
+            return tuple((c, mat if c == row else ident) for c in range(len(rep.cosets)))
 
         bad = block_product(only_block(e), good)
-        assert sum(b != g for b, g in zip(bad.columns, good.columns)) == 1
+        assert sum(b != g for b, g in zip(bad, good)) == 1
         token = next(t for t in stored_tokens(n) if induced.generator_name(t) == name)
         bad_inverse = block_product(oracle_block_of(rep, W.nielsen(*token, n).inverse()),
                                     only_block(e_inv))
@@ -366,8 +428,7 @@ class TestStoredBlockOracle:
                 return bad if sign > 0 else bad_inverse
             return base(tok, sign)
 
-        perturbed = induced.InducedRep(rep.n, rep.mu, rep.cosets, rep.transversal,
-                                       {**rep.generators, name: bad})
+        perturbed = copy_rep(rep, {name: bad})
         new = failing_labels(perturbed.relator_report())
         assert new and new == failing_labels(oracle_relator_report(rep, letter))
         assert new == failing_labels(
@@ -378,8 +439,8 @@ class TestStoredBlockOracle:
         rep = reps[n]
         rng = random.Random(n)
         for length in [0, 1, 1, 2, 3, 4, 5, 6]:
-            a = nielsen_product(rng, n, length)
-            assert rep.block_of(a) == oracle_block_of(rep, a)
+            word = random_word(rng, n, length)
+            assert read(rep, rep.block_of(word)) == oracle_block_of(rep, W.automorphism(n, word))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_generator_inverses(self, reps, n):
@@ -388,13 +449,12 @@ class TestStoredBlockOracle:
         assert [induced.generator_name(t) for t in tokens] == list(rep.generators)
         ident = block_identity(rep)
         for token in tokens:
-            g = rep.generators[induced.generator_name(token)]
+            g = read(rep, rep.generators[induced.generator_name(token)])
             inv = block_inverse(g)
             assert block_product(g, inv) == ident == block_product(inv, g)
             assert inv == oracle_block_of(rep, W.nielsen(*token, n).inverse())
-            assert rep.word_block([(token, -1)]) == inv
-            assert all(type(x) is int for _, b in inv.columns
-                       for row in b.data for x in row)
+            assert read(rep, rep.word_block([(token, -1)])) == inv
+            assert all(type(x) is int for _, b in inv for row in b.data for x in row)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_certificate_words_are_the_cover_automorphisms(self, reps, n):
@@ -403,22 +463,27 @@ class TestStoredBlockOracle:
         want = oracle_kernel_generators(n)
         assert [label for _, label, _, _ in got] == [label for label, _ in want]
         for (_, _, word, _), (_, g) in zip(got, want):
-            assert rep.word_block(word) == rep.block_of(g) == oracle_word_block(rep, word)
+            assert rep.word_block(word) == rep.block_of(word)
+            assert read(rep, rep.word_block(word)) == oracle_block_of(rep, g) \
+                == oracle_word_block(rep, word)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_stabilizer_test_matches_the_functional_action(self, reps, n):
         rep = reps[n]
         base = (0,) * (n - 1) + (1,)
         rng = random.Random(10 + n)
-        pool = [nielsen_product(rng, n, rng.randrange(0, 5)) for _ in range(40)]
-        for mask, t in rep.transversal.items():
+        pool = [W.automorphism(n, random_word(rng, n, rng.randrange(0, 5)))
+                for _ in range(40)]
+        transversal = {mask: W.automorphism(n, word)
+                       for mask, word in rep.transversal.items()}
+        for mask, t in transversal.items():
             a = pool[mask % len(pool)]
-            target = induced.act_on_mask(a, mask)
-            pool.append(rep.transversal[target].inverse() * a * t)
+            target = induced.act_on_mask(a.backward, mask)
+            pool.append(transversal[target].inverse() * a * t)
         seen = set()
         for a in pool:
             want = oracle_act_on_functional(a, base) == base
-            assert induced.act_on_mask(a, 1 << (n - 1)) == \
+            assert induced.act_on_mask(a.backward, 1 << (n - 1)) == \
                 functional_to_mask(oracle_act_on_functional(a, base))
             assert cover.stabilizes_base_functional(a) == want
             assert cover.stabilizes_base_functional(a.forward) == want
@@ -428,7 +493,9 @@ class TestStoredBlockOracle:
 
 class TestWordBlocks:
     def test_empty_word_is_the_identity(self, reps):
-        assert reps[3].word_block([]).is_identity()
+        rep = reps[3]
+        assert rep.is_identity(rep.word_block([]))
+        assert read(rep, rep.word_block([])) == block_identity(rep)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_word_blocks_match_the_stored_block_oracle(self, reps, n):
@@ -437,19 +504,18 @@ class TestWordBlocks:
         tokens = stored_tokens(n)
         for length in range(9):
             word = [(rng.choice(tokens), rng.choice((1, -1))) for _ in range(length)]
-            assert rep.word_block(word) == oracle_word_block(rep, word)
+            assert read(rep, rep.word_block(word)) == oracle_word_block(rep, word)
 
     def test_block_products_are_memoised_per_representation(self, monkeypatch):
         rep = induced.induce(3)
         assert rep.relator_report()["ok"]
+        fresh = copy_rep(rep)
         products = []
         real = Matrix.__mul__
         monkeypatch.setattr(Matrix, "__mul__",
                             lambda a, b: products.append((a, b)) or real(a, b))
         assert rep.relator_report()["ok"]
         assert products == []
-        fresh = induced.InducedRep(rep.n, rep.mu, rep.cosets, rep.transversal,
-                                   dict(rep.generators))
         assert fresh.relator_report()["ok"]
         pairs = [tuple(tuple(map(tuple, g.data)) for g in pair) for pair in products]
         assert pairs and len(set(pairs)) == len(pairs)
@@ -459,20 +525,24 @@ class TestWordBlocks:
             reps[3].word_block([(("rho", 1, 2), 1), (("sigma", 1, 2), 1)])
 
     def test_no_certified_automorphism_on_the_block_path(self, monkeypatch):
-        rep = induced.induce(3)
-        a = W.rho(1, 2, 3) * W.eps(1, 3) * W.sigma_star(2, 3)
+        for name in ("compose", "automorphism", "Automorphism", "BlockMatrix"):
+            assert not hasattr(induced, name)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("called on the block path")
         monkeypatch.setattr(W.Automorphism, "__post_init__", forbidden)
-        for mod in (W, induced):
-            monkeypatch.setattr(mod, "automorphism", forbidden)
-        monkeypatch.setattr(W, "compose_automorphisms", forbidden)
-        monkeypatch.setattr(W, "nielsen", forbidden)
-        rep.block_of(a)
-        monkeypatch.setattr(induced.InducedRep, "block_of", forbidden)
-        assert rep.relator_report()["ok"]
-        assert induced.check_not_factoring(rep)["found"]
+        monkeypatch.setattr(W.Endomorphism, "apply", forbidden)
+        for name in ("automorphism", "compose", "compose_automorphisms", "nielsen"):
+            monkeypatch.setattr(W, name, forbidden)
+        for n in (3, 4):
+            rep = induced.induce(n)
+            rep.block_of([(("rho", 1, 2), 1), (("eps", 1, None), 1),
+                          (("sigma_star", 2, None), 1)])
+            with monkeypatch.context() as inner:
+                inner.setattr(induced.InducedRep, "block_of", forbidden)
+                assert rep.relator_report()["ok"]
+                assert induced.check_not_factoring(rep)["found"]
+                assert rep.to_json()["m"] == rep.m
 
     def test_no_schreier_rewrite_on_the_induce_path(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from outfn import graphs, induced, symreps, words as W
-from outfn.linalg import Matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,11 +46,6 @@ HASHED = {
 }
 
 
-def block(size, dim, shift=0):
-    return induced.BlockMatrix(size, dim, tuple(
-        ((c + shift) % size, Matrix.identity(dim)) for c in range(size)))
-
-
 def graph(tau="w"):
     return graphs.make_graph(["u", "w"], [("a", "u", "w"), ("b", "u", tau)])
 
@@ -62,7 +56,6 @@ def swap(g, flips=None):
 
 
 COMPARED = {
-    "BlockMatrix": (lambda: block(3, 2), [lambda: block(3, 2, shift=1), lambda: block(2, 2)]),
     "Graph": (graph, [lambda: graph("u"),
                       lambda: graphs.make_graph(["u", "w", "x"],
                                                 [("a", "u", "w"), ("b", "u", "w")])]),
@@ -113,6 +106,15 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match=r"^rank must be at least 1$"):
             W.Word((), 0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: W.Endomorphism(0, ()),
+        lambda: W.relator_automorphism(0, []),
+        lambda: W.relator_automorphism(-1, []),
+    ], ids=["Endomorphism(0)", "relator_automorphism(0)", "relator_automorphism(-1)"])
+    def test_endomorphism_rank(self, build):
+        with pytest.raises(ValueError, match=r"^rank must be at least 1$"):
+            build()
+
     def test_unreduced_word(self):
         with pytest.raises(ValueError, match=r"^word is not freely reduced$"):
             word([2, 1, -1])
@@ -138,9 +140,14 @@ class TestConstructorChecks:
         a = W.rho(1, 2, 3)
         assert seen[-1] is a
 
-    def test_block_rows_form_a_permutation(self):
+    def test_block_rows_form_a_permutation(self, monkeypatch):
+        # flipping bit 0 of the base coset's target repeats a block row
+        rep = induced.induce(3)
+        base, real = 1 << 2, induced.act_on_mask
+        monkeypatch.setattr(induced, "act_on_mask",
+                            lambda inverse, mask: real(inverse, mask) ^ (mask == base))
         with pytest.raises(ValueError, match=r"^block rows do not form a permutation$"):
-            induced.BlockMatrix(2, 1, ((0, Matrix.identity(1)), (0, Matrix.identity(1))))
+            rep.block_of([(("rho", 1, 2), 1)])
 
     def test_finite_rep_generators_default_to_empty(self):
         rep = symreps.FiniteRep(symreps.trivial_group(), 2)
@@ -152,7 +159,8 @@ class TestConstructorChecks:
     def test_induced_rep_starts_with_empty_caches(self):
         rep = induced.induce(3)
         assert rep.relator_report()["ok"]
-        fresh = induced.InducedRep(rep.n, rep.mu, rep.cosets, rep.transversal,
-                                   rep.generators)
-        assert fresh._letters == {} and fresh._blocks.matrices == []
-        assert rep._letters and rep._blocks.matrices
+        fresh = induced.InducedRep(rep.n, rep.mu, rep.transversal)
+        assert fresh.cosets == rep.cosets
+        assert fresh.generators == {} and fresh.generators is not rep.generators
+        assert fresh._letters == {} and fresh.blocks.matrices == []
+        assert rep._letters and rep.blocks.matrices

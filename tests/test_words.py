@@ -526,21 +526,21 @@ class TestFunctionalAction:
     bit k reads the parity of a_{k+1}."""
 
     def test_eps_acts_trivially(self):
-        assert induced.act_on_mask(W.eps(1, 3), 0b101) == 0b101
+        assert induced.act_on_mask(W.eps(1, 3).backward, 0b101) == 0b101
 
     def test_swap(self):
-        assert induced.act_on_mask(W.sigma(1, 2, 3), 0b001) == 0b010
+        assert induced.act_on_mask(W.sigma(1, 2, 3).backward, 0b001) == 0b010
 
     def test_rho_fixes_base(self):
-        assert induced.act_on_mask(W.rho(1, 2, 3), 0b100) == 0b100
+        assert induced.act_on_mask(W.rho(1, 2, 3).backward, 0b100) == 0b100
 
     def test_zero_rejected(self):
         # the action is linear and invertible, so the zero functional is
         # fixed and never reached: the nonzero masks are permuted
         n = 3
         for a in (W.rho(1, 2, n), W.lam(3, 1, n), W.sigma_star(2, n), W.delta(n)):
-            assert induced.act_on_mask(a, 0) == 0
-            assert sorted(induced.act_on_mask(a, m) for m in range(1, 2 ** n)) == \
+            assert induced.act_on_mask(a.backward, 0) == 0
+            assert sorted(induced.act_on_mask(a.backward, m) for m in range(1, 2 ** n)) == \
                 list(range(1, 2 ** n))
         assert 0 not in induced.coset_transversal(n)
 
@@ -552,8 +552,8 @@ class TestFunctionalAction:
         for _ in range(30):
             f, g = rng.choice(pool), rng.choice(pool)
             mask = rng.randrange(1, 2 ** n)
-            lhs = induced.act_on_mask(f * g, mask)
-            rhs = induced.act_on_mask(f, induced.act_on_mask(g, mask))
+            lhs = induced.act_on_mask((f * g).backward, mask)
+            rhs = induced.act_on_mask(f.backward, induced.act_on_mask(g.backward, mask))
             assert lhs == rhs == oracle_act_on_mask(f * g, mask)
 
 
