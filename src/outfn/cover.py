@@ -230,7 +230,8 @@ def verify_ia_action_tables(n: int) -> dict:
 
     Covers every kernel generator (with its deck commutation), the
     inner automorphisms (identity for i < n, minus identity for i = n),
-    and the eigenspace dimensions.  Each check names its family.
+    and the eigenspace dimensions, also returned as the pair
+    ``deck_eigenspace_dims``.  Each check names its family.
     """
     if n < 3:
         raise ValueError("needs rank at least 3")
@@ -247,7 +248,8 @@ def verify_ia_action_tables(n: int) -> dict:
                 minus_eigenspace_matrix(inner(generator_word(i, n)))
                 == (-ident if i == n else ident))
                for i in range(1, n + 1)]
-    singles.append(("deck eigenspace dimensions", deck_eigenspace_dims(n) == (n, n - 1)))
+    dims = deck_eigenspace_dims(n)
+    singles.append(("deck eigenspace dimensions", dims == (n, n - 1)))
     singles.append(("deck matrix is conjugation by the last generator",
                     cover_matrix(inner(generator_word(n, n))) == deck_matrix(n)))
     checks += [{"family": name, "name": name, "ok": ok} for name, ok in singles]
@@ -257,4 +259,5 @@ def verify_ia_action_tables(n: int) -> dict:
         "checks": checks,
         "total": len(checks),
         "ok": all(c["ok"] for c in checks),
+        "deck_eigenspace_dims": dims,
     }

@@ -324,8 +324,7 @@ def induce(n: int, mu=None) -> InducedRep:
     if n < 3:
         raise ValueError("needs rank at least 3")
     mu = default_partition(n) if mu is None else tuple(mu)
-    if mu not in ((1, 1), (2,)):
-        raise ValueError(f"unsupported partition {mu!r}")
+    dim_u(n, mu)  # refuses any partition but (1, 1) and (2,)
     if n == 3 and mu == (1, 1):
         raise ValueError("the exterior square degenerates to a line at rank 3")
     rep = InducedRep(n, mu, coset_transversal(n))

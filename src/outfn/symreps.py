@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from .linalg import Matrix
@@ -217,22 +218,56 @@ class FiniteRep:
 
     @classmethod
     def from_json(cls, obj) -> "FiniteRep":
+        dim = obj["dim"]
+        if type(dim) is not int:  # a JSON integer; bool is a subclass of int
+            raise ValueError(f"dim must be an integer, not {dim!r}")
         return cls(
             group=GroupDescriptor.from_json(obj["group"]),
-            dim=int(obj["dim"]),
+            dim=dim,
             generators={k: Matrix.from_json(v) for k, v in obj["generators"].items()},
         )
 
 
-def involution_family(rep: FiniteRep, n: int) -> list:
-    """The n commuting sign-flip involutions of a signed-permutation rep.
+def read_signed_rep(obj) -> tuple:
+    """``(rep, n, sorted rho pairs)`` from the JSON form of a rep of W_n.
 
-    The first one must be supplied as generator ``e1``; the others are
-    produced by conjugating along the adjacent transpositions, or read
-    off directly when the rep lists ``e2``..``en`` itself.
+    The rank n is 1 + the length of the unbroken chain ``s1, s2, ...``,
+    and ``e1`` is required; ``e{k}`` for k > n and ``s{k}`` for k >= n
+    are refused, ``e2..en`` are ordinary generators.  Each ``rho...`` name
+    must read as ``rho{i}{j}`` for one pair 1 <= i != j <= n.  The rep's
+    group gains the relations of ``signed_permutation_group(n)``, each
+    distinct relation once.
     """
-    if all(f"e{i}" in rep.generators for i in range(1, n + 1)):
-        return [rep.generators[f"e{i}"] for i in range(1, n + 1)]
+    rep = FiniteRep.from_json(obj)
+    names = rep.generators
+    if "e1" not in names or "s1" not in names:
+        raise ValueError("rep must supply e1 and the adjacent swaps s1, s2, ...")
+    n = 2
+    while f"s{n}" in names:
+        n += 1
+    pairs = []
+    for name in names:
+        indexed = re.fullmatch(r"([es])([1-9][0-9]*)", name)
+        if indexed and int(indexed[2]) > n - (indexed[1] == "s"):
+            raise ValueError(f"{name!r} lies beyond the rank {n} of e1, s1..s{n - 1}")
+        if name.startswith("rho"):
+            match = [p for p in itertools.permutations(range(1, n + 1), 2)
+                     if name == "rho%d%d" % p]
+            if len(match) != 1:
+                raise ValueError(f"{name!r} is not rho{{i}}{{j}} for one 1 <= i != j <= {n}")
+            pairs += match
+    wn = signed_permutation_group(n)
+    rep.group = GroupDescriptor(
+        rep.group.name, tuple(dict.fromkeys(rep.group.generators + wn.generators)),
+        tuple(dict.fromkeys(rep.group.relations + wn.relations)))
+    return rep, n, sorted(pairs)
+
+
+def involution_family(rep: FiniteRep, n: int) -> list:
+    """The n commuting sign-flip involutions of a signed-permutation rep:
+    e_1 is the generator ``e1`` and e_{i+1} = s_i e_i s_i along the
+    adjacent transpositions ``s1..s(n-1)``.
+    """
     for name in ["e1"] + [f"s{i}" for i in range(1, n)]:
         if name not in rep.generators:
             raise ValueError(f"rep has no generator {name!r}")
@@ -384,9 +419,6 @@ def class_size(n: int, cycle_type) -> int:
     for part, mult in counts.items():
         denom *= (part ** mult) * math.factorial(mult)
     return math.factorial(n) // denom
-
-
-NAMED = ("trivial", "determinant", "standard", "permutation", "signed_standard")
 
 
 def named_character(name: str, n: int, cycle_type) -> int:

@@ -126,13 +126,6 @@ def generator_word(i: int, rank: int) -> Word:
     return Word((i,), rank)
 
 
-def conjugate_word(x: Word, w: Word) -> Word:
-    """w^-1 x w, reduced."""
-    if x.rank != w.rank:
-        raise ValueError("rank mismatch")
-    return Word(_conj(x.letters, w.letters), x.rank)
-
-
 # ---------------------------------------------------------------------------
 # endomorphisms and automorphisms
 
@@ -223,15 +216,12 @@ class Automorphism:
         return Automorphism(self.backward, self.forward)
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
-        return compose_automorphisms(self, other)
+        """self*other, i.e. apply other first."""
+        return Automorphism(compose(self.forward, other.forward),
+                            compose(other.backward, self.backward))
 
     def is_identity(self) -> bool:
         return self.forward.fixes_generators()
-
-
-def compose_automorphisms(a: Automorphism, b: Automorphism) -> Automorphism:
-    """a*b, i.e. apply b first."""
-    return Automorphism(compose(a.forward, b.forward), compose(b.backward, a.backward))
 
 
 def identity_automorphism(rank: int) -> Automorphism:

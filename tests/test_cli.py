@@ -12,8 +12,8 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import signed_permutation_rep, with_transvections
-from outfn import actions, cli, cover, graphs, induced, words
+from conftest import flip_matrix, signed_permutation_rep, with_transvections
+from outfn import actions, cli, cover, graphs, induced, symreps, words
 from outfn.linalg import Matrix
 
 
@@ -194,6 +194,23 @@ class TestDecompose:
     def test_missing_file_is_input_error(self):
         assert run(["decompose", "--rep", "/nonexistent/rep.json"]) == 2
 
+    @pytest.mark.parametrize("name", ["e3", "e\u0663"])
+    def test_listed_flip_is_an_ordinary_generator(self, tmp_path, name):
+        # the rank comes from e1 and the swaps, whatever e's the file lists
+        plain = signed_permutation_rep(4).to_json()
+        listed = copy.deepcopy(plain)
+        listed["group"]["generators"].append(name)
+        listed["generators"][name] = flip_matrix(3, 4).to_json()
+        reports = []
+        for obj in (plain, listed):
+            path = write_json(tmp_path, obj)
+            out = tmp_path / "d.json"
+            assert run(["decompose", "--rep", path, "--json", str(out)]) == 0
+            reports.append(load_report(out))
+        assert reports[0] == reports[1]
+        assert reports[1]["parameters"]["n"] == 4
+        assert reports[1]["checks"][0]["details"]["layers"] == [0, 4, 0, 0, 0]
+
     def test_planted_diamond_failure_exits_one(self, tmp_path):
         rep = with_transvections(signed_permutation_rep(4), 4)
         doctored = rep.to_json()
@@ -219,6 +236,14 @@ class TestSection4:
     def test_rank_bounds(self):
         assert run(["section4", "--n", "2"]) == 2
         assert run(["section4", "--n", "7"]) == 2
+
+    def test_deck_eigenspaces_are_computed_once(self, monkeypatch):
+        calls = []
+        dims = cover.deck_eigenspace_dims
+        monkeypatch.setattr(cover, "deck_eigenspace_dims",
+                            lambda n: calls.append(n) or dims(n))
+        assert run(["section4", "--n", "3"]) == 0
+        assert calls == [3]
 
     # sha256 of the --json report
     GOLDEN = {
@@ -565,7 +590,7 @@ class TestFailureBoundary:
                                 "--out", str(tmp_path / "m.json")]), capsys)
 
     def test_rep_without_an_adjacent_swap(self, tmp_path, capsys):
-        # e1, s1, s3: the rank is 3, so the involution family needs s2
+        # e1, s1, s3: the chain stops at s1, so the rank is 2 and s3 lies beyond it
         path = write_json(tmp_path, rep_without(4, ["s2"]))
         assert_usage_error(run(["decompose", "--rep", path]), capsys)
 
@@ -585,13 +610,61 @@ class TestFailureBoundary:
         assert_usage_error(run(["decompose", "--rep", path]), capsys)
 
     def test_rho_names_at_rank_ten_and_beyond(self):
-        assert cli._rho_pairs(["rho110", "rho101", "rho12", "e1"], 10) == [
+        def rho_pairs(n, names):
+            obj = signed_permutation_rep(n).to_json()
+            for name in names:
+                obj["generators"][name] = Matrix.identity(n).to_json()
+            return symreps.read_signed_rep(obj)[2]
+
+        assert rho_pairs(10, ["rho110", "rho101", "rho12"]) == [
             (1, 2), (1, 10), (10, 1)]
-        assert cli._rho_pairs(["rho1011"], 11) == [(10, 11)]
-        with pytest.raises(cli.UsageError):
-            cli._rho_pairs(["rho111"], 11)  # (1, 11) or (11, 1)
-        with pytest.raises(cli.UsageError):
-            cli._rho_pairs(["rho1011"], 10)
+        assert rho_pairs(11, ["rho1011"]) == [(10, 11)]
+        with pytest.raises(ValueError):
+            rho_pairs(11, ["rho111"])  # (1, 11) or (11, 1)
+        with pytest.raises(ValueError):
+            rho_pairs(10, ["rho1011"])
+
+    @pytest.mark.parametrize("name", ["e7", "e5", "s4"])
+    def test_e_or_s_beyond_the_rank(self, tmp_path, capsys, name):
+        obj = signed_permutation_rep(4).to_json()
+        obj["generators"][name] = Matrix.identity(4).to_json()
+        assert_usage_error(run(["decompose", "--rep", write_json(tmp_path, obj)]), capsys)
+
+    def test_involutions_without_swaps(self, tmp_path, capsys):
+        # (Z/2)^2 on a line, e1 = -1 and e2 = 1: no S_n, so no rank
+        obj = {"group": {"name": "Z2xZ2", "generators": ["e1", "e2"],
+                         "relations": [["e1", "e1"], ["e2", "e2"],
+                                       ["e1", "e2", "e1", "e2"]]},
+               "dim": 1,
+               "generators": {"e1": Matrix([[-1]]).to_json(),
+                              "e2": Matrix([[1]]).to_json()}}
+        assert_usage_error(run(["decompose", "--rep", write_json(tmp_path, obj)]), capsys)
+
+    def test_type_b_relations_are_checked_when_the_file_lists_none(self, tmp_path, capsys):
+        # s2 = I, so (s1 s2)^3 = s1 is not the identity: not a rep of W3
+        obj = {"group": {"name": "W3?", "generators": ["e1", "s1", "s2"],
+                         "relations": []},
+               "dim": 3,
+               "generators": {"e1": Matrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]).to_json(),
+                              "s1": Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]).to_json(),
+                              "s2": Matrix.identity(3).to_json()}}
+        assert run(["decompose", "--rep", write_json(tmp_path, obj)]) == 2
+        assert capsys.readouterr().err == (
+            "error: rep fails 1 defining relation(s): "
+            "[('s1', 's2', 's1', 's2', 's1', 's2')]\n")
+
+    @pytest.mark.parametrize("dim", [4.5, True, "4", None])
+    def test_dim_that_is_not_an_integer(self, tmp_path, capsys, dim):
+        if dim is True:  # int(True) == 1: the dimension of a trivial rep
+            group = symreps.signed_permutation_group(2)
+            obj = symreps.FiniteRep(group, 1, {g: Matrix.identity(1)
+                                               for g in group.generators}).to_json()
+        else:  # int(4.5) == 4
+            obj = signed_permutation_rep(4).to_json()
+        obj["dim"] = dim
+        assert_usage_error(run(["decompose", "--rep", write_json(tmp_path, obj)]), capsys)
+        with pytest.raises(ValueError):
+            symreps.FiniteRep.from_json(obj)
 
     def test_action_relation_names_an_unknown_generator(self, tmp_path, capsys):
         obj = cage_action_file()

@@ -93,6 +93,16 @@ class TestSimultaneousEigenspaces:
             assert column[i - 1] != 0
             assert all(x == 0 for k, x in enumerate(column) if k != i - 1)
 
+    def test_listed_flips_do_not_replace_the_conjugates(self):
+        n = 3
+        rep = signed_permutation_rep(n)
+        gens = dict(rep.generators, e2=Matrix.identity(n), e3=Matrix.identity(n))
+        listed = symreps.FiniteRep(rep.group, n, gens)
+        assert symreps.involution_family(listed, n) == symreps.involution_family(rep, n)
+        s1, s2 = rep.generators["s1"], rep.generators["s2"]
+        e2 = s1 * rep.generators["e1"] * s1
+        assert symreps.involution_family(rep, n) == [rep.generators["e1"], e2, s2 * e2 * s2]
+
     def test_all_identity(self):
         dec = symreps.simultaneous_eigenspaces([Matrix.identity(3)] * 2)
         assert list(dec.spaces) == [frozenset()]

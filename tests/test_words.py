@@ -277,7 +277,7 @@ class TestInnerReadOff:
         misses = 0
         for k in range(1, n + 1):
             for v in [W.empty_word(n)] + [W.generator_word(j, n) * w for j in range(1, n + 1)]:
-                img = W.conjugate_word(W.generator_word(k, n), v)
+                img = v.inverse() * W.generator_word(k, n) * v
                 if img != images[k - 1]:
                     misses += 1
                     near = images[:k - 1] + (img,) + images[k:]
@@ -381,14 +381,14 @@ def oracle_is_inner(a):
     if u1.letters[mid] != 1:
         return None
     tail = W.Word(u1.letters[mid + 1:], n)
-    if W.conjugate_word(W.generator_word(1, n), tail) != u1:
+    if tail.inverse() * W.generator_word(1, n) * tail != u1:
         return None
     bound = max(len(img) for img in images)
     gens = [W.generator_word(i, n) for i in range(1, n + 1)]
     for t in range(0, bound + 1):
         for sign in ((1,) if t == 0 else (1, -1)):
             w = W.Word((sign,) * t, n) * tail
-            if all(images[k] == W.conjugate_word(gens[k], w)
+            if all(images[k] == w.inverse() * gens[k] * w
                    for k in range(n)):
                 return w
     return None
