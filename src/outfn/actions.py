@@ -108,30 +108,34 @@ def petal_flip_involution(g: Graph) -> GraphAut:
 
 
 def strand_swap(g: Graph) -> GraphAut:
-    """Swap the two strands of every doubled edge of a daisy chain."""
-    emap = {}
+    """Exchange each edge with the one other edge of the same ends (iota,
+    tau), fixing every vertex: on a daisy chain, the two strands of every
+    doubled edge."""
+    pairs: dict = {}
     for e in g.edges:
-        name = str(e)
-        if name.endswith("a"):
-            emap[e] = name[:-1] + "b"
-        elif name.endswith("b"):
-            emap[e] = name[:-1] + "a"
-        else:
-            raise ValueError("strand swap is defined on daisy chains")
+        pairs.setdefault(g.ends[e], []).append(e)
+    if any(len(pair) != 2 for pair in pairs.values()):
+        raise ValueError("strand swap needs every edge to have exactly one "
+                         "other edge with the same ends")
+    emap = {}
+    for a, b in pairs.values():
+        emap[a], emap[b] = b, a
     return GraphAut(g, {v: v for v in g.vertices}, emap, {})
 
 
-def parity_involution(n: int) -> "GraphAut":
-    """The distinguished central-type involution on the (n+1)-cage.
+def parity_involution(g: Graph) -> GraphAut:
+    """The distinguished central-type involution on a cage with n + 1 edges.
 
-    For even n it is the vertex swap; for odd n the vertex swap composed
-    with the transposition of the first two edges.
+    For even n it is the vertex swap; for odd n the vertex swap after the
+    exchange of the first two edges in graph order.
     """
-    g = graphs.cage(n + 1)
     swap = vertex_swap(g)
-    if n % 2 == 0:
+    if len(g.edges) % 2:
         return swap
-    return swap * _index_aut(g, [2, 1, *range(3, n + 2)])
+    if not g.edges:
+        raise ValueError("a cage needs at least one edge")
+    first, second = g.edges[:2]
+    return GraphAut(g, swap.vmap, {**swap.emap, first: second, second: first}, swap.flips)
 
 
 def branching_check(n: int) -> dict:

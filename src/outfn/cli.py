@@ -218,7 +218,7 @@ _INVOLUTIONS = {
     "vertex-swap": lambda g: actions.vertex_swap(g),
     "strand-swap": lambda g: actions.strand_swap(g),
     "flip-all": lambda g: actions.petal_flip_involution(g),
-    "def57": lambda g: actions.parity_involution(len(g.edges) - 1),
+    "def57": lambda g: actions.parity_involution(g),
 }
 
 

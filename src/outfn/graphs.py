@@ -25,6 +25,7 @@ from the generators; no check lists the group.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .linalg import Matrix
@@ -216,6 +217,8 @@ class GraphAut:
 
     ``flips[e]`` is True when the image of e carries the reversed
     orientation, i.e. iota(g.e) = g.tau(e) instead of g.iota(e).
+    Group elements are composed as point permutations (``_points``),
+    never in this form.
     """
 
     __slots__ = ("graph", "vmap", "emap", "flips")
@@ -249,32 +252,12 @@ class GraphAut:
     def flip(self, e) -> bool:
         return bool(self.flips.get(e, False))
 
-    def __mul__(self, other: "GraphAut") -> "GraphAut":
-        """Composition: other first, then self."""
-        if self.graph != other.graph:
-            raise ValueError("automorphisms of different graphs")
-        g = self.graph
-        vmap = {v: self.vmap[other.vmap[v]] for v in g.vertices}
-        emap = {e: self.emap[other.emap[e]] for e in g.edges}
-        flips = {e: other.flip(e) ^ self.flip(other.emap[e]) for e in g.edges}
-        return GraphAut(g, vmap, emap, flips)
-
-    def is_identity(self) -> bool:
-        return (all(v == w for v, w in self.vmap.items())
-                and all(e == f for e, f in self.emap.items())
-                and not any(self.flips.values()))
-
     def to_json(self):
         return {
             "vertex_map": {str(k): v for k, v in self.vmap.items()},
             "edge_map": {str(k): v for k, v in self.emap.items()},
             "flips": {str(e): bool(f) for e, f in self.flips.items() if f},
         }
-
-
-def identity_aut(graph: Graph) -> GraphAut:
-    return GraphAut(graph, {v: v for v in graph.vertices},
-                    {e: e for e in graph.edges}, {})
 
 
 def _darts(graph: Graph) -> dict:
@@ -356,14 +339,19 @@ def _closure(gens: list, by: list) -> list:
 
 def graph_aut_from_json(graph: Graph, obj) -> GraphAut:
     """Inverse of ``GraphAut.to_json``: JSON keys are strings, so each key
-    is read back as the vertex or edge id that prints as it."""
+    is read back as the vertex or edge id that prints as it.  A flip must
+    be a JSON boolean."""
     vids = {str(v): v for v in graph.vertices}
     eids = {str(e): e for e in graph.edges}
+    flips = obj.get("flips", {})
+    for k, v in flips.items():
+        if not isinstance(v, bool):
+            raise ValueError(f"flip of edge {k!r} is {v!r}, not true or false")
     return GraphAut(
         graph,
         {vids.get(k, k): v for k, v in obj["vertex_map"].items()},
         {eids.get(k, k): v for k, v in obj["edge_map"].items()},
-        {eids.get(k, k): bool(v) for k, v in obj.get("flips", {}).items()},
+        {eids.get(k, k): v for k, v in flips.items()},
     )
 
 
@@ -380,15 +368,17 @@ class GraphAction:
             if name not in maps:
                 raise ValueError(f"no automorphism supplied for generator {name!r}")
 
-    def aut_of(self, word) -> GraphAut:
-        acc = identity_aut(self.graph)
-        for name in word:
-            acc = acc * self.maps[name]
-        return acc
-
     def failed_relations(self) -> list:
+        """The relations whose words do not act as the identity, in order.
+
+        A word acts as the composite of its letters, the rightmost applied
+        first; it is folded over the generators' point permutations.
+        """
+        points = {name: _points(self.maps[name]) for name in self.group.generators}
+        identity = tuple(range(len(self.graph.vertices) + 2 * len(self.graph.edges)))
         return [rel for rel in self.group.relations
-                if not self.aut_of(rel).is_identity()]
+                if functools.reduce(_then, map(points.get, reversed(rel)), identity)
+                != identity]
 
     def verify_relations(self) -> bool:
         return not self.failed_relations()
@@ -634,7 +624,8 @@ def flips_all_simple_loops(graph: Graph, xi: GraphAut) -> bool:
     """
     if xi.graph != graph:
         raise ValueError("xi is an automorphism of another graph")
-    if not (xi * xi).is_identity():
+    p = _points(xi)
+    if _then(p, p) != tuple(range(len(p))):
         raise ValueError("xi must be an involution")
     cycles = h1_basis(graph).matrix
     return signed_edge_matrix(xi) * cycles == -cycles
@@ -667,24 +658,17 @@ class DoubleTree:
     def conclusions(self) -> dict:
         """Structural check of the four claims describing the splitting."""
         g = self.subdivided
-        d_sub = _subgraph(g, self.d_vertices, self.d_edges)
         dp_edges = self.d_prime_edges()
         dp_vertices = self.d_prime_vertices()
-        dp_sub = _subgraph(g, dp_vertices, dp_edges)
-        tree = d_sub.is_connected() and len(d_sub.edges) == len(d_sub.vertices) - 1
-        mirror_tree = (dp_sub.is_connected()
-                       and len(dp_sub.edges) == len(dp_sub.vertices) - 1)
+        # an acyclic edge set with ends in V and |V| - 1 edges spans V
+        tree = is_forest(g, self.d_edges) and len(self.d_edges) == len(self.d_vertices) - 1
+        mirror_tree = is_forest(g, dp_edges) and len(dp_edges) == len(dp_vertices) - 1
         union = (self.d_vertices | dp_vertices == set(g.vertices)
                  and self.d_edges | dp_edges == set(g.edges))
         inter = (self.d_vertices & dp_vertices == self.f_vertices
                  and self.d_edges & dp_edges == self.f_edges)
         return {"d_is_tree": tree, "union_covers": union,
                 "intersection_is_fixed_set": inter, "mirror_is_tree": mirror_tree}
-
-
-def _subgraph(graph: Graph, vertices, edges) -> Graph:
-    recs = [(e, graph.iota(e), graph.tau(e)) for e in graph.edges if e in edges]
-    return make_graph(sorted(vertices, key=str), recs)
 
 
 def subdivide_inverted_edges(graph: Graph, xi: GraphAut):

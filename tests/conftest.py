@@ -148,6 +148,35 @@ def _aut_key(aut):
             tuple(aut.flip(e) for e in g.edges))
 
 
+def oracle_identity(graph):
+    return graphs.GraphAut(graph, {v: v for v in graph.vertices},
+                           {e: e for e in graph.edges}, {})
+
+
+def oracle_is_identity(aut) -> bool:
+    g = aut.graph
+    return _aut_key(aut) == (g.vertices, g.edges, (False,) * len(g.edges))
+
+
+def oracle_compose(a, b):
+    """The automorphism a after b, composed on the vertex, edge and flip
+    maps."""
+    assert a.graph == b.graph, "automorphisms of different graphs"
+    g = a.graph
+    return graphs.GraphAut(g, {v: a.vmap[b.vmap[v]] for v in g.vertices},
+                           {e: a.emap[b.emap[e]] for e in g.edges},
+                           {e: b.flip(e) ^ a.flip(b.emap[e]) for e in g.edges})
+
+
+def oracle_word_aut(action, word):
+    """The automorphism a word names: its letters composed, the rightmost
+    applied first."""
+    acc = oracle_identity(action.graph)
+    for name in word:
+        acc = oracle_compose(acc, action.maps[name])
+    return acc
+
+
 def _aut_inverse(aut):
     g = aut.graph
     return graphs.GraphAut(g, {w: v for v, w in aut.vmap.items()},
@@ -158,14 +187,14 @@ def _aut_inverse(aut):
 def oracle_elements(action) -> list:
     """Every element of the generated group, as graph automorphisms, by
     closing the identity under left multiplication by the generators."""
-    ident = graphs.identity_aut(action.graph)
+    ident = oracle_identity(action.graph)
     found = {_aut_key(ident): ident}
     frontier = [ident]
     gens = [action.maps[name] for name in action.group.generators]
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = g * cur
+            nxt = oracle_compose(g, cur)
             k = _aut_key(nxt)
             if k not in found:
                 found[k] = nxt
@@ -184,15 +213,17 @@ def oracle_is_perfect(action) -> bool:
     elements = oracle_elements(action)
     gens = [action.maps[name] for name in action.group.generators]
     inverses = [_aut_inverse(g) for g in gens]
-    commutators = [gens[i] * gens[j] * inverses[i] * inverses[j]
+    commutators = [oracle_compose(oracle_compose(gens[i], gens[j]),
+                                  oracle_compose(inverses[i], inverses[j]))
                    for i in range(len(gens)) for j in range(i)]
-    ident = graphs.identity_aut(action.graph)
+    ident = oracle_identity(action.graph)
     found = {_aut_key(ident)}
     frontier = [ident]
     while frontier and len(found) < len(elements):
         cur = frontier.pop()
-        images = [cur * c for c in commutators]
-        images += [g * cur * gi for g, gi in zip(gens, inverses)]
+        images = [oracle_compose(cur, c) for c in commutators]
+        images += [oracle_compose(oracle_compose(g, cur), gi)
+                   for g, gi in zip(gens, inverses)]
         for nxt in images:
             k = _aut_key(nxt)
             if k not in found:
@@ -306,8 +337,8 @@ def oracle_parity_involution(n):
         return _oracle_vertex_swap(g)
     emap = {e: e for e in g.edges}
     emap["c1"], emap["c2"] = "c2", "c1"
-    return _oracle_vertex_swap(g) * graphs.GraphAut(
-        g, {v: v for v in g.vertices}, emap, {})
+    return oracle_compose(_oracle_vertex_swap(g), graphs.GraphAut(
+        g, {v: v for v in g.vertices}, emap, {}))
 
 
 def perm_matrix(perm, n) -> linalg.Matrix:

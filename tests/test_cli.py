@@ -3,16 +3,19 @@
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import flip_matrix, signed_permutation_rep, with_transvections
+from conftest import (flip_matrix, oracle_identity, signed_permutation_rep,
+                      with_transvections)
 from outfn import actions, cli, cover, graphs, induced, symreps, words
 from outfn.linalg import Matrix
 
@@ -462,12 +465,43 @@ class TestGraph:
         assert run(["graph", "admissible"]) == 2
 
     def test_involution_of_another_graph_is_usage_error(self, capsys):
-        # def57 lives on the 6-cage, not on the six-edge daisy chain
+        # def57 is defined on cages, not on the six-edge daisy chain
         assert run(["graph", "double-tree", "--builtin", "daisy:3",
                     "--xi", "def57"]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert run(["graph", "double-tree", "--builtin", "cage:7",
                     "--xi", "def57"]) == 0
+
+    @pytest.mark.parametrize("k, code", [(7, 0), (6, 1)])
+    def test_def57_on_a_relabelled_cage_file(self, tmp_path, k, code):
+        path = tmp_path / "cage.json"
+        path.write_text(json.dumps(benchmark_inputs().cage_graph_file(1, k)))
+        out = tmp_path / "dt.json"
+        assert run(["graph", "double-tree", "--file", str(path), "--xi", "def57",
+                    "--json", str(out)]) == code
+        builtin = tmp_path / "builtin.json"
+        assert run(["graph", "double-tree", "--builtin", f"cage:{k}", "--xi", "def57",
+                    "--json", str(builtin)]) == code
+        summary = load_report(out)["summary"]
+        assert summary == load_report(builtin)["summary"]
+        assert summary["passed"] == (6 if code == 0 else 0)
+
+    def test_strand_swap_on_renamed_and_parallel_edges(self, tmp_path, capsys):
+        g = graphs.daisy_chain(3).to_json()
+        for m, rec in enumerate(g["edges"]):
+            rec["id"] = f"x{m}"
+        path = tmp_path / "daisy.json"
+        path.write_text(json.dumps(g))
+        assert run(["graph", "double-tree", "--file", str(path),
+                    "--xi", "strand-swap"]) == 1
+        assert run(["graph", "double-tree", "--builtin", "rose:2",
+                    "--xi", "strand-swap"]) == 1
+        assert run(["graph", "double-tree", "--builtin", "cage:2",
+                    "--xi", "strand-swap"]) == 0
+        capsys.readouterr()
+        assert run(["graph", "double-tree", "--builtin", "cage:3",
+                    "--xi", "strand-swap"]) == 2
+        assert capsys.readouterr().err.startswith("error: strand swap")
 
     def test_false_perfect_flag_is_usage_error(self, tmp_path, capsys):
         from outfn import actions, graphs
@@ -544,6 +578,15 @@ class TestArgparse:
 
     def test_missing_required(self):
         assert run(["gersten"]) == 2
+
+
+def benchmark_inputs():
+    """The benchmark's input writers, ``perfbench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_usage_error(code, capsys):
@@ -690,12 +733,28 @@ class TestFailureBoundary:
 
     def test_flip_of_an_unknown_edge(self, tmp_path, capsys):
         g = graphs.rose(2)
-        identity = graphs.identity_aut(g).to_json()
+        identity = oracle_identity(g).to_json()
         obj = {"graph": g.to_json(),
                "group": {"name": "Z2", "generators": ["f"], "relations": [["f", "f"]]},
                "maps": {"f": {**identity, "flips": {"P1": True}}}}
         path = write_json(tmp_path, obj)
         assert_usage_error(run(["graph", "rose-lemma", "--file", path]), capsys)
+
+    @pytest.mark.parametrize("flip", ["false", "0", 0, None],
+                             ids=["string-false", "string-0", "zero", "null"])
+    def test_flip_that_is_not_a_boolean(self, tmp_path, capsys, flip):
+        g = graphs.rose(3)
+        identity = oracle_identity(g).to_json()
+        obj = {"graph": g.to_json(),
+               "group": {"name": "Z2", "generators": ["f"], "relations": [["f", "f"]]},
+               "maps": {"f": {**identity, "flips": {"p1": flip}}}}
+        path = write_json(tmp_path, obj)
+        assert run(["graph", "rose-lemma", "--file", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "flip of edge 'p1'" in err
+        obj["maps"]["f"]["flips"]["p1"] = False
+        assert run(["graph", "rose-lemma", "--file", write_json(tmp_path, obj)]) == 0
 
     def test_graph_file_holding_a_list(self, tmp_path, capsys):
         path = write_json(tmp_path, [1, 2])

@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_builtin_action, oracle_doubled_cage_maps,
+from conftest import (oracle_builtin_action, oracle_compose, oracle_doubled_cage_maps,
                       oracle_edge_orbits, oracle_elements, oracle_homology_trace,
-                      oracle_is_perfect, oracle_min_loop,
-                      oracle_orientation_obstruction, oracle_parity_involution,
-                      oracle_simple_cycles, oracle_trivial_multiplicity,
-                      simple_loops)
+                      oracle_identity, oracle_is_identity, oracle_is_perfect,
+                      oracle_min_loop, oracle_orientation_obstruction,
+                      oracle_parity_involution, oracle_simple_cycles,
+                      oracle_trivial_multiplicity, oracle_word_aut, simple_loops)
 from outfn import actions, cli, graphs, symreps
 from outfn.linalg import Matrix
 
@@ -38,7 +38,7 @@ def alternating_doubled_cage(k: int) -> graphs.GraphAction:
 def trivial_alternating_action(graph: graphs.Graph, k: int) -> graphs.GraphAction:
     """A_k acting trivially: every generator is the identity automorphism."""
     desc = symreps.alternating_group(k)
-    maps = {name: graphs.identity_aut(graph) for name in desc.generators}
+    maps = {name: oracle_identity(graph) for name in desc.generators}
     return graphs.GraphAction(graph, desc, maps)
 
 
@@ -180,7 +180,7 @@ class TestInducedAction:
         names = list(act.maps)
         for _ in range(15):
             a, b = rng.choice(names), rng.choice(names)
-            lhs = graphs.induced_matrix(act.maps[a] * act.maps[b], basis)
+            lhs = graphs.induced_matrix(oracle_compose(act.maps[a], act.maps[b]), basis)
             rhs = (graphs.induced_matrix(act.maps[a], basis)
                    * graphs.induced_matrix(act.maps[b], basis))
             assert lhs == rhs
@@ -194,7 +194,7 @@ class TestInducedAction:
 
     def test_hopf_trace_counts_swapped_components(self):
         act = two_cages_and_a_loop()
-        assert oracle_homology_trace(graphs.identity_aut(act.graph)) == 3
+        assert oracle_homology_trace(oracle_identity(act.graph)) == 3
         assert oracle_homology_trace(act.maps["s"]) == 1
 
 
@@ -385,11 +385,11 @@ class TestFlipsAndDoubleTree:
 
     def test_identity_does_not_flip(self):
         g = graphs.rose(2)
-        assert not graphs.flips_all_simple_loops(g, graphs.identity_aut(g))
+        assert not graphs.flips_all_simple_loops(g, oracle_identity(g))
 
     def test_non_involution_rejected(self):
         act = actions.symmetric_cage(3)
-        three_cycle = act.maps["s1"] * act.maps["s2"]
+        three_cycle = oracle_compose(act.maps["s1"], act.maps["s2"])
         with pytest.raises(ValueError):
             graphs.flips_all_simple_loops(act.graph, three_cycle)
 
@@ -409,11 +409,12 @@ class TestFlipsAndDoubleTree:
         xis = []
         for act in (actions.cage_full(4), actions.signed_rose(3),
                     actions.symmetric_cage(4)):
-            xis += [(act.graph, a) for a in oracle_elements(act) if (a * a).is_identity()]
+            xis += [(act.graph, a) for a in oracle_elements(act)
+                    if oracle_is_identity(oracle_compose(a, a))]
         for k in range(1, 6):
             xis.append((graphs.cage(k), actions.vertex_swap(graphs.cage(k))))
             xis.append((graphs.rose(k), actions.petal_flip_involution(graphs.rose(k))))
-            xis.append((graphs.cage(k + 1), actions.parity_involution(k)))
+            xis.append((graphs.cage(k + 1), actions.parity_involution(graphs.cage(k + 1))))
         for k in range(2, 5):
             xis.append((graphs.daisy_chain(k), actions.strand_swap(graphs.daisy_chain(k))))
         outcomes = set()
@@ -425,7 +426,7 @@ class TestFlipsAndDoubleTree:
 
     def test_involution_of_another_graph_rejected(self):
         g = graphs.daisy_chain(3)
-        xi = actions.parity_involution(5)   # lives on the 6-cage
+        xi = actions.parity_involution(graphs.cage(6))
         with pytest.raises(ValueError):
             graphs.flips_all_simple_loops(g, xi)
         with pytest.raises(ValueError):
@@ -457,7 +458,7 @@ class TestFlipsAndDoubleTree:
 
     def test_precondition_enforced(self):
         g = graphs.rose(2)
-        assert graphs.double_tree_decomposition(g, graphs.identity_aut(g)) is None
+        assert graphs.double_tree_decomposition(g, oracle_identity(g)) is None
 
     def test_flip_check_comes_first(self):
         # two components: the strand swap exchanges the petals at each
@@ -697,6 +698,101 @@ class TestPerfectness:
                 assert residue == tuple(range(len(residue)))
 
 
+class TestPointRelations:
+    """Relations and products on point permutations against the products
+    of vertex, edge and flip maps."""
+
+    def _with_relations(self, act, rng):
+        """The action under extra relations: each generator's order, random
+        words, and each of those words reversed."""
+        gens = act.group.generators
+        rels = list(act.group.relations)
+        for name in gens:
+            power = (name,)
+            while not oracle_is_identity(oracle_word_aut(act, power)):
+                power += (name,)
+            rels.append(power)
+        words = [tuple(rng.choice(gens) for _ in range(rng.randint(1, 6)))
+                 for _ in range(6)] if gens else []
+        rels += words + [w[::-1] for w in words]
+        desc = symreps.GroupDescriptor(act.group.name, gens, tuple(rels))
+        return graphs.GraphAction(act.graph, desc, act.maps)
+
+    def test_failed_relations_match_the_oracle_product(self):
+        rng = random.Random(5101)
+        held = failed = 0
+        for act in random_actions() + perfectness_actions():
+            act = self._with_relations(act, rng)
+            want = [rel for rel in act.group.relations
+                    if not oracle_is_identity(oracle_word_aut(act, rel))]
+            assert act.failed_relations() == want
+            failed += len(want)
+            held += len(act.group.relations) - len(want)
+        assert held and failed
+
+    def test_rightmost_letter_acts_first(self):
+        # c = (ab)^-1, so abc = 1 while cba = b^-1 a^-1 b a, a commutator
+        # that is not 1 since s1 and s2 do not commute
+        act = actions.symmetric_cage(3)
+        a, b = act.maps["s1"], act.maps["s2"]
+        c = oracle_compose(b, a)   # s1 and s2 are involutions
+        desc = symreps.GroupDescriptor("S3", ("a", "b", "c"),
+                                       (("a", "b", "c"), ("c", "b", "a")))
+        abc = graphs.GraphAction(act.graph, desc, {"a": a, "b": b, "c": c})
+        assert abc.failed_relations() == [("c", "b", "a")]
+
+    def test_points_of_a_product(self):
+        for act in random_actions() + perfectness_actions():
+            for a, b in itertools.product(act.maps.values(), repeat=2):
+                assert (graphs._points(oracle_compose(a, b))
+                        == graphs._then(graphs._points(b), graphs._points(a)))
+
+    def test_tree_claims_match_the_subgraph_oracle(self):
+        # a forest with ends in V and |V| - 1 edges is a tree on V
+        rng = random.Random(97)
+        verdicts = set()
+        for _ in range(200):
+            g = random_multigraph(rng, max_edges=6)
+            edges = frozenset(e for e in g.edges if rng.random() < 0.5)
+            vertices = {v for e in edges for v in g.ends[e]}
+            vertices |= {v for v in g.vertices if rng.random() < 0.2}
+            dt = graphs.DoubleTree(g, oracle_identity(g), frozenset(vertices), edges,
+                                   frozenset(), frozenset())
+            sub = graphs.make_graph(vertices, [(e, *g.ends[e]) for e in edges])
+            want = sub.is_connected() and len(edges) == len(vertices) - 1
+            got = dt.conclusions()
+            assert got["d_is_tree"] == got["mirror_is_tree"] == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+
+class TestPairedInvolutions:
+    def test_strand_swap_pairs_edges_by_their_ends(self):
+        g = graphs.daisy_chain(3)
+        names = {e: f"x{m}" for m, e in enumerate(reversed(g.edges))}
+        h = graphs.make_graph(g.vertices, [(names[e], *g.ends[e]) for e in g.edges])
+        want = actions.strand_swap(g).emap
+        assert actions.strand_swap(h).emap == {names[e]: names[f] for e, f in want.items()}
+        assert actions.strand_swap(graphs.rose(2)).emap == {"p1": "p2", "p2": "p1"}
+        for bad in (graphs.cage(3), graphs.rose(1), graphs.barbell()):
+            with pytest.raises(ValueError, match="strand swap"):
+                actions.strand_swap(bad)
+
+    def test_parity_involution_on_a_relabelled_cage(self):
+        for k in range(1, 9):
+            g = graphs.cage(k)
+            h = graphs.make_graph(["b", "a"], [(f"e{k - m}", "a", "b")
+                                               for m in range(k)])
+            xi, yi = actions.parity_involution(g), actions.parity_involution(h)
+            assert yi.vmap == {"a": "b", "b": "a"} and all(yi.flips.values())
+            moved = {e for e, f in yi.emap.items() if e != f}
+            assert moved == (set() if k % 2 else set(h.edges[:2]))
+            assert (graphs.flips_all_simple_loops(h, yi)
+                    == graphs.flips_all_simple_loops(g, xi) == bool(k % 2))
+        with pytest.raises(ValueError):
+            actions.parity_involution(graphs.make_graph(["u", "w"], []))
+
+
 class TestSignedRose:
     def test_full_rose_symmetries(self):
         act = actions.signed_rose(4)
@@ -713,14 +809,14 @@ class TestSignedRose:
 
     def test_parity_involution(self):
         # even rank: plain vertex swap, flips everything
-        xi = actions.parity_involution(4)
         g = graphs.cage(5)
+        xi = actions.parity_involution(g)
         assert graphs.flips_all_simple_loops(g, xi)
         # odd rank: composed with an edge swap, loops through the first
         # two edges are exchanged rather than flipped
-        xi5 = actions.parity_involution(5)
         g6 = graphs.cage(6)
-        assert (xi5 * xi5).is_identity()
+        xi5 = actions.parity_involution(g6)
+        assert oracle_is_identity(oracle_compose(xi5, xi5))
         assert not graphs.flips_all_simple_loops(g6, xi5)
 
 
@@ -783,7 +879,8 @@ class TestBuiltinActions:
             assert list(act.maps) == list(maps) == list(act.group.generators)
             assert all(_parts(act.maps[s]) == _parts(maps[s]) for s in maps)
         for n in range(0, 8):
-            got, want = actions.parity_involution(n), oracle_parity_involution(n)
+            got = actions.parity_involution(graphs.cage(n + 1))
+            want = oracle_parity_involution(n)
             assert _parts(got) == _parts(want)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import oracle_identity
 from outfn import graphs, induced, symreps, words as W
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -60,7 +61,7 @@ COMPARED = {
                       lambda: graphs.make_graph(["u", "w", "x"],
                                                 [("a", "u", "w"), ("b", "u", "w")])]),
     "GraphAut": (lambda: swap(graph()),
-                 [lambda: graphs.identity_aut(graph()),
+                 [lambda: oracle_identity(graph()),
                   lambda: swap(graph(), {"a": False})]),
     "GroupDescriptor": (lambda: symreps.symmetric_group(3),
                         [lambda: symreps.symmetric_group(4),
