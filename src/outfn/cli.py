@@ -223,9 +223,11 @@ _INVOLUTIONS = {
 
 
 def _builtin_graph(token: str) -> graphs.Graph:
-    name, _, arg = token.partition(":")
+    name, colon, arg = token.partition(":")
     if name not in _GRAPHS:
         raise UsageError(f"unknown builtin graph {token!r}")
+    if name == "barbell" and colon:
+        raise UsageError(f"builtin graph {token!r}: barbell takes no size")
     return _GRAPHS[name](int(arg or 0))
 
 

@@ -408,13 +408,20 @@ def determinant_rep(n) -> symreps.FiniteRep:
 
 
 # ---------------------------------------------------------------------------
-# the kernel generators as certified products, and mod-2 functionals as
-# tuples: the constructions that the token words and bitmasks replaced
+# Nielsen generators and the kernel generators as certified products, and
+# mod-2 functionals as tuples: the constructions that the token words and
+# bitmasks replaced
+
+
+def generator(n, kind, i=None, j=None) -> words.Automorphism:
+    """The Nielsen generator that the token ``(kind, i, j)`` names, as a
+    certified automorphism of rank n."""
+    return words.automorphism(n, [((kind, i, j), 1)])
 
 
 def partial_conjugation(i, j, n) -> words.Automorphism:
     """rho_ij * lam_ij^-1: conjugates a_i by a_j, fixes the rest."""
-    return words.rho(i, j, n) * words.lam(i, j, n).inverse()
+    return words.rho(i, j, n) * generator(n, "lam", i, j).inverse()
 
 
 def transvection_commutator(i, j, k, n) -> words.Automorphism:

@@ -352,6 +352,14 @@ class TestGraph:
         assert run(["graph", "admissible", "--builtin", "barbell",
                     "--group", "trivial"]) == 1
 
+    @pytest.mark.parametrize("token", ["barbell:3", "barbell:"])
+    def test_barbell_takes_no_size(self, capsys, token):
+        for argv in (["admissible", "--builtin", token, "--group", "trivial"],
+                     ["homology", "--builtin", token]):
+            assert run(["graph", *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and repr(token) in err
+
     def test_homology_builtin(self, tmp_path):
         out = tmp_path / "h.json"
         assert run(["graph", "homology", "--builtin", "cover:5",
@@ -578,6 +586,24 @@ class TestArgparse:
 
     def test_missing_required(self):
         assert run(["gersten"]) == 2
+
+
+class TestMoveEngineOnly:
+    def test_no_subcommand_certifies_an_automorphism(self, tmp_path, monkeypatch):
+        # every certificate evaluates token words by Nielsen moves, so no
+        # inverse table is certified on a CLI path
+        certified = []
+        real = words.Automorphism.__post_init__
+        monkeypatch.setattr(words.Automorphism, "__post_init__",
+                            lambda self: certified.append(self) or real(self))
+        monkeypatch.chdir(tmp_path)
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(with_transvections(signed_permutation_rep(4), 4).to_json()))
+        for argv in (["gersten", "--n", "4"], ["section4", "--n", "5"],
+                     ["induce", "--n", "3"], ["decompose", "--rep", str(rep)],
+                     ["graph", "admissible", "--builtin", "rose:5", "--group", "W5"]):
+            assert run(argv) == 0, argv
+        assert len(certified) == 0
 
 
 def benchmark_inputs():

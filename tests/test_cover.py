@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import (
+    generator,
     oracle_kernel_generators,
     oracle_minus_eigenspace_matrix,
     partial_conjugation,
@@ -75,7 +76,7 @@ class TestStabiliser:
             cover.cover_matrix(W.rho(1, 3, 3))
 
     def test_minus_eigenspace_matrix_requires_membership(self):
-        for a in (W.rho(1, 3, 3), W.sigma(2, 3, 3), W.sigma_star(4, 4)):
+        for a in (W.rho(1, 3, 3), generator(3, "sigma", 2, 3), generator(4, "sigma_star", 4)):
             with pytest.raises(ValueError, match="does not stabilise"):
                 cover.minus_eigenspace_matrix(a)
             with pytest.raises(ValueError, match="does not stabilise"):
@@ -95,10 +96,10 @@ class TestCoverMatrix:
             assert m == cover.deck_matrix(n)
 
     def test_identity(self):
-        assert cover.cover_matrix(W.identity_automorphism(3)).is_identity()
+        assert cover.cover_matrix(W.automorphism(3, [])).is_identity()
 
     def _g_pool(self, n, rng):
-        pool = [W.eps(rng.randint(1, n), n)]
+        pool = [generator(n, "eps", rng.randint(1, n))]
         for _ in range(6):
             i = rng.randint(1, n)
             j = rng.randint(1, n)
@@ -107,7 +108,7 @@ class TestCoverMatrix:
             pool.append(partial_conjugation(i, j, n))
             if j != n:
                 pool.append(W.rho(i, j, n))
-                pool.append(W.lam(i, j, n))
+                pool.append(generator(n, "lam", i, j))
         return pool
 
     def test_homomorphism(self):
@@ -230,7 +231,7 @@ def coset_elements(n):
                                    for j in range(1, n + 1) if i != j
                                    for kind in ("rho", "lam")]
     for token in tokens:
-        a = W.nielsen(*token, n)
+        a = generator(n, *token)
         for mask, word in transversal.items():
             target = W.automorphism(n, transversal[induced.act_on_mask(a.backward, mask)])
             yield W.compose(target.backward, W.compose(a.forward, W.automorphism(n, word).forward))
@@ -242,7 +243,7 @@ def stabiliser_tokens(n):
     tokens = [(kind, i, j) for kind in ("rho", "lam", "sigma") for i, j in pairs]
     tokens += [(kind, i, None) for kind in ("eps", "sigma_star") for i in range(1, n + 1)]
     tokens.append(("delta", None, None))
-    return [t for t in tokens if cover.stabilizes_base_functional(W.nielsen(*t, n))]
+    return [t for t in tokens if cover.stabilizes_base_functional(generator(n, *t))]
 
 
 class TestTwistedCount:

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     functional_to_mask,
+    generator,
     mask_to_functional,
     oracle_act_on_functional,
     oracle_act_on_mask,
@@ -35,7 +36,7 @@ class TestTransversal:
         tr = induced.coset_transversal(n)
         word = tr[functional_to_mask((1, 0, 0))]
         assert word == ((("sigma", 1, 3), 1),)
-        assert W.relator_automorphism(n, word) == W.sigma(1, 3, 3).forward
+        assert W.relator_automorphism(n, word) == generator(3, "sigma", 1, 3).forward
 
     def test_mask_round_trip(self):
         for n in (3, 4):
@@ -307,7 +308,7 @@ def oracle_coset_transversal(n):
     for mask in range(1, 2 ** n):
         bits = [i + 1 for i in range(n) if (mask >> i) & 1]
         p = n if n in bits else bits[0]
-        t = W.sigma(p, n, n) if p != n else W.identity_automorphism(n)
+        t = generator(n, "sigma", p, n) if p != n else W.automorphism(n, [])
         for k in bits:
             if k != p:
                 t = W.rho(k, p, n) * t
@@ -336,7 +337,7 @@ def oracle_letters(rep):
 
     def letter(token, e):
         if (token, e) not in cache:
-            g = W.nielsen(*token, rep.n)
+            g = generator(rep.n, *token)
             cache[token, e] = oracle_block_of(rep, g if e > 0 else g.inverse())
         return cache[token, e]
     return letter
@@ -417,7 +418,7 @@ class TestStoredBlockOracle:
         bad = block_product(only_block(e), good)
         assert sum(b != g for b, g in zip(bad, good)) == 1
         token = next(t for t in stored_tokens(n) if induced.generator_name(t) == name)
-        bad_inverse = block_product(oracle_block_of(rep, W.nielsen(*token, n).inverse()),
+        bad_inverse = block_product(oracle_block_of(rep, generator(n, *token).inverse()),
                                     only_block(e_inv))
         base = oracle_letters(rep)
 
@@ -450,7 +451,7 @@ class TestStoredBlockOracle:
             g = read(rep, rep.generators[induced.generator_name(token)])
             inv = block_inverse(g)
             assert block_product(g, inv) == ident == block_product(inv, g)
-            assert inv == oracle_block_of(rep, W.nielsen(*token, n).inverse())
+            assert inv == oracle_block_of(rep, generator(n, *token).inverse())
             assert read(rep, rep.word_block([(token, -1)])) == inv
             assert all(type(x) is int for _, b in inv for row in b.data for x in row)
 
@@ -530,7 +531,7 @@ class TestWordBlocks:
             raise AssertionError("called on the block path")
         monkeypatch.setattr(W.Automorphism, "__post_init__", forbidden)
         monkeypatch.setattr(W.Endomorphism, "apply", forbidden)
-        for name in ("automorphism", "compose", "nielsen"):
+        for name in ("automorphism", "compose", "rho"):
             monkeypatch.setattr(W, name, forbidden)
         for n in (3, 4):
             rep = induced.induce(n)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import oracle_identity
+from conftest import generator, oracle_identity
 from outfn import graphs, induced, symreps, words as W
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -42,7 +42,8 @@ HASHED = {
     "Endomorphism": (lambda: endo([1, 2], [2], [3]),
                      [lambda: endo([1], [2], [3]),
                       lambda: endo([1, 2], [2], [3], [4], rank=4)]),
-    "Automorphism": (lambda: W.rho(1, 2, 3), [lambda: W.lam(1, 2, 3), lambda: W.rho(1, 2, 4),
+    "Automorphism": (lambda: W.rho(1, 2, 3), [lambda: generator(3, "lam", 1, 2),
+                                             lambda: W.rho(1, 2, 4),
                                              lambda: W.rho(1, 2, 3).inverse()]),
 }
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_act_on_mask
+from conftest import generator, oracle_act_on_mask
 from outfn import induced, words as W
 
 
@@ -58,11 +58,11 @@ class TestApply:
         assert W.rho(1, 2, 3).apply(lift([1])).letters == (1, 2)
 
     def test_eps_on_word(self):
-        assert W.eps(1, 3).apply(lift([1, 2])).letters == (-1, 2)
+        assert generator(3, "eps", 1).apply(lift([1, 2])).letters == (-1, 2)
 
     def test_identity(self):
         w = lift([1, -2, 3, 3])
-        assert W.identity_automorphism(3).apply(w) == w
+        assert W.automorphism(3, []).apply(w) == w
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -107,7 +107,8 @@ class TestApplyOracle:
 
 class TestCompose:
     def test_involution_squares_to_identity(self):
-        assert (W.eps(1, 3) * W.eps(1, 3)).is_identity()
+        e = generator(3, "eps", 1)
+        assert (e * e).is_identity()
 
     def test_inverse_pair(self):
         r = W.rho(1, 2, 3)
@@ -122,13 +123,13 @@ class TestCompose:
 
     def test_every_generator_has_certified_inverse(self):
         n = 4
-        autos = [W.delta(n)]
+        autos = [generator(n, "delta")]
         for i in range(1, n + 1):
-            autos.append(W.eps(i, n))
-            autos.append(W.sigma_star(i, n))
+            autos.append(generator(n, "eps", i))
+            autos.append(generator(n, "sigma_star", i))
             for j in range(1, n + 1):
                 if i != j:
-                    autos += [W.rho(i, j, n), W.lam(i, j, n), W.sigma(i, j, n)]
+                    autos += [generator(n, kind, i, j) for kind in ("rho", "lam", "sigma")]
         for a in autos:
             assert W.compose(a.forward, a.backward).fixes_generators()
             assert W.compose(a.backward, a.forward).fixes_generators()
@@ -136,34 +137,35 @@ class TestCompose:
 
 class TestNielsen:
     def test_sigma_star_images(self):
-        a = W.nielsen("sigma_star", i=1, n=4)
+        a = generator(4, "sigma_star", 1)
         assert a.apply(lift([1], 4)).letters == (-1,)
         for j in (2, 3, 4):
             assert a.apply(W.reduce_word([j], 4)).letters == (j, -1)
 
     def test_delta_squared(self):
-        assert (W.delta(4) * W.delta(4)).is_identity()
+        d = generator(4, "delta")
+        assert (d * d).is_identity()
 
     def test_swap_identity(self):
         # eps_i sigma_ij = lam_ij lam_ji^-1 rho_ij, exactly
         for n in (3, 4):
             for i, j in [(1, 2), (2, 3), (1, 3)]:
-                lhs = W.eps(i, n) * W.sigma(i, j, n)
-                rhs = W.lam(i, j, n) * W.lam(j, i, n).inverse() * W.rho(i, j, n)
+                lhs = generator(n, "eps", i) * generator(n, "sigma", i, j)
+                rhs = (generator(n, "lam", i, j) * generator(n, "lam", j, i).inverse()
+                       * W.rho(i, j, n))
                 assert lhs.forward == rhs.forward
 
     def test_bad_indices(self):
-        with pytest.raises(ValueError):
-            W.nielsen("rho", i=1, j=1, n=3)
-        with pytest.raises(ValueError):
-            W.nielsen("eps", i=5, n=3)
-        with pytest.raises(ValueError):
-            W.nielsen("frob", i=1, j=2, n=3)
+        for token in (("rho", 1, 1), ("eps", 5, None), ("frob", 1, 2)):
+            with pytest.raises(ValueError):
+                W.automorphism(3, [(token, 1)])
+            with pytest.raises(ValueError):
+                W.relator_automorphism(3, [(token, 1)])
 
 
 class TestInner:
     def test_identity_is_inner(self):
-        assert W.is_inner(W.identity_automorphism(3)).letters == ()
+        assert W.is_inner(W.automorphism(3, [])).letters == ()
 
     def test_explicit_conjugation(self):
         w = W.is_inner(W.inner(W.generator_word(2, 3)))
@@ -173,15 +175,15 @@ class TestInner:
         # the product of all partial conjugations into a fixed index j
         # is conjugation by that generator
         n, j = 4, 2
-        prod = W.identity_automorphism(n)
+        prod = W.automorphism(n, [])
         for i in range(1, n + 1):
             if i != j:
-                prod = prod * (W.rho(i, j, n) * W.lam(i, j, n).inverse())
+                prod = prod * (W.rho(i, j, n) * generator(n, "lam", i, j).inverse())
         assert W.is_inner(prod).letters == (j,)
 
     def test_not_inner(self):
         assert W.is_inner(W.rho(1, 2, 3)) is None
-        assert W.is_inner(W.eps(1, 3)) is None
+        assert W.is_inner(generator(3, "eps", 1)) is None
 
     def test_random_conjugators_recovered(self):
         rng = random.Random(20240817)
@@ -192,7 +194,18 @@ class TestInner:
             w = W.reduce_word(seq, n)
             found = W.is_inner(W.inner(w))
             assert found is not None
-            assert W.inner(found).forward == W.inner(w).forward
+            assert W.inner(found) == W.inner(w)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_conjugation_by_a_generator_is_the_total_twist(self, n):
+        # two routes to c_{a_j}: conjugated generators, and the moved
+        # images of the relator that says the total twist is inner
+        twists = {label: word for family, label, word in W.gersten_relators(n)
+                  if family == "total twist is inner"}
+        for j in range(1, n + 1):
+            moved = W.relator_automorphism(n, twists[f"j={j}"])
+            assert W.inner(W.generator_word(j, n)).images == moved.images
+            assert W.is_inner(moved).letters == (j,)
 
 
 def reduced_words(n, max_len):
@@ -205,6 +218,13 @@ def reduced_words(n, max_len):
     return [W.Word(w, n) for w in out]
 
 
+def total_twist(j, n):
+    """The token word of rho_ij lam_ij^-1 over every i != j, which is
+    conjugation by a_j."""
+    return [letter for i in range(1, n + 1) if i != j
+            for letter in ((("rho", i, j), 1), (("lam", i, j), -1))]
+
+
 @st.composite
 def short_nielsen_products(draw):
     """A product of at most three elementary factors at rank 2 or 3.
@@ -215,14 +235,14 @@ def short_nielsen_products(draw):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     factor = st.one_of(
         st.tuples(st.sampled_from(["rho", "lam", "sigma"]), st.sampled_from(pairs))
-        .map(lambda t: W.nielsen(t[0], *t[1], n=n)),
+        .map(lambda t: generator(n, t[0], *t[1])),
         st.tuples(st.sampled_from(["eps", "sigma_star"]), st.integers(1, n))
-        .map(lambda t: W.nielsen(t[0], t[1], n=n)),
-        st.just(W.delta(n)),
-        st.sampled_from(pairs).map(lambda p: W.rho(*p, n) * W.lam(*p, n).inverse()),
-        st.integers(1, n).map(lambda i: W.inner(W.generator_word(i, n))),
+        .map(lambda t: generator(n, t[0], t[1])),
+        st.just(generator(n, "delta")),
+        st.sampled_from(pairs).map(lambda p: W.rho(*p, n) * generator(n, "lam", *p).inverse()),
+        st.integers(1, n).map(lambda j: W.automorphism(n, total_twist(j, n))),
     )
-    product = W.identity_automorphism(n)
+    product = W.automorphism(n, [])
     for f in draw(st.lists(factor, max_size=3)):
         product = product * f
     return product
@@ -243,7 +263,7 @@ class TestInnerBruteForce:
         # letters, so every conjugator is at most this long
         bound = (max(len(img) for img in a.forward.images) - 1) // 2
         conjugators = [w for w in reduced_words(a.rank, bound)
-                       if W.inner(w).forward == a.forward]
+                       if W.inner(w) == a.forward]
         found = W.is_inner(a)
         if found is None:
             assert conjugators == []
@@ -273,7 +293,7 @@ class TestInnerReadOff:
         # to w (two generators have trivial common centraliser), so the
         # result is not inner once the replaced image has changed.
         w = W.Word((1, 1) + tail, n)
-        images = W.inner(w).forward.images
+        images = W.inner(w).images
         misses = 0
         for k in range(1, n + 1):
             for v in [W.empty_word(n)] + [W.generator_word(j, n) * w for j in range(1, n + 1)]:
@@ -289,7 +309,7 @@ class TestIdentityExit:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_identity_images_agree_with_the_oracle(self, n):
         gens = tuple(W.generator_word(k, n) for k in range(1, n + 1))
-        for a in (W.Endomorphism(n, gens), W.identity_automorphism(n),
+        for a in (W.Endomorphism(n, gens), W.automorphism(n, []),
                   W.relator_automorphism(n, [])):
             assert W.is_inner(a) == oracle_is_inner(a) == W.empty_word(n)
 
@@ -310,21 +330,26 @@ class TestIdentityExit:
 
 
 class TestOuterEqual:
+    """Token words u and v are equal in the outer group exactly when the
+    moved images of u v^-1 are inner."""
+
     def test_reflexive(self):
-        assert W.outer_equal(W.rho(1, 2, 3), W.rho(1, 2, 3))
+        u = [(("rho", 1, 2), 1)]
+        assert W.is_inner(W.relator_automorphism(3, u + W._inv_word(u))) is not None
 
     def test_twisted_rho_is_lambda_inverse(self):
-        lhs = W.eps(1, 3) * W.rho(1, 2, 3) * W.eps(1, 3)
-        assert W.outer_equal(lhs, W.lam(1, 2, 3).inverse())
+        e1 = ("eps", 1, None)
+        u = [(e1, 1), (("rho", 1, 2), 1), (e1, 1)]
+        v = [(("lam", 1, 2), -1)]
+        assert W.is_inner(W.relator_automorphism(3, u + W._inv_word(v))) is not None
 
     def test_star_product_formula(self):
         for n in (3, 4, 5, 6):
-            lhs = W.eps(1, n) * W.sigma_star(1, n)
-            rhs = W.identity_automorphism(n)
-            for i in range(2, n + 1):
-                rhs = rhs * W.rho(i, 1, n)
-            assert lhs.forward == rhs.forward  # exact, not just outer
-            assert W.outer_equal(lhs, rhs)
+            u = [(("eps", 1, None), 1), (("sigma_star", 1, None), 1)]
+            v = [(("rho", i, 1), 1) for i in range(2, n + 1)]
+            # exact, not just outer
+            assert W.relator_automorphism(n, u) == W.relator_automorphism(n, v)
+            assert W.is_inner(W.relator_automorphism(n, u + W._inv_word(v))) is not None
 
     def test_remark_relations_exact(self):
         n = 4
@@ -332,11 +357,30 @@ class TestOuterEqual:
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                r = W.rho(i, j, n)
-                tw_j = W.eps(j, n) * r * W.eps(j, n)
-                assert tw_j.forward == r.inverse().forward
-                tw_i = W.eps(i, n) * r * W.eps(i, n)
-                assert tw_i.forward == W.lam(i, j, n).inverse().forward
+                r = ("rho", i, j)
+                tw_j = [(("eps", j, None), 1), (r, 1), (("eps", j, None), 1)]
+                assert W.relator_automorphism(n, tw_j) == W.relator_automorphism(n, [(r, -1)])
+                tw_i = [(("eps", i, None), 1), (r, 1), (("eps", i, None), 1)]
+                assert W.relator_automorphism(n, tw_i) == \
+                    W.relator_automorphism(n, [(("lam", i, j), -1)])
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_coxeter_relations_of_type_a(self, n):
+        # sigma_{i,i+1} for i < n, then sigma_star_n: the Coxeter
+        # generators of S_{n+1}, of type A_n in this order
+        gens = [("sigma", i, i + 1) for i in range(1, n)] + [("sigma_star", n, None)]
+
+        def outer_order(word):
+            """The least k <= 3 with word^k inner, else None."""
+            for k in range(1, 4):
+                if W.is_inner(W.relator_automorphism(n, word * k)) is not None:
+                    return k
+            return None
+
+        for a, s in enumerate(gens):
+            assert outer_order([(s, 1)]) == 2
+            for b in range(a + 1, len(gens)):
+                assert outer_order([(s, 1), (gens[b], 1)]) == (3 if b == a + 1 else 2)
 
 
 class TestGersten:
@@ -357,9 +401,9 @@ class TestGersten:
 
 def oracle_relator_automorphism(n, token_word):
     """A token word evaluated through certified automorphism products."""
-    acc = W.identity_automorphism(n)
+    acc = W.automorphism(n, [])
     for tok, e in token_word:
-        g = W.nielsen(*tok, n)
+        g = generator(n, *tok)
         if e < 0:
             g = g.inverse()
         acc = acc * g
@@ -469,7 +513,7 @@ class TestRelatorMoves:
     @pytest.mark.parametrize("token", sorted(HAND_TABLES, key=str))
     def test_generator_tables_match_hand_images(self, token):
         forward, backward = HAND_TABLES[token]
-        a = W.nielsen(*token, 3)
+        a = generator(3, *token)
         assert image_lists(a.forward) == forward
         assert image_lists(a.backward) == backward
         assert image_lists(W.relator_automorphism(3, [(token, 1)])) == forward
@@ -496,10 +540,10 @@ class TestAbelianize:
         assert (m - W.Matrix.identity(3)).data[1][0] == 1
 
     def test_eps_determinant(self):
-        assert W.abelianize(W.eps(1, 3)).determinant() == -1
+        assert W.abelianize(generator(3, "eps", 1)).determinant() == -1
 
     def test_partial_conjugation_vanishes(self):
-        pc = W.rho(1, 2, 3) * W.lam(1, 2, 3).inverse()
+        pc = W.rho(1, 2, 3) * generator(3, "lam", 1, 2).inverse()
         assert W.abelianize(pc).is_identity()
 
     def test_homomorphism_on_random_products(self):
@@ -507,13 +551,13 @@ class TestAbelianize:
         n = 4
         pool = []
         for i in range(1, n + 1):
-            pool.append(W.eps(i, n))
+            pool.append(generator(n, "eps", i))
             for j in range(1, n + 1):
                 if i != j:
-                    pool += [W.rho(i, j, n), W.lam(i, j, n)]
+                    pool += [W.rho(i, j, n), generator(n, "lam", i, j)]
         for _ in range(25):
             autos = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
-            prod = W.identity_automorphism(n)
+            prod = W.automorphism(n, [])
             mat = W.Matrix.identity(n)
             for a in autos:
                 prod = prod * a
@@ -526,10 +570,10 @@ class TestFunctionalAction:
     bit k reads the parity of a_{k+1}."""
 
     def test_eps_acts_trivially(self):
-        assert induced.act_on_mask(W.eps(1, 3).backward, 0b101) == 0b101
+        assert induced.act_on_mask(generator(3, "eps", 1).backward, 0b101) == 0b101
 
     def test_swap(self):
-        assert induced.act_on_mask(W.sigma(1, 2, 3).backward, 0b001) == 0b010
+        assert induced.act_on_mask(generator(3, "sigma", 1, 2).backward, 0b001) == 0b010
 
     def test_rho_fixes_base(self):
         assert induced.act_on_mask(W.rho(1, 2, 3).backward, 0b100) == 0b100
@@ -538,7 +582,8 @@ class TestFunctionalAction:
         # the action is linear and invertible, so the zero functional is
         # fixed and never reached: the nonzero masks are permuted
         n = 3
-        for a in (W.rho(1, 2, n), W.lam(3, 1, n), W.sigma_star(2, n), W.delta(n)):
+        for a in (W.rho(1, 2, n), generator(n, "lam", 3, 1), generator(n, "sigma_star", 2),
+                  generator(n, "delta")):
             assert induced.act_on_mask(a.backward, 0) == 0
             assert sorted(induced.act_on_mask(a.backward, m) for m in range(1, 2 ** n)) == \
                 list(range(1, 2 ** n))
@@ -547,8 +592,9 @@ class TestFunctionalAction:
     def test_left_action_law(self):
         rng = random.Random(4)
         n = 3
-        pool = [W.rho(1, 2, n), W.rho(2, 3, n), W.lam(3, 1, n),
-                W.eps(2, n), W.sigma(1, 3, n), W.sigma_star(2, n)]
+        pool = [W.rho(1, 2, n), W.rho(2, 3, n), generator(n, "lam", 3, 1),
+                generator(n, "eps", 2), generator(n, "sigma", 1, 3),
+                generator(n, "sigma_star", 2)]
         for _ in range(30):
             f, g = rng.choice(pool), rng.choice(pool)
             mask = rng.randrange(1, 2 ** n)
@@ -563,8 +609,8 @@ class TestJson:
             return W.Endomorphism(n, tuple(W.Word(tuple(w), n) for w in images))
         for forward, backward in (
                 (W.rho(1, 2, 3).forward, endo(3, [[1, 2], [2], [3]])),
-                (W.eps(1, 3).forward, endo(3, [[1], [2], [3]])),
-                (W.sigma(1, 2, 3).forward, endo(3, [[1], [3], [2]])),
+                (generator(3, "eps", 1).forward, endo(3, [[1], [2], [3]])),
+                (generator(3, "sigma", 1, 2).forward, endo(3, [[1], [3], [2]])),
                 (endo(2, [[1, 1], [2]]), endo(2, [[1], [2]]))):
             with pytest.raises(ValueError):
                 W.Automorphism(forward, backward)
