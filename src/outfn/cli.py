@@ -279,14 +279,7 @@ def cmd_graph(args) -> int:
     if sub == "admissible":
         action = _action_from_args(args)
         _require_relations("action", action.failed_relations())
-        g = action.graph
-        checks.append(check("graph is connected", g.is_connected()))
-        checks.append(check("no valence-2 vertices",
-                            all(g.valence(v) != 2 for v in g.vertices),
-                            {"valences": {str(v): g.valence(v) for v in g.vertices}}))
-        forests = graphs.invariant_forests(action)
-        checks.append(check("no invariant nontrivial forest", not forests,
-                            {"forests": [list(map(str, f)) for f in forests]}))
+        checks += [check(*c) for c in graphs.admissibility_conditions(action)]
         checks.append(check("admissible", all(c["status"] == "pass" for c in checks)))
 
     elif sub == "homology":

@@ -601,14 +601,25 @@ def invariant_forests(action: GraphAction) -> list:
     return [o for o in action.edge_orbits() if is_forest(action.graph, o)]
 
 
-def is_admissible(action: GraphAction) -> bool:
-    """Connected, no valence-2 vertices, and no invariant nontrivial forest."""
+def admissibility_conditions(action: GraphAction) -> list:
+    """The three conditions of admissibility, each as ``(name, holds,
+    details)``: connected, no valence-2 vertices, and no invariant
+    nontrivial forest."""
     g = action.graph
-    if not g.is_connected():
-        return False
-    if any(g.valence(v) == 2 for v in g.vertices):
-        return False
-    return not invariant_forests(action)
+    valences = {v: g.valence(v) for v in g.vertices}
+    forests = invariant_forests(action)
+    return [
+        ("graph is connected", g.is_connected(), None),
+        ("no valence-2 vertices", 2 not in valences.values(),
+         {"valences": {str(v): k for v, k in valences.items()}}),
+        ("no invariant nontrivial forest", not forests,
+         {"forests": [list(map(str, f)) for f in forests]}),
+    ]
+
+
+def is_admissible(action: GraphAction) -> bool:
+    """Whether all three ``admissibility_conditions`` hold."""
+    return all(holds for _, holds, _ in admissibility_conditions(action))
 
 
 # ---------------------------------------------------------------------------

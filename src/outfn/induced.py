@@ -29,18 +29,26 @@ kernel to finite order elements jointly with its finite image there
 being trivial.
 
 Every matrix is held in one form: each representation's block table
-stores every distinct block once under an integer id, keyed by its
-exact entries, and an induced matrix is its columns, one
-``(block row, block id)`` per block-column.  ``generators`` (what
-``to_json`` writes out), the relators and the certificate candidates
-(``cover.kernel_generators``) all take that form.  A word's columns are
-the product of its letters'; each product and inverse of ids is
-computed once, by ``Matrix.__mul__`` and ``Matrix.inverse``.  A relator
-u v passes when the columns of u and v^-1 are equal, which is exact:
-equal ids are equal entries.
+stores every distinct block once under an integer id, and an induced
+matrix is its columns, one ``(block row, block id)`` per block-column.
+``generators`` (what ``to_json`` writes out), the relators and the
+certificate candidates (``cover.kernel_generators``) all take that
+form.  A word's columns are the product of its letters'; each product
+and inverse of ids is computed once.  A relator u v passes when the
+columns of u and v^-1 are equal.
 
-Blocks are integer ``Matrix`` values.  The construction and the
-products divide nowhere; the inverses do, but the blocks are
+A block is S(g), with S the square functor of ``mu`` and g the
+(n-1) x (n-1) integer matrix ``cover.minus_eigenspace_matrix`` returns,
+and the table holds g up to sign: its rows with the first nonzero entry
+made positive.  That is exact by two facts (Fulton-Harris,
+*Representation Theory*, 6.1): S(g) S(h) = S(gh), and S(g) = S(h) if
+and only if g = +-h, for the symmetric square in every dimension and for
+the exterior square in dimension at least 3 (the one case refused, the
+exterior square at rank 3, is the dimension-2 exception).  So equal ids
+are equal blocks and distinct ids distinct ones, products and inverses
+of ids act on the small matrices g, and S is applied only where a
+block's entries are read: by ``unipotency_index`` and ``to_json``, once
+per id.  The products divide nowhere; the inverses do, but g is
 unimodular, so every entry still comes out as a Python ``int``.
 """
 
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import comb
+from operator import mul
 
 from .linalg import Matrix, schur_square
 from .words import (
@@ -116,38 +125,58 @@ def coset_transversal(n: int) -> dict:
 # the block table
 
 
+def _up_to_sign(rows) -> tuple:
+    """The rows of g or of -g as a tuple of tuples, whichever has its
+    first nonzero entry positive."""
+    key = tuple(map(tuple, rows))
+    for row in key:
+        for x in row:
+            if x:
+                return key if x > 0 else tuple([tuple([-x for x in row]) for row in key])
+    return key
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Product of two integer matrices given as tuples of rows."""
+    cols = [*zip(*b)]
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
 class _Blocks:
     """Interned blocks of one representation, with memoised products
     and inverses.
 
-    Each distinct block is stored once, keyed by its exact entries, and
-    named by its position in ``matrices``; equal ids are equal blocks.
+    A block S(g) is held as g up to sign: the rows of g normalised by
+    ``_up_to_sign``, which are both its key and its value.  By the +-g
+    lemma equal ids are equal blocks and distinct ids distinct ones.
+    Products and inverses act on g, and S is applied only where a
+    block's entries are read (``InducedRep.block``).
     """
 
     def __init__(self):
-        self.matrices = []     # id -> Matrix
-        self._ids = {}         # entries -> id
+        self.keys = []         # id -> rows of g up to sign
+        self._ids = {}         # rows -> id
         self._products = {}    # (id, id) -> id
         self._inverses = {}    # id -> id
 
-    def intern(self, g: Matrix) -> int:
-        key = tuple(map(tuple, g.data))
+    def intern(self, g) -> int:
+        key = _up_to_sign(g)
         i = self._ids.get(key)
         if i is None:
-            i = self._ids[key] = len(self.matrices)
-            self.matrices.append(g)
+            i = self._ids[key] = len(self.keys)
+            self.keys.append(key)
         return i
 
     def product(self, i: int, j: int) -> int:
         k = self._products.get((i, j))
         if k is None:
-            k = self._products[i, j] = self.intern(self.matrices[i] * self.matrices[j])
+            k = self._products[i, j] = self.intern(_mul(self.keys[i], self.keys[j]))
         return k
 
     def inverse(self, i: int) -> int:
         k = self._inverses.get(i)
         if k is None:
-            k = self._inverses[i] = self.intern(self.matrices[i].inverse())
+            k = self._inverses[i] = self.intern(Matrix(self.keys[i]).inverse().data)
         return k
 
 
@@ -210,9 +239,13 @@ class InducedRep:
         columns = []
         for mask, target in zip(self.cosets, targets):
             h = relator_automorphism(n, [*_inv_word(t[target]), *word, *t[mask]])
-            block = schur_square(minus_eigenspace_matrix(h), self.mu)
-            columns.append((self.cosets.index(target), self.blocks.intern(block)))
+            g = minus_eigenspace_matrix(h).data
+            columns.append((self.cosets.index(target), self.blocks.intern(g)))
         return tuple(columns)
+
+    def block(self, i: int) -> Matrix:
+        """The block S(g) of id i, as a dense ``Matrix``."""
+        return schur_square(Matrix(self.blocks.keys[i]), self.mu)
 
     def _letter(self, token, e: int) -> tuple:
         """Columns of a token's stored generator (KeyError when there is
@@ -234,13 +267,13 @@ class InducedRep:
         """Columns of the product of the stored blocks of a token word's
         letters; the identity for the empty word."""
         if not word:
-            ident = self.blocks.intern(Matrix.identity(self.dim_u))
+            ident = self.blocks.intern(Matrix.identity(self.n - 1).data)
             return tuple((c, ident) for c in range(len(self.cosets)))
         product = self.blocks.product
         acc = self._letter(*word[0])
         for token, e in word[1:]:
-            acc = tuple((acc[mid][0], product(acc[mid][1], q))
-                        for mid, q in self._letter(token, e))
+            acc = tuple([(acc[mid][0], product(acc[mid][1], q))
+                         for mid, q in self._letter(token, e)])
         return acc
 
     def is_identity(self, columns) -> bool:
@@ -259,7 +292,7 @@ class InducedRep:
         ident = Matrix.identity(self.dim_u)
         worst = 0
         for i in {i for _, i in columns}:
-            nil, power, k = self.blocks.matrices[i] - ident, ident, 0
+            nil, power, k = self.block(i) - ident, ident, 0
             while not power.is_zero():
                 if k == self.dim_u:
                     return None
@@ -292,14 +325,18 @@ class InducedRep:
 
     def to_json(self) -> dict:
         """The generators as ``Matrix.to_json`` objects, written
-        straight from the block table."""
-        d, m, blocks = self.dim_u, self.m, self.blocks.matrices
+        straight from the block table, with S applied once per id."""
+        d, m = self.dim_u, self.m
+        strings = {}  # id -> entry strings of its block, row by row
         generators = {}
         for name, columns in self.generators.items():
             entries = [["0"] * m for _ in range(m)]
             for c, (r, i) in enumerate(columns):
-                for k, row in enumerate(blocks[i].data):
-                    entries[r * d + k][c * d:(c + 1) * d] = map(str, row)
+                rows = strings.get(i)
+                if rows is None:
+                    rows = strings[i] = [[*map(str, row)] for row in self.block(i).data]
+                for k, row in enumerate(rows):
+                    entries[r * d + k][c * d:(c + 1) * d] = row
             generators[name] = {"rows": m, "cols": m, "entries": entries}
         return {
             "n": self.n,

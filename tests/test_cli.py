@@ -327,6 +327,8 @@ class TestInduce:
                      "a19da72484de36f118926af71bb5e95efc3c146213469d5dd7b7f63a1f36525c"),
         ("5", None): ("fef64d346f394a32b15303501eafe19e6b5f3449b6be48a8a1460bc6cdb5961a",
                       "29b12df844a249ef471bff1e594aaefc9cb0213b42bad0b96328300dd753b806"),
+        ("5", "1,1"): ("fef64d346f394a32b15303501eafe19e6b5f3449b6be48a8a1460bc6cdb5961a",
+                       "29b12df844a249ef471bff1e594aaefc9cb0213b42bad0b96328300dd753b806"),
         ("5", "2"): ("c555d6fe4f41d6e078ec4336f8d10e419ad341f8de80d1218dae5bc630c1c393",
                      "12bf8c6f52b637300f6a472f8463eb8aef17821d8ef7a1943e5e46f54ab82b02"),
     }

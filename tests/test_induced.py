@@ -218,7 +218,7 @@ class TestCertificate:
         assert rep.unipotency_index(columns) is None
         base_index = rep.cosets.index(functional_to_mask((0, 0, 1)))
         row, i = columns[base_index]
-        assert row == base_index and rep.blocks.matrices[i].is_identity()
+        assert row == base_index and rep.block(i).is_identity()
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +229,14 @@ class TestCertificate:
 
 
 def read(rep, columns):
-    """Columns of ids, read through the representation's block table."""
-    return tuple((r, rep.blocks.matrices[i]) for r, i in columns)
+    """Columns of ids as dense blocks S(g), read through the
+    representation's block table."""
+    return tuple((r, rep.block(i)) for r, i in columns)
+
+
+def stored_g(rep, columns):
+    """Columns of ids as the matrices g up to sign that the table holds."""
+    return tuple((r, Matrix(rep.blocks.keys[i])) for r, i in columns)
 
 
 def to_dense(rep, block):
@@ -267,12 +273,13 @@ def block_inverse(a):
 
 
 def copy_rep(rep, replaced=None):
-    """A fresh representation with the same generator blocks, interned
-    in a table of its own; ``replaced`` maps names to substitute blocks."""
+    """A fresh representation with the same generator blocks, each g
+    interned in a table of its own; ``replaced`` maps names to
+    substitute columns of (block row, g)."""
     out = induced.InducedRep(rep.n, rep.mu, rep.transversal)
     for name, columns in rep.generators.items():
-        block = (replaced or {}).get(name) or read(rep, columns)
-        out.generators[name] = tuple((r, out.blocks.intern(g)) for r, g in block)
+        block = (replaced or {}).get(name) or stored_g(rep, columns)
+        out.generators[name] = tuple((r, out.blocks.intern(g.data)) for r, g in block)
     return out
 
 
@@ -379,6 +386,22 @@ def elementary(dim, a, b, c=1):
                     for k in range(dim)] for r in range(dim)])
 
 
+def random_unimodular(rng, k):
+    """A seeded random g in GL_k(Z): a product of elementary and signed
+    permutation matrices."""
+    g = Matrix.identity(k)
+    for _ in range(6):
+        if rng.random() < 0.5:
+            a, b = rng.sample(range(k), 2)
+            step = elementary(k, a, b, rng.choice((-2, -1, 1, 2)))
+        else:
+            perm = rng.sample(range(k), k)
+            step = Matrix([[rng.choice((1, -1)) if perm[r] == c else 0 for c in range(k)]
+                           for r in range(k)])
+        g = g * step
+    return g
+
+
 def failing_labels(report):
     return [(fam["name"], label) for fam in report["families"]
             for label in fam["failures"]]
@@ -398,28 +421,33 @@ class TestStoredBlockOracle:
         assert new == oracle_relator_report(rep, stored_letters(rep))
         assert new["ok"]
 
+    # op is an elementary operation on the (n-1) x (n-1) matrix g of
+    # one stored block; the oracle applies S to the perturbed g
     @pytest.mark.parametrize("n,name,column,op", [
         (3, "rho12", 0, (0, 1, 1)),
-        (3, "lam23", 4, (2, 0, -1)),
-        (3, "eps1", 6, (1, 2, 2)),
+        (3, "lam23", 4, (1, 0, -1)),
+        (3, "eps1", 6, (1, 0, 2)),
         (4, "rho31", 9, (2, 1, 1)),
     ])
     def test_perturbed_block_fails_the_same_relators(self, reps, n, name, column, op):
         rep = reps[n]
         good = read(rep, rep.generators[name])
         row = good[column][0]
-        e = elementary(rep.dim_u, *op)
-        e_inv = elementary(rep.dim_u, op[0], op[1], -op[2])
+        e = elementary(rep.n - 1, *op)
+        e_inv = elementary(rep.n - 1, op[0], op[1], -op[2])
 
         def only_block(mat):
             ident = Matrix.identity(rep.dim_u)
             return tuple((c, mat if c == row else ident) for c in range(len(rep.cosets)))
 
-        bad = block_product(only_block(e), good)
+        bad_g = tuple((r, e * g if c == column else g)
+                      for c, (r, g) in enumerate(stored_g(rep, rep.generators[name])))
+        bad = tuple((r, schur_square(g, rep.mu)) for r, g in bad_g)
+        assert bad == block_product(only_block(schur_square(e, rep.mu)), good)
         assert sum(b != g for b, g in zip(bad, good)) == 1
         token = next(t for t in stored_tokens(n) if induced.generator_name(t) == name)
         bad_inverse = block_product(oracle_block_of(rep, generator(n, *token).inverse()),
-                                    only_block(e_inv))
+                                    only_block(schur_square(e_inv, rep.mu)))
         base = oracle_letters(rep)
 
         def letter(tok, sign):
@@ -427,7 +455,7 @@ class TestStoredBlockOracle:
                 return bad if sign > 0 else bad_inverse
             return base(tok, sign)
 
-        perturbed = copy_rep(rep, {name: bad})
+        perturbed = copy_rep(rep, {name: bad_g})
         new = failing_labels(perturbed.relator_report())
         assert new and new == failing_labels(oracle_relator_report(rep, letter))
         assert new == failing_labels(
@@ -490,6 +518,57 @@ class TestStoredBlockOracle:
         assert seen == {True, False}
 
 
+# the square functors with the dimensions of g they are used at: the
+# symmetric square from rank 3, the exterior square from rank 4
+SQUARES = [(2, (2,)), (3, (1, 1)), (3, (2,)), (4, (1, 1)), (4, (2,))]
+
+
+class TestUpToSign:
+    """S(gh) = S(g) S(h), and S(g) = S(h) iff g = +-h: the two facts that
+    let the block table hold g up to sign."""
+
+    @pytest.mark.parametrize("k,mu", SQUARES)
+    def test_square_lemma_on_random_unimodular_matrices(self, k, mu):
+        rng = random.Random(40 + 2 * k + len(mu))
+        for _ in range(12):
+            g, h = random_unimodular(rng, k), random_unimodular(rng, k)
+            assert schur_square(g * h, mu) == schur_square(g, mu) * schur_square(h, mu)
+            assert schur_square(-g, mu) == schur_square(g, mu)
+            a, b = rng.sample(range(k), 2)
+            perturbed = elementary(k, a, b, rng.choice((-1, 1))) * g
+            assert perturbed != g and perturbed != -g
+            assert schur_square(perturbed, mu) != schur_square(g, mu)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_table_interns_up_to_sign(self, k):
+        rng = random.Random(70 + k)
+        blocks = induced._Blocks()
+        for _ in range(12):
+            g, h = random_unimodular(rng, k), random_unimodular(rng, k)
+            i, j = blocks.intern(g.data), blocks.intern(h.data)
+            assert blocks.intern((-g).data) == i
+            first = next(x for row in blocks.keys[i] for x in row if x)
+            assert first > 0 and Matrix(blocks.keys[i]) in (g, -g)
+            assert Matrix(blocks.keys[blocks.product(i, j)]) in (g * h, -(g * h))
+            assert Matrix(blocks.keys[blocks.inverse(i)]) in (g.inverse(), -g.inverse())
+
+    @pytest.mark.parametrize("n,mu", [(3, (2,)), (4, (1, 1)), (4, (2,))])
+    def test_ids_match_the_distinct_dense_blocks(self, n, mu):
+        rep = induced.induce(n, mu)
+        rng = random.Random(80 + n + len(mu))
+        words = [[(token, 1)] for token in stored_tokens(n)]
+        words += [random_word(rng, n, length) for length in (2, 3, 4, 5)]
+        pairs = set()
+        for word in words:
+            dense = oracle_block_of(rep, W.automorphism(n, word))
+            columns = rep.block_of(word)
+            assert [r for r, _ in columns] == [r for r, _ in dense]
+            pairs |= {(i, tuple(map(tuple, b.data))) for (_, i), (_, b) in zip(columns, dense)}
+        ids = {i for i, _ in pairs}
+        assert ids == set(range(len(rep.blocks.keys)))
+        assert len(ids) == len(pairs) == len({b for _, b in pairs})
+
+
 class TestWordBlocks:
     def test_empty_word_is_the_identity(self, reps):
         rep = reps[3]
@@ -510,14 +589,13 @@ class TestWordBlocks:
         assert rep.relator_report()["ok"]
         fresh = copy_rep(rep)
         products = []
-        real = Matrix.__mul__
-        monkeypatch.setattr(Matrix, "__mul__",
+        real = induced._mul
+        monkeypatch.setattr(induced, "_mul",
                             lambda a, b: products.append((a, b)) or real(a, b))
         assert rep.relator_report()["ok"]
         assert products == []
         assert fresh.relator_report()["ok"]
-        pairs = [tuple(tuple(map(tuple, g.data)) for g in pair) for pair in products]
-        assert pairs and len(set(pairs)) == len(pairs)
+        assert products and len(set(products)) == len(products)
 
     def test_letter_without_a_stored_block_raises(self, reps):
         with pytest.raises(KeyError, match="sigma12"):
