@@ -180,14 +180,18 @@ def cmd_induce(args) -> int:
                                     not fam["failures"], {"failures": fam["failures"]}))
             cert = induced.check_not_factoring(rep)
             checks.append(check("non-factoring certificate", cert["found"], cert))
-            # one C-encoder call per generator (``to_json``'s last key):
-            # ``json.dump`` runs the pure-Python encoder, slower; one
-            # ``json.dumps`` of it all holds every entry string at once
+            # the generators (``to_json``'s last key) are written row by
+            # row in ``json.dumps``'s layout: every entry is a decimal
+            # integer string, so joining the strings needs no escaping
             obj = rep.to_json()
             generators = obj.pop("generators")
             fh.write(json.dumps(obj)[:-1] + ', "generators": {')
             for k, (name, matrix) in enumerate(generators.items()):
-                fh.write(f"{', ' if k else ''}{json.dumps(name)}: {json.dumps(matrix)}")
+                rows = ", ".join(['["' + '", "'.join(row) + '"]'
+                                  for row in matrix["entries"]])
+                fh.write('%s%s: {"rows": %d, "cols": %d, "entries": [%s]}' % (
+                    ", " if k else "", json.dumps(name),
+                    matrix["rows"], matrix["cols"], rows))
             fh.write("}}\n")
         except BaseException:
             if os.path.isfile(out_path) and not os.path.islink(out_path):

@@ -48,17 +48,18 @@ exterior square at rank 3, is the dimension-2 exception).  So equal ids
 are equal blocks and distinct ids distinct ones, products and inverses
 of ids act on the small matrices g, and S is applied only where a
 block's entries are read: by ``unipotency_index`` and ``to_json``, once
-per id.  The products divide nowhere; the inverses do, but g is
-unimodular, so every entry still comes out as a Python ``int``.
+per id.  Products of ids go through ``linalg._product_rows``, the one
+matrix product kernel of the package, and divide nowhere; the inverses
+do, but g is unimodular, so every entry still comes out as a Python
+``int``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 from math import comb
-from operator import mul
 
-from .linalg import Matrix, schur_square
+from .linalg import Matrix, _product_rows, schur_square
 from .words import (
     Endomorphism,
     _inv_word,
@@ -136,12 +137,6 @@ def _up_to_sign(rows) -> tuple:
     return key
 
 
-def _mul(a: tuple, b: tuple) -> tuple:
-    """Product of two integer matrices given as tuples of rows."""
-    cols = [*zip(*b)]
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
-
-
 class _Blocks:
     """Interned blocks of one representation, with memoised products
     and inverses.
@@ -170,7 +165,8 @@ class _Blocks:
     def product(self, i: int, j: int) -> int:
         k = self._products.get((i, j))
         if k is None:
-            k = self._products[i, j] = self.intern(_mul(self.keys[i], self.keys[j]))
+            g, h = self.keys[i], self.keys[j]
+            k = self._products[i, j] = self.intern(_product_rows(g, h, len(h[0])))
         return k
 
     def inverse(self, i: int) -> int:

@@ -2,13 +2,23 @@
 
 Entries are integer-first: every integral entry is stored as a Python
 ``int`` and a ``fractions.Fraction`` appears only where elimination
-leaves a non-integer.  The constructor normalises each entry that way,
-so every result of this module keeps the invariant, and division goes
-through ``Fraction``; no floating point enters at any stage.  Integer
-matrices (signed permutations, transvections, graph incidence matrices,
-induced blocks) thus multiply in plain integer arithmetic.  Elimination
-picks pivots with the smallest numerator magnitude, which keeps
-intermediate entries small for these structured matrices.
+leaves a non-integer.  The constructor enforces that invariant row by
+row: a row whose entries are all ``int`` already is copied as it is,
+after one type test, and only a row holding any other entry is
+normalised entry by entry.  So every result of this module keeps the
+invariant, and division goes through ``Fraction``; no floating point
+enters at any stage.
+
+Every exact matrix product of the package, ``Matrix.__mul__`` and the
+block products of ``outfn.induced``, goes through the one kernel
+``_product_rows``: row r of a * b is the sum of x * (row j of b) over
+the nonzero entries x = a[r][j].  The matrices multiplied here are
+sparse integer matrices (signed permutations and their square
+functors, transvections, induced blocks), so a product costs about one
+row operation per nonzero entry, in plain integer arithmetic.
+Elimination picks pivots with the smallest numerator magnitude, which
+keeps intermediate entries small for these structured matrices; a pivot
+of -1 negates its row in integers.
 
 Also provides the two degree-2 square functors on linear maps: the
 exterior square and the symmetric square.
@@ -19,7 +29,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from operator import mul
 
 
 def _frac(x):
@@ -29,6 +38,30 @@ def _frac(x):
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _product_rows(a, b, cols: int) -> list:
+    """Rows of the product of the row lists ``a`` and ``b``, the second
+    with ``cols`` columns: the one matrix product of the package.
+
+    Row r of the product is the sum of x * (row j of b) over the nonzero
+    entries x = a[r][j], so a signed permutation row costs one copy or
+    one scaled copy of a row of b, and an all-zero row of a gives a zero
+    row.  Every row is a new list.  Entries are not normalised: a sum of
+    ``Fraction`` entries may be integral.
+    """
+    out = []
+    for row in a:
+        acc = None
+        for x, other in zip(row, b):
+            if not x:
+                continue
+            if acc is None:
+                acc = [*other] if x == 1 else [x * y for y in other]
+            else:
+                acc = [u + x * y for u, y in zip(acc, other)]
+        out.append([0] * cols if acc is None else acc)
+    return out
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -54,7 +87,9 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        data = [list(map(_frac, row)) for row in data]
+        # a row of plain ints is copied as it is; any other goes through _frac
+        data = [[*row] if {int} >= {*map(type, row)} else [*map(_frac, row)]
+                for row in data]
         if not data:
             if cols is None:
                 raise ValueError("an empty matrix needs an explicit column count")
@@ -144,12 +179,8 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("inner dimension mismatch")
-            # zip drops the columns of a matrix without rows
-            bt = list(zip(*other.data)) or [()] * other.cols
-            return Matrix(
-                [[sum(map(mul, row, col)) for col in bt] for row in self.data],
-                cols=other.cols,
-            )
+            return Matrix(_product_rows(self.data, other.data, other.cols),
+                          cols=other.cols)
         return self.scale(other)
 
     def trace(self):
@@ -199,7 +230,9 @@ class Matrix:
                 product = -product
             piv = m[r][c]
             product *= piv
-            if piv != 1:
+            if piv == -1:
+                m[r] = [-x for x in m[r]]
+            elif piv != 1:
                 inv = Fraction(1, piv)
                 m[r] = [_frac(x * inv) for x in m[r]]
             for k in range(self.rows):

@@ -589,9 +589,9 @@ class TestWordBlocks:
         assert rep.relator_report()["ok"]
         fresh = copy_rep(rep)
         products = []
-        real = induced._mul
-        monkeypatch.setattr(induced, "_mul",
-                            lambda a, b: products.append((a, b)) or real(a, b))
+        real = induced._product_rows
+        monkeypatch.setattr(induced, "_product_rows",
+                            lambda a, b, cols: products.append((a, b)) or real(a, b, cols))
         assert rep.relator_report()["ok"]
         assert products == []
         assert fresh.relator_report()["ok"]

@@ -104,6 +104,21 @@ def chain(draw, count, square=False):
     return [draw(lists(r, c)) for r, c in zip(dims, dims[1:])]
 
 
+def sparse(rows, cols):
+    """Integer matrices that are mostly zero."""
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def monomial(draw, d):
+    """A signed permutation matrix of size d."""
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d))
+    return [[signs[i] if j == perm[i] else 0 for j in range(d)] for i in range(d)]
+
+
 class TestOracle:
     """Integer-first Matrix against the plain-Fraction oracle above."""
 
@@ -113,6 +128,58 @@ class TestOracle:
         got = Matrix(a) * Matrix(b)
         assert got.data == oracle_mul(a, b)
         assert all_exact(got)
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_product_of_sparse_and_monomial_integer_matrices(self, d, k, data):
+        p, q = data.draw(monomial(d)), data.draw(monomial(d))
+        s, t = data.draw(sparse(d, k)), data.draw(sparse(k, d))
+        for a, b in ((p, q), (p, s), (t, p), (s, t), (t, s)):
+            got = Matrix(a) * Matrix(b)
+            assert got.data == oracle_mul(a, b)
+            assert all_exact(got)
+
+    @given(chain(1, square=True))
+    def test_fraction_products_that_come_out_integral(self, ms):
+        (a,) = ms
+        if oracle_det(a) == 0:
+            return
+        inv = Matrix(a).inverse()
+        for got in (Matrix(a) * inv, inv * Matrix(a)):
+            assert got.data == Matrix.identity(len(a)).data
+            assert all(type(x) is int for row in got.data for x in row)
+
+    def test_fraction_rows_that_sum_to_integers(self):
+        half = Matrix([[Fraction(1, 2), Fraction(-3, 2)], [Fraction(2, 3), 0]])
+        got = half * Matrix([[3, 1], [1, 1]])
+        assert got.data == [[0, -1], [2, Fraction(2, 3)]] and all_exact(got)
+
+    @pytest.mark.parametrize("r, k, c", [(2, 0, 3), (3, 2, 0)])
+    def test_products_with_an_empty_side(self, r, k, c):
+        a = Matrix([[1] * k for _ in range(r)], cols=k)
+        b = Matrix([[2] * c for _ in range(k)], cols=c) if k else Matrix([], cols=c)
+        assert a * b == Matrix.zeros(r, c)
+
+    def test_product_rows_are_new_lists(self):
+        # row 0 takes the x = 1 copy of b's row, row 1 a scaled copy and
+        # a sum, row 2 is the zero row
+        a = Matrix([[1, 0], [-1, 2], [0, 0]])
+        b = Matrix([[3, Fraction(1, 2)], [4, 5]])
+        before = ([row[:] for row in a.data], [row[:] for row in b.data])
+        got = a * b
+        assert got.data == [[3, Fraction(1, 2)], [5, Fraction(19, 2)], [0, 0]]
+        for row in got.data:
+            row[:] = [7] * len(row)
+        assert (a.data, b.data) == before
+        rows = ((1, 0), (0, 1))
+        out = linalg._product_rows(rows, rows, 2)
+        assert out == [[1, 0], [0, 1]] and all(type(row) is list for row in out)
+
+    def test_constructor_copies_int_rows_and_normalises_the_rest(self):
+        rows = [[1, 2], [True, Fraction(4, 2)], [Fraction(1, 2), 0]]
+        m = Matrix(rows)
+        rows[0][0] = 9
+        assert m.data == [[1, 2], [1, 2], [Fraction(1, 2), 0]]
+        assert all_exact(m) and m.data[0] is not rows[0]
 
     @given(chain(1))
     def test_rref(self, ms):
@@ -168,6 +235,18 @@ class TestOracle:
         got = schur_square(Matrix(a), mu)
         assert got.data == oracle(a)
         assert all_exact(got)
+
+    @given(st.integers(1, 5), st.data())
+    def test_minus_one_pivots(self, d, data):
+        a = data.draw(monomial(d))
+        # the smallest pivot is -1 in every column but the last here
+        b = [[-1, Fraction(1, 2), 3], [2, -1, Fraction(-1, 3)], [0, -1, 4]]
+        for m in (a, oracle_mul(a, a), b):
+            red, pivots, _ = Matrix(m)._eliminate()
+            assert (red, pivots) == oracle_rref(m)
+            assert all(isinstance(x, (int, Fraction)) for row in red for x in row)
+            det = Matrix(m).determinant()
+            assert det == oracle_det(m) and exact(det)
 
     @given(chain(2, square=True))
     def test_determinant(self, ab):
@@ -280,6 +359,14 @@ class TestElimination:
         # every rejection, must be what Fraction(str(x)) gives
         oracle = lambda y: linalg._frac(Fraction(str(y)))  # noqa: E731
         assert self._outcome(linalg._entry_from_json, x) == self._outcome(oracle, x)
+
+    @pytest.mark.parametrize("x, outcome", [
+        (True, ValueError), (1.5, (Fraction, Fraction(3, 2))),
+        ("1/2", (Fraction, Fraction(1, 2))), ("-3", (int, -3)),
+        ("x", ValueError), (-3, (int, -3)),
+    ])
+    def test_json_entries_by_type(self, x, outcome):
+        assert self._outcome(linalg._entry_from_json, x) == outcome
 
 
 class TestSquareFunctors:
