@@ -2,12 +2,15 @@
 
 Entries are integer-first: every integral entry is stored as a Python
 ``int`` and a ``fractions.Fraction`` appears only where elimination
-leaves a non-integer.  The constructor enforces that invariant row by
-row: a row whose entries are all ``int`` already is copied as it is,
-after one type test, and only a row holding any other entry is
-normalised entry by entry.  So every result of this module keeps the
-invariant, and division goes through ``Fraction``; no floating point
-enters at any stage.
+leaves a non-integer.  The constructor checks that invariant once per
+matrix, with one type test over all entries; only a matrix holding a
+non-``int`` entry is normalised entry by entry.  It records in a flag
+whether every entry is an ``int``, and a product of two matrices so
+flagged keeps the flag without a second check: the product of two
+integer matrices is an integer matrix.  So every result of this module
+keeps the invariant, and division goes through ``Fraction``; no
+floating point enters at any stage.  ``from_json`` parses each distinct
+entry string of a file once.
 
 Every exact matrix product of the package, ``Matrix.__mul__`` and the
 block products of ``outfn.induced``, goes through the one kernel
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 
 def _frac(x):
@@ -64,6 +67,14 @@ def _product_rows(a, b, cols: int) -> list:
     return out
 
 
+def _identity_rows(n: int) -> list:
+    """Rows of the n x n identity, each a new list."""
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
@@ -84,12 +95,15 @@ class Matrix:
     subspaces); zero-row matrices are not needed and rejected.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_integral")
 
     def __init__(self, data, cols=None):
-        # a row of plain ints is copied as it is; any other goes through _frac
-        data = [[*row] if {int} >= {*map(type, row)} else [*map(_frac, row)]
-                for row in data]
+        data = [[*row] for row in data]
+        integral = {int} >= {*map(type, chain.from_iterable(data))}
+        if not integral:
+            data = [[*map(_frac, row)] for row in data]
+            integral = {int} >= {*map(type, chain.from_iterable(data))}
+        self._integral = integral
         if not data:
             if cols is None:
                 raise ValueError("an empty matrix needs an explicit column count")
@@ -107,7 +121,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        return cls(_identity_rows(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -179,8 +193,13 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("inner dimension mismatch")
-            return Matrix(_product_rows(self.data, other.data, other.cols),
-                          cols=other.cols)
+            rows = _product_rows(self.data, other.data, other.cols)
+            if not (self._integral and other._integral):
+                return Matrix(rows, cols=other.cols)
+            # integer rows times integer rows: the invariant holds as built
+            m = Matrix.__new__(Matrix)
+            m.rows, m.cols, m.data, m._integral = self.rows, other.cols, rows, True
+            return m
         return self.scale(other)
 
     def trace(self):
@@ -195,21 +214,21 @@ class Matrix:
         return all(a == 0 for row in self.data for a in row)
 
     def is_identity(self) -> bool:
-        return self.is_square() and all(
-            self.data[i][j] == (1 if i == j else 0)
-            for i in range(self.rows) for j in range(self.cols)
-        )
+        return self.is_square() and self.data == _identity_rows(self.rows)
 
     # -- elimination ---------------------------------------------------
 
     def _eliminate(self):
         """Gauss-Jordan reduction, the one elimination of this module.
 
-        Returns ``(rows, pivot_columns, product)``: the reduced rows (entries
-        not yet normalised), the pivot columns, and the product of the
+        Returns ``(rows, pivot_columns, product)``: the reduced rows, integer
+        first like a matrix, the pivot columns, and the product of the
         pivots as found, negated once per row swap.
         """
         m = [list(row) for row in self.data]
+        # while every working entry is an int so is every row update; after
+        # a Fraction enters, an update such as 0 - 2 * (1/2) can be integral
+        integral = self._integral
         pivots = []
         product = 1
         r = 0
@@ -235,10 +254,14 @@ class Matrix:
             elif piv != 1:
                 inv = Fraction(1, piv)
                 m[r] = [_frac(x * inv) for x in m[r]]
+                integral = False
             for k in range(self.rows):
                 if k != r and m[k][c] != 0:
                     f = m[k][c]
-                    m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+                    if integral:
+                        m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+                    else:
+                        m[k] = [_frac(x - f * y) for x, y in zip(m[k], m[r])]
             pivots.append(c)
             r += 1
         return m, tuple(pivots), product
@@ -301,8 +324,13 @@ class Matrix:
 
     @classmethod
     def from_json(cls, obj) -> "Matrix":
-        entries = [[_entry_from_json(x) for x in row] for row in obj["entries"]]
-        m = cls(entries, cols=obj["cols"])
+        # keyed by string, so the JSON value true is read as "True", not 1;
+        # the first failing entry in reading order is the one reported
+        entries = [[*map(str, row)] for row in obj["entries"]]
+        parsed = {s: _entry_from_json(s)
+                  for s in dict.fromkeys(chain.from_iterable(entries))}
+        m = cls([[*map(parsed.__getitem__, row)] for row in entries],
+                cols=obj["cols"])
         if m.rows != obj["rows"]:
             raise ValueError("row count disagrees with entries")
         return m

@@ -183,8 +183,10 @@ class FiniteRep:
                 raise ValueError(f"generator {name!r} is singular")
 
     def matrix_of(self, word) -> Matrix:
-        acc = Matrix.identity(self.dim)
-        for name in word:
+        if not word:
+            return Matrix.identity(self.dim)
+        acc = self.generators[word[0]]
+        for name in word[1:]:
             acc = acc * self.generators[name]
         return acc
 

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from outfn import cover, graphs, linalg, symreps, words
+
+
+def benchmark_inputs():
+    """The benchmark's input writers, ``perfbench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def oracle_simple_cycles(g):

@@ -3,19 +3,17 @@
 import contextlib
 import copy
 import hashlib
-import importlib.util
 import io
 import json
 import multiprocessing
 import os
-from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import (flip_matrix, oracle_identity, signed_permutation_rep,
-                      with_transvections)
+from conftest import (benchmark_inputs, flip_matrix, oracle_identity,
+                      signed_permutation_rep, with_transvections)
 from outfn import actions, cli, cover, graphs, induced, symreps, words
 from outfn.linalg import Matrix
 
@@ -227,6 +225,29 @@ class TestDecompose:
         checks = {c["name"]: c for c in load_report(out)["checks"]}
         assert checks["diamond containment rho12"]["details"] == {"noncommuting": ["e3"]}
         assert checks["diamond containment rho13"]["details"] == {}
+
+    # sha256 of the --json report on the benchmark's rep file (seed, n),
+    # read from the working directory as rep.json
+    GOLDEN = {
+        (1, 5): "096d7a51bdecc1e6e3a291d9e7cf59fe2c43736ad7e447ad3afa3505f6c57be8",
+        (3, 8): "d8abe779ad41ad659b7b9518cbcaae88b39e3f2efe52938e64fa87c6e4bbbe90",
+    }
+
+    @pytest.mark.parametrize("seed,n", list(GOLDEN))
+    def test_report_bytes_are_pinned(self, tmp_path, monkeypatch, seed, n):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, benchmark_inputs().signed_exterior_square_rep_file(seed, n),
+                   "rep.json")
+        assert run(["decompose", "--rep", "rep.json", "--json", "d.json"]) == 0
+        digest = hashlib.sha256((tmp_path / "d.json").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN[seed, n]
+
+    @pytest.mark.parametrize("entry", [True, [1]], ids=["true", "list"])
+    def test_non_string_entries_are_input_errors(self, tmp_path, capsys, entry):
+        obj = signed_permutation_rep(3).to_json()
+        obj["generators"]["e1"]["entries"][0][0] = entry
+        assert_usage_error(run(["decompose", "--rep", write_json(tmp_path, obj)]),
+                           capsys)
 
 
 class TestSection4:
@@ -606,15 +627,6 @@ class TestMoveEngineOnly:
                      ["graph", "admissible", "--builtin", "rose:5", "--group", "W5"]):
             assert run(argv) == 0, argv
         assert len(certified) == 0
-
-
-def benchmark_inputs():
-    """The benchmark's input writers, ``perfbench/inputs.py``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def assert_usage_error(code, capsys):

@@ -7,6 +7,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import benchmark_inputs
 from outfn import graphs, linalg
 from outfn.linalg import Matrix, exterior_square, schur_square, symmetric_square
 
@@ -81,7 +82,11 @@ def exact(x) -> bool:
 
 
 def all_exact(m: Matrix) -> bool:
-    return all(exact(x) for row in m.data for x in row)
+    """Every entry exact, and the integrality ``m`` recorded when it was
+    built matches its entries."""
+    entries = [x for row in m.data for x in row]
+    return (all(map(exact, entries))
+            and m._integral == all(type(x) is int for x in entries))
 
 
 ENTRIES = st.one_of(
@@ -90,8 +95,8 @@ ENTRIES = st.one_of(
 )
 
 
-def lists(rows, cols):
-    return st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols),
+def lists(rows, cols, entries=ENTRIES):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
 
 
@@ -157,7 +162,7 @@ class TestOracle:
     def test_products_with_an_empty_side(self, r, k, c):
         a = Matrix([[1] * k for _ in range(r)], cols=k)
         b = Matrix([[2] * c for _ in range(k)], cols=c) if k else Matrix([], cols=c)
-        assert a * b == Matrix.zeros(r, c)
+        assert a * b == Matrix.zeros(r, c) and all_exact(a * b)
 
     def test_product_rows_are_new_lists(self):
         # row 0 takes the x = 1 copy of b's row, row 1 a scaled copy and
@@ -186,7 +191,19 @@ class TestOracle:
         (a,) = ms
         red, pivots, _ = Matrix(a)._eliminate()
         assert (red, pivots) == oracle_rref(a)
-        assert all(isinstance(x, (int, Fraction)) for row in red for x in row)
+        assert all(exact(x) for row in red for x in row)
+
+    def test_rref_after_a_fraction_multiplier(self):
+        # the multipliers are 2 and then Fractions such as -1/2; the reduced
+        # rows are the identity, all in ints
+        a = [[-1, Fraction(1, 2), 3], [2, -1, Fraction(-1, 3)], [0, -1, 4]]
+        red, pivots, _ = Matrix(a)._eliminate()
+        assert (red, pivots) == oracle_rref(a)
+        assert all(type(x) is int for row in red for x in row)
+        # an int multiplier times a Fraction pivot row: 0 - 2 * (1/2) is -1
+        red, _, _ = Matrix([[1, Fraction(1, 2)], [2, 0]])._eliminate()
+        assert red == [[1, 0], [0, 1]]
+        assert all(type(x) is int for row in red for x in row)
 
     @given(chain(2), st.data())
     def test_solve(self, ax, data):
@@ -244,7 +261,7 @@ class TestOracle:
         for m in (a, oracle_mul(a, a), b):
             red, pivots, _ = Matrix(m)._eliminate()
             assert (red, pivots) == oracle_rref(m)
-            assert all(isinstance(x, (int, Fraction)) for row in red for x in row)
+            assert all(exact(x) for row in red for x in row)
             det = Matrix(m).determinant()
             assert det == oracle_det(m) and exact(det)
 
@@ -255,6 +272,84 @@ class TestOracle:
         assert det_a == oracle_det(a) and exact(det_a)
         det_ab = (Matrix(a) * Matrix(b)).determinant()
         assert det_ab == det_a * det_b and exact(det_ab)
+
+
+class TestIntegralFlag:
+    """``Matrix._integral`` is set once, when a matrix is built."""
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_constructor(self, r, c, data):
+        entries = st.one_of(ENTRIES, st.booleans(), st.sampled_from(
+            [Fraction(4, 2), Fraction(0), Fraction(-3, 1)]))
+        assert all_exact(Matrix(data.draw(lists(r, c, entries)), cols=c))
+
+    def test_only_integer_products_skip_the_constructor(self, monkeypatch):
+        ints = Matrix([[1, 2], [0, -1]])
+        half = Matrix([[Fraction(1, 2), 0], [0, 1]])
+        built = []
+        init = Matrix.__init__
+        monkeypatch.setattr(Matrix, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        product = ints * ints
+        assert built == [] and product.data == [[1, 0], [0, 1]]
+        assert product.shape == (2, 2) and product._integral
+        # a Fraction operand goes through the constructor, which finds
+        # that half * [[2, 0], [0, 1]] is the integer identity
+        assert (half * Matrix([[2, 0], [0, 1]]))._integral
+        assert not (ints * half)._integral and not (half * ints)._integral
+        assert len(built) == 4
+
+
+def per_entry_reading(obj) -> Matrix:
+    """The reference reading: one ``_entry_from_json`` per entry, in order."""
+    entries = [[linalg._entry_from_json(x) for x in row] for row in obj["entries"]]
+    m = Matrix(entries, cols=obj["cols"])
+    if m.rows != obj["rows"]:
+        raise ValueError("row count disagrees with entries")
+    return m
+
+
+def reading(read, obj):
+    """What ``read`` makes of ``obj``: entries with their types, or the error."""
+    try:
+        m = read(obj)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return m.shape, [[(type(x), x) for x in row] for row in m.data]
+
+
+EDGE_ENTRIES = ["1", 1, 1.0, "-0", "+3", " 2", "2/1", "1/2", True, [1]]
+
+
+class TestFromJson:
+    """``from_json`` parses each distinct entry string once."""
+
+    @pytest.mark.parametrize("x", EDGE_ENTRIES, ids=repr)
+    def test_edge_entries(self, x):
+        # a leading JSON 1 and "1" must not stand in for a later true
+        obj = {"rows": 2, "cols": 2, "entries": [[1, "1"], [x, x]]}
+        got = reading(Matrix.from_json, obj)
+        assert got == reading(per_entry_reading, obj)
+        if x is True or x == [1]:
+            assert got[0] is ValueError
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_matches_the_per_entry_reading(self, r, c, data):
+        entry = st.one_of(st.sampled_from(EDGE_ENTRIES), st.integers(-3, 3),
+                          st.integers(-3, 3).map(str), st.text(max_size=3),
+                          st.sampled_from(["1/0", "x", "0.5", "-1"]))
+        rows = data.draw(st.integers(r - 1, r + 1))
+        obj = {"rows": rows, "cols": c, "entries": data.draw(lists(r, c, entry))}
+        assert reading(Matrix.from_json, obj) == reading(per_entry_reading, obj)
+
+    @pytest.mark.parametrize("seed, n", [(1, 4), (2, 4), (1, 5), (2, 5)])
+    def test_benchmark_rep_files(self, seed, n):
+        rep = benchmark_inputs().signed_exterior_square_rep_file(seed, n)
+        for obj in rep["generators"].values():
+            got = reading(Matrix.from_json, obj)
+            assert got == reading(per_entry_reading, obj)
+            assert Matrix.from_json(obj)._integral
 
 
 class TestKernel:
