@@ -10,14 +10,23 @@ output path), 3 on any other exception, reported in one line.  ``main``
 alone maps exceptions to exit codes.  Reports contain no timestamps, so
 identical invocations produce byte-identical output; all numbers are
 exact (integers or "p/q" strings).
+
+Argv: ``outfn COMMAND [SUBACTION] [--OPTION VALUE | --OPTION=VALUE ...]``,
+the subaction (``graph`` only) anywhere among the options.  Options are
+never abbreviated and a repeated option keeps its last value.  A value
+that starts with ``-`` is read as an option unless it is ``-`` alone, a
+negative number or holds a space; write it ``--OPTION=VALUE``.  A bad
+argv exits 2 with one ``error:`` line; ``-h`` or ``--help`` prints usage
+and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+import types
 
 from . import actions, cover, graphs, induced, symreps, words
 
@@ -358,68 +367,106 @@ def cmd_graph(args) -> int:
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="outfn",
-        description="exact verification toolkit for outer automorphism "
-                    "groups of free groups",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (help, {option: (type, default, help)}, subaction choices).
+# ``--name VALUE`` or ``--name=VALUE`` sets the attribute ``name``; an
+# option whose default is ``_REQUIRED`` must be given.  ``main`` runs the
+# module's ``cmd_<command>`` as found at call time, like the tables above.
+_REQUIRED = object()
+_JSON = {"json": (str, None, "")}
+_COMMANDS = {
+    "gersten": ("finite presentation relator suite",
+                {"n": (int, _REQUIRED, ""), "jobs": (int, 1, ""), **_JSON}, ()),
+    "decompose": ("eigenspace decomposition and containment laws "
+                  "for a supplied matrix representation",
+                  {"rep": (str, _REQUIRED, ""), **_JSON}, ()),
+    "section4": ("exact case tables for the double-cover "
+                 "representation of the functional stabiliser",
+                 {"n": (int, _REQUIRED, ""), **_JSON}, ()),
+    "induce": ("build the induced representation, run the "
+               "relator suite and the non-factoring certificate",
+               {"n": (int, _REQUIRED, ""), "mu": (str, None, ""),
+                "out": (str, None, ""), **_JSON}, ()),
+    "graph": ("graph-side checks",
+              {"builtin": (str, None, "rose:N | cage:N | daisy:N | cover:N | barbell"),
+               "group": (str, None, "SN | AN | WN | GN | BN | trivial"),
+               "xi": (str, None, " | ".join(_INVOLUTIONS)),
+               "edges": (str, None, "comma separated edge ids"),
+               "file": (str, None, ""), **_JSON},
+              ("admissible", "homology", "rose-lemma", "cage-lemma",
+               "double-tree", "collapse")),
+}
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    p = sub.add_parser("gersten", help="finite presentation relator suite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_gersten)
 
-    p = sub.add_parser("decompose",
-                       help="eigenspace decomposition and containment laws "
-                            "for a supplied matrix representation")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_decompose)
+def _is_option(token: str, options: dict) -> bool:
+    """An option, not a value: a value may start with ``-`` when it is
+    ``-`` alone, a negative number, or holds a space."""
+    head = token.partition("=")[0]
+    return (head[:2] == "--" and head[2:] in options) or (
+        token[:1] == "-" and len(token) > 1 and " " not in token
+        and not _NEGATIVE_NUMBER.match(token))
 
-    p = sub.add_parser("section4",
-                       help="exact case tables for the double-cover "
-                            "representation of the functional stabiliser")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_section4)
 
-    p = sub.add_parser("induce",
-                       help="build the induced representation, run the "
-                            "relator suite and the non-factoring certificate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mu", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_induce)
+def _usage(command) -> int:
+    """Print how to call ``command``, or list the commands when it is None."""
+    if command is None:
+        head = "COMMAND"
+        text = "exact verification toolkit for outer automorphism groups of free groups"
+        rows = [(name, about) for name, (about, _, _) in _COMMANDS.items()]
+    else:
+        text, options, choices = _COMMANDS[command]
+        head = f"{command} ({' | '.join(choices)})" if choices else command
+        rows = [(f"--{name} {kind.__name__.upper()}", "(required) " * (default is _REQUIRED) + about)
+                for name, (kind, default, about) in options.items()]
+    print(f"usage: outfn {head} [--OPTION VALUE | --OPTION=VALUE ...]\n\n{text}\n")
+    print("\n".join(f"  {left:14s} {right}".rstrip() for left, right in rows))
+    return 0
 
-    p = sub.add_parser("graph", help="graph-side checks")
-    p.add_argument("subaction",
-                   choices=["admissible", "homology", "rose-lemma",
-                            "cage-lemma", "double-tree", "collapse"])
-    p.add_argument("--builtin", default=None,
-                   help="rose:N | cage:N | daisy:N | cover:N | barbell")
-    p.add_argument("--group", default=None,
-                   help="SN | AN | WN | GN | BN | trivial")
-    p.add_argument("--xi", default=None,
-                   help=" | ".join(_INVOLUTIONS))
-    p.add_argument("--edges", default=None, help="comma separated edge ids")
-    p.add_argument("--file", default=None)
-    p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_graph)
 
-    return parser
+def parse_args(argv: list) -> types.SimpleNamespace:
+    """The namespace ``argv`` asks for, whose ``func`` runs the command
+    (``-h`` or ``--help``: prints usage).  Options are never abbreviated,
+    and a repeated option keeps its last value."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return types.SimpleNamespace(func=lambda _: _usage(None))
+    if command not in _COMMANDS:
+        raise UsageError(f"expected a command: {' | '.join(_COMMANDS)}"
+                         + (f", not {command!r}" if argv else ""))
+    _, options, choices = _COMMANDS[command]
+    args = {name: default for name, (_, default, _) in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        head, eq, value = token.partition("=")
+        name = head[2:]
+        if head[:2] == "--" and name in options:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_option(value, options):
+                    raise UsageError(f"{command}: --{name} needs a value")
+            try:
+                args[name] = options[name][0](value)
+            except ValueError:
+                raise UsageError(f"{command}: --{name} takes an integer, not {value!r}")
+        elif token in ("-h", "--help"):
+            return types.SimpleNamespace(func=lambda _: _usage(command))
+        elif _is_option(token, options):
+            raise UsageError(f"{command}: unknown option {token!r}")
+        elif token in choices and "subaction" not in args:
+            args["subaction"] = token
+        else:
+            raise UsageError(f"{command}: unexpected argument {token!r}"
+                             + (f", expected {' | '.join(choices)}" if choices else ""))
+    missing = ["SUBACTION"] if choices and "subaction" not in args else []
+    missing += [f"--{name}" for name, value in args.items() if value is _REQUIRED]
+    if missing:
+        raise UsageError(f"{command} needs {' and '.join(missing)}")
+    return types.SimpleNamespace(command=command, func=globals()["cmd_" + command], **args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -253,7 +253,7 @@ class Matrix:
                 m[r] = [-x for x in m[r]]
             elif piv != 1:
                 inv = Fraction(1, piv)
-                m[r] = [_frac(x * inv) for x in m[r]]
+                m[r] = [_frac(x * inv) if x else 0 for x in m[r]]
                 integral = False
             for k in range(self.rows):
                 if k != r and m[k][c] != 0:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from outfn import cover, graphs, linalg, symreps, words
+from outfn import cli, cover, graphs, linalg, symreps, words
 
 
 def benchmark_inputs():
@@ -18,6 +19,63 @@ def benchmark_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse tree that ``outfn`` once read its argv with: an
+    independent reading of the same command table."""
+    parser = argparse.ArgumentParser(
+        prog="outfn",
+        description="exact verification toolkit for outer automorphism "
+                    "groups of free groups",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("gersten", help="finite presentation relator suite")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--json", default=None)
+    p.set_defaults(func=cli.cmd_gersten)
+
+    p = sub.add_parser("decompose",
+                       help="eigenspace decomposition and containment laws "
+                            "for a supplied matrix representation")
+    p.add_argument("--rep", required=True)
+    p.add_argument("--json", default=None)
+    p.set_defaults(func=cli.cmd_decompose)
+
+    p = sub.add_parser("section4",
+                       help="exact case tables for the double-cover "
+                            "representation of the functional stabiliser")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--json", default=None)
+    p.set_defaults(func=cli.cmd_section4)
+
+    p = sub.add_parser("induce",
+                       help="build the induced representation, run the "
+                            "relator suite and the non-factoring certificate")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--mu", default=None)
+    p.add_argument("--out", default=None)
+    p.add_argument("--json", default=None)
+    p.set_defaults(func=cli.cmd_induce)
+
+    p = sub.add_parser("graph", help="graph-side checks")
+    p.add_argument("subaction",
+                   choices=["admissible", "homology", "rose-lemma",
+                            "cage-lemma", "double-tree", "collapse"])
+    p.add_argument("--builtin", default=None,
+                   help="rose:N | cage:N | daisy:N | cover:N | barbell")
+    p.add_argument("--group", default=None,
+                   help="SN | AN | WN | GN | BN | trivial")
+    p.add_argument("--xi", default=None,
+                   help=" | ".join(cli._INVOLUTIONS))
+    p.add_argument("--edges", default=None, help="comma separated edge ids")
+    p.add_argument("--file", default=None)
+    p.add_argument("--json", default=None)
+    p.set_defaults(func=cli.cmd_graph)
+
+    return parser
 
 
 def oracle_simple_cycles(g):

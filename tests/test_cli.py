@@ -12,8 +12,8 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import (benchmark_inputs, flip_matrix, oracle_identity,
-                      signed_permutation_rep, with_transvections)
+from conftest import (argparse_oracle, benchmark_inputs, flip_matrix,
+                      oracle_identity, signed_permutation_rep, with_transvections)
 from outfn import actions, cli, cover, graphs, induced, symreps, words
 from outfn.linalg import Matrix
 
@@ -603,12 +603,92 @@ class TestGraph:
         assert run(["graph", "homology", "--file", str(path)]) == 0
 
 
-class TestArgparse:
-    def test_unknown_command(self):
-        assert run(["conjure"]) == 2
+# Tokens an argv is drawn from: every option and subaction of the table,
+# values that do and do not look like options, and unknown options that
+# abbreviate none of the real ones (``-h`` and abbreviations are left out:
+# the reader refuses abbreviations, which argparse would complete).
+ARGV_VALUES = ["3", "-3", "x", "-", "-x", "--n", "", "-x y"]
+ARGV_UNKNOWN = ["--bogus", "--bogus=3", "-q", "--nn"]
+ARGV_OPTIONS = sorted({name for _, options, _ in cli._COMMANDS.values()
+                       for name in options})
+ARGV_SUBACTIONS = ["admissible", "homology", "rose-lemma", "cage-lemma",
+                   "double-tree", "collapse"]
 
-    def test_missing_required(self):
-        assert run(["gersten"]) == 2
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS))
+                   | st.sampled_from(["conjure", *ARGV_VALUES]))
+    own = sorted(cli._COMMANDS[command][1]) if command in cli._COMMANDS else ["n"]
+    if draw(st.booleans()):
+        # a random argv almost always fails: half of them use only the
+        # command's own options and subactions, with values that are not
+        # option-like
+        name, value = st.sampled_from(own), st.sampled_from(["3", "-3", "", "-x y"])
+        missing = st.nothing()
+        positional = st.sampled_from(ARGV_SUBACTIONS) if command == "graph" else st.nothing()
+    else:
+        name = st.sampled_from(own) | st.sampled_from(ARGV_OPTIONS)
+        value = st.sampled_from(ARGV_VALUES)
+        missing = name.map(lambda n: ["--" + n])
+        positional = st.sampled_from(ARGV_VALUES + ARGV_SUBACTIONS + ARGV_UNKNOWN)
+    pieces = draw(st.lists(st.one_of(
+        st.tuples(name, value).map(lambda p: ["--" + p[0], p[1]]),
+        st.tuples(name, value).map(lambda p: [f"--{p[0]}={p[1]}"]),
+        missing,
+        positional.map(lambda t: [t]),
+    ), max_size=5))
+    if draw(st.booleans()):
+        required = {"decompose": ["--rep", "r.json"], "conjure": [],
+                    "graph": [draw(st.sampled_from(ARGV_SUBACTIONS))]}
+        pieces.insert(draw(st.integers(0, len(pieces))), required.get(command, ["--n", "3"]))
+    return ([command] if draw(st.integers(0, 9)) else []) + sum(pieces, [])
+
+
+class TestArgv:
+    """The argv reader against argparse, usage errors and ``--help``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(argvs())
+    def test_reads_argv_as_argparse_does(self, argv):
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                expected = vars(argparse_oracle().parse_args(argv))
+        except SystemExit:
+            expected = None
+        try:
+            got = vars(cli.parse_args(argv))
+        except cli.UsageError:
+            got = None
+        if expected is not None and got is not None:
+            assert got.pop("func") is expected.pop("func")
+        assert got == expected
+
+    @pytest.mark.parametrize("argv", [
+        [], ["conjure"], ["gersten"], ["gersten", "--n"], ["gersten", "--n", "x"],
+        ["gersten", "--n", "3", "--rep", "r"], ["gersten", "--jso", "a", "--n", "3"],
+        ["graph"], ["graph", "bogus"],
+        ["graph", "homology", "extra", "--builtin", "cage:3"]])
+    def test_bad_argv_is_one_error_line(self, argv, capsys):
+        assert_usage_error(run(argv), capsys, quiet=True)
+
+    @pytest.mark.parametrize("argv, names", [
+        (["--help"], ["gersten", "decompose", "section4", "induce", "graph"]),
+        (["-h"], ["gersten", "decompose", "section4", "induce", "graph"]),
+        (["graph", "--help"], ["--builtin", "--group", "--xi", "--edges", "--file",
+                               "--json", *ARGV_SUBACTIONS]),
+        (["induce", "-h"], ["--n", "--mu", "--out", "--json"])])
+    def test_help(self, argv, names, capsys):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in names)
+
+    def test_main_runs_the_command_it_finds_at_call_time(self, monkeypatch):
+        # the benchmark's tracer wraps ``cli.cmd_*`` after import
+        seen = []
+        monkeypatch.setattr(cli, "cmd_graph", lambda args: seen.append(args.subaction) or 0)
+        assert run(["graph", "homology", "--builtin", "cage:3"]) == 0
+        assert seen == ["homology"]
 
 
 class TestMoveEngineOnly:
@@ -629,10 +709,12 @@ class TestMoveEngineOnly:
         assert len(certified) == 0
 
 
-def assert_usage_error(code, capsys):
+def assert_usage_error(code, capsys, quiet=False):
+    """Exit 2 with one ``error:`` line; with ``quiet``, nothing on stdout."""
     assert code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and err.count("\n") == 1
+    assert out == "" or not quiet
 
 
 def write_json(tmp_path, obj, name="input.json"):

@@ -16,7 +16,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_cli_import_skips_dataclasses_and_inspect():
     """``import outfn.cli`` in a fresh interpreter pulls in neither
-    ``dataclasses`` nor ``inspect`` (and their ``ast``/``dis``/``tokenize``)."""
+    ``dataclasses`` nor ``inspect`` (and their ``ast``/``dis``/``tokenize``),
+    nor ``argparse`` with the ``gettext`` and ``locale`` it loads."""
     code = ("import sys; before = set(sys.modules); import outfn.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
@@ -25,6 +26,7 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert "outfn.cli" in out
     assert "dataclasses" not in out
     assert "inspect" not in out
+    assert not {"argparse", "gettext", "locale"} & set(out)
 
 
 def word(letters, rank=3):
