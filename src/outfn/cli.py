@@ -178,7 +178,7 @@ def cmd_induce(args) -> int:
     rep = induced.induce(n, _parse_mu(args.mu))
     out_path = args.out or f"induced_n{n}_mu{'-'.join(map(str, rep.mu))}.json"
     # opened before the checks run, so that an unwritable path fails at
-    # once; removed again if anything raises before the dump completes
+    # once; removed again if anything raises before ``write_json`` completes
     with open(out_path, "w") as fh:
         try:
             checks = [check(f"dimension m = {rep.m}",
@@ -189,19 +189,7 @@ def cmd_induce(args) -> int:
                                     not fam["failures"], {"failures": fam["failures"]}))
             cert = induced.check_not_factoring(rep)
             checks.append(check("non-factoring certificate", cert["found"], cert))
-            # the generators (``to_json``'s last key) are written row by
-            # row in ``json.dumps``'s layout: every entry is a decimal
-            # integer string, so joining the strings needs no escaping
-            obj = rep.to_json()
-            generators = obj.pop("generators")
-            fh.write(json.dumps(obj)[:-1] + ', "generators": {')
-            for k, (name, matrix) in enumerate(generators.items()):
-                rows = ", ".join(['["' + '", "'.join(row) + '"]'
-                                  for row in matrix["entries"]])
-                fh.write('%s%s: {"rows": %d, "cols": %d, "entries": [%s]}' % (
-                    ", " if k else "", json.dumps(name),
-                    matrix["rows"], matrix["cols"], rows))
-            fh.write("}}\n")
+            rep.write_json(fh)
         except BaseException:
             if os.path.isfile(out_path) and not os.path.islink(out_path):
                 os.remove(out_path)  # a regular file, not /dev/stdout or a link

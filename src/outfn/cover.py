@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import Matrix
+from .linalg import Matrix, _identity_rows
 from .words import (
     Word,
     generator_word,
@@ -191,10 +191,6 @@ def deck_eigenspace_dims(n: int) -> tuple:
 # the exact case tables on the (-1)-eigenspace
 
 
-def _identity_grid(n: int) -> list:
-    return [[1 if r == c else 0 for c in range(n - 1)] for r in range(n - 1)]
-
-
 def kernel_generators(n: int) -> list:
     """``(family, label, token word, case table)`` for the generators of
     the kernel of abelianisation: the partial conjugations
@@ -208,13 +204,13 @@ def kernel_generators(n: int) -> list:
     """
     out = []
     for i, j in itertools.permutations(range(1, n + 1), 2):
-        table = _identity_grid(n)
+        table = _identity_rows(n - 1)
         if j == n:
             table[i - 1][i - 1] = -1
         out.append(("partial conjugation", f"partial conjugation i={i},j={j}",
                     [(("rho", i, j), 1), (("lam", i, j), -1)], Matrix(table)))
     for i, j, k in itertools.permutations(range(1, n + 1), 3):
-        table = _identity_grid(n)
+        table = _identity_rows(n - 1)
         if j == n:
             table[k - 1][i - 1] = -2
         elif k == n:

@@ -31,7 +31,7 @@ being trivial.
 Every matrix is held in one form: each representation's block table
 stores every distinct block once under an integer id, and an induced
 matrix is its columns, one ``(block row, block id)`` per block-column.
-``generators`` (what ``to_json`` writes out), the relators and the
+``generators`` (what ``write_json`` writes out), the relators and the
 certificate candidates (``cover.kernel_generators``) all take that
 form.  A word's columns are the product of its letters'; each product
 and inverse of ids is computed once.  A relator u v passes when the
@@ -47,8 +47,8 @@ the exterior square in dimension at least 3 (the one case refused, the
 exterior square at rank 3, is the dimension-2 exception).  So equal ids
 are equal blocks and distinct ids distinct ones, products and inverses
 of ids act on the small matrices g, and S is applied only where a
-block's entries are read: by ``unipotency_index`` and ``to_json``, once
-per id.  Products of ids go through ``linalg._product_rows``, the one
+block's entries are read: by ``unipotency_index`` and ``write_json``,
+once per id.  Products of ids go through ``linalg._product_rows``, the one
 matrix product kernel of the package, and divide nowhere; the inverses
 do, but g is unimodular, so every entry still comes out as a Python
 ``int``.
@@ -56,6 +56,7 @@ do, but g is unimodular, so every entry still comes out as a Python
 
 from __future__ import annotations
 
+import json
 from itertools import permutations
 from math import comb
 
@@ -319,28 +320,30 @@ class InducedRep:
             "ok": all(not fam["failures"] for fam in families),
         }
 
-    def to_json(self) -> dict:
-        """The generators as ``Matrix.to_json`` objects, written
-        straight from the block table, with S applied once per id."""
-        d, m = self.dim_u, self.m
-        strings = {}  # id -> entry strings of its block, row by row
-        generators = {}
-        for name, columns in self.generators.items():
-            entries = [["0"] * m for _ in range(m)]
+    def write_json(self, fh) -> None:
+        """Write the generators as ``Matrix.to_json`` objects, in the
+        layout ``json.dumps`` gives the whole file, straight from the block
+        table: each id's row strings are built once, and a dense row holds
+        one block, so it is a run of ``"0"`` entries, a row of that block,
+        then another run.  Entries are integer strings, needing no escapes.
+        """
+        d, cosets = self.dim_u, len(self.cosets)
+        before = ['["' + '0", "' * (c * d) for c in range(cosets)]
+        after = ['", "0' * ((cosets - 1 - c) * d) + '"]' for c in range(cosets)]
+        strings = {}  # id -> entry strings of its block, one per row
+        header = {"n": self.n, "mu": list(self.mu), "m": self.m, "cosets": list(self.cosets)}
+        fh.write(json.dumps(header)[:-1] + ', "generators": {')
+        for k, (name, columns) in enumerate(self.generators.items()):
+            column_of = [None] * cosets  # block row -> (block column, id)
             for c, (r, i) in enumerate(columns):
-                rows = strings.get(i)
-                if rows is None:
-                    rows = strings[i] = [[*map(str, row)] for row in self.block(i).data]
-                for k, row in enumerate(rows):
-                    entries[r * d + k][c * d:(c + 1) * d] = row
-            generators[name] = {"rows": m, "cols": m, "entries": entries}
-        return {
-            "n": self.n,
-            "mu": list(self.mu),
-            "m": self.m,
-            "cosets": list(self.cosets),
-            "generators": generators,
-        }
+                column_of[r] = (c, i)
+                if i not in strings:
+                    strings[i] = ['", "'.join(map(str, row)) for row in self.block(i).data]
+            rows = ", ".join([before[c] + row + after[c]
+                              for c, i in column_of for row in strings[i]])
+            fh.write('%s%s: {"rows": %d, "cols": %d, "entries": [%s]}' % (
+                ", " if k else "", json.dumps(name), self.m, self.m, rows))
+        fh.write("}}\n")
 
 
 def default_partition(n: int) -> tuple:

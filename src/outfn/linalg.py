@@ -91,8 +91,8 @@ def _entry_from_json(x):
 class Matrix:
     """Dense exact-rational matrix with value semantics.
 
-    Zero-column matrices are allowed (they carry bases of trivial
-    subspaces); zero-row matrices are not needed and rejected.
+    Zero-column matrices carry bases of trivial subspaces; a zero-row
+    matrix needs its column count given as ``cols``.
     """
 
     __slots__ = ("rows", "cols", "data", "_integral")
@@ -121,7 +121,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(_identity_rows(n))
+        return cls(_identity_rows(n), cols=n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":

@@ -401,14 +401,19 @@ def divisibility_check(decomp: EpsDecomposition) -> dict:
 
 
 def partitions(n: int):
-    """All partitions of n as weakly decreasing tuples."""
+    """All partitions of n as weakly decreasing tuples, in reverse
+    lexicographic order."""
+    return _partitions(n, n)
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts at most ``largest``, none built and dropped."""
     if n == 0:
         yield ()
         return
-    for first in range(n, 0, -1):
-        for rest in partitions(n - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
 def class_size(n: int, cycle_type) -> int:

@@ -183,6 +183,15 @@ class TestDecompose:
         layer_check = report["checks"][0]
         assert layer_check["details"]["layers"] == [0, 4, 0, 0, 0]
 
+    def test_zero_dimensional_rep_passes(self, tmp_path):
+        empty = {"rows": 0, "cols": 0, "entries": []}
+        obj = {"group": {"name": "W2", "generators": ["e1", "s1"], "relations": []},
+               "dim": 0, "generators": {"e1": empty, "s1": empty}}
+        out = tmp_path / "d.json"
+        assert run(["decompose", "--rep", write_json(tmp_path, obj),
+                    "--json", str(out)]) == 0
+        assert load_report(out)["checks"][0]["details"]["layers"] == [0, 0, 0]
+
     def test_broken_involution_is_input_error(self, tmp_path):
         rep = signed_permutation_rep(4)
         doctored = rep.to_json()

@@ -1,6 +1,9 @@
 """Coset transversal, block induction, relator suite, non-factoring."""
 
+import io
+import json
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations
 
@@ -169,13 +172,42 @@ class TestInduce:
 
     def test_json_shape(self):
         rep = induced.induce(3)
-        obj = rep.to_json()
+        obj = json.loads(written(rep))
         assert obj["m"] == 21
         assert len(obj["cosets"]) == 7
         assert "rho12" in obj["generators"]
         m = Matrix.from_json(obj["generators"]["rho12"])
         assert m.shape == (21, 21)
         assert m == to_dense(rep, read(rep, rep.generators["rho12"]))
+
+    @pytest.mark.parametrize("n,mu", [(3, (2,)), (4, (1, 1)), (4, (2,))])
+    def test_write_json_is_json_dumps_of_the_dense_matrices(self, n, mu):
+        rep = induced.induce(n, mu)
+        want = {"n": n, "mu": list(mu), "m": rep.m, "cosets": list(rep.cosets),
+                "generators": {name: to_dense(rep, read(rep, columns)).to_json()
+                               for name, columns in rep.generators.items()}}
+        assert written(rep) == json.dumps(want) + "\n"
+
+    @pytest.mark.parametrize("mu", [(1, 1), (2,)])
+    def test_write_json_holds_no_dense_grid(self, mu):
+        # the n = 5 file is 7.1 MB (19.7 MB for the symmetric square);
+        # a writer that builds the dense entry grid peaks above its size
+        class CountingSink:  # keeps no text
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        rep = induced.induce(5, mu)
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            rep.write_json(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 7_000_000
+        assert peak < sink.size / 4
 
 
 class TestCertificate:
@@ -237,6 +269,13 @@ def read(rep, columns):
 def stored_g(rep, columns):
     """Columns of ids as the matrices g up to sign that the table holds."""
     return tuple((r, Matrix(rep.blocks.keys[i])) for r, i in columns)
+
+
+def written(rep):
+    """The text ``write_json`` writes for the representation."""
+    buffer = io.StringIO()
+    rep.write_json(buffer)
+    return buffer.getvalue()
 
 
 def to_dense(rep, block):
@@ -619,7 +658,7 @@ class TestWordBlocks:
                 inner.setattr(induced.InducedRep, "block_of", forbidden)
                 assert rep.relator_report()["ok"]
                 assert induced.check_not_factoring(rep)["found"]
-                assert rep.to_json()["m"] == rep.m
+                assert json.loads(written(rep))["m"] == rep.m
 
     def test_no_schreier_rewrite_on_the_induce_path(self, monkeypatch):
         def forbidden(*args, **kwargs):

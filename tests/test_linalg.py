@@ -353,6 +353,12 @@ class TestFromJson:
 
 
 class TestKernel:
+    def test_identity_of_size_zero(self):
+        m = Matrix.identity(0)
+        assert m.shape == (0, 0)
+        assert m.is_identity()
+        assert m * m == m
+
     def test_identity_has_trivial_kernel(self):
         assert Matrix.identity(3).kernel_basis().cols == 0
 

@@ -244,6 +244,22 @@ class TestCharacters:
             assert sum(symreps.class_size(n, lam)
                        for lam in symreps.partitions(n)) == math.factorial(n)
 
+    def test_partitions_match_the_filtering_generator(self):
+        def oracle(n):
+            # every partition of n - first, then those whose parts stay
+            # at most first: exponential, but plainly right
+            if n == 0:
+                yield ()
+                return
+            for first in range(n, 0, -1):
+                for rest in oracle(n - first):
+                    if not rest or rest[0] <= first:
+                        yield (first,) + rest
+
+        for n in range(15):
+            assert list(symreps.partitions(n)) == list(oracle(n))
+        assert sum(1 for _ in symreps.partitions(20)) == 627
+
     def test_first_orthogonality(self):
         # characters of distinct irreducibles are orthogonal
         for n in (4, 5):
