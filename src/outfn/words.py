@@ -6,6 +6,8 @@ stored word is freely reduced.  An element of Out(F_n) is a token word
 in the Nielsen generators.  CLI paths evaluate it by Nielsen moves
 only: each letter rewrites one or a few forward images, and deciding
 innerness reads only those, so no inverse table is built or certified.
+Each letter is checked once, inline, and a product of reduced words
+tests its seam first: ``u + v`` stands unless the letters there cancel.
 The certified ``Automorphism`` is the tests' composition oracle; it
 stays here only while the benchmark tracer pins it.
 
@@ -78,16 +80,20 @@ class Word:
 
 
 def _inv(u: tuple) -> tuple:
-    return tuple(-x for x in reversed(u))
+    return tuple([-x for x in reversed(u)])
 
 
 def _join(u: tuple, v: tuple) -> tuple:
     """The reduced product of two reduced letter tuples.
 
     Cancellation can only happen at the seam, so it is enough to strip
-    the longest suffix of u that is inverse to a prefix of v.
+    the longest suffix of u that is inverse to a prefix of v.  The seam
+    is tested first: when either side is empty or its two letters do
+    not cancel, the product is ``u + v`` as it stands.
     """
-    k, m = 0, min(len(u), len(v))
+    if not u or not v or u[-1] != -v[0]:
+        return u + v
+    k, m = 1, min(len(u), len(v))
     while k < m and u[-1 - k] == -v[k]:
         k += 1
     return u[:len(u) - k] + v[k:]
@@ -234,16 +240,23 @@ class Automorphism:
 # reduced letter tuples, img[k] = acc(a_{k+1})) and turns it in place
 # into the images of acc * g, where g is the generator for e >= 0 and
 # its inverse for e < 0.  Since ``acc * g`` applies g first, this is a
-# Nielsen move on the tuple.  Each move checks its indices first.
+# Nielsen move on the tuple.  Each move checks its indices first; rho
+# and lambda, most letters, with one inline test that passes two
+# distinct plain ints in range and leaves every other pair to
+# ``_check_pair``, which raises or accepts it (``True`` as 1, say).
 
 
 def _rho_move(img, i, j, e):
-    _check_pair(i, j, len(img))
+    n = len(img)
+    if not (type(i) is int and type(j) is int and 0 < i <= n and 0 < j <= n and i != j):
+        _check_pair(i, j, n)
     img[i - 1] = _join(img[i - 1], img[j - 1] if e >= 0 else _inv(img[j - 1]))
 
 
 def _lam_move(img, i, j, e):
-    _check_pair(i, j, len(img))
+    n = len(img)
+    if not (type(i) is int and type(j) is int and 0 < i <= n and 0 < j <= n and i != j):
+        _check_pair(i, j, n)
     img[i - 1] = _join(img[j - 1] if e >= 0 else _inv(img[j - 1]), img[i - 1])
 
 
@@ -278,28 +291,28 @@ _MOVES = {
 }
 
 
-def _move(kind):
-    try:
-        return _MOVES[kind]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown generator kind {kind!r}") from None
-
-
 def relator_automorphism(n: int, token_word) -> Endomorphism:
     """The forward images of a token word; rightmost letter acts first.
 
     Starting from the identity images, each letter ``((kind, i, j), e)``
-    is one Nielsen move from ``_MOVES``, so no inverse table is built or
-    certified.  The moved tuples are valid words of rank n by
-    construction, so ``_moved_images`` does not scan them again: they
-    start as the generators ``(k,)``; a move checks its indices before
-    it touches a tuple, so it only reads and writes the n images; and
-    each move rewrites tuples with ``_join`` and ``_inv`` alone, which
-    keep reduced tuples of letters in range reduced and in range.
+    is one Nielsen move, looked up in ``_MOVES`` in the loop (an unknown
+    or unhashable kind is a ``ValueError``), so no inverse table is
+    built or certified.  Each letter's indices are checked afresh, with
+    no verdict kept between letters: ``("rho", 1.0, 2)`` equals a valid
+    letter and must still be refused.  The moved tuples are valid words
+    of rank n by construction, so ``_moved_images`` does not scan them
+    again: they start as the generators ``(k,)``; a move checks its
+    indices before it touches a tuple, so it only reads and writes the n
+    images; and each move rewrites tuples with ``_join`` and ``_inv``
+    alone, which keep reduced tuples in range reduced and in range.
     """
     img = [(k,) for k in range(1, n + 1)]
     for (kind, i, j), e in token_word:
-        _move(kind)(img, i, j, e)
+        try:
+            move = _MOVES[kind]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown generator kind {kind!r}") from None
+        move(img, i, j, e)
     return _moved_images(n, img)
 
 
@@ -312,12 +325,13 @@ def _moved_images(n: int, img) -> Endomorphism:
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
+    new = object.__new__
     words = []
     for u in img:
-        w = Word.__new__(Word)
+        w = new(Word)
         w.letters, w.rank = u, n
         words.append(w)
-    endo = Endomorphism.__new__(Endomorphism)
+    endo = new(Endomorphism)
     endo.rank, endo.images = n, tuple(words)
     return endo
 
@@ -375,10 +389,10 @@ def is_inner(a):
     """
     n = a.rank
     imgs = [w.letters for w in a.images]
-    if n == 1:
-        return empty_word(1) if imgs == [(1,)] else None
-    if all(img == (k,) for k, img in enumerate(imgs, 1)):
+    if imgs == [(k,) for k in range(1, n + 1)]:
         return Word((), n)
+    if n == 1:
+        return None
     u = imgs[0][len(imgs[0]) // 2 + 1:]
     v = _conj(imgs[1], _inv(u))
     w = _join(v[len(v) // 2 + 1:], u)

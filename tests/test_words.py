@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import generator, oracle_act_on_mask
 from outfn import induced, words as W
@@ -51,6 +51,36 @@ class TestReduce:
             i = rng.choice(spots)
             del work[i:i + 2]
         assert tuple(work) == W.reduce_word(seq, 3).letters
+
+
+@st.composite
+def join_cases(draw):
+    """Reduced u and v at rank <= 3; v is any reduced word, u's inverse
+    (full cancellation), or u's inverse suffix followed by more letters."""
+    n = draw(st.integers(1, 3))
+    u = draw(reduced(n, 8)).letters
+    kind = draw(st.sampled_from(["any", "inverse", "partial"]))
+    if kind == "any":
+        v = draw(reduced(n, 8)).letters
+    elif kind == "inverse":
+        v = W._inv(u)
+    else:
+        k = draw(st.integers(0, len(u)))
+        v = W.reduce_word(W._inv(u[len(u) - k:]) + draw(reduced(n, 4)).letters, n).letters
+    return n, u, v
+
+
+class TestJoin:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(join_cases())
+    @example((2, (), ()))
+    @example((2, (), (1, -2)))
+    @example((2, (1, -2), ()))
+    @example((3, (1, 2), (3, 1)))
+    @example((3, (1, 2, -3), (3, -2, -1)))
+    def test_join_agrees_with_reduce_word(self, case):
+        n, u, v = case
+        assert W._join(u, v) == W.reduce_word(u + v, n).letters
 
 
 class TestApply:
@@ -522,10 +552,30 @@ class TestRelatorMoves:
     @pytest.mark.parametrize("token", [
         ("frob", 1, 2), ("rho", 1, 1), ("lam", 2, 2), ("sigma", 3, 3),
         ("rho", 1, 4), ("lam", 0, 2), ("eps", 4, None), ("sigma_star", 0, None),
+        ("rho", 1.0, 2), ("lam", 2, "1"), ("eps", 1.5, None), (["rho"], 1, 2),
     ])
     def test_bad_tokens_are_value_errors(self, token):
         with pytest.raises(ValueError):
             W.relator_automorphism(3, [(("rho", 1, 2), 1), (token, 1)])
+
+    def test_a_bad_letter_raises_after_its_equal_valid_letter_ran(self):
+        good, bad = (("rho", 1, 2), 1), (("rho", 1.0, 2), 1)
+        assert good == bad
+        W.relator_automorphism(3, [good])
+        with pytest.raises(ValueError):
+            W.relator_automorphism(3, [bad])
+        with pytest.raises(ValueError):
+            W.relator_automorphism(3, [good, bad])
+
+    def test_a_letter_valid_at_rank_four_raises_at_rank_three(self):
+        W.relator_automorphism(4, [(("rho", 4, 1), 1)])
+        with pytest.raises(ValueError):
+            W.relator_automorphism(3, [(("rho", 4, 1), 1)])
+
+    def test_bool_indices_read_as_ints(self):
+        for kind in ("rho", "lam"):
+            assert W.relator_automorphism(3, [((kind, True, 2), -1)]) \
+                == W.relator_automorphism(3, [((kind, 1, 2), -1)])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(short_nielsen_products())
