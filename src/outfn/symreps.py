@@ -8,9 +8,10 @@ symmetric-group modules (trivial, determinant, standard, permutation,
 signed standard).
 
 The joint eigenspaces are found by splitting the space under one
-involution at a time, and the containment law is decided by
-commutation with the involutions, so neither enumerates the 2^n
-subsets.
+involution at a time, and that the pieces fill the space certifies the
+involutions.  The containment law is read off the transvection written
+in the joint eigenbasis the split returns, so neither enumerates the
+2^n subsets.
 
 Group presentations are carried explicitly so that every matrix
 representation can be relation-checked before any law is asserted
@@ -247,14 +248,16 @@ def read_signed_rep(obj) -> tuple:
     n = 2
     while f"s{n}" in names:
         n += 1
+    rho_names: dict = {}  # "rho111" names two pairs once n >= 11
+    for p in itertools.permutations(range(1, n + 1), 2):
+        rho_names.setdefault("rho%d%d" % p, []).append(p)
     pairs = []
     for name in names:
         indexed = re.fullmatch(r"([es])([1-9][0-9]*)", name)
         if indexed and int(indexed[2]) > n - (indexed[1] == "s"):
             raise ValueError(f"{name!r} lies beyond the rank {n} of e1, s1..s{n - 1}")
         if name.startswith("rho"):
-            match = [p for p in itertools.permutations(range(1, n + 1), 2)
-                     if name == "rho%d%d" % p]
+            match = rho_names.get(name, [])
             if len(match) != 1:
                 raise ValueError(f"{name!r} is not rho{{i}}{{j}} for one 1 <= i != j <= {n}")
             pairs += match
@@ -293,15 +296,29 @@ class EpsDecomposition:
     for j in the subset.  Subsets come in bitmask order (involution j is
     bit j-1).  ``layer_dims[i]`` adds up the dimensions over subsets of
     size i.
+
+    The spaces must fill the ambient space.  Their bases side by side,
+    in that order, form the joint eigenbasis ``basis`` (P), whose
+    column c lies in the eigenspace of the subset with bitmask
+    ``labels[c]``; ``basis_inverse`` is P^-1, computed once.  So the
+    j-th involution is P D_j P^-1, with D_j diagonal holding -1 at the
+    columns whose label has bit j-1.
     """
 
-    __slots__ = ("n", "ambient", "involutions", "spaces")
+    __slots__ = ("n", "ambient", "involutions", "spaces", "basis", "labels",
+                 "basis_inverse")
 
     def __init__(self, n: int, ambient: int, involutions: list, spaces: dict):
         self.n = n
         self.ambient = ambient
         self.involutions = involutions
         self.spaces = spaces
+        self.basis = Matrix([[*itertools.chain.from_iterable(
+            b.data[r] for b in spaces.values())] for r in range(ambient)],
+            cols=self.total_dim())
+        self.labels = tuple(sum(1 << (k - 1) for k in subset)
+                            for subset, b in spaces.items() for _ in range(b.cols))
+        self.basis_inverse = self.basis.inverse()
 
     @property
     def layer_dims(self) -> tuple:
@@ -315,15 +332,28 @@ class EpsDecomposition:
 
 
 def simultaneous_eigenspaces(involutions) -> EpsDecomposition:
-    """Split the ambient space under commuting involutions, one at a time.
+    """Split the ambient space under the inputs, one at a time, and
+    certify them as commuting involutions by the split itself.
 
-    Raises if any input fails to square to the identity or if any pair
-    fails to commute.  Each involution commutes with the earlier ones,
-    so it maps every piece split off so far into itself and splits it
-    into its +1 and -1 eigenspaces (commuting involutions over Q are
+    Each input m splits every piece B found so far into its parts
+    inside the +1 and the -1 eigenspace of m, the kernels of
+    (m - 1) B and (m + 1) B pulled back through B; a piece that m fixes
+    or negates as a whole moves on unsplit, with no kernel computed.
+    Every final piece is therefore made of joint eigenvectors, and the
+    pieces are independent, since each split is into subspaces meeting
+    only in 0.  So the pieces fill the space exactly when the inputs are
+    commuting involutions: if they are, each input maps every earlier
+    piece, a joint eigenspace of the inputs before it, into itself and
+    splits it completely (commuting involutions over Q are
     simultaneously diagonalisable; Hoffman-Kunze, *Linear Algebra*
-    §6.5).  At most d pieces are nonzero, so this takes O(n d) kernels of
-    small matrices, and the pieces always fill the whole space.
+    §6.5); if the pieces fill the space, their columns form a basis P
+    in which each input is P D P^-1 with D diagonal of signs, and such
+    matrices square to 1 and commute.  At most d pieces are nonzero, so
+    this takes O(n d) kernels of small matrices.
+
+    When the pieces fall short, the squares and the pairwise products
+    are checked in turn, to say which condition failed: a non-involution
+    is reported before a non-commuting pair.
     """
     mats = list(involutions)
     if not mats:
@@ -332,28 +362,31 @@ def simultaneous_eigenspaces(involutions) -> EpsDecomposition:
     for m in mats:
         if m.shape != (d, d):
             raise ValueError("dimension mismatch")
-        if not (m * m).is_identity():
-            raise ValueError("input is not an involution")
-    for a, b in itertools.combinations(mats, 2):
-        if a * b != b * a:
-            raise ValueError("involutions do not commute")
-    ident = Matrix.identity(d)
-    pieces = {frozenset(): ident}
+    pieces = {frozenset(): Matrix.identity(d)} if d else {}
     for j, m in enumerate(mats, start=1):
-        fixed, flipped = m - ident, m + ident
         split = {}
         for subset, basis in pieces.items():
-            for key, shift in ((subset, fixed), (subset | {j}, flipped)):
-                part = basis * (shift * basis).kernel_basis()
-                if part.cols:
-                    split[key] = part
+            image = m * basis
+            if image == basis:
+                split[subset] = basis
+            elif image == -basis:
+                split[subset | {j}] = basis
+            else:
+                for key, shifted in ((subset, image - basis), (subset | {j}, image + basis)):
+                    part = basis * shifted.kernel_basis()
+                    if part.cols:
+                        split[key] = part
         pieces = split
-    bitmask_order = sorted(pieces, key=lambda s: sum(1 << k for k in s))
-    spaces = {s: pieces[s] for s in bitmask_order}
-    decomp = EpsDecomposition(len(mats), d, mats, spaces)
-    if decomp.total_dim() != d:
+    if sum(basis.cols for basis in pieces.values()) != d:
+        for m in mats:
+            if not (m * m).is_identity():
+                raise ValueError("input is not an involution")
+        for a, b in itertools.combinations(mats, 2):
+            if a * b != b * a:
+                raise ValueError("involutions do not commute")
         raise AssertionError("eigenspaces do not fill the space")
-    return decomp
+    bitmask_order = sorted(pieces, key=lambda s: sum(1 << (k - 1) for k in s))
+    return EpsDecomposition(len(mats), d, mats, {s: pieces[s] for s in bitmask_order})
 
 
 def check_diamond(rep: FiniteRep, decomp: EpsDecomposition, i: int, j: int) -> bool:
@@ -373,6 +406,13 @@ def diamond_violations(rep: FiniteRep, decomp: EpsDecomposition, i: int, j: int)
     which every e_k with k outside {i, j} acts by the sign of I.  The
     pieces fill the space, so ``rho{i}{j}`` maps every piece into its
     allowed sum if and only if it commutes with each such e_k.
+
+    In the joint eigenbasis P, rho{i}{j} is r' = P^-1 r P and e_k is the
+    diagonal sign matrix D_k, and D_k r' = r' D_k exactly when
+    r'[a][b] = 0 wherever the signs of e_k at columns a and b differ,
+    that is wherever k lies in the symmetric difference of their
+    subsets.  So the answer is the k outside {i, j} lying in that
+    symmetric difference for some nonzero entry of r', in two products.
     """
     name = f"rho{i}{j}"
     if name not in rep.generators:
@@ -380,8 +420,15 @@ def diamond_violations(rep: FiniteRep, decomp: EpsDecomposition, i: int, j: int)
     r = rep.generators[name]
     if r.rows != decomp.ambient:
         raise ValueError("dimension mismatch")
-    return [k for k, e in enumerate(decomp.involutions, start=1)
-            if k not in (i, j) and e * r != r * e]
+    moved = decomp.basis_inverse * (r * decomp.basis)
+    labels = decomp.labels
+    differ = 0  # bit k-1 set when some nonzero entry links two signs of e_k
+    for a, row in zip(labels, moved.data):
+        for b, x in zip(labels, row):
+            if x:
+                differ |= a ^ b
+    return [k for k in range(1, decomp.n + 1)
+            if k not in (i, j) and differ >> (k - 1) & 1]
 
 
 def divisibility_check(decomp: EpsDecomposition) -> dict:

@@ -7,6 +7,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 
 import jsonschema
 import pytest
@@ -192,7 +193,32 @@ class TestDecompose:
                     "--json", str(out)]) == 0
         assert load_report(out)["checks"][0]["details"]["layers"] == [0, 0, 0]
 
-    def test_broken_involution_is_input_error(self, tmp_path):
+    def test_zero_dimensional_rep_with_transvections(self, tmp_path):
+        # no eigenspace at all, so no piece is recorded, not even an empty one
+        empty = {"rows": 0, "cols": 0, "entries": []}
+        names = ["e1", "s1", "rho12", "rho21"]
+        obj = {"group": {"name": "W2", "generators": names, "relations": []},
+               "dim": 0, "generators": dict.fromkeys(names, empty)}
+        path = write_json(tmp_path, obj)
+        out = tmp_path / "d.json"
+        assert run(["decompose", "--rep", path, "--json", str(out)]) == 0
+        layers = [{"i": i, "dim": 0, "binom": b, "divisible": True}
+                  for i, b in enumerate((1, 2, 1))]
+        assert load_report(out) == {
+            "command": "decompose",
+            "parameters": {"rep": path, "n": 2},
+            "checks": [
+                {"name": "eigenspaces fill the space", "status": "pass",
+                 "details": {"dims": {}, "layers": [0, 0, 0]}},
+                {"name": "layer dimensions divisible by binomials", "status": "pass",
+                 "details": {"layers": layers}},
+                {"name": "diamond containment rho12", "status": "pass", "details": {}},
+                {"name": "diamond containment rho21", "status": "pass", "details": {}},
+            ],
+            "summary": {"total": 4, "passed": 4, "failed": 0, "skipped": 0},
+        }
+
+    def test_broken_involution_is_input_error(self, tmp_path, capsys):
         rep = signed_permutation_rep(4)
         doctored = rep.to_json()
         doctored["generators"]["e1"] = Matrix(
@@ -200,6 +226,10 @@ class TestDecompose:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doctored))
         assert run(["decompose", "--rep", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: rep fails 4 defining relation(s): [('e1', 'e1'), "
+            "('e1', 's1', 'e1', 's1', 'e1', 's1', 'e1', 's1'), "
+            "('e1', 's2', 'e1', 's2'), ('e1', 's3', 'e1', 's3')]\n")
 
     def test_missing_file_is_input_error(self):
         assert run(["decompose", "--rep", "/nonexistent/rep.json"]) == 2
@@ -250,6 +280,17 @@ class TestDecompose:
         assert run(["decompose", "--rep", "rep.json", "--json", "d.json"]) == 0
         digest = hashlib.sha256((tmp_path / "d.json").read_bytes()).hexdigest()
         assert digest == self.GOLDEN[seed, n]
+
+    @pytest.mark.parametrize("seed,n,budget", [(1, 5, 140), (3, 8, 400)])
+    def test_matrix_product_budget(self, tmp_path, monkeypatch, seed, n, budget):
+        # two products per containment law, none for the commutation of
+        # involutions the eigenspace split already certifies
+        path = write_json(tmp_path, benchmark_inputs().signed_exterior_square_rep_file(seed, n))
+        calls = []
+        product = Matrix.__mul__
+        monkeypatch.setattr(Matrix, "__mul__", lambda a, b: calls.append(1) or product(a, b))
+        assert run(["decompose", "--rep", path]) == 0
+        assert len(calls) <= budget
 
     @pytest.mark.parametrize("entry", [True, [1]], ids=["true", "list"])
     def test_non_string_entries_are_input_errors(self, tmp_path, capsys, entry):
@@ -793,10 +834,11 @@ class TestFailureBoundary:
         assert rho_pairs(10, ["rho110", "rho101", "rho12"]) == [
             (1, 2), (1, 10), (10, 1)]
         assert rho_pairs(11, ["rho1011"]) == [(10, 11)]
-        with pytest.raises(ValueError):
-            rho_pairs(11, ["rho111"])  # (1, 11) or (11, 1)
-        with pytest.raises(ValueError):
-            rho_pairs(10, ["rho1011"])
+        for n, name in ((11, "rho111"),  # (1, 11) or (11, 1)
+                        (10, "rho1011"), (4, "rho19"), (4, "rho11")):  # no pair
+            with pytest.raises(ValueError, match=re.escape(
+                    f"'{name}' is not rho{{i}}{{j}} for one 1 <= i != j <= {n}")):
+                rho_pairs(n, [name])
 
     @pytest.mark.parametrize("name", ["e7", "e5", "s4"])
     def test_e_or_s_beyond_the_rank(self, tmp_path, capsys, name):

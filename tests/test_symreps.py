@@ -64,6 +64,29 @@ def oracle_corpus() -> list:
     return corpus
 
 
+def oracle_noncommuting(rep, mats, i: int, j: int) -> list:
+    """The containment witnesses by plain commutation: the k outside
+    {i, j} with e_k r != r e_k, two full products per involution."""
+    r = rep.generators[f"rho{i}{j}"]
+    return [k for k, e in enumerate(mats, start=1)
+            if k not in (i, j) and e * r != r * e]
+
+
+def conjugated(rep, q: Matrix):
+    """rep with every generator g replaced by q^-1 g q."""
+    qi = q.inverse()
+    gens = {name: qi * m * q for name, m in rep.generators.items()}
+    return symreps.FiniteRep(
+        symreps.GroupDescriptor("conjugated", tuple(gens), ()), rep.dim, gens)
+
+
+def fixed_rational_basis(d: int) -> Matrix:
+    """A fixed unipotent change of basis, neither monomial nor integral
+    (entry 1/(b - a + 1) above the diagonal)."""
+    return Matrix([[Fraction(1, b - a + 1) if b >= a else 0 for b in range(d)]
+                   for a in range(d)])
+
+
 def perturbed(rep, rng):
     """A copy of rep with one entry of one rho moved by +-1, kept invertible."""
     while True:
@@ -132,16 +155,34 @@ class TestSimultaneousEigenspaces:
                 assert basis.rank() == basis.cols
                 for j, m in enumerate(mats, start=1):
                     assert m * basis == basis.scale(-1 if j in subset else 1)
+            # the eigenbasis reading: e_j = P D_j P^-1, D_j the signs of bit j-1
+            p = dec.basis
+            assert p * dec.basis_inverse == Matrix.identity(p.rows)
+            assert dec.labels == tuple(sum(1 << (k - 1) for k in subset)
+                                       for subset, basis in dec.spaces.items()
+                                       for _ in range(basis.cols))
+            for j, m in enumerate(mats, start=1):
+                signs = Matrix([[(-1 if dec.labels[a] >> (j - 1) & 1 else 1) if a == b else 0
+                                 for b in range(p.cols)] for a in range(p.cols)])
+                assert m == p * signs * dec.basis_inverse
 
     def test_non_involution_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^input is not an involution$"):
             symreps.simultaneous_eigenspaces([Matrix([[2]])])
 
     def test_non_commuting_rejected(self):
         a = Matrix([[0, 1], [1, 0]])
         b = Matrix([[1, 0], [0, -1]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^involutions do not commute$"):
             symreps.simultaneous_eigenspaces([a, b])
+
+    def test_non_involution_reported_before_non_commuting_pair(self):
+        # a and b do not commute, and c (last in the family) is no involution
+        a = Matrix([[0, 1], [1, 0]])
+        b = Matrix([[1, 0], [0, -1]])
+        c = Matrix([[1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="^input is not an involution$"):
+            symreps.simultaneous_eigenspaces([a, b, c])
 
 
 class TestDivisibility:
@@ -221,8 +262,46 @@ class TestDiamond:
                         holds = oracle_diamond_holds(
                             rep.generators[f"rho{i}{j}"], oracle, i, j)
                         assert symreps.check_diamond(rep, dec, i, j) == holds, (n, i, j)
+                        assert symreps.diamond_violations(rep, dec, i, j) == (
+                            oracle_noncommuting(rep, mats, i, j)), (n, i, j)
                         verdicts.append(holds)
         assert True in verdicts and False in verdicts
+
+    def test_witnesses_match_commutation_in_a_rational_basis(self):
+        # conjugating the whole rep keeps every commutation, so the
+        # witnesses equal the unconjugated rep's, while the eigenbasis
+        # now holds fractions
+        rng = random.Random(17)
+        witnesses, fractional = [], False
+        for n, rep in oracle_corpus():
+            q = fixed_rational_basis(rep.dim)
+            for plain in (rep, perturbed(rep, rng), perturbed(rep, rng)):
+                moved = conjugated(plain, q)
+                mats = symreps.involution_family(moved, n)
+                dec = symreps.simultaneous_eigenspaces(mats)
+                fractional = fractional or any(
+                    type(x) is Fraction for row in dec.basis.data for x in row)
+                plain_mats = symreps.involution_family(plain, n)
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        if i != j:
+                            got = symreps.diamond_violations(moved, dec, i, j)
+                            assert got == oracle_noncommuting(moved, mats, i, j), (n, i, j)
+                            assert got == oracle_noncommuting(plain, plain_mats, i, j)
+                            witnesses.append(got)
+        assert fractional
+        assert [] in witnesses and any(witnesses)
+
+    def test_two_products_per_law(self, monkeypatch):
+        n = 4
+        rep = with_transvections(signed_permutation_rep(n), n)
+        dec = symreps.simultaneous_eigenspaces(symreps.involution_family(rep, n))
+        calls = []
+        product = Matrix.__mul__
+        monkeypatch.setattr(Matrix, "__mul__",
+                            lambda a, b: calls.append(1) or product(a, b))
+        symreps.diamond_violations(rep, dec, 1, 2)
+        assert len(calls) == 2
 
 
 class TestCharacters:
