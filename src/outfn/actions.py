@@ -3,9 +3,7 @@
 Symmetric and alternating groups permute rose petals or cage edges by
 index; the full signed groups add the petal flip (on roses) and the
 vertex swap that reverses every edge (on cages).  All actions come with
-explicit presentations so they can be relation-checked.  The branching
-check restricts the homology of the symmetric cage action, which
-realises the standard module, to one letter fewer.
+explicit presentations so they can be relation-checked.
 """
 
 from __future__ import annotations
@@ -137,35 +135,3 @@ def parity_involution(g: Graph) -> GraphAut:
     first, second = g.edges[:2]
     return GraphAut(g, swap.vmap, {**swap.emap, first: second, second: first}, swap.flips)
 
-
-def branching_check(n: int) -> dict:
-    """Restrict the (n+1)-letter standard module to n letters.
-
-    The standard module is realised concretely on the cycle space of
-    the graph with two vertices and n+1 parallel edges; restriction to
-    the subgroup fixing the last edge must contain the standard and
-    trivial modules once each and nothing else.
-
-    For n = 3 the signed standard module has the same character as the
-    standard one (the partition (2,1) is self-conjugate), so it is
-    excluded from the "nothing else" clause there.
-    """
-    if n < 3:
-        raise ValueError("needs rank at least 3")
-    big = graphs.induced_rep(symmetric_cage(n + 1))
-    if not big.verify_relations():
-        raise AssertionError("cage action fails its defining relations")
-    small = symreps.FiniteRep(
-        symreps.symmetric_group(n), big.dim,
-        {f"s{i}": big.generators[f"s{i}"] for i in range(1, n)},
-    )
-    if not small.verify_relations():
-        raise AssertionError("restricted rep fails its defining relations")
-    expected = {"standard": 1, "trivial": 1, "determinant": 0, "signed_standard": 0}
-    got = {}
-    for name in expected:
-        if n == 3 and name == "signed_standard":
-            continue
-        got[name] = symreps.multiplicity(small, name, n)
-    ok = all(got[k] == v for k, v in expected.items() if k in got)
-    return {"n": n, "multiplicities": got, "ok": ok}

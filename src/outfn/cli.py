@@ -223,20 +223,28 @@ _INVOLUTIONS = {
 }
 
 
-def _builtin_graph(token: str) -> graphs.Graph:
+# the largest k of a builtin ``name:k``: every builtin's cost grows with k
+# from a few bytes of argv, so a bound keeps it within the exit-code contract
+MAX_BUILTIN_SIZE = 64
+
+
+def _builtin(token: str) -> tuple:
+    """``(name, k)`` of a builtin graph ``name:k``; k is 0 without a size."""
     name, colon, arg = token.partition(":")
     if name not in _GRAPHS:
         raise UsageError(f"unknown builtin graph {token!r}")
     if name == "barbell" and colon:
         raise UsageError(f"builtin graph {token!r}: barbell takes no size")
-    return _GRAPHS[name](int(arg or 0))
+    k = int(arg or 0)
+    if k > MAX_BUILTIN_SIZE:
+        raise UsageError(f"builtin graph {token!r}: the size is at most {MAX_BUILTIN_SIZE}")
+    return name, k
 
 
 def _builtin_action(graph_token: str, group: str) -> graphs.GraphAction:
-    name, _, arg = graph_token.partition(":")
-    k = int(arg or 0)
+    name, k = _builtin(graph_token)
     if group.upper() == "TRIVIAL":
-        return actions.trivial_action(_builtin_graph(graph_token))
+        return actions.trivial_action(_GRAPHS[name](k))
     build = {
         ("rose", f"S{k}"): actions.symmetric_rose,
         ("rose", f"A{k}"): actions.alternating_rose,
@@ -253,7 +261,8 @@ def _builtin_action(graph_token: str, group: str) -> graphs.GraphAction:
 
 def _graph_from_args(args) -> graphs.Graph:
     if args.builtin:
-        return _builtin_graph(args.builtin)
+        name, k = _builtin(args.builtin)
+        return _GRAPHS[name](k)
     if args.file:
         return _load(args.file, "graph",
                      lambda obj: graphs.Graph.from_json(obj.get("graph", obj)))
@@ -275,7 +284,7 @@ def cmd_graph(args) -> int:
     sub = args.subaction
     checks = []
     params = {"subaction": sub, "builtin": args.builtin, "group": args.group,
-              "xi": args.xi, "file": args.file}
+              "xi": args.xi, "edges": args.edges, "file": args.file}
 
     if sub == "admissible":
         action = _action_from_args(args)

@@ -134,13 +134,6 @@ class Graph:
             rows[vindex[io]][j] -= 1
         return Matrix(rows, cols=len(self.edges))
 
-    def to_json(self):
-        return {
-            "vertices": list(self.vertices),
-            "edges": [{"id": e, "iota": self.ends[e][0], "tau": self.ends[e][1]}
-                      for e in self.edges],
-        }
-
     @classmethod
     def from_json(cls, obj) -> "Graph":
         edges = [rec["id"] for rec in obj["edges"]]
@@ -252,13 +245,6 @@ class GraphAut:
     def flip(self, e) -> bool:
         return bool(self.flips.get(e, False))
 
-    def to_json(self):
-        return {
-            "vertex_map": {str(k): v for k, v in self.vmap.items()},
-            "edge_map": {str(k): v for k, v in self.emap.items()},
-            "flips": {str(e): bool(f) for e, f in self.flips.items() if f},
-        }
-
 
 def _darts(graph: Graph) -> dict:
     """The point of the dart (e, +1) of each edge e; (e, -1) is the next."""
@@ -338,9 +324,10 @@ def _closure(gens: list, by: list) -> list:
 
 
 def graph_aut_from_json(graph: Graph, obj) -> GraphAut:
-    """Inverse of ``GraphAut.to_json``: JSON keys are strings, so each key
-    is read back as the vertex or edge id that prints as it.  A flip must
-    be a JSON boolean."""
+    """The automorphism ``{"vertex_map", "edge_map", "flips"}`` of an
+    action file.  JSON keys are strings, so each key is read back as the
+    vertex or edge id that prints as it.  A flip must be a JSON boolean;
+    an edge left out of ``flips`` keeps its orientation."""
     vids = {str(v): v for v in graph.vertices}
     eids = {str(e): e for e in graph.edges}
     flips = obj.get("flips", {})
@@ -394,12 +381,6 @@ class GraphAction:
         for e in self.graph.edges:
             orbits.setdefault(find(e), []).append(e)
         return [sorted(orbit, key=str) for orbit in orbits.values()]
-
-    def to_json(self):
-        return {
-            "group": self.group.to_json(),
-            "maps": {name: aut.to_json() for name, aut in self.maps.items()},
-        }
 
 
 def action_from_json(graph: Graph, obj) -> GraphAction:

@@ -368,8 +368,3 @@ def schur_square(m: Matrix, mu) -> Matrix:
 def exterior_square(m: Matrix) -> Matrix:
     """Induced map on the exterior square, basis e_p ^ e_q with p < q."""
     return schur_square(m, (1, 1))
-
-
-def symmetric_square(m: Matrix) -> Matrix:
-    """Induced map on the symmetric square, basis e_p.e_q with p <= q."""
-    return schur_square(m, (2,))

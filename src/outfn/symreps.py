@@ -52,13 +52,6 @@ class GroupDescriptor:
         return ((self.name, self.generators, self.relations)
                 == (other.name, other.generators, other.relations))
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "generators": list(self.generators),
-            "relations": [list(r) for r in self.relations],
-        }
-
     @classmethod
     def from_json(cls, obj) -> "GroupDescriptor":
         return cls(
@@ -211,13 +204,6 @@ class FiniteRep:
             bot = Matrix.zeros(b.rows, a.cols).hstack(b)
             gens[name] = top.vstack(bot)
         return FiniteRep(self.group, self.dim + other.dim, gens)
-
-    def to_json(self):
-        return {
-            "group": self.group.to_json(),
-            "dim": self.dim,
-            "generators": {k: v.to_json() for k, v in self.generators.items()},
-        }
 
     @classmethod
     def from_json(cls, obj) -> "FiniteRep":
@@ -495,11 +481,6 @@ def named_character(name: str, n: int, cycle_type) -> int:
     if name == "signed_standard":
         return sign * (fixed - 1)
     raise ValueError(f"unknown module name {name!r}")
-
-
-def named_dimension(name: str, n: int) -> int:
-    return {"trivial": 1, "determinant": 1, "standard": n - 1,
-            "permutation": n, "signed_standard": n - 1}[name]
 
 
 def class_representative(cycle_type, n: int) -> tuple:

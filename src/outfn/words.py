@@ -104,29 +104,6 @@ def _conj(x: tuple, w: tuple) -> tuple:
     return _join(_join(_inv(w), x), w)
 
 
-def reduce_word(letters, rank: int) -> Word:
-    """Freely reduce a raw letter sequence.
-
-    Stack-based cancellation; the result does not depend on the order in
-    which adjacent inverse pairs are removed (confluence of free
-    reduction).  The one reducer of raw input: it validates every letter,
-    even one that cancels.  Products of reduced words use ``_join``.
-    """
-    out = []
-    for x in letters:
-        if not isinstance(x, int) or x == 0 or abs(x) > rank:
-            raise ValueError(f"letter {x!r} out of range for rank {rank}")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return Word(tuple(out), rank)
-
-
-def empty_word(rank: int) -> Word:
-    return Word((), rank)
-
-
 def generator_word(i: int, rank: int) -> Word:
     return Word((i,), rank)
 
@@ -283,7 +260,6 @@ def _delta_move(img, i, j, e):
 _MOVES = {
     "rho": _rho_move,
     "lam": _lam_move,
-    "lambda": _lam_move,
     "eps": _eps_move,
     "sigma": _sigma_move,
     "sigma_star": _sigma_star_move,

@@ -548,3 +548,62 @@ def oracle_act_on_functional(a, s) -> tuple:
 
 def oracle_act_on_mask(a, mask) -> int:
     return functional_to_mask(oracle_act_on_functional(a, mask_to_functional(mask, a.rank)))
+
+
+# ---------------------------------------------------------------------------
+# words from raw letter sequences: the oracle of the seam test in
+# ``words._join``, and the builder of raw test input
+
+
+def reduce_word(letters, rank: int) -> words.Word:
+    """Freely reduce a raw letter sequence.
+
+    Stack-based cancellation; the result does not depend on the order in
+    which adjacent inverse pairs are removed (confluence of free
+    reduction).  It validates every letter, even one that cancels.
+    """
+    out = []
+    for x in letters:
+        if not isinstance(x, int) or x == 0 or abs(x) > rank:
+            raise ValueError(f"letter {x!r} out of range for rank {rank}")
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return words.Word(tuple(out), rank)
+
+
+def empty_word(rank: int) -> words.Word:
+    return words.Word((), rank)
+
+
+# ---------------------------------------------------------------------------
+# the input files of the CLI, written from library objects
+
+
+def to_json(obj):
+    """The JSON form in which the CLI reads ``obj``.
+
+    A graph is a ``graph --file`` graph, an action a whole action file
+    (graph, group and maps), an automorphism one entry of its ``maps``,
+    and a rep a ``decompose --rep`` file.  JSON keys are strings, so map
+    keys are written as the ids print; matrices write themselves.
+    """
+    if isinstance(obj, graphs.Graph):
+        return {"vertices": list(obj.vertices),
+                "edges": [{"id": e, "iota": obj.ends[e][0], "tau": obj.ends[e][1]}
+                          for e in obj.edges]}
+    if isinstance(obj, graphs.GraphAut):
+        return {"vertex_map": {str(k): v for k, v in obj.vmap.items()},
+                "edge_map": {str(k): v for k, v in obj.emap.items()},
+                "flips": {str(e): bool(f) for e, f in obj.flips.items() if f}}
+    if isinstance(obj, graphs.GraphAction):
+        return {"graph": to_json(obj.graph), "group": to_json(obj.group),
+                "maps": {name: to_json(aut) for name, aut in obj.maps.items()}}
+    if isinstance(obj, symreps.GroupDescriptor):
+        return {"name": obj.name, "generators": list(obj.generators),
+                "relations": [list(r) for r in obj.relations]}
+    if isinstance(obj, symreps.FiniteRep):
+        return {"group": to_json(obj.group), "dim": obj.dim,
+                "generators": {k: v.to_json() for k, v in obj.generators.items()}}
+    raise TypeError(f"no JSON form for {type(obj).__name__}")

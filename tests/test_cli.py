@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (argparse_oracle, benchmark_inputs, flip_matrix,
-                      oracle_identity, signed_permutation_rep, with_transvections)
+                      oracle_identity, signed_permutation_rep, to_json, with_transvections)
 from outfn import actions, cli, cover, graphs, induced, symreps, words
 from outfn.linalg import Matrix
 
@@ -171,7 +171,7 @@ class TestGersten:
 class TestDecompose:
     def _write(self, tmp_path, rep):
         path = tmp_path / "rep.json"
-        path.write_text(json.dumps(rep.to_json()))
+        path.write_text(json.dumps(to_json(rep)))
         return str(path)
 
     def test_signed_permutation_rep_passes(self, tmp_path):
@@ -220,7 +220,7 @@ class TestDecompose:
 
     def test_broken_involution_is_input_error(self, tmp_path, capsys):
         rep = signed_permutation_rep(4)
-        doctored = rep.to_json()
+        doctored = to_json(rep)
         doctored["generators"]["e1"] = Matrix(
             [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).to_json()
         path = tmp_path / "bad.json"
@@ -237,7 +237,7 @@ class TestDecompose:
     @pytest.mark.parametrize("name", ["e3", "e\u0663"])
     def test_listed_flip_is_an_ordinary_generator(self, tmp_path, name):
         # the rank comes from e1 and the swaps, whatever e's the file lists
-        plain = signed_permutation_rep(4).to_json()
+        plain = to_json(signed_permutation_rep(4))
         listed = copy.deepcopy(plain)
         listed["group"]["generators"].append(name)
         listed["generators"][name] = flip_matrix(3, 4).to_json()
@@ -253,7 +253,7 @@ class TestDecompose:
 
     def test_planted_diamond_failure_exits_one(self, tmp_path):
         rep = with_transvections(signed_permutation_rep(4), 4)
-        doctored = rep.to_json()
+        doctored = to_json(rep)
         bad = Matrix.identity(4).to_json()
         bad["entries"][0][2] = "1"
         doctored["generators"]["rho12"] = bad
@@ -294,7 +294,7 @@ class TestDecompose:
 
     @pytest.mark.parametrize("entry", [True, [1]], ids=["true", "list"])
     def test_non_string_entries_are_input_errors(self, tmp_path, capsys, entry):
-        obj = signed_permutation_rep(3).to_json()
+        obj = to_json(signed_permutation_rep(3))
         obj["generators"]["e1"]["entries"][0][0] = entry
         assert_usage_error(run(["decompose", "--rep", write_json(tmp_path, obj)]),
                            capsys)
@@ -439,6 +439,7 @@ class TestGraph:
                     "--json", str(out)]) == 0
         report = load_report(out)
         assert report["checks"][0]["details"]["dim"] == 9
+        assert report["parameters"]["edges"] is None
 
     def test_rose_lemma(self):
         assert run(["graph", "rose-lemma", "--builtin", "rose:7",
@@ -470,9 +471,9 @@ class TestGraph:
         # flipping every petal fixes p1 and reverses it, so the lemma's
         # hypothesis fails: both checks are skipped, and the run passes
         g = graphs.rose(2)
-        obj = {"graph": g.to_json(),
+        obj = {"graph": to_json(g),
                "group": {"name": "Z2", "generators": ["f"], "relations": [["f", "f"]]},
-               "maps": {"f": actions.petal_flip_involution(g).to_json()}}
+               "maps": {"f": to_json(actions.petal_flip_involution(g))}}
         out = tmp_path / "r.json"
         assert run(["graph", "rose-lemma", "--file", write_json(tmp_path, obj),
                     "--json", str(out)]) == 0
@@ -491,9 +492,31 @@ class TestGraph:
         fixed = next(c for c in report["checks"] if c["name"] == "fixed set recorded")
         assert len(fixed["details"]["fixed_vertices"]) == 5
 
-    def test_collapse(self):
+    def test_collapse(self, tmp_path):
+        out = tmp_path / "c.json"
         assert run(["graph", "collapse", "--builtin", "cage:3",
-                    "--edges", "c1"]) == 0
+                    "--edges", "c1,c2", "--json", str(out)]) == 0
+        assert load_report(out)["parameters"] == {
+            "subaction": "collapse", "builtin": "cage:3", "group": None,
+            "xi": None, "edges": "c1,c2", "file": None}
+
+    def test_builtin_size_at_the_limit(self, tmp_path):
+        out = tmp_path / "h.json"
+        assert cli.MAX_BUILTIN_SIZE == 64
+        assert run(["graph", "homology", "--builtin", "rose:64", "--json", str(out)]) == 0
+        assert load_report(out)["checks"][0]["details"]["dim"] == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--builtin", "rose:65"],
+        ["homology", "--builtin", "cage:65"],
+        ["cage-lemma", "--builtin", "cage:65", "--group", "A65"],
+        ["admissible", "--builtin", "rose:65", "--group", "trivial"],
+    ])
+    def test_builtin_size_beyond_the_limit_is_usage_error(self, capsys, argv):
+        assert run(["graph", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: builtin graph {argv[2]!r}: the size is at most 64\n"
 
     def test_collapse_of_integer_edge_ids(self, tmp_path):
         path = tmp_path / "g.json"
@@ -568,7 +591,7 @@ class TestGraph:
         assert summary["passed"] == (6 if code == 0 else 0)
 
     def test_strand_swap_on_renamed_and_parallel_edges(self, tmp_path, capsys):
-        g = graphs.daisy_chain(3).to_json()
+        g = to_json(graphs.daisy_chain(3))
         for m, rec in enumerate(g["edges"]):
             rec["id"] = f"x{m}"
         path = tmp_path / "daisy.json"
@@ -587,10 +610,10 @@ class TestGraph:
     def test_false_perfect_flag_is_usage_error(self, tmp_path, capsys):
         from outfn import actions, graphs
         g = graphs.cage(3)
-        obj = {"graph": g.to_json(),
+        obj = {"graph": to_json(g),
                "group": {"name": "Z2", "generators": ["d"],
                          "relations": [["d", "d"]], "perfect": True},
-               "maps": {"d": actions.vertex_swap(g).to_json()}}
+               "maps": {"d": to_json(actions.vertex_swap(g))}}
         path = tmp_path / "z2.json"
         path.write_text(json.dumps(obj))
         assert run(["graph", "cage-lemma", "--file", str(path)]) == 2
@@ -614,8 +637,7 @@ class TestGraph:
     def test_action_file(self, tmp_path):
         from outfn import actions
         act = actions.cage_full(3)
-        obj = act.to_json()
-        obj["graph"] = act.graph.to_json()
+        obj = to_json(act)
         path = tmp_path / "act.json"
         path.write_text(json.dumps(obj))
         assert run(["graph", "admissible", "--file", str(path)]) == 0
@@ -632,7 +654,7 @@ class TestGraph:
         checks = []
         for action in (act, graphs.GraphAction(g, act.group, maps)):
             path = tmp_path / "act.json"
-            path.write_text(json.dumps({**action.to_json(), "graph": action.graph.to_json()}))
+            path.write_text(json.dumps(to_json(action)))
             out = tmp_path / "r.json"
             assert run(["graph", "admissible", "--file", str(path), "--json", str(out)]) == 0
             checks.append([(c["name"], c["status"]) for c in load_report(out)["checks"]])
@@ -649,7 +671,7 @@ class TestGraph:
     def test_graph_file(self, tmp_path):
         from outfn import graphs
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(graphs.daisy_chain(4).to_json()))
+        path.write_text(json.dumps(to_json(graphs.daisy_chain(4))))
         assert run(["graph", "homology", "--file", str(path)]) == 0
 
 
@@ -751,7 +773,7 @@ class TestMoveEngineOnly:
                             lambda self: certified.append(self) or real(self))
         monkeypatch.chdir(tmp_path)
         rep = tmp_path / "rep.json"
-        rep.write_text(json.dumps(with_transvections(signed_permutation_rep(4), 4).to_json()))
+        rep.write_text(json.dumps(to_json(with_transvections(signed_permutation_rep(4), 4))))
         for argv in (["gersten", "--n", "4"], ["section4", "--n", "5"],
                      ["induce", "--n", "3"], ["decompose", "--rep", str(rep)],
                      ["graph", "admissible", "--builtin", "rose:5", "--group", "W5"]):
@@ -775,7 +797,7 @@ def write_json(tmp_path, obj, name="input.json"):
 
 def rep_without(n, missing):
     """The signed permutation rep of rank n with some generators left out."""
-    obj = signed_permutation_rep(n).to_json()
+    obj = to_json(signed_permutation_rep(n))
     group = obj["group"]
     group["generators"] = [g for g in group["generators"] if g not in missing]
     group["relations"] = [r for r in group["relations"]
@@ -787,8 +809,7 @@ def rep_without(n, missing):
 
 def cage_action_file():
     act = actions.cage_full(3)
-    obj = act.to_json()
-    obj["graph"] = act.graph.to_json()
+    obj = to_json(act)
     return obj
 
 
@@ -810,7 +831,7 @@ class TestFailureBoundary:
         assert_usage_error(run(["decompose", "--rep", path]), capsys)
 
     def test_rep_relation_names_an_unknown_generator(self, tmp_path, capsys):
-        obj = signed_permutation_rep(3).to_json()
+        obj = to_json(signed_permutation_rep(3))
         obj["group"]["relations"].append(["e1", "x"])
         path = write_json(tmp_path, obj)
         assert_usage_error(run(["decompose", "--rep", path]), capsys)
@@ -818,7 +839,7 @@ class TestFailureBoundary:
     @pytest.mark.parametrize("name", ["rho19", "rho11", "rho5", "rhox"])
     def test_rho_outside_the_rank(self, tmp_path, capsys, name):
         rep = with_transvections(signed_permutation_rep(4), 4)
-        obj = rep.to_json()
+        obj = to_json(rep)
         obj["generators"][name] = Matrix.identity(4).to_json()
         obj["group"]["generators"].append(name)
         path = write_json(tmp_path, obj)
@@ -826,7 +847,7 @@ class TestFailureBoundary:
 
     def test_rho_names_at_rank_ten_and_beyond(self):
         def rho_pairs(n, names):
-            obj = signed_permutation_rep(n).to_json()
+            obj = to_json(signed_permutation_rep(n))
             for name in names:
                 obj["generators"][name] = Matrix.identity(n).to_json()
             return symreps.read_signed_rep(obj)[2]
@@ -842,7 +863,7 @@ class TestFailureBoundary:
 
     @pytest.mark.parametrize("name", ["e7", "e5", "s4"])
     def test_e_or_s_beyond_the_rank(self, tmp_path, capsys, name):
-        obj = signed_permutation_rep(4).to_json()
+        obj = to_json(signed_permutation_rep(4))
         obj["generators"][name] = Matrix.identity(4).to_json()
         assert_usage_error(run(["decompose", "--rep", write_json(tmp_path, obj)]), capsys)
 
@@ -873,10 +894,10 @@ class TestFailureBoundary:
     def test_dim_that_is_not_an_integer(self, tmp_path, capsys, dim):
         if dim is True:  # int(True) == 1: the dimension of a trivial rep
             group = symreps.signed_permutation_group(2)
-            obj = symreps.FiniteRep(group, 1, {g: Matrix.identity(1)
-                                               for g in group.generators}).to_json()
+            obj = to_json(symreps.FiniteRep(group, 1, {g: Matrix.identity(1)
+                                                       for g in group.generators}))
         else:  # int(4.5) == 4
-            obj = signed_permutation_rep(4).to_json()
+            obj = to_json(signed_permutation_rep(4))
         obj["dim"] = dim
         assert_usage_error(run(["decompose", "--rep", write_json(tmp_path, obj)]), capsys)
         with pytest.raises(ValueError):
@@ -890,15 +911,14 @@ class TestFailureBoundary:
 
     def test_failing_relations_are_named(self, tmp_path, capsys):
         act = actions.symmetric_rose(3)
-        obj = act.to_json()
-        obj["graph"] = act.graph.to_json()
+        obj = to_json(act)
         obj["group"]["relations"].append(["s1"])
         path = write_json(tmp_path, obj, "action.json")
         for sub in ("admissible", "rose-lemma", "cage-lemma"):
             assert run(["graph", sub, "--file", path]) == 2
             assert capsys.readouterr().err == (
                 "error: action fails 1 defining relation(s): [('s1',)]\n")
-        rep = signed_permutation_rep(3).to_json()
+        rep = to_json(signed_permutation_rep(3))
         rep["group"]["relations"] += [["e1"], ["s2"]]
         assert run(["decompose", "--rep", write_json(tmp_path, rep, "rep.json")]) == 2
         assert capsys.readouterr().err == (
@@ -906,8 +926,8 @@ class TestFailureBoundary:
 
     def test_flip_of_an_unknown_edge(self, tmp_path, capsys):
         g = graphs.rose(2)
-        identity = oracle_identity(g).to_json()
-        obj = {"graph": g.to_json(),
+        identity = to_json(oracle_identity(g))
+        obj = {"graph": to_json(g),
                "group": {"name": "Z2", "generators": ["f"], "relations": [["f", "f"]]},
                "maps": {"f": {**identity, "flips": {"P1": True}}}}
         path = write_json(tmp_path, obj)
@@ -917,8 +937,8 @@ class TestFailureBoundary:
                              ids=["string-false", "string-0", "zero", "null"])
     def test_flip_that_is_not_a_boolean(self, tmp_path, capsys, flip):
         g = graphs.rose(3)
-        identity = oracle_identity(g).to_json()
-        obj = {"graph": g.to_json(),
+        identity = to_json(oracle_identity(g))
+        obj = {"graph": to_json(g),
                "group": {"name": "Z2", "generators": ["f"], "relations": [["f", "f"]]},
                "maps": {"f": {**identity, "flips": {"p1": flip}}}}
         path = write_json(tmp_path, obj)
@@ -946,7 +966,7 @@ class TestFailureBoundary:
         assert_usage_error(run(["graph", "homology", "--file", str(path)]), capsys)
 
     def test_zero_denominator_entry(self, tmp_path, capsys):
-        obj = signed_permutation_rep(3).to_json()
+        obj = to_json(signed_permutation_rep(3))
         obj["generators"]["e1"]["entries"][0][0] = "1/0"
         path = write_json(tmp_path, obj)
         assert_usage_error(run(["decompose", "--rep", path]), capsys)
@@ -1072,13 +1092,13 @@ class TestFuzz:
     @FUZZ
     @given(data=st.data())
     def test_malformed_rep_file(self, data):
-        rep = with_transvections(signed_permutation_rep(3), 3).to_json()
+        rep = to_json(with_transvections(signed_permutation_rep(3), 3))
         assert_contract(["decompose", "--rep", self._file(data, rep)])
 
     @FUZZ
     @given(data=st.data(), sub=SUBACTIONS, xi=XIS)
     def test_malformed_graph_or_action_file(self, data, sub, xi):
-        obj = data.draw(st.sampled_from([graphs.daisy_chain(3).to_json(),
+        obj = data.draw(st.sampled_from([to_json(graphs.daisy_chain(3)),
                                          cage_action_file()]))
         argv = ["graph", sub, "--file", self._file(data, obj), "--edges", "c1"]
         assert_contract(argv + (["--xi", xi] if xi else []))

@@ -9,6 +9,7 @@ from conftest import (
     oracle_kernel_generators,
     oracle_minus_eigenspace_matrix,
     partial_conjugation,
+    reduce_word,
     transvection_commutator,
 )
 from outfn import cover, graphs, induced, words as W
@@ -21,7 +22,7 @@ def rand_kernel_word(rng, n, max_len=10):
            for _ in range(rng.randint(0, max_len))]
     if sum(1 for x in seq if abs(x) == n) % 2:
         seq.append(n)
-    return W.reduce_word(seq, n)
+    return reduce_word(seq, n)
 
 
 class TestRewriting:
@@ -30,11 +31,11 @@ class TestRewriting:
         assert cover.rewrite_in_kernel(w) == ((0, 1),)
 
     def test_conjugated_generator(self):
-        w = W.reduce_word([3, 1, -3], 3)
+        w = reduce_word([3, 1, -3], 3)
         assert cover.rewrite_in_kernel(w) == ((2, 1),)
 
     def test_unreduced_conjugation(self):
-        w = W.reduce_word([3, 1, 3], 3)
+        w = reduce_word([3, 1, 3], 3)
         assert cover.rewrite_in_kernel(w) == ((2, 1), (4, 1))
 
     def test_odd_parity_rejected(self):
@@ -50,7 +51,7 @@ class TestRewriting:
             letters = []
             for index, e in cover.rewrite_in_kernel(w):
                 letters += defs[index] if e > 0 else [-x for x in reversed(defs[index])]
-            assert W.reduce_word(letters, n) == w
+            assert reduce_word(letters, n) == w
 
     def test_symbol_count(self):
         assert len(cover.schreier_symbols(4)) == 7

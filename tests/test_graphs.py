@@ -12,7 +12,8 @@ from conftest import (oracle_builtin_action, oracle_compose, oracle_doubled_cage
                       oracle_identity, oracle_is_identity, oracle_is_perfect,
                       oracle_min_loop, oracle_orientation_obstruction,
                       oracle_parity_involution, oracle_simple_cycles,
-                      oracle_trivial_multiplicity, oracle_word_aut, simple_loops)
+                      oracle_trivial_multiplicity, oracle_word_aut, simple_loops,
+                      to_json)
 from outfn import actions, cli, graphs, symreps
 from outfn.linalg import Matrix
 
@@ -96,7 +97,7 @@ class TestBuilders:
 
     def test_json_round_trip(self):
         g = graphs.daisy_chain(3)
-        back = graphs.Graph.from_json(g.to_json())
+        back = graphs.Graph.from_json(to_json(g))
         assert back == g
 
 
@@ -888,8 +889,7 @@ class TestActionSerialisation:
     def test_round_trip(self):
         for act in (actions.cage_full(3), actions.signed_rose(3),
                     actions.cage_central_alternating(5)):
-            obj = act.to_json()
-            obj["graph"] = act.graph.to_json()
+            obj = to_json(act)
             g = graphs.Graph.from_json(obj["graph"])
             back = graphs.action_from_json(g, obj)
             assert back.verify_relations()

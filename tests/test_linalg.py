@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import benchmark_inputs
 from outfn import graphs, linalg
-from outfn.linalg import Matrix, exterior_square, schur_square, symmetric_square
+from outfn.linalg import Matrix, exterior_square, schur_square
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -474,12 +474,12 @@ class TestSquareFunctors:
     def test_dimensions(self):
         m = Matrix.identity(4)
         assert exterior_square(m).shape == (6, 6)
-        assert symmetric_square(m).shape == (10, 10)
+        assert schur_square(m, (2,)).shape == (10, 10)
 
     def test_kills_minus_identity(self):
         neg = Matrix.identity(3).scale(-1)
         assert exterior_square(neg).is_identity()
-        assert symmetric_square(neg).is_identity()
+        assert schur_square(neg, (2,)).is_identity()
 
     def test_sign_blind(self):
         rng = random.Random(23)
