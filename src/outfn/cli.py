@@ -64,7 +64,7 @@ def emit(report: dict, json_path) -> int:
     s = report["summary"]
     print(f"{report['command']}: {s['passed']}/{s['total']} passed, "
           f"{s['failed']} failed, {s['skipped']} skipped")
-    if json_path:
+    if json_path is not None:
         with open(json_path, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -97,7 +97,7 @@ def cmd_gersten(args) -> int:
         raise UsageError("presentation checks support 3 <= n <= 10")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    rep = words.verify_gersten(n, jobs=args.jobs)
+    rep = words.verify_gersten(n)
     checks = []
     for fam in rep["families"]:
         details = {"tuples": fam["count"], "failures": fam["failures"]}
@@ -176,7 +176,8 @@ def cmd_induce(args) -> int:
     if n not in (3, 4, 5):
         raise UsageError("induction supports n in {3, 4, 5}")
     rep = induced.induce(n, _parse_mu(args.mu))
-    out_path = args.out or f"induced_n{n}_mu{'-'.join(map(str, rep.mu))}.json"
+    out_path = args.out if args.out is not None else \
+        f"induced_n{n}_mu{'-'.join(map(str, rep.mu))}.json"
     # opened before the checks run, so that an unwritable path fails at
     # once; removed again if anything raises before ``write_json`` completes
     with open(out_path, "w") as fh:
@@ -372,7 +373,10 @@ _REQUIRED = object()
 _JSON = {"json": (str, None, "")}
 _COMMANDS = {
     "gersten": ("finite presentation relator suite",
-                {"n": (int, _REQUIRED, ""), "jobs": (int, 1, ""), **_JSON}, ()),
+                {"n": (int, _REQUIRED, ""),
+                 "jobs": (int, 1, "accepted and recorded; relators are "
+                                  "always checked in process"),
+                 **_JSON}, ()),
     "decompose": ("eigenspace decomposition and containment laws "
                   "for a supplied matrix representation",
                   {"rep": (str, _REQUIRED, ""), **_JSON}, ()),

@@ -265,7 +265,7 @@ def _points(aut: GraphAut) -> tuple:
 
 def _then(a: tuple, b: tuple) -> tuple:
     """The point permutation a followed by b."""
-    return tuple(b[p] for p in a)
+    return tuple([b[p] for p in a])
 
 
 def _inverse(a: tuple) -> tuple:

@@ -27,7 +27,6 @@ calibration used to validate the composition order.
 from __future__ import annotations
 
 import itertools
-import os
 
 from .linalg import Matrix
 
@@ -469,15 +468,6 @@ def gersten_relators(n: int):
         yield fam, f"j={j}", word
 
 
-def _check_relator(args):
-    """None when the relator is inner, else its reduced forward images."""
-    n, token_word = args
-    endo = relator_automorphism(n, token_word)
-    if is_inner(endo) is not None:
-        return None
-    return [w.to_json() for w in endo.images]
-
-
 def family_report(rows) -> list:
     """Group ``(family, label, ok)`` rows by family, in first-seen order.
 
@@ -494,35 +484,21 @@ def family_report(rows) -> list:
     return list(families.values())
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def verify_gersten(n: int, jobs: int = 1) -> dict:
+def verify_gersten(n: int) -> dict:
     """Instantiate every relator family and check it in the outer group.
 
     Returns a report listing, per family, how many index tuples were
     instantiated and which of them (if any) failed.  A family with
     failures also gets ``images``: each failing label's reduced forward
-    images, as lists of letters.  ``jobs`` workers check the relators,
-    but never more than the CPUs this process may run on (its affinity
-    mask where the platform reports one, else the CPU count).
+    images, as lists of letters.  The relators are checked one after
+    another in this process.
     """
-    items = list(gersten_relators(n))
-    work = [(n, w) for (_, _, w) in items]
-    workers = min(jobs, _usable_cpus(), len(items))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_check_relator, work)
-    else:
-        results = list(map(_check_relator, work))
-
-    rows = [(family, label, images)
-            for (family, label, _), images in zip(items, results)]
+    rows = []
+    for family, label, token_word in gersten_relators(n):
+        endo = relator_automorphism(n, token_word)
+        images = None if is_inner(endo) is not None else [
+            w.to_json() for w in endo.images]
+        rows.append((family, label, images))
     families = family_report((family, label, images is None)
                              for family, label, images in rows)
     for fam in families:
@@ -532,7 +508,7 @@ def verify_gersten(n: int, jobs: int = 1) -> dict:
     return {
         "n": n,
         "families": families,
-        "total": len(items),
+        "total": len(rows),
         "ok": all(not fam["failures"] for fam in families),
     }
 

@@ -103,48 +103,18 @@ class TestGersten:
         assert fam["details"] == {"tuples": 1, "failures": ["rho12"],
                                   "images": {"rho12": [[1, 2], [2], [3]]}}
 
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        # a stand-in pool records its size and maps in process, so no
-        # worker is started whatever --jobs asks for
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, items):
-                return list(map(func, items))
-
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        return sizes
-
-    def test_jobs_are_capped_at_the_cpu_count(self, tmp_path, pool_sizes):
+    def test_jobs_start_no_worker(self, tmp_path, monkeypatch):
+        # two usable CPUs and a pool that cannot start: --jobs 2 still
+        # checks every relator in process
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("a worker pool was started")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         a, b = tmp_path / "serial.json", tmp_path / "jobs.json"
-        assert run(["gersten", "--n", "3", "--json", str(a)]) == 0
-        assert run(["gersten", "--n", "3", "--jobs", "1000000", "--json", str(b)]) == 0
-        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-        assert rb["parameters"].pop("jobs") == 1000000
-        ra["parameters"].pop("jobs")
-        assert ra == rb
-        assert all(size <= (os.cpu_count() or 1) for size in pool_sizes)
-
-    def test_jobs_are_capped_at_the_affinity_mask(self, tmp_path, monkeypatch, pool_sizes):
-        # one usable CPU, as under ``taskset -c 0``, leaves no room for a pool
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        a, b = tmp_path / "serial.json", tmp_path / "jobs.json"
-        assert run(["gersten", "--n", "3", "--json", str(a)]) == 0
+        assert run(["gersten", "--n", "3", "--jobs", "1", "--json", str(a)]) == 0
         assert run(["gersten", "--n", "3", "--jobs", "2", "--json", str(b)]) == 0
-        assert pool_sizes == []
         ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-        assert rb["parameters"].pop("jobs") == 2
-        ra["parameters"].pop("jobs")
+        assert (ra["parameters"].pop("jobs"), rb["parameters"].pop("jobs")) == (1, 2)
         assert ra == rb
 
     # sha256 of the --json report
@@ -975,10 +945,14 @@ class TestFailureBoundary:
         ["gersten", "--n", "3", "--json", "{missing}/x.json"],
         ["induce", "--n", "3", "--out", "{missing}/x.json"],
         ["section4", "--n", "3", "--json", "{directory}"],
-    ], ids=["gersten", "induce", "section4"])
-    def test_unwritable_output_path(self, tmp_path, capsys, argv):
+        ["gersten", "--n", "3", "--json="],
+        ["induce", "--n", "3", "--out="],
+    ], ids=["gersten", "induce", "section4", "gersten-empty-json", "induce-empty-out"])
+    def test_unwritable_output_path(self, tmp_path, monkeypatch, capsys, argv):
         argv = [a.format(missing=tmp_path / "missing", directory=tmp_path) for a in argv]
+        monkeypatch.chdir(tmp_path)
         assert_usage_error(run(argv), capsys)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fault", [RuntimeError, AssertionError, KeyError])
     def test_fault_is_exit_three_in_one_line(self, monkeypatch, capsys, fault):
