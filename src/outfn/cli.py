@@ -9,7 +9,8 @@ that fails a precondition, or an ``OSError`` such as an unwritable
 output path), 3 on any other exception, reported in one line.  ``main``
 alone maps exceptions to exit codes.  Reports contain no timestamps, so
 identical invocations produce byte-identical output; all numbers are
-exact (integers or "p/q" strings).
+exact (integers or "p/q" strings).  ``--json`` and ``--out`` are opened
+before any check runs, and removed again if the run raises.
 
 Argv: ``outfn COMMAND [SUBACTION] [--OPTION VALUE | --OPTION=VALUE ...]``,
 the subaction (``graph`` only) anywhere among the options.  Options are
@@ -22,6 +23,7 @@ and exits 0.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -58,16 +60,34 @@ def check(name: str, ok: bool, details=None) -> dict:
             "details": details if details is not None else {}}
 
 
-def emit(report: dict, json_path) -> int:
+@contextlib.contextmanager
+def _output(path, *others):
+    """``path`` opened for writing (None stays None), refused when one of the
+    ``others`` names it; if the block raises, the file is removed again
+    when regular (not /dev/stdout or a link)."""
+    if path is None:
+        yield None
+        return
+    if any(p is not None and os.path.realpath(p) == os.path.realpath(path) for p in others):
+        raise UsageError(f"cannot write {path!r}: another option names the same file")
+    with open(path, "w") as fh:
+        try:
+            yield fh
+        except BaseException:
+            if os.path.isfile(path) and not os.path.islink(path):
+                os.remove(path)
+            raise
+
+
+def emit(report: dict, fh) -> int:
     for c in report["checks"]:
         print(f"[{c['status'].upper():4s}] {c['name']}")
     s = report["summary"]
     print(f"{report['command']}: {s['passed']}/{s['total']} passed, "
           f"{s['failed']} failed, {s['skipped']} skipped")
-    if json_path is not None:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+    if fh is not None:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
     return 0 if s["failed"] == 0 else 1
 
 
@@ -107,7 +127,7 @@ def cmd_gersten(args) -> int:
                             not fam["failures"], details))
     report = make_report("gersten", {"n": n, "jobs": args.jobs,
                                      "relators": rep["total"]}, checks)
-    return emit(report, args.json)
+    return emit(report, args.report)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +154,7 @@ def cmd_decompose(args) -> int:
         witness = {"noncommuting": [f"e{k}" for k in outside]} if outside else None
         checks.append(check(f"diamond containment rho{i}{j}", not outside, witness))
     report = make_report("decompose", {"rep": str(args.rep), "n": n}, checks)
-    return emit(report, args.json)
+    return emit(report, args.report)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +178,7 @@ def cmd_section4(args) -> int:
                         (plus, minus) == (n, n - 1),
                         {"plus": plus, "minus": minus}))
     report = make_report("section4", {"n": n}, checks)
-    return emit(report, args.json)
+    return emit(report, args.report)
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +198,19 @@ def cmd_induce(args) -> int:
     rep = induced.induce(n, _parse_mu(args.mu))
     out_path = args.out if args.out is not None else \
         f"induced_n{n}_mu{'-'.join(map(str, rep.mu))}.json"
-    # opened before the checks run, so that an unwritable path fails at
-    # once; removed again if anything raises before ``write_json`` completes
-    with open(out_path, "w") as fh:
-        try:
-            checks = [check(f"dimension m = {rep.m}",
-                            rep.m == (2 ** n - 1) * rep.dim_u,
-                            {"m": rep.m, "cosets": len(rep.cosets), "dim_u": rep.dim_u})]
-            for fam in rep.relator_report()["families"]:
-                checks.append(check(f"relators: {fam['name']} ({fam['count']} tuples)",
-                                    not fam["failures"], {"failures": fam["failures"]}))
-            cert = induced.check_not_factoring(rep)
-            checks.append(check("non-factoring certificate", cert["found"], cert))
-            rep.write_json(fh)
-        except BaseException:
-            if os.path.isfile(out_path) and not os.path.islink(out_path):
-                os.remove(out_path)  # a regular file, not /dev/stdout or a link
-            raise
-    report = make_report("induce", {"n": n, "mu": list(rep.mu),
-                                    "matrices": str(out_path)}, checks)
-    return emit(report, args.json)
+    with _output(out_path, args.json) as fh:
+        checks = [check(f"dimension m = {rep.m}",
+                        rep.m == (2 ** n - 1) * rep.dim_u,
+                        {"m": rep.m, "cosets": len(rep.cosets), "dim_u": rep.dim_u})]
+        for fam in rep.relator_report()["families"]:
+            checks.append(check(f"relators: {fam['name']} ({fam['count']} tuples)",
+                                not fam["failures"], {"failures": fam["failures"]}))
+        cert = induced.check_not_factoring(rep)
+        checks.append(check("non-factoring certificate", cert["found"], cert))
+        rep.write_json(fh)
+        report = make_report("induce", {"n": n, "mu": list(rep.mu),
+                                        "matrices": str(out_path)}, checks)
+        return emit(report, args.report)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +371,7 @@ def cmd_graph(args) -> int:
              "quotient_edges": len(res.quotient.edges)}))
 
     report = make_report("graph", params, checks)
-    return emit(report, args.json)
+    return emit(report, args.report)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +481,8 @@ def parse_args(argv: list) -> types.SimpleNamespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
-        return args.func(args)
+        with _output(*(getattr(args, k, None) for k in ("json", "rep", "file"))) as args.report:
+            return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,26 +78,18 @@ def rewrite_in_kernel(w: Word) -> tuple:
     n = w.rank
     if n < 2:
         raise ValueError("needs rank at least 2")
-    z_index = 2 * (n - 1)
     out = []
     state = 0
     for x in w.letters:
-        i = abs(x)
-        if i < n:
-            index = (i - 1) if state == 0 else (n - 1 + i - 1)
-            out.append((index, 1 if x > 0 else -1))
-        elif x > 0:
-            if state == 0:
-                state = 1
-            else:
-                out.append((z_index, 1))
-                state = 0
-        else:
-            if state == 0:
-                out.append((z_index, -1))
-                state = 1
-            else:
-                state = 0
+        sign = 1 if x > 0 else -1
+        if abs(x) < n:
+            out.append((abs(x) - 1 + state * (n - 1), sign))
+            continue
+        # a_n^+-1 flips the coset; z is a_n read in coset 1, z^-1 is
+        # a_n^-1 read in coset 0
+        if state == (sign > 0):
+            out.append((2 * (n - 1), sign))
+        state ^= 1
     if state != 0:
         raise ValueError("word is not in the kernel (odd parity)")
     return tuple(out)

@@ -98,13 +98,6 @@ class Graph:
         io, ta = self.ends[e]
         return io == ta
 
-    def valence(self, v) -> int:
-        total = 0
-        for e in self.edges:
-            io, ta = self.ends[e]
-            total += (io == v) + (ta == v)
-        return total
-
     def edges_at(self, v) -> list:
         return [e for e in self.edges if v in self.ends[e]]
 
@@ -585,9 +578,13 @@ def invariant_forests(action: GraphAction) -> list:
 def admissibility_conditions(action: GraphAction) -> list:
     """The three conditions of admissibility, each as ``(name, holds,
     details)``: connected, no valence-2 vertices, and no invariant
-    nontrivial forest."""
+    nontrivial forest.  A loop counts twice in its vertex's valence."""
     g = action.graph
-    valences = {v: g.valence(v) for v in g.vertices}
+    valences = dict.fromkeys(g.vertices, 0)
+    for e in g.edges:
+        io, ta = g.ends[e]
+        valences[io] += 1
+        valences[ta] += 1
     forests = invariant_forests(action)
     return [
         ("graph is connected", g.is_connected(), None),
@@ -664,43 +661,32 @@ class DoubleTree:
 
 
 def subdivide_inverted_edges(graph: Graph, xi: GraphAut):
-    """Cut every xi-inverted edge at its midpoint.
+    """Cut every xi-inverted edge at its midpoint, in one pass over the edges.
 
-    Returns the subdivided graph, the lifted involution, and the set of
-    new midpoint vertices.  After the cut no edge is both fixed and
-    orientation-reversed, so the fixed set is a subcomplex.
+    Returns the subdivided graph and the lifted involution, which fixes
+    the midpoints and swaps the halves of each cut edge.  No uncut edge
+    maps to a cut one: a cut edge is its own image, and ``GraphAut``
+    checks that the edge map is a permutation.  After the cut no edge is
+    both fixed and orientation-reversed, so the fixed set is a subcomplex.
     """
-    inverted = [e for e in graph.edges if xi.emap[e] == e and xi.flip(e)]
-    verts = list(graph.vertices) + [("mid", e) for e in inverted]
-    recs = []
+    verts, vmap = list(graph.vertices), dict(xi.vmap)
+    recs, emap, flips = [], {}, {}
     for e in graph.edges:
-        if e in inverted:
-            recs.append((("half", e, 0), graph.iota(e), ("mid", e)))
-            recs.append((("half", e, 1), ("mid", e), graph.tau(e)))
-        else:
-            recs.append((e, graph.iota(e), graph.tau(e)))
-    sub = make_graph(verts, recs)
-
-    vmap = {v: xi.vmap[v] for v in graph.vertices}
-    for e in inverted:
-        vmap[("mid", e)] = ("mid", e)
-    emap = {}
-    flips = {}
-    for e in graph.edges:
-        if e in inverted:
+        io, ta = graph.ends[e]
+        if xi.emap[e] == e and xi.flip(e):
+            mid, h0, h1 = ("mid", e), ("half", e, 0), ("half", e, 1)
+            verts.append(mid)
+            vmap[mid] = mid
+            recs += [(h0, io, mid), (h1, mid, ta)]
             # the two halves are exchanged, each reversing direction
-            emap[("half", e, 0)] = ("half", e, 1)
-            emap[("half", e, 1)] = ("half", e, 0)
-            flips[("half", e, 0)] = True
-            flips[("half", e, 1)] = True
+            emap[h0], emap[h1] = h1, h0
+            flips[h0] = flips[h1] = True
         else:
-            target = xi.emap[e]
-            if target in inverted:
-                raise AssertionError("involution maps a plain edge to a cut edge")
-            emap[e] = target
+            recs.append((e, io, ta))
+            emap[e] = xi.emap[e]
             flips[e] = xi.flip(e)
-    lifted = GraphAut(sub, vmap, emap, flips)
-    return sub, lifted, frozenset(("mid", e) for e in inverted)
+    sub = make_graph(verts, recs)
+    return sub, GraphAut(sub, vmap, emap, flips)
 
 
 def double_tree_decomposition(graph: Graph, xi: GraphAut) -> DoubleTree | None:
@@ -708,11 +694,11 @@ def double_tree_decomposition(graph: Graph, xi: GraphAut) -> DoubleTree | None:
 
     None when xi does not flip every simple loop; otherwise the graph
     must be connected and have an edge.  The complement of the fixed set
-    falls apart into components paired off by xi; one component per
-    pair, together with the fixed set, forms D.  The lemma says D and
-    xi.D are trees, D union xi.D is the whole graph and D intersect xi.D
-    is the fixed set; ``DoubleTree.conclusions`` tests these four claims,
-    and deciding them is left to the caller.
+    falls apart into components paired off by xi; the first of each pair
+    by sorted edge names, with the fixed set, forms D.  The lemma says D
+    and xi.D are trees, D union xi.D is the whole graph and D intersect
+    xi.D is the fixed set; ``DoubleTree.conclusions`` tests these four
+    claims, and deciding them is left to the caller.
     """
     if not flips_all_simple_loops(graph, xi):
         return None
@@ -721,46 +707,33 @@ def double_tree_decomposition(graph: Graph, xi: GraphAut) -> DoubleTree | None:
     if not graph.edges:
         raise ValueError("graph must have at least one edge")
 
-    sub, lifted, midpoints = subdivide_inverted_edges(graph, xi)
+    sub, lifted = subdivide_inverted_edges(graph, xi)
     f_vertices = frozenset(v for v in sub.vertices if lifted.vmap[v] == v)
     f_edges = frozenset(e for e in sub.edges
                         if lifted.emap[e] == e and not lifted.flip(e))
 
     movable = [e for e in sub.edges if e not in f_edges]
     find, union = _union_find(movable)
-    by_vertex: dict = {}
+    first: dict = {}  # vertex off the fixed set -> first moved edge there
     for e in movable:
         for v in sub.ends[e]:
             if v not in f_vertices:
-                by_vertex.setdefault(v, []).append(e)
-    for group in by_vertex.values():
-        for e in group[1:]:
-            union(group[0], e)
-
+                union(first.setdefault(v, e), e)
     components: dict = {}
     for e in movable:
         components.setdefault(find(e), set()).add(e)
 
-    comps = list(components.values())
-    claimed = set()
-    chosen = []
-    for comp in sorted(comps, key=lambda c: sorted(map(str, c))):
-        key = frozenset(comp)
-        if key in claimed:
+    # xi maps components to components, so a mirrored one is skipped whole
+    d_edges, mirrored = set(f_edges), set()
+    for comp in sorted(components.values(), key=lambda c: sorted(map(str, c))):
+        if comp <= mirrored:
             continue
-        mirror = frozenset(lifted.emap[e] for e in comp)
-        if mirror == key:
+        mirror = {lifted.emap[e] for e in comp}
+        if mirror == comp:
             raise AssertionError("a complement component is xi-invariant")
-        claimed.add(key)
-        claimed.add(mirror)
-        chosen.append(comp)
-
-    d_edges = set(f_edges)
-    for comp in chosen:
+        mirrored |= mirror
         d_edges |= comp
-    d_vertices = set(f_vertices)
-    for e in d_edges:
-        d_vertices.update(sub.ends[e])
+    d_vertices = f_vertices.union(*(sub.ends[e] for e in d_edges))
     # fixed vertices incident only to mirrored components still belong to D
     return DoubleTree(sub, lifted, frozenset(d_vertices), frozenset(d_edges),
                       f_vertices, f_edges)

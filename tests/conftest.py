@@ -210,6 +210,100 @@ def oracle_homology_trace(aut) -> int:
     return edges - vertices + components
 
 
+def oracle_subdivide_inverted_edges(graph, xi):
+    """Cut every xi-inverted edge at its midpoint, in two passes over the
+    edges: the subdivided graph, the lifted involution and the midpoints."""
+    inverted = [e for e in graph.edges if xi.emap[e] == e and xi.flip(e)]
+    verts = list(graph.vertices) + [("mid", e) for e in inverted]
+    recs = []
+    for e in graph.edges:
+        if e in inverted:
+            recs.append((("half", e, 0), graph.iota(e), ("mid", e)))
+            recs.append((("half", e, 1), ("mid", e), graph.tau(e)))
+        else:
+            recs.append((e, graph.iota(e), graph.tau(e)))
+    sub = graphs.make_graph(verts, recs)
+
+    vmap = {v: xi.vmap[v] for v in graph.vertices}
+    for e in inverted:
+        vmap[("mid", e)] = ("mid", e)
+    emap = {}
+    flips = {}
+    for e in graph.edges:
+        if e in inverted:
+            emap[("half", e, 0)] = ("half", e, 1)
+            emap[("half", e, 1)] = ("half", e, 0)
+            flips[("half", e, 0)] = True
+            flips[("half", e, 1)] = True
+        else:
+            target = xi.emap[e]
+            if target in inverted:
+                raise AssertionError("involution maps a plain edge to a cut edge")
+            emap[e] = target
+            flips[e] = xi.flip(e)
+    lifted = graphs.GraphAut(sub, vmap, emap, flips)
+    return sub, lifted, frozenset(("mid", e) for e in inverted)
+
+
+def oracle_double_tree(graph, xi):
+    """The double tree built from per-vertex lists of the moved edges,
+    choosing the components first and collecting D after."""
+    if not graphs.flips_all_simple_loops(graph, xi):
+        return None
+    if not graph.is_connected():
+        raise ValueError("graph must be connected")
+    if not graph.edges:
+        raise ValueError("graph must have at least one edge")
+
+    sub, lifted, midpoints = oracle_subdivide_inverted_edges(graph, xi)
+    f_vertices = frozenset(v for v in sub.vertices if lifted.vmap[v] == v)
+    f_edges = frozenset(e for e in sub.edges
+                        if lifted.emap[e] == e and not lifted.flip(e))
+
+    movable = [e for e in sub.edges if e not in f_edges]
+    find, union = graphs._union_find(movable)
+    by_vertex: dict = {}
+    for e in movable:
+        for v in sub.ends[e]:
+            if v not in f_vertices:
+                by_vertex.setdefault(v, []).append(e)
+    for group in by_vertex.values():
+        for e in group[1:]:
+            union(group[0], e)
+
+    components: dict = {}
+    for e in movable:
+        components.setdefault(find(e), set()).add(e)
+
+    comps = list(components.values())
+    claimed = set()
+    chosen = []
+    for comp in sorted(comps, key=lambda c: sorted(map(str, c))):
+        key = frozenset(comp)
+        if key in claimed:
+            continue
+        mirror = frozenset(lifted.emap[e] for e in comp)
+        if mirror == key:
+            raise AssertionError("a complement component is xi-invariant")
+        claimed.add(key)
+        claimed.add(mirror)
+        chosen.append(comp)
+
+    d_edges = set(f_edges)
+    for comp in chosen:
+        d_edges |= comp
+    d_vertices = set(f_vertices)
+    for e in d_edges:
+        d_vertices.update(sub.ends[e])
+    return graphs.DoubleTree(sub, lifted, frozenset(d_vertices), frozenset(d_edges),
+                             f_vertices, f_edges)
+
+
+def oracle_valence(graph, v) -> int:
+    """Edge ends at v, from a scan of every edge; a loop counts twice."""
+    return sum((io == v) + (ta == v) for io, ta in map(graph.ends.get, graph.edges))
+
+
 def _aut_key(aut):
     g = aut.graph
     return (tuple(aut.vmap[v] for v in g.vertices),

@@ -951,7 +951,55 @@ class TestFailureBoundary:
     def test_unwritable_output_path(self, tmp_path, monkeypatch, capsys, argv):
         argv = [a.format(missing=tmp_path / "missing", directory=tmp_path) for a in argv]
         monkeypatch.chdir(tmp_path)
-        assert_usage_error(run(argv), capsys)
+        assert_usage_error(run(argv), capsys, quiet=True)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["induce", "--n", "3", "--out", "r.json", "--json", "r.json"],
+        ["induce", "--n", "3", "--out", "./r.json", "--json=r.json"],
+        ["induce", "--n", "3", "--json", "induced_n3_mu2.json"],
+    ], ids=["same-name", "same-file", "default-out"])
+    def test_out_and_json_on_one_file_refused(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert_usage_error(run(argv), capsys, quiet=True)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,obj", [
+        (["decompose", "--rep"], to_json(signed_permutation_rep(3))),
+        (["graph", "homology", "--file"], to_json(graphs.cage(3))),
+    ], ids=["decompose", "graph"])
+    def test_json_on_an_input_file_refused(self, tmp_path, monkeypatch, capsys,
+                                          command, obj):
+        monkeypatch.chdir(tmp_path)
+        path = write_json(tmp_path, obj)
+        before = open(path).read()
+        assert_usage_error(run([*command, path, "--json", "./input.json"]), capsys,
+                           quiet=True)
+        assert open(path).read() == before
+
+    @pytest.mark.parametrize("argv,patch", [
+        (["gersten", "--n", "3", "--json", "r.json"], (words, "verify_gersten")),
+        (["section4", "--n", "3", "--json", "r.json"], (cover, "verify_ia_action_tables")),
+        (["induce", "--n", "3", "--out", "m.json", "--json", "r.json"],
+         (induced.InducedRep, "relator_report")),
+        (["graph", "double-tree", "--builtin", "cage:3", "--xi", "vertex-swap",
+          "--json", "r.json"], (graphs, "double_tree_decomposition")),
+    ], ids=["gersten", "section4", "induce", "double-tree"])
+    def test_fault_in_the_checks_leaves_no_report(self, tmp_path, monkeypatch, argv, patch):
+        def broken(*args):
+            raise RuntimeError("checks failed")
+        monkeypatch.setattr(*patch, broken)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").write_text("an earlier report\n")
+        assert run(argv) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_arguments_remove_an_existing_report(self, tmp_path, monkeypatch,
+                                                         capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").write_text("an earlier report\n")
+        assert_usage_error(run(["gersten", "--n", "11", "--json", "r.json"]), capsys,
+                           quiet=True)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fault", [RuntimeError, AssertionError, KeyError])

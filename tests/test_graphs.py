@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_builtin_action, oracle_compose, oracle_doubled_cage_maps,
-                      oracle_edge_orbits, oracle_elements, oracle_homology_trace,
+from conftest import (benchmark_inputs, oracle_builtin_action, oracle_compose,
+                      oracle_double_tree, oracle_doubled_cage_maps, oracle_edge_orbits, oracle_elements, oracle_homology_trace,
                       oracle_identity, oracle_is_identity, oracle_is_perfect,
                       oracle_min_loop, oracle_orientation_obstruction,
                       oracle_parity_involution, oracle_simple_cycles,
-                      oracle_trivial_multiplicity, oracle_word_aut, simple_loops,
-                      to_json)
+                      oracle_subdivide_inverted_edges, oracle_trivial_multiplicity,
+                      oracle_valence, oracle_word_aut, simple_loops, to_json)
 from outfn import actions, cli, graphs, symreps
 from outfn.linalg import Matrix
 
@@ -337,6 +337,36 @@ class TestMinLoopAndObstruction:
             assert graphs.admissibility_obstruction(g) == (brute[0] if brute else None)
 
 
+def double_tree_corpus() -> list:
+    """``(label, graph, involution)`` for every builtin involution the
+    graph admits: cages and roses with 1 to 20 edges, daisy chains with 2
+    to 20 joints, and the benchmark's relabelled cages."""
+    builders = [("cage", graphs.cage, range(1, 21)), ("rose", graphs.rose, range(1, 21)),
+                ("daisy", graphs.daisy_chain, range(2, 21))]
+    cases = [(f"{name}:{k}", build(k), xi) for name, build, ks in builders
+             for k in ks for xi in cli._INVOLUTIONS]
+    inputs = benchmark_inputs()
+    cases += [(f"cage_graph_file({seed}, {k})",
+               graphs.Graph.from_json(inputs.cage_graph_file(seed, k)["graph"]), xi)
+              for seed in range(1, 6) for k in (3, 5, 9, 16)
+              for xi in ("vertex-swap", "def57")]
+    corpus = []
+    for label, g, name in cases:
+        try:
+            corpus.append((f"{label} {name}", g, cli._INVOLUTIONS[name](g)))
+        except ValueError:
+            pass  # the involution is not defined on this graph
+    return corpus
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: its value, or the type and text it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
 class TestAdmissibility:
     def test_full_cage_action_is_admissible(self):
         assert graphs.is_admissible(actions.cage_full(5))
@@ -358,6 +388,19 @@ class TestAdmissibility:
         act = actions.trivial_action(graphs.rose(2))
         assert graphs.invariant_forests(act) == []
         assert graphs.is_admissible(act)
+
+    def test_valences_match_a_per_vertex_count(self):
+        rng = random.Random(33)
+        small = [graphs.rose(k) for k in range(1, 6)] + [graphs.barbell()]
+        small += [graphs.cover_of_rose(k) for k in range(2, 6)]
+        small += [random_multigraph(rng) for _ in range(40)]
+        assert any(g.is_loop(e) for g in small[-40:] for e in g.edges)
+        for g in small:
+            [_, (name, holds, details), _] = graphs.admissibility_conditions(
+                actions.trivial_action(g))
+            want = {str(v): oracle_valence(g, v) for v in g.vertices}
+            assert list(details["valences"].items()) == list(want.items())
+            assert holds == (2 not in want.values())
 
     def test_forest_orbits_match_orbit_union_brute_force(self):
         rng = random.Random(4)
@@ -489,6 +532,26 @@ class TestFlipsAndDoubleTree:
         assert dt.f_edges == frozenset({"r"})
         assert dt.f_vertices == frozenset({"c", "z"})
         assert len(dt.d_edges) == 2
+
+    def test_matches_the_two_pass_oracle(self):
+        corpus = double_tree_corpus()
+        results = set()
+        for label, g, xi in corpus:
+            sub, lifted = graphs.subdivide_inverted_edges(g, xi)
+            assert (sub, lifted) == oracle_subdivide_inverted_edges(g, xi)[:2], label
+            got = outcome(graphs.double_tree_decomposition, g, xi)
+            want = outcome(oracle_double_tree, g, xi)
+            if isinstance(want, graphs.DoubleTree):
+                assert isinstance(got, graphs.DoubleTree), label
+                for field in graphs.DoubleTree.__slots__:
+                    assert getattr(got, field) == getattr(want, field), (label, field)
+                assert list(got.subdivided.vertices) == list(want.subdivided.vertices)
+                results.add("split")
+            else:
+                assert got == want, label
+                results.add("none" if want is None else "raises")
+        assert results == {"split", "none"}
+        assert len(corpus) > 100
 
 
 class TestInvariantOrientation:
