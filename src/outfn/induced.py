@@ -91,7 +91,7 @@ def act_on_mask(inverse: Endomorphism, mask: int) -> int:
         raise TypeError("act_on_mask takes the images of a^-1, such as a.backward")
     out = 0
     for k, img in enumerate(inverse.images):
-        out |= (sum(mask >> (abs(x) - 1) & 1 for x in img.letters) & 1) << k
+        out |= (sum(mask >> (abs(x) - 1) & 1 for x in img) & 1) << k
     return out
 
 

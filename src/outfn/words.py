@@ -1,15 +1,16 @@
 """Free-group words, Nielsen moves, and inner detection.
 
-A word in the free group of rank n is a tuple of nonzero integers:
-``k`` stands for the k-th generator, ``-k`` for its inverse, and every
-stored word is freely reduced.  An element of Out(F_n) is a token word
-in the Nielsen generators.  CLI paths evaluate it by Nielsen moves
-only: each letter rewrites one or a few forward images, and deciding
-innerness reads only those, so no inverse table is built or certified.
-Each letter is checked once, inline, and a product of reduced words
-tests its seam first: ``u + v`` stands unless the letters there cancel.
-The certified ``Automorphism`` is the tests' composition oracle; it
-stays here only while the benchmark tracer pins it.
+A word in the free group of rank n is a tuple of nonzero integers: ``k``
+stands for the k-th generator, ``-k`` for its inverse, and every stored
+word is freely reduced.  An endomorphism holds its images as such tuples;
+a ``Word`` is the checked value of one word.  An element of Out(F_n) is a
+token word in the Nielsen generators.  CLI paths evaluate it by Nielsen
+moves only: each letter rewrites one or a few forward images, and
+deciding innerness reads only those, so no inverse table is built or
+certified.  Each letter is checked once, inline, and a product of reduced
+words tests its seam first: ``u + v`` stands unless the letters there
+cancel.  The certified ``Automorphism`` is the tests' composition oracle;
+it stays here only while the benchmark tracer pins it.
 
 Conventions, fixed once and used everywhere:
 
@@ -45,12 +46,7 @@ class Word:
         self.rank = rank
         if rank < 1:
             raise ValueError("rank must be at least 1")
-        for x in letters:
-            if not isinstance(x, int) or x == 0 or abs(x) > rank:
-                raise ValueError(f"letter {x!r} out of range for rank {rank}")
-        for a, b in zip(letters, letters[1:]):
-            if a == -b:
-                raise ValueError("word is not freely reduced")
+        _check_word(letters, rank)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -74,8 +70,15 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def to_json(self):
-        return list(self.letters)
+
+def _check_word(letters, rank: int) -> None:
+    """Refuse a letter out of range for the rank, or a cancelling pair."""
+    for x in letters:
+        if not isinstance(x, int) or x == 0 or abs(x) > rank:
+            raise ValueError(f"letter {x!r} out of range for rank {rank}")
+    for a, b in zip(letters, letters[1:]):
+        if a == -b:
+            raise ValueError("word is not freely reduced")
 
 
 def _inv(u: tuple) -> tuple:
@@ -112,6 +115,8 @@ def generator_word(i: int, rank: int) -> Word:
 
 
 class Endomorphism:
+    """``images[k]`` is the image of a_{k+1}, a reduced letter tuple."""
+
     __slots__ = ("rank", "images")
 
     def __init__(self, rank: int, images: tuple):
@@ -122,8 +127,9 @@ class Endomorphism:
         if len(images) != rank:
             raise ValueError("need one image per generator")
         for img in images:
-            if not isinstance(img, Word) or img.rank != rank:
-                raise ValueError("image rank mismatch")
+            if not isinstance(img, tuple):
+                raise ValueError("an image is not a tuple of letters")
+            _check_word(img, rank)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -138,19 +144,19 @@ class Endomorphism:
             raise ValueError("rank mismatch")
         out = ()
         for x in w.letters:
-            img = self.images[abs(x) - 1].letters
+            img = self.images[abs(x) - 1]
             out = _join(out, img if x > 0 else _inv(img))
         return Word(out, self.rank)
 
     def fixes_generators(self) -> bool:
-        return all(img.letters == (i + 1,) for i, img in enumerate(self.images))
+        return all(img == (i + 1,) for i, img in enumerate(self.images))
 
 
 def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
     """The endomorphism sending w to f(g(w))."""
     if f.rank != g.rank:
         raise ValueError("rank mismatch")
-    return Endomorphism(f.rank, tuple(f.apply(img) for img in g.images))
+    return Endomorphism(f.rank, tuple(f.apply(Word(u, f.rank)).letters for u in g.images))
 
 
 class Automorphism:
@@ -274,13 +280,15 @@ def relator_automorphism(n: int, token_word) -> Endomorphism:
     or unhashable kind is a ``ValueError``), so no inverse table is
     built or certified.  Each letter's indices are checked afresh, with
     no verdict kept between letters: ``("rho", 1.0, 2)`` equals a valid
-    letter and must still be refused.  The moved tuples are valid words
-    of rank n by construction, so ``_moved_images`` does not scan them
-    again: they start as the generators ``(k,)``; a move checks its
-    indices before it touches a tuple, so it only reads and writes the n
-    images; and each move rewrites tuples with ``_join`` and ``_inv``
-    alone, which keep reduced tuples in range reduced and in range.
+    letter and must still be refused.  The moved tuples become the
+    images with no check of ``Endomorphism``, as they are valid: they
+    start as the generators ``(k,)``; a move checks its indices before
+    it touches a tuple, so it only reads and writes the n images; and
+    each move rewrites tuples with ``_join`` and ``_inv`` alone, which
+    keep reduced tuples in range reduced and in range.
     """
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     img = [(k,) for k in range(1, n + 1)]
     for (kind, i, j), e in token_word:
         try:
@@ -288,26 +296,8 @@ def relator_automorphism(n: int, token_word) -> Endomorphism:
         except (KeyError, TypeError):
             raise ValueError(f"unknown generator kind {kind!r}") from None
         move(img, i, j, e)
-    return _moved_images(n, img)
-
-
-def _moved_images(n: int, img) -> Endomorphism:
-    """The ``Endomorphism`` with image tuples ``img``, built without the
-    letter checks of ``Word`` and ``Endomorphism``.  Only for the move
-    engine's tuples, which are valid words (see ``relator_automorphism``);
-    no move changes the length of the list, which holds n images for
-    every n >= 1, so the rank is the one thing left to check.
-    """
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    new = object.__new__
-    words = []
-    for u in img:
-        w = new(Word)
-        w.letters, w.rank = u, n
-        words.append(w)
-    endo = new(Endomorphism)
-    endo.rank, endo.images = n, tuple(words)
+    endo = object.__new__(Endomorphism)
+    endo.rank, endo.images = n, tuple(img)
     return endo
 
 
@@ -327,7 +317,7 @@ def rho(i: int, j: int, n: int) -> Automorphism:
 def inner(w: Word) -> Endomorphism:
     """The forward images of the inner automorphism c_w: x -> w^-1 x w."""
     n = w.rank
-    return Endomorphism(n, tuple(Word(_conj((k,), w.letters), n) for k in range(1, n + 1)))
+    return Endomorphism(n, tuple(_conj((k,), w.letters) for k in range(1, n + 1)))
 
 
 def _check_index(i, n):
@@ -363,8 +353,8 @@ def is_inner(a):
     only the identity is inner, and the empty word is returned for it.
     """
     n = a.rank
-    imgs = [w.letters for w in a.images]
-    if imgs == [(k,) for k in range(1, n + 1)]:
+    imgs = a.images
+    if imgs == tuple((k,) for k in range(1, n + 1)):
         return Word((), n)
     if n == 1:
         return None
@@ -496,8 +486,7 @@ def verify_gersten(n: int) -> dict:
     rows = []
     for family, label, token_word in gersten_relators(n):
         endo = relator_automorphism(n, token_word)
-        images = None if is_inner(endo) is not None else [
-            w.to_json() for w in endo.images]
+        images = None if is_inner(endo) is not None else [list(w) for w in endo.images]
         rows.append((family, label, images))
     families = family_report((family, label, images is None)
                              for family, label, images in rows)
@@ -527,7 +516,7 @@ def abelianize(a) -> Matrix:
     cols = []
     for img in a.images:
         v = [0] * a.rank
-        for x in img.letters:
+        for x in img:
             v[abs(x) - 1] += 1 if x > 0 else -1
         cols.append(v)
     m = Matrix.from_columns(cols)

@@ -582,6 +582,42 @@ def generator(n, kind, i=None, j=None) -> words.Automorphism:
     return words.automorphism(n, [((kind, i, j), 1)])
 
 
+def oracle_token_images(n, token_word) -> list:
+    """The forward images of a token word as ``Word``s, by substitution.
+
+    Each letter's generator (or its inverse) is written out as the
+    images of a_1..a_n, and ``acc * g`` sends a_k to acc(g(a_k)), so
+    the rightmost letter acts first.  Only ``Word`` arithmetic is used.
+    """
+    gens = [words.generator_word(k, n) for k in range(1, n + 1)]
+    acc = list(gens)
+    for (kind, i, j), e in token_word:
+        g = list(gens)
+        if kind in ("rho", "lam"):
+            aj = gens[j - 1] if e > 0 else gens[j - 1].inverse()
+            g[i - 1] = gens[i - 1] * aj if kind == "rho" else aj * gens[i - 1]
+        elif kind == "eps":
+            g[i - 1] = gens[i - 1].inverse()
+        elif kind == "sigma":
+            g[i - 1], g[j - 1] = gens[j - 1], gens[i - 1]
+        elif kind == "sigma_star":
+            ai = gens[i - 1].inverse()
+            g = [ai if k == i else gens[k - 1] * ai for k in range(1, n + 1)]
+        else:
+            assert kind == "delta", kind
+            g = [a.inverse() for a in gens]
+        acc = [_substitute(acc, w) for w in g]
+    return acc
+
+
+def _substitute(images, w) -> words.Word:
+    """The word w with each a_k replaced by ``images[k - 1]``."""
+    out = words.Word((), w.rank)
+    for x in w.letters:
+        out = out * (images[x - 1] if x > 0 else images[-x - 1].inverse())
+    return out
+
+
 def partial_conjugation(i, j, n) -> words.Automorphism:
     """rho_ij * lam_ij^-1: conjugates a_i by a_j, fixes the rest."""
     return words.rho(i, j, n) * generator(n, "lam", i, j).inverse()

@@ -289,12 +289,20 @@ class TestSection4:
         assert run(["section4", "--n", "3"]) == 0
         assert calls == [3]
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_deck_eigenspaces_are_checked_once(self, tmp_path, n):
+        out = tmp_path / "s.json"
+        assert run(["section4", "--n", str(n), "--json", str(out)]) == 0
+        names = [c["name"] for c in load_report(out)["checks"]]
+        assert len(names) == n + 4
+        assert sum("deck eigenspace" in name for name in names) == 1
+
     # sha256 of the --json report
     GOLDEN = {
-        "3": "6bc23c1412570a77d00cd79c6e1c7c7a88f08421f384fb1e10d7ebda22933d87",
-        "4": "8f836dd938a1d1957309ad32449db1a91aea4514bc07acfaec8e7c96fb6cbe08",
-        "5": "53c3768cc0e5080f7164673e792f0518f52debd7462aeb21ca52c858abb23161",
-        "6": "8162b656301641f09b8246f72f9186c8e4ab0fc77cf8ecb8e6123a00a2e5e91f",
+        "3": "f652d34489a6bb23eafbcc314e5d14db8954832b5f8e2f43bff6cc6250aa469a",
+        "4": "9153995f7184121a716d9a8503addcc52408d4c5bb40a5a5cdea0a623d0593ba",
+        "5": "374e3183b0edf6d811d9f109a9d17855ae3bc4447158e2e7454b66082b7ff086",
+        "6": "46622bf77f157a4726b9a5da60047b94caa4aacd1b9dcfcfea9201618d7499b1",
     }
 
     @pytest.mark.parametrize("n", list(GOLDEN))

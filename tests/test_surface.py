@@ -56,7 +56,6 @@ KEPT = {
     "words.Word.__mul__": "value API",
     "words.Word.inverse": "value API",
     "words.Word.is_identity": "value API",
-    "words.Word.to_json": "failure path",  # the images of a failing relator
     "words.Endomorphism.__eq__": "value API",
     "words.Endomorphism.__hash__": "value API",
     "words._sigma_star_move": "ROADMAP item 10",

@@ -34,7 +34,7 @@ def word(letters, rank=3):
 
 
 def endo(*images, rank=3):
-    return W.Endomorphism(rank, tuple(word(u, rank) for u in images))
+    return W.Endomorphism(rank, tuple(tuple(u) for u in images))
 
 
 # Each entry builds one object from fresh field values, so two calls
@@ -124,10 +124,14 @@ class TestConstructorChecks:
             word([2, 1, -1])
 
     def test_endomorphism_images(self):
-        with pytest.raises(ValueError, match=r"^need one image per generator$"):
-            endo([1], [2])
-        with pytest.raises(ValueError, match=r"^image rank mismatch$"):
-            W.Endomorphism(2, (word([1], 2), word([2], 3)))
+        for images, message in [
+                ((word([1], 2), (2,)), r"^an image is not a tuple of letters$"),
+                (([1], (2,)), r"^an image is not a tuple of letters$"),
+                (((1,), (2, 1, -1)), r"^word is not freely reduced$"),
+                (((1,), (3,)), r"^letter 3 out of range for rank 2$"),
+                (((1,), (2,), (1,)), r"^need one image per generator$")]:
+            with pytest.raises(ValueError, match=message):
+                W.Endomorphism(2, images)
 
     def test_backward_table_not_an_inverse(self):
         a = W.rho(1, 2, 3)

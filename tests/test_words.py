@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import empty_word, generator, oracle_act_on_mask, reduce_word
+from conftest import (empty_word, generator, oracle_act_on_mask, oracle_token_images,
+                      reduce_word)
 from outfn import induced, words as W
 
 
@@ -103,7 +104,7 @@ def oracle_apply(endo, w):
     """The image of w, one letter at a time on a cancellation stack."""
     out = []
     for x in w.letters:
-        img = endo.images[abs(x) - 1].letters
+        img = endo.images[abs(x) - 1]
         seq = img if x > 0 else tuple(-y for y in reversed(img))
         for y in seq:
             if out and out[-1] == -y:
@@ -123,7 +124,7 @@ def reduced(n, max_size):
 def endomorphisms_and_words(draw):
     """A random endomorphism, not necessarily invertible, and a word."""
     n = draw(st.integers(1, 4))
-    images = tuple(draw(reduced(n, 6)) for _ in range(n))
+    images = tuple(draw(reduced(n, 6)).letters for _ in range(n))
     return W.Endomorphism(n, images), draw(reduced(n, 10))
 
 
@@ -327,7 +328,7 @@ class TestInnerReadOff:
         misses = 0
         for k in range(1, n + 1):
             for v in [empty_word(n)] + [W.generator_word(j, n) * w for j in range(1, n + 1)]:
-                img = v.inverse() * W.generator_word(k, n) * v
+                img = (v.inverse() * W.generator_word(k, n) * v).letters
                 if img != images[k - 1]:
                     misses += 1
                     near = images[:k - 1] + (img,) + images[k:]
@@ -338,7 +339,7 @@ class TestInnerReadOff:
 class TestIdentityExit:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_identity_images_agree_with_the_oracle(self, n):
-        gens = tuple(W.generator_word(k, n) for k in range(1, n + 1))
+        gens = tuple((k,) for k in range(1, n + 1))
         for a in (W.Endomorphism(n, gens), W.automorphism(n, []),
                   W.relator_automorphism(n, [])):
             assert W.is_inner(a) == oracle_is_inner(a) == empty_word(n)
@@ -347,12 +348,12 @@ class TestIdentityExit:
     def test_one_changed_image_agrees_with_the_oracle(self, n):
         # a_k -> a_k^2 or a_k^-1 is never inner; a_k -> a_j a_k a_j^-1 is
         # inner at rank 2 only, where c_{a_j^-1} also fixes a_j
-        gens = tuple(W.generator_word(k, n) for k in range(1, n + 1))
+        gens = tuple((k,) for k in range(1, n + 1))
         inner = 0
         for k in range(1, n + 1):
             j = k % n + 1
             for letters in [(k, k), (-k,)] + ([(j, k, -j)] if n > 1 else []):
-                a = W.Endomorphism(n, gens[:k - 1] + (W.Word(letters, n),) + gens[k:])
+                a = W.Endomorphism(n, gens[:k - 1] + (letters,) + gens[k:])
                 found = W.is_inner(a)
                 assert found == oracle_is_inner(a)
                 inner += found is not None
@@ -445,7 +446,7 @@ def oracle_is_inner(a):
     oracle for the read-off in ``is_inner``.  ``a`` is an
     ``Automorphism`` or an ``Endomorphism``; only its images are read."""
     n = a.rank
-    images = a.images
+    images = tuple(W.Word(img, n) for img in a.images)
     if n == 1:
         return empty_word(1) if images == (W.generator_word(1, 1),) else None
     u1 = images[0]
@@ -503,7 +504,7 @@ HAND_TABLES = {
 
 
 def image_lists(endo):
-    return [list(w.letters) for w in endo.images]
+    return [list(w) for w in endo.images]
 
 
 class TestRelatorMoves:
@@ -523,21 +524,30 @@ class TestRelatorMoves:
         # most flips are not inner, so both verdicts are exercised
         assert len(flips) // 2 < outer <= len(flips)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_relator_images_are_the_substituted_letters(self, n):
+        for _, _, word in W.gersten_relators(n):
+            images = W.relator_automorphism(n, word).images
+            assert all(type(img) is tuple for img in images)
+            assert images == tuple(w.letters for w in oracle_token_images(n, word))
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(token_words())
     def test_images_agree_with_the_oracle_on_every_kind(self, case):
         n, word = case
-        assert W.relator_automorphism(n, word) == oracle_relator_automorphism(n, word).forward
+        endo = W.relator_automorphism(n, word)
+        assert endo == oracle_relator_automorphism(n, word).forward
+        assert endo.images == tuple(w.letters for w in oracle_token_images(n, word))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(token_words())
     def test_moved_images_pass_full_validation(self, case):
-        # the move engine builds its words without checks; the checked
+        # the move engine builds its images without checks; the checked
         # constructors are the oracle that they are valid
         n, word = case
         endo = W.relator_automorphism(n, word)
         for img in endo.images:
-            assert W.Word(img.letters, n) == img
+            assert type(img) is tuple and W.Word(img, n).letters == img
         assert W.Endomorphism(n, endo.images) == endo
 
     @pytest.mark.parametrize("token", sorted(HAND_TABLES, key=str))
@@ -657,7 +667,7 @@ class TestFunctionalAction:
 class TestJson:
     def test_automorphism_rejects_a_table_that_is_not_an_inverse(self):
         def endo(n, images):
-            return W.Endomorphism(n, tuple(W.Word(tuple(w), n) for w in images))
+            return W.Endomorphism(n, tuple(tuple(w) for w in images))
         for forward, backward in (
                 (W.rho(1, 2, 3).forward, endo(3, [[1, 2], [2], [3]])),
                 (generator(3, "eps", 1).forward, endo(3, [[1], [2], [3]])),
