@@ -30,8 +30,6 @@ import itertools
 
 from .linalg import Matrix, _identity_rows
 from .words import (
-    Word,
-    generator_word,
     inner,
     relator_automorphism,
     rho,  # noqa: F401  unused; perfbench/test_smoke.py traces it through this module
@@ -55,32 +53,27 @@ def stabilizes_base_functional(a) -> bool:
 
 
 def schreier_symbols(n: int) -> list:
-    """Names and defining words of the free basis of the kernel."""
+    """Names and defining letter tuples of the free basis of the kernel."""
     if n < 2:
         raise ValueError("needs rank at least 2")
-    syms = []
-    for i in range(1, n):
-        syms.append((f"x{i}", Word((i,), n)))
-    for i in range(1, n):
-        syms.append((f"y{i}", Word((n, i, -n), n)))
-    syms.append(("z", Word((n, n), n)))
-    return syms
+    return ([(f"x{i}", (i,)) for i in range(1, n)]
+            + [(f"y{i}", (n, i, -n)) for i in range(1, n)] + [("z", (n, n))])
 
 
-def rewrite_in_kernel(w: Word) -> tuple:
-    """Rewrite a kernel element in the Schreier basis.
+def rewrite_in_kernel(w: tuple, n: int) -> tuple:
+    """Rewrite a kernel element, a reduced letter tuple of rank n, in the
+    Schreier basis.
 
     Scans the word tracking which coset of the kernel the prefix lies
     in; raises when the total parity of the last generator is odd (the
     word is then not in the kernel).  Symbols are returned as
     (index, +-1) pairs in the x_1..x_{n-1}, y_1..y_{n-1}, z ordering.
     """
-    n = w.rank
     if n < 2:
         raise ValueError("needs rank at least 2")
     out = []
     state = 0
-    for x in w.letters:
+    for x in w:
         sign = 1 if x > 0 else -1
         if abs(x) < n:
             out.append((abs(x) - 1 + state * (n - 1), sign))
@@ -113,7 +106,7 @@ def cover_matrix(a) -> Matrix:
     d = 2 * n - 1
     grid = [[0] * d for _ in range(d)]
     for j, (_, definition) in enumerate(schreier_symbols(n)):
-        for index, e in rewrite_in_kernel(a.apply(definition)):
+        for index, e in rewrite_in_kernel(a.apply(definition), n):
             grid[index][j] += e
     return Matrix(grid)
 
@@ -233,12 +226,12 @@ def verify_ia_action_tables(n: int) -> dict:
     # each remaining check is a family of its own
     ident = Matrix.identity(n - 1)
     singles = [(f"conjugation by generator {i}",
-                minus_eigenspace_matrix(inner(generator_word(i, n)))
+                minus_eigenspace_matrix(inner((i,), n))
                 == (-ident if i == n else ident))
                for i in range(1, n + 1)]
     singles.append(("deck eigenspace dimensions", deck_eigenspace_dims(n) == (n, n - 1)))
     singles.append(("deck matrix is conjugation by the last generator",
-                    cover_matrix(inner(generator_word(n, n))) == deck_matrix(n)))
+                    cover_matrix(inner((n,), n)) == deck_matrix(n)))
     checks += [{"family": name, "name": name, "ok": ok} for name, ok in singles]
 
     return {

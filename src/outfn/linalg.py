@@ -76,16 +76,27 @@ def _identity_rows(n: int) -> list:
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
+# ``int`` and ``Fraction`` refuse over 4300 digits, but an exponent gets
+# round that: ``Fraction("1e10000000")`` builds a 33-million-bit integer
+# from ten characters.  So an entry's decimal exponent has the same bound.
+MAX_ENTRY_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def _entry_from_json(x):
     """``_frac(Fraction(str(x)))``, with integer literals parsed as ``int``.
 
     ``str`` of a JSON int is such a literal too; every other entry (and
-    every rejection) goes through ``Fraction``.
+    every rejection) goes through ``Fraction``, once an exponent beyond
+    ``MAX_ENTRY_EXPONENT`` in magnitude is refused.
     """
     s = str(x)
-    return int(s) if _INTEGER.fullmatch(s) else _frac(Fraction(s))
+    if _INTEGER.fullmatch(s):
+        return int(s)
+    exp = _EXPONENT.search(s)
+    if exp and abs(int(exp[1])) > MAX_ENTRY_EXPONENT:
+        raise ValueError(f"entry {s!r} has an exponent beyond {MAX_ENTRY_EXPONENT}")
+    return _frac(Fraction(s))
 
 
 class Matrix:

@@ -2,15 +2,16 @@
 
 A word in the free group of rank n is a tuple of nonzero integers: ``k``
 stands for the k-th generator, ``-k`` for its inverse, and every stored
-word is freely reduced.  An endomorphism holds its images as such tuples;
-a ``Word`` is the checked value of one word.  An element of Out(F_n) is a
-token word in the Nielsen generators.  CLI paths evaluate it by Nielsen
-moves only: each letter rewrites one or a few forward images, and
-deciding innerness reads only those, so no inverse table is built or
-certified.  Each letter is checked once, inline, and a product of reduced
-words tests its seam first: ``u + v`` stands unless the letters there
-cancel.  The certified ``Automorphism`` is the tests' composition oracle;
-it stays here only while the benchmark tracer pins it.
+word is freely reduced.  Every word is such a tuple, an image or a
+conjugator alike, with its rank passed beside it where one is needed.
+An element of Out(F_n) is a token word in the Nielsen generators.  CLI
+paths evaluate it by Nielsen moves only: each letter rewrites one or a
+few forward images, and deciding innerness reads only those, so no
+inverse table is built or certified.  Each letter is checked once,
+inline, and a product of reduced words tests its seam first: ``u + v``
+stands unless the letters there cancel.  The certified ``Automorphism``
+is the tests' composition oracle; it stays here only while the
+benchmark tracer pins it.
 
 Conventions, fixed once and used everywhere:
 
@@ -34,41 +35,6 @@ from .linalg import Matrix
 
 # ---------------------------------------------------------------------------
 # words
-
-
-class Word:
-    """A freely reduced word; ``letters`` may be empty (the identity)."""
-
-    __slots__ = ("letters", "rank")
-
-    def __init__(self, letters: tuple, rank: int):
-        self.letters = letters
-        self.rank = rank
-        if rank < 1:
-            raise ValueError("rank must be at least 1")
-        _check_word(letters, rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.letters, self.rank) == (other.letters, other.rank)
-
-    def __hash__(self):
-        return hash((self.letters, self.rank))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return Word(_join(self.letters, other.letters), self.rank)
-
-    def inverse(self) -> "Word":
-        return Word(_inv(self.letters), self.rank)
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
 
 def _check_word(letters, rank: int) -> None:
@@ -106,10 +72,6 @@ def _conj(x: tuple, w: tuple) -> tuple:
     return _join(_join(_inv(w), x), w)
 
 
-def generator_word(i: int, rank: int) -> Word:
-    return Word((i,), rank)
-
-
 # ---------------------------------------------------------------------------
 # endomorphisms and automorphisms
 
@@ -139,14 +101,13 @@ class Endomorphism:
     def __hash__(self):
         return hash((self.rank, self.images))
 
-    def apply(self, w: Word) -> Word:
-        if w.rank != self.rank:
-            raise ValueError("rank mismatch")
+    def apply(self, w: tuple) -> tuple:
+        _check_word(w, self.rank)
         out = ()
-        for x in w.letters:
+        for x in w:
             img = self.images[abs(x) - 1]
             out = _join(out, img if x > 0 else _inv(img))
-        return Word(out, self.rank)
+        return out
 
     def fixes_generators(self) -> bool:
         return all(img == (i + 1,) for i, img in enumerate(self.images))
@@ -156,7 +117,7 @@ def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
     """The endomorphism sending w to f(g(w))."""
     if f.rank != g.rank:
         raise ValueError("rank mismatch")
-    return Endomorphism(f.rank, tuple(f.apply(Word(u, f.rank)).letters for u in g.images))
+    return Endomorphism(f.rank, tuple(f.apply(u) for u in g.images))
 
 
 class Automorphism:
@@ -199,7 +160,7 @@ class Automorphism:
         """The forward images, as for an ``Endomorphism``."""
         return self.forward.images
 
-    def apply(self, w: Word) -> Word:
+    def apply(self, w: tuple) -> tuple:
         return self.forward.apply(w)
 
     def inverse(self) -> "Automorphism":
@@ -314,10 +275,11 @@ def rho(i: int, j: int, n: int) -> Automorphism:
     return automorphism(n, [(("rho", i, j), 1)])
 
 
-def inner(w: Word) -> Endomorphism:
-    """The forward images of the inner automorphism c_w: x -> w^-1 x w."""
-    n = w.rank
-    return Endomorphism(n, tuple(_conj((k,), w.letters) for k in range(1, n + 1)))
+def inner(w: tuple, n: int) -> Endomorphism:
+    """The forward images of c_w: x -> w^-1 x w at rank n.  A letter of
+    w out of range, an unreduced w or n < 1 is a ``ValueError``."""
+    _check_word(w, n)
+    return Endomorphism(n, tuple(_conj((k,), w) for k in range(1, n + 1)))
 
 
 def _check_index(i, n):
@@ -337,7 +299,8 @@ def _check_pair(i, j, n):
 
 
 def is_inner(a):
-    """Return the conjugating word w with a = c_w, or None.
+    """The conjugator w with a = c_w, a letter tuple, or None; the
+    identity's is ``()``, which is falsy, so test with ``is None``.
 
     ``a`` is an ``Automorphism`` or an ``Endomorphism``; only the
     forward images are read.  For n >= 2 the centre of F_n is trivial,
@@ -355,7 +318,7 @@ def is_inner(a):
     n = a.rank
     imgs = a.images
     if imgs == tuple((k,) for k in range(1, n + 1)):
-        return Word((), n)
+        return ()
     if n == 1:
         return None
     u = imgs[0][len(imgs[0]) // 2 + 1:]
@@ -363,7 +326,7 @@ def is_inner(a):
     w = _join(v[len(v) // 2 + 1:], u)
     wi = _inv(w)  # each _conj((k,), w) below, with w^-1 built once
     if all(img == _join(_join(wi, (k,)), w) for k, img in enumerate(imgs, 1)):
-        return Word(w, n)
+        return w
     return None
 
 

@@ -583,39 +583,40 @@ def generator(n, kind, i=None, j=None) -> words.Automorphism:
 
 
 def oracle_token_images(n, token_word) -> list:
-    """The forward images of a token word as ``Word``s, by substitution.
+    """The forward images of a token word as letter tuples, by substitution.
 
     Each letter's generator (or its inverse) is written out as the
     images of a_1..a_n, and ``acc * g`` sends a_k to acc(g(a_k)), so
-    the rightmost letter acts first.  Only ``Word`` arithmetic is used.
+    the rightmost letter acts first.  Words are concatenated and then
+    freely reduced by ``reduce_word``; ``words._join`` is not used.
     """
-    gens = [words.generator_word(k, n) for k in range(1, n + 1)]
+    gens = [(k,) for k in range(1, n + 1)]
     acc = list(gens)
     for (kind, i, j), e in token_word:
         g = list(gens)
         if kind in ("rho", "lam"):
-            aj = gens[j - 1] if e > 0 else gens[j - 1].inverse()
-            g[i - 1] = gens[i - 1] * aj if kind == "rho" else aj * gens[i - 1]
+            aj = (j,) if e > 0 else (-j,)
+            g[i - 1] = (i,) + aj if kind == "rho" else aj + (i,)
         elif kind == "eps":
-            g[i - 1] = gens[i - 1].inverse()
+            g[i - 1] = (-i,)
         elif kind == "sigma":
-            g[i - 1], g[j - 1] = gens[j - 1], gens[i - 1]
+            g[i - 1], g[j - 1] = (j,), (i,)
         elif kind == "sigma_star":
-            ai = gens[i - 1].inverse()
-            g = [ai if k == i else gens[k - 1] * ai for k in range(1, n + 1)]
+            g = [(-i,) if k == i else (k, -i) for k in range(1, n + 1)]
         else:
             assert kind == "delta", kind
-            g = [a.inverse() for a in gens]
-        acc = [_substitute(acc, w) for w in g]
+            g = [(-k,) for k in range(1, n + 1)]
+        acc = [_substitute(acc, w, n) for w in g]
     return acc
 
 
-def _substitute(images, w) -> words.Word:
-    """The word w with each a_k replaced by ``images[k - 1]``."""
-    out = words.Word((), w.rank)
-    for x in w.letters:
-        out = out * (images[x - 1] if x > 0 else images[-x - 1].inverse())
-    return out
+def _substitute(images, w, n) -> tuple:
+    """The word w with each a_k replaced by ``images[k - 1]``, reduced."""
+    out = ()
+    for x in w:
+        img = images[abs(x) - 1]
+        out += img if x > 0 else tuple(-y for y in reversed(img))
+    return reduce_word(out, n)
 
 
 def partial_conjugation(i, j, n) -> words.Automorphism:
@@ -685,8 +686,8 @@ def oracle_act_on_mask(a, mask) -> int:
 # ``words._join``, and the builder of raw test input
 
 
-def reduce_word(letters, rank: int) -> words.Word:
-    """Freely reduce a raw letter sequence.
+def reduce_word(letters, rank: int) -> tuple:
+    """Freely reduce a raw letter sequence to a letter tuple.
 
     Stack-based cancellation; the result does not depend on the order in
     which adjacent inverse pairs are removed (confluence of free
@@ -700,11 +701,7 @@ def reduce_word(letters, rank: int) -> words.Word:
             out.pop()
         else:
             out.append(x)
-    return words.Word(tuple(out), rank)
-
-
-def empty_word(rank: int) -> words.Word:
-    return words.Word((), rank)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,7 @@ def test_criterion_2_cover_formula_tables():
         assert out["ok"], [c for c in out["checks"] if not c["ok"]]
         ident = Matrix.identity(n - 1)
         for i in range(1, n + 1):
-            got = cover.minus_eigenspace_matrix(
-                words.inner(words.generator_word(i, n)))
+            got = cover.minus_eigenspace_matrix(words.inner((i,), n))
             assert got == (ident.scale(-1) if i == n else ident)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
@@ -210,7 +209,7 @@ def test_criterion_8_cross_module_consistency():
     for n in (3, 4, 5, 6):
         g = graphs.cover_of_rose(n)
         assert g.rank() == 2 * n - 1 == len(cover.schreier_symbols(n))
-        can = words.inner(words.generator_word(n, n))
+        can = words.inner((n,), n)
         assert cover.cover_matrix(can) == cover.deck_matrix(n)
         assert cover.deck_eigenspace_dims(n) == (n, n - 1)
     announce(8, "cross module consistency", "cover rank, deck matrix, eigenspaces")

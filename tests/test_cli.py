@@ -262,6 +262,20 @@ class TestDecompose:
         assert run(["decompose", "--rep", path]) == 0
         assert len(calls) <= budget
 
+    @pytest.mark.parametrize("entry, code", [
+        ("1e10000000", 2), ("1e-10000000", 2), ("1e4300", 0), ("1e-4300", 0)])
+    def test_entry_exponent_is_bounded(self, tmp_path, capsys, entry, code):
+        # Fraction("1e10000000") would build a 33-million-bit integer
+        obj = benchmark_inputs().signed_exterior_square_rep_file(1, 4)
+        obj["generators"]["rho12"]["entries"][0][0] = entry
+        assert run(["decompose", "--rep", write_json(tmp_path, obj)]) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == "" and err == ("error: cannot read rep file: entry "
+                                         f"'{entry}' has an exponent beyond 4300\n")
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("entry", [True, [1]], ids=["true", "list"])
     def test_non_string_entries_are_input_errors(self, tmp_path, capsys, entry):
         obj = to_json(signed_permutation_rep(3))

@@ -452,13 +452,23 @@ class TestElimination:
         st.integers(), st.integers().map(str), st.booleans(), st.floats(),
         st.tuples(st.integers(), st.integers(-9, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
         st.sampled_from(["+3", " 3", "3 ", "1_000", "-0", "00", "3.0", "1e3",
-                         "\u0663", "--3", "", "-", "3/", "nan", "inf", "True"]),
+                         "\u0663", "--3", "", "-", "3/", "nan", "inf", "True",
+                         "1e4300", "1E-4300", "1e4301", "-2.5e-4301", "1e10000000"]),
         st.text(max_size=6),
     ))
     def test_json_entries_parse_as_fraction_of_str(self, x):
         # integer literals take a shortcut to int; every other entry, and
-        # every rejection, must be what Fraction(str(x)) gives
-        oracle = lambda y: linalg._frac(Fraction(str(y)))  # noqa: E731
+        # every rejection, must be what Fraction(str(x)) gives, except that
+        # a decimal exponent beyond 4300 in magnitude is refused first
+        def oracle(y):
+            _, e, exp = str(y).lower().rpartition("e")
+            try:
+                too_big = bool(e) and abs(int(exp)) > 4300
+            except ValueError:
+                too_big = False
+            if too_big:
+                raise ValueError("exponent beyond 4300")
+            return linalg._frac(Fraction(str(y)))
         assert self._outcome(linalg._entry_from_json, x) == self._outcome(oracle, x)
 
     @pytest.mark.parametrize("x, outcome", [

@@ -50,12 +50,6 @@ KEPT = {
     "words.compose": "benchmark",
     "words.automorphism": "benchmark",
     "words.rho": "benchmark",
-    "words.Word.__eq__": "value API",
-    "words.Word.__hash__": "value API",
-    "words.Word.__len__": "value API",
-    "words.Word.__mul__": "value API",
-    "words.Word.inverse": "value API",
-    "words.Word.is_identity": "value API",
     "words.Endomorphism.__eq__": "value API",
     "words.Endomorphism.__hash__": "value API",
     "words._sigma_star_move": "ROADMAP item 10",

@@ -29,10 +29,6 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert not {"argparse", "gettext", "locale"} & set(out)
 
 
-def word(letters, rank=3):
-    return W.Word(tuple(letters), rank)
-
-
 def endo(*images, rank=3):
     return W.Endomorphism(rank, tuple(tuple(u) for u in images))
 
@@ -40,7 +36,6 @@ def endo(*images, rank=3):
 # Each entry builds one object from fresh field values, so two calls
 # give equal but distinct objects; ``other`` differs in one field.
 HASHED = {
-    "Word": (lambda: word([1, -2]), [lambda: word([1, 2]), lambda: word([1, -2], 4)]),
     "Endomorphism": (lambda: endo([1, 2], [2], [3]),
                      [lambda: endo([1], [2], [3]),
                       lambda: endo([1, 2], [2], [3], [4], rank=4)]),
@@ -97,18 +92,24 @@ class TestEquality:
         assert a != object() and a != None  # noqa: E711
 
 
+# The two functions that take a letter tuple from a caller, and check it.
+WORD_TAKERS = (lambda w: W.inner(w, 3), endo([1], [2], [3]).apply)
+
+
 class TestConstructorChecks:
     def test_letter_out_of_range(self):
-        with pytest.raises(ValueError, match=r"^letter 4 out of range for rank 3$"):
-            word([1, 4])
-        with pytest.raises(ValueError, match=r"^letter 0 out of range for rank 3$"):
-            word([0])
-        with pytest.raises(ValueError, match=r"^letter 1\.0 out of range for rank 3$"):
-            word([1.0])
+        for take in WORD_TAKERS:
+            with pytest.raises(ValueError, match=r"^letter 4 out of range for rank 3$"):
+                take((1, 4))
+            with pytest.raises(ValueError, match=r"^letter 0 out of range for rank 3$"):
+                take((0,))
+            with pytest.raises(ValueError, match=r"^letter 1\.0 out of range for rank 3$"):
+                take((1.0,))
 
     def test_rank(self):
-        with pytest.raises(ValueError, match=r"^rank must be at least 1$"):
-            W.Word((), 0)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=r"^rank must be at least 1$"):
+                W.inner((), n)
 
     @pytest.mark.parametrize("build", [
         lambda: W.Endomorphism(0, ()),
@@ -120,12 +121,13 @@ class TestConstructorChecks:
             build()
 
     def test_unreduced_word(self):
-        with pytest.raises(ValueError, match=r"^word is not freely reduced$"):
-            word([2, 1, -1])
+        for take in WORD_TAKERS:
+            with pytest.raises(ValueError, match=r"^word is not freely reduced$"):
+                take((2, 1, -1))
 
     def test_endomorphism_images(self):
         for images, message in [
-                ((word([1], 2), (2,)), r"^an image is not a tuple of letters$"),
+                ((range(1, 2), (2,)), r"^an image is not a tuple of letters$"),
                 (([1], (2,)), r"^an image is not a tuple of letters$"),
                 (((1,), (2, 1, -1)), r"^word is not freely reduced$"),
                 (((1,), (3,)), r"^letter 3 out of range for rank 2$"),

@@ -5,8 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (empty_word, generator, oracle_act_on_mask, oracle_token_images,
-                      reduce_word)
+from conftest import generator, oracle_act_on_mask, oracle_token_images, reduce_word
 from outfn import induced, words as W
 
 
@@ -16,13 +15,13 @@ def lift(seq, n=3):
 
 class TestReduce:
     def test_cancellation(self):
-        assert reduce_word([1, -1], 2).letters == ()
+        assert reduce_word([1, -1], 2) == ()
 
     def test_single_cancellation(self):
-        assert reduce_word([1, 2, -2, 3], 3).letters == (1, 3)
+        assert reduce_word([1, 2, -2, 3], 3) == (1, 3)
 
     def test_nested_cancellation(self):
-        assert reduce_word([2, -1, 1, -2], 2).letters == ()
+        assert reduce_word([2, -1, 1, -2], 2) == ()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -32,12 +31,14 @@ class TestReduce:
 
     def test_constructor_rejects_unreduced(self):
         with pytest.raises(ValueError):
-            W.Word((1, -1), 2)
+            W.inner((1, -1), 2)
+        with pytest.raises(ValueError):
+            W.Endomorphism(2, ((1,), (2,))).apply((1, -1))
 
     @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=24))
     def test_idempotent(self, seq):
         once = reduce_word(seq, 3)
-        assert reduce_word(once.letters, 3) == once
+        assert reduce_word(once, 3) == once
 
     @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=20),
            st.integers(0, 2 ** 30))
@@ -51,7 +52,7 @@ class TestReduce:
                 break
             i = rng.choice(spots)
             del work[i:i + 2]
-        assert tuple(work) == reduce_word(seq, 3).letters
+        assert tuple(work) == reduce_word(seq, 3)
 
 
 @st.composite
@@ -59,15 +60,15 @@ def join_cases(draw):
     """Reduced u and v at rank <= 3; v is any reduced word, u's inverse
     (full cancellation), or u's inverse suffix followed by more letters."""
     n = draw(st.integers(1, 3))
-    u = draw(reduced(n, 8)).letters
+    u = draw(reduced(n, 8))
     kind = draw(st.sampled_from(["any", "inverse", "partial"]))
     if kind == "any":
-        v = draw(reduced(n, 8)).letters
+        v = draw(reduced(n, 8))
     elif kind == "inverse":
         v = W._inv(u)
     else:
         k = draw(st.integers(0, len(u)))
-        v = reduce_word(W._inv(u[len(u) - k:]) + draw(reduced(n, 4)).letters, n).letters
+        v = reduce_word(W._inv(u[len(u) - k:]) + draw(reduced(n, 4)), n)
     return n, u, v
 
 
@@ -81,29 +82,29 @@ class TestJoin:
     @example((3, (1, 2, -3), (3, -2, -1)))
     def test_join_agrees_with_reduce_word(self, case):
         n, u, v = case
-        assert W._join(u, v) == reduce_word(u + v, n).letters
+        assert W._join(u, v) == reduce_word(u + v, n)
 
 
 class TestApply:
     def test_rho_on_first_generator(self):
-        assert W.rho(1, 2, 3).apply(lift([1])).letters == (1, 2)
+        assert W.rho(1, 2, 3).apply(lift([1])) == (1, 2)
 
     def test_eps_on_word(self):
-        assert generator(3, "eps", 1).apply(lift([1, 2])).letters == (-1, 2)
+        assert generator(3, "eps", 1).apply(lift([1, 2])) == (-1, 2)
 
     def test_identity(self):
         w = lift([1, -2, 3, 3])
         assert W.automorphism(3, []).apply(w) == w
 
     def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            W.rho(1, 2, 3).forward.apply(reduce_word([1], 4))
+        with pytest.raises(ValueError, match=r"^letter 4 out of range for rank 3$"):
+            W.rho(1, 2, 3).forward.apply(reduce_word([4], 4))
 
 
 def oracle_apply(endo, w):
     """The image of w, one letter at a time on a cancellation stack."""
     out = []
-    for x in w.letters:
+    for x in w:
         img = endo.images[abs(x) - 1]
         seq = img if x > 0 else tuple(-y for y in reversed(img))
         for y in seq:
@@ -111,7 +112,7 @@ def oracle_apply(endo, w):
                 out.pop()
             else:
                 out.append(y)
-    return W.Word(tuple(out), endo.rank)
+    return tuple(out)
 
 
 def reduced(n, max_size):
@@ -124,7 +125,7 @@ def reduced(n, max_size):
 def endomorphisms_and_words(draw):
     """A random endomorphism, not necessarily invertible, and a word."""
     n = draw(st.integers(1, 4))
-    images = tuple(draw(reduced(n, 6)).letters for _ in range(n))
+    images = tuple(draw(reduced(n, 6)) for _ in range(n))
     return W.Endomorphism(n, images), draw(reduced(n, 10))
 
 
@@ -149,7 +150,7 @@ class TestCompose:
         # direct word computation: the image of a_1 must be a_1 a_3^-1
         r12, r23 = W.rho(1, 2, 3), W.rho(2, 3, 3)
         comm = r12.inverse() * r23.inverse() * r12 * r23
-        assert comm.apply(lift([1])).letters == (1, -3)
+        assert comm.apply(lift([1])) == (1, -3)
         assert comm.forward == W.rho(1, 3, 3).inverse().forward
 
     def test_every_generator_has_certified_inverse(self):
@@ -169,9 +170,9 @@ class TestCompose:
 class TestNielsen:
     def test_sigma_star_images(self):
         a = generator(4, "sigma_star", 1)
-        assert a.apply(lift([1], 4)).letters == (-1,)
+        assert a.apply(lift([1], 4)) == (-1,)
         for j in (2, 3, 4):
-            assert a.apply(reduce_word([j], 4)).letters == (j, -1)
+            assert a.apply(reduce_word([j], 4)) == (j, -1)
 
     def test_delta_squared(self):
         d = generator(4, "delta")
@@ -196,11 +197,20 @@ class TestNielsen:
 
 class TestInner:
     def test_identity_is_inner(self):
-        assert W.is_inner(W.automorphism(3, [])).letters == ()
+        assert W.is_inner(W.automorphism(3, [])) == ()
 
     def test_explicit_conjugation(self):
-        w = W.is_inner(W.inner(W.generator_word(2, 3)))
-        assert w.letters == (2,)
+        w = W.is_inner(W.inner((2,), 3))
+        assert w == (2,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_conjugator_is_a_plain_tuple(self, n):
+        # the identity's conjugator () is falsy but not None
+        found = W.is_inner(W.relator_automorphism(n, []))
+        assert found is not None and type(found) is tuple and found == ()
+        for w in [(j,) for j in range(2, n + 1)] + ([(-1, 2)] if n > 1 else []):
+            found = W.is_inner(W.inner(w, n))
+            assert type(found) is tuple and found == w
 
     def test_total_twist(self):
         # the product of all partial conjugations into a fixed index j
@@ -210,7 +220,7 @@ class TestInner:
         for i in range(1, n + 1):
             if i != j:
                 prod = prod * (W.rho(i, j, n) * generator(n, "lam", i, j).inverse())
-        assert W.is_inner(prod).letters == (j,)
+        assert W.is_inner(prod) == (j,)
 
     def test_not_inner(self):
         assert W.is_inner(W.rho(1, 2, 3)) is None
@@ -223,9 +233,9 @@ class TestInner:
             seq = [rng.choice([s * i for i in range(1, n + 1) for s in (1, -1)])
                    for _ in range(rng.randint(0, 6))]
             w = reduce_word(seq, n)
-            found = W.is_inner(W.inner(w))
+            found = W.is_inner(W.inner(w, n))
             assert found is not None
-            assert W.inner(found) == W.inner(w)
+            assert W.inner(found, n) == W.inner(w, n)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_conjugation_by_a_generator_is_the_total_twist(self, n):
@@ -235,8 +245,8 @@ class TestInner:
                   if family == "total twist is inner"}
         for j in range(1, n + 1):
             moved = W.relator_automorphism(n, twists[f"j={j}"])
-            assert W.inner(W.generator_word(j, n)).images == moved.images
-            assert W.is_inner(moved).letters == (j,)
+            assert W.inner((j,), n).images == moved.images
+            assert W.is_inner(moved) == (j,)
 
 
 def reduced_words(n, max_len):
@@ -246,7 +256,7 @@ def reduced_words(n, max_len):
     for _ in range(max_len):
         frontier = [w + (x,) for w in frontier for x in letters if not w or w[-1] != -x]
         out += frontier
-    return [W.Word(w, n) for w in out]
+    return out
 
 
 def total_twist(j, n):
@@ -283,9 +293,10 @@ class TestInnerBruteForce:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from([2, 3]).flatmap(lambda n: st.lists(
         st.sampled_from([s * i for i in range(1, n + 1) for s in (1, -1)]), max_size=3)
-        .map(lambda seq: reduce_word(seq, n))))
-    def test_recovers_the_conjugator(self, w):
-        assert W.is_inner(W.inner(w)) == w
+        .map(lambda seq: (reduce_word(seq, n), n))))
+    def test_recovers_the_conjugator(self, case):
+        w, n = case
+        assert W.is_inner(W.inner(w, n)) == w
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(short_nielsen_products())
@@ -294,7 +305,7 @@ class TestInnerBruteForce:
         # letters, so every conjugator is at most this long
         bound = (max(len(img) for img in a.forward.images) - 1) // 2
         conjugators = [w for w in reduced_words(a.rank, bound)
-                       if W.inner(w) == a.forward]
+                       if W.inner(w, a.rank) == a.forward]
         found = W.is_inner(a)
         if found is None:
             assert conjugators == []
@@ -312,8 +323,8 @@ class TestInnerReadOff:
     @pytest.mark.parametrize("t", range(-6, 7))
     @pytest.mark.parametrize("tail", TAILS)
     def test_leading_generator_runs(self, t, tail):
-        w = W.Word((1 if t > 0 else -1,) * abs(t) + tail, 3)
-        a = W.inner(w)
+        w = (1 if t > 0 else -1,) * abs(t) + tail
+        a = W.inner(w, 3)
         assert W.is_inner(a) == w == oracle_is_inner(a)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -323,12 +334,12 @@ class TestInnerReadOff:
         # under another word v.  The images left alone pin any conjugator
         # to w (two generators have trivial common centraliser), so the
         # result is not inner once the replaced image has changed.
-        w = W.Word((1, 1) + tail, n)
-        images = W.inner(w).images
+        w = (1, 1) + tail
+        images = W.inner(w, n).images
         misses = 0
         for k in range(1, n + 1):
-            for v in [empty_word(n)] + [W.generator_word(j, n) * w for j in range(1, n + 1)]:
-                img = (v.inverse() * W.generator_word(k, n) * v).letters
+            for v in [()] + [reduce_word((j,) + w, n) for j in range(1, n + 1)]:
+                img = conjugate((k,), v, n)
                 if img != images[k - 1]:
                     misses += 1
                     near = images[:k - 1] + (img,) + images[k:]
@@ -342,7 +353,7 @@ class TestIdentityExit:
         gens = tuple((k,) for k in range(1, n + 1))
         for a in (W.Endomorphism(n, gens), W.automorphism(n, []),
                   W.relator_automorphism(n, [])):
-            assert W.is_inner(a) == oracle_is_inner(a) == empty_word(n)
+            assert W.is_inner(a) == oracle_is_inner(a) == ()
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_one_changed_image_agrees_with_the_oracle(self, n):
@@ -441,29 +452,34 @@ def oracle_relator_automorphism(n, token_word):
     return acc
 
 
+def conjugate(x, w, n):
+    """w^-1 x w at rank n, freely reduced by ``reduce_word``."""
+    return reduce_word([-y for y in reversed(w)] + list(x) + list(w), n)
+
+
 def oracle_is_inner(a):
-    """A bounded conjugator search on ``Word`` arithmetic, the slow
-    oracle for the read-off in ``is_inner``.  ``a`` is an
-    ``Automorphism`` or an ``Endomorphism``; only its images are read."""
+    """A bounded conjugator search on letter tuples reduced by
+    ``reduce_word``, the slow oracle for the read-off in ``is_inner``.
+    ``a`` is an ``Automorphism`` or an ``Endomorphism``; only its
+    images are read."""
     n = a.rank
-    images = tuple(W.Word(img, n) for img in a.images)
+    images = a.images
     if n == 1:
-        return empty_word(1) if images == (W.generator_word(1, 1),) else None
+        return () if images == ((1,),) else None
     u1 = images[0]
     if len(u1) % 2 == 0:
         return None
     mid = len(u1) // 2
-    if u1.letters[mid] != 1:
+    if u1[mid] != 1:
         return None
-    tail = W.Word(u1.letters[mid + 1:], n)
-    if tail.inverse() * W.generator_word(1, n) * tail != u1:
+    tail = reduce_word(u1[mid + 1:], n)
+    if conjugate((1,), tail, n) != u1:
         return None
     bound = max(len(img) for img in images)
-    gens = [W.generator_word(i, n) for i in range(1, n + 1)]
     for t in range(0, bound + 1):
         for sign in ((1,) if t == 0 else (1, -1)):
-            w = W.Word((sign,) * t, n) * tail
-            if all(images[k] == w.inverse() * gens[k] * w
+            w = reduce_word((sign,) * t + tail, n)
+            if all(images[k] == conjugate((k + 1,), w, n)
                    for k in range(n)):
                 return w
     return None
@@ -529,7 +545,7 @@ class TestRelatorMoves:
         for _, _, word in W.gersten_relators(n):
             images = W.relator_automorphism(n, word).images
             assert all(type(img) is tuple for img in images)
-            assert images == tuple(w.letters for w in oracle_token_images(n, word))
+            assert images == tuple(oracle_token_images(n, word))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(token_words())
@@ -537,7 +553,7 @@ class TestRelatorMoves:
         n, word = case
         endo = W.relator_automorphism(n, word)
         assert endo == oracle_relator_automorphism(n, word).forward
-        assert endo.images == tuple(w.letters for w in oracle_token_images(n, word))
+        assert endo.images == tuple(oracle_token_images(n, word))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(token_words())
@@ -547,7 +563,7 @@ class TestRelatorMoves:
         n, word = case
         endo = W.relator_automorphism(n, word)
         for img in endo.images:
-            assert type(img) is tuple and W.Word(img, n).letters == img
+            assert type(img) is tuple and reduce_word(img, n) == img
         assert W.Endomorphism(n, endo.images) == endo
 
     @pytest.mark.parametrize("token", sorted(HAND_TABLES, key=str))
