@@ -30,22 +30,23 @@ import itertools
 
 from .linalg import Matrix, _identity_rows
 from .words import (
+    apply,
     inner,
     relator_automorphism,
     rho,  # noqa: F401  unused; perfbench/test_smoke.py traces it through this module
 )
 
 
-def stabilizes_base_functional(a) -> bool:
-    """Does the automorphism fix the base functional?
+def stabilizes_base_functional(imgs: tuple) -> bool:
+    """Does the automorphism with forward images ``imgs`` fix the base
+    functional?
 
     Equivalently: the parity of the last generator in the image of a_i
-    is 1 exactly when i = n, which is what is read off here, so ``a``
-    may be an ``Automorphism`` or just its forward ``Endomorphism``.
+    is 1 exactly when i = n, which is what is read off here.
     """
-    n = a.rank
+    n = len(imgs)
     return all(sum(abs(x) == n for x in img) % 2 == (i == n - 1)
-               for i, img in enumerate(a.images))
+               for i, img in enumerate(imgs))
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +93,20 @@ def rewrite_in_kernel(w: tuple, n: int) -> tuple:
 # the matrix representations
 
 
-def cover_matrix(a) -> Matrix:
-    """The (2n-1)-dimensional representation of the stabiliser.
+def cover_matrix(imgs: tuple) -> Matrix:
+    """The (2n-1)-dimensional representation of the stabiliser, at the
+    automorphism with forward images ``imgs``.
 
     Integer matrix of the action on the abelianised kernel: column j is
     the exponent vector of the rewritten image of the j-th basis symbol.
-    Only forward images are read, so ``a`` may be an ``Automorphism``
-    or an ``Endomorphism``.
     """
-    n = a.rank
-    if not stabilizes_base_functional(a):
+    n = len(imgs)
+    if not stabilizes_base_functional(imgs):
         raise ValueError("automorphism does not stabilise the base functional")
     d = 2 * n - 1
     grid = [[0] * d for _ in range(d)]
     for j, (_, definition) in enumerate(schreier_symbols(n)):
-        for index, e in rewrite_in_kernel(a.apply(definition), n):
+        for index, e in rewrite_in_kernel(apply(imgs, definition), n):
             grid[index][j] += e
     return Matrix(grid)
 
@@ -126,10 +126,10 @@ def deck_matrix(n: int) -> Matrix:
     return Matrix(grid)
 
 
-def minus_eigenspace_matrix(a) -> Matrix:
+def minus_eigenspace_matrix(imgs: tuple) -> Matrix:
     """Restriction to the (-1)-eigenspace of the deck involution, in the
-    basis alpha_i = x_i - y_i; ``a`` may be an ``Automorphism`` or an
-    ``Endomorphism``.
+    basis alpha_i = x_i - y_i, of the automorphism a with forward
+    images ``imgs``.
 
     Column i is the twisted count of the forward image a(a_i): each
     letter a_l^{+-1} with l < n adds +-1 to row l, negated when an odd
@@ -143,11 +143,11 @@ def minus_eigenspace_matrix(a) -> Matrix:
     projects to minus the first: the projection is exactly twice the
     image of alpha_i.
     """
-    n = a.rank
-    if not stabilizes_base_functional(a):
+    n = len(imgs)
+    if not stabilizes_base_functional(imgs):
         raise ValueError("automorphism does not stabilise the base functional")
     out = [[0] * (n - 1) for _ in range(n - 1)]
-    for i, img in enumerate(a.images[:n - 1]):
+    for i, img in enumerate(imgs[:n - 1]):
         sign = 1
         for x in img:
             if abs(x) == n:
@@ -157,9 +157,9 @@ def minus_eigenspace_matrix(a) -> Matrix:
     return Matrix(out)
 
 
-def commutes_with_deck(a) -> bool:
-    m = cover_matrix(a)
-    t = deck_matrix(a.rank)
+def commutes_with_deck(imgs: tuple) -> bool:
+    m = cover_matrix(imgs)
+    t = deck_matrix(len(imgs))
     return m * t == t * m
 
 

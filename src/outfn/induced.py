@@ -62,7 +62,6 @@ from math import comb
 
 from .linalg import Matrix, _product_rows, schur_square
 from .words import (
-    Endomorphism,
     _inv_word,
     abelianize,
     family_report,
@@ -77,20 +76,20 @@ from .cover import kernel_generators, minus_eigenspace_matrix
 # functionals as bitmasks, and the coset transversal
 
 
-def act_on_mask(inverse: Endomorphism, mask: int) -> int:
+def act_on_mask(inverse: tuple, mask: int) -> int:
     """Left action s -> s o ab2(a^-1) on mod-2 functionals, each a
     bitmask whose bit k reads the parity of a_{k+1}.
 
     ``inverse`` holds the images of a^-1: the move engine's images of
     the inverse word, or ``a.backward``.  Bit k of the image is the
-    parity of the letters of a^-1(a_{k+1}) that the mask selects.  An
-    ``Automorphism`` is refused, so that its forward images are never
-    read in place of the inverse's.
+    parity of the letters of a^-1(a_{k+1}) that the mask selects.
+    Anything but a tuple is refused, an ``Automorphism`` among them, so
+    that its forward images are never read in place of the inverse's.
     """
-    if not isinstance(inverse, Endomorphism):
+    if not isinstance(inverse, tuple):
         raise TypeError("act_on_mask takes the images of a^-1, such as a.backward")
     out = 0
-    for k, img in enumerate(inverse.images):
+    for k, img in enumerate(inverse):
         out |= (sum(mask >> (abs(x) - 1) & 1 for x in img) & 1) << k
     return out
 

@@ -291,13 +291,11 @@ class EpsDecomposition:
     columns whose label has bit j-1.
     """
 
-    __slots__ = ("n", "ambient", "involutions", "spaces", "basis", "labels",
-                 "basis_inverse")
+    __slots__ = ("n", "ambient", "spaces", "basis", "labels", "basis_inverse")
 
-    def __init__(self, n: int, ambient: int, involutions: list, spaces: dict):
+    def __init__(self, n: int, ambient: int, spaces: dict):
         self.n = n
         self.ambient = ambient
-        self.involutions = involutions
         self.spaces = spaces
         self.basis = Matrix([[*itertools.chain.from_iterable(
             b.data[r] for b in spaces.values())] for r in range(ambient)],
@@ -372,7 +370,7 @@ def simultaneous_eigenspaces(involutions) -> EpsDecomposition:
                 raise ValueError("involutions do not commute")
         raise AssertionError("eigenspaces do not fill the space")
     bitmask_order = sorted(pieces, key=lambda s: sum(1 << (k - 1) for k in s))
-    return EpsDecomposition(len(mats), d, mats, {s: pieces[s] for s in bitmask_order})
+    return EpsDecomposition(len(mats), d, {s: pieces[s] for s in bitmask_order})
 
 
 def check_diamond(rep: FiniteRep, decomp: EpsDecomposition, i: int, j: int) -> bool:

@@ -4,6 +4,9 @@ A word in the free group of rank n is a tuple of nonzero integers: ``k``
 stands for the k-th generator, ``-k`` for its inverse, and every stored
 word is freely reduced.  Every word is such a tuple, an image or a
 conjugator alike, with its rank passed beside it where one is needed.
+An endomorphism is its tuple of images, one word per generator, and
+its rank is the length of that tuple; ``apply`` is where a caller's
+word is checked against that rank.
 An element of Out(F_n) is a token word in the Nielsen generators.  CLI
 paths evaluate it by Nielsen moves only: each letter rewrites one or a
 few forward images, and deciding innerness reads only those, so no
@@ -76,59 +79,35 @@ def _conj(x: tuple, w: tuple) -> tuple:
 # endomorphisms and automorphisms
 
 
-class Endomorphism:
-    """``images[k]`` is the image of a_{k+1}, a reduced letter tuple."""
-
-    __slots__ = ("rank", "images")
-
-    def __init__(self, rank: int, images: tuple):
-        self.rank = rank
-        self.images = images
-        if rank < 1:
-            raise ValueError("rank must be at least 1")
-        if len(images) != rank:
-            raise ValueError("need one image per generator")
-        for img in images:
-            if not isinstance(img, tuple):
-                raise ValueError("an image is not a tuple of letters")
-            _check_word(img, rank)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rank, self.images) == (other.rank, other.images)
-
-    def __hash__(self):
-        return hash((self.rank, self.images))
-
-    def apply(self, w: tuple) -> tuple:
-        _check_word(w, self.rank)
-        out = ()
-        for x in w:
-            img = self.images[abs(x) - 1]
-            out = _join(out, img if x > 0 else _inv(img))
-        return out
-
-    def fixes_generators(self) -> bool:
-        return all(img == (i + 1,) for i, img in enumerate(self.images))
+def apply(images: tuple, w: tuple) -> tuple:
+    """The image of the reduced letter tuple w under the endomorphism
+    whose generator images are ``images``; w is checked against their
+    number, the rank."""
+    _check_word(w, len(images))
+    out = ()
+    for x in w:
+        img = images[abs(x) - 1]
+        out = _join(out, img if x > 0 else _inv(img))
+    return out
 
 
-def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
-    """The endomorphism sending w to f(g(w))."""
-    if f.rank != g.rank:
+def compose(f: tuple, g: tuple) -> tuple:
+    """The images of the endomorphism sending w to f(g(w))."""
+    if len(f) != len(g):
         raise ValueError("rank mismatch")
-    return Endomorphism(f.rank, tuple(f.apply(u) for u in g.images))
+    return tuple(apply(f, u) for u in g)
 
 
 class Automorphism:
     """An automorphism with a certified inverse table, built by
-    ``automorphism``.  No CLI path builds one.  ``perfbench`` traces
-    ``__post_init__`` and wraps ``rho``, so this class, ``compose``,
-    ``automorphism`` and ``rho`` stay until the benchmark changes."""
+    ``automorphism``: ``forward`` and ``backward`` are image tuples.
+    No CLI path builds one.  ``perfbench`` traces ``__post_init__`` and
+    wraps ``rho``, so this class, ``compose``, ``automorphism`` and
+    ``rho`` stay until the benchmark changes."""
 
     __slots__ = ("forward", "backward")
 
-    def __init__(self, forward: Endomorphism, backward: Endomorphism):
+    def __init__(self, forward: tuple, backward: tuple):
         self.forward = forward
         self.backward = backward
         self.__post_init__()
@@ -136,11 +115,12 @@ class Automorphism:
     def __post_init__(self):
         """Certify the inverse table.  A method of its own, so that
         ``perfbench/tracer.py`` can count certifications."""
-        if self.forward.rank != self.backward.rank:
+        if len(self.forward) != len(self.backward):
             raise ValueError("rank mismatch")
-        if not compose(self.forward, self.backward).fixes_generators():
+        one = inner((), self.rank)  # the identity is c_w for the empty w
+        if compose(self.forward, self.backward) != one:
             raise ValueError("backward table is not a right inverse")
-        if not compose(self.backward, self.forward).fixes_generators():
+        if compose(self.backward, self.forward) != one:
             raise ValueError("backward table is not a left inverse")
 
     def __eq__(self, other):
@@ -153,15 +133,15 @@ class Automorphism:
 
     @property
     def rank(self) -> int:
-        return self.forward.rank
+        return len(self.forward)
 
     @property
     def images(self) -> tuple:
-        """The forward images, as for an ``Endomorphism``."""
-        return self.forward.images
+        """The forward images."""
+        return self.forward
 
     def apply(self, w: tuple) -> tuple:
-        return self.forward.apply(w)
+        return apply(self.forward, w)
 
     def inverse(self) -> "Automorphism":
         return Automorphism(self.backward, self.forward)
@@ -172,7 +152,7 @@ class Automorphism:
                             compose(other.backward, self.backward))
 
     def is_identity(self) -> bool:
-        return self.forward.fixes_generators()
+        return self.forward == inner((), self.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +213,7 @@ _MOVES = {
 }
 
 
-def relator_automorphism(n: int, token_word) -> Endomorphism:
+def relator_automorphism(n: int, token_word) -> tuple:
     """The forward images of a token word; rightmost letter acts first.
 
     Starting from the identity images, each letter ``((kind, i, j), e)``
@@ -241,12 +221,12 @@ def relator_automorphism(n: int, token_word) -> Endomorphism:
     or unhashable kind is a ``ValueError``), so no inverse table is
     built or certified.  Each letter's indices are checked afresh, with
     no verdict kept between letters: ``("rho", 1.0, 2)`` equals a valid
-    letter and must still be refused.  The moved tuples become the
-    images with no check of ``Endomorphism``, as they are valid: they
-    start as the generators ``(k,)``; a move checks its indices before
-    it touches a tuple, so it only reads and writes the n images; and
-    each move rewrites tuples with ``_join`` and ``_inv`` alone, which
-    keep reduced tuples in range reduced and in range.
+    letter and must still be refused.  The moved tuples are returned
+    unchecked, as they are valid: they start as the generators
+    ``(k,)``; a move checks its indices before it touches a tuple, so it
+    only reads and writes the n images; and each move rewrites tuples
+    with ``_join`` and ``_inv`` alone, which keep reduced tuples in
+    range reduced and in range.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
@@ -257,9 +237,7 @@ def relator_automorphism(n: int, token_word) -> Endomorphism:
         except (KeyError, TypeError):
             raise ValueError(f"unknown generator kind {kind!r}") from None
         move(img, i, j, e)
-    endo = object.__new__(Endomorphism)
-    endo.rank, endo.images = n, tuple(img)
-    return endo
+    return tuple(img)
 
 
 def automorphism(n: int, token_word) -> Automorphism:
@@ -275,11 +253,13 @@ def rho(i: int, j: int, n: int) -> Automorphism:
     return automorphism(n, [(("rho", i, j), 1)])
 
 
-def inner(w: tuple, n: int) -> Endomorphism:
+def inner(w: tuple, n: int) -> tuple:
     """The forward images of c_w: x -> w^-1 x w at rank n.  A letter of
     w out of range, an unreduced w or n < 1 is a ``ValueError``."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     _check_word(w, n)
-    return Endomorphism(n, tuple(_conj((k,), w) for k in range(1, n + 1)))
+    return tuple(_conj((k,), w) for k in range(1, n + 1))
 
 
 def _check_index(i, n):
@@ -298,16 +278,15 @@ def _check_pair(i, j, n):
 # inner detection
 
 
-def is_inner(a):
-    """The conjugator w with a = c_w, a letter tuple, or None; the
-    identity's is ``()``, which is falsy, so test with ``is None``.
+def is_inner(imgs: tuple):
+    """The conjugator w with a = c_w, a letter tuple, or None, for the
+    automorphism a with forward images ``imgs``; the identity's is
+    ``()``, which is falsy, so test with ``is None``.
 
-    ``a`` is an ``Automorphism`` or an ``Endomorphism``; only the
-    forward images are read.  For n >= 2 the centre of F_n is trivial,
-    so w is unique, and two images determine it.  Write ``w = a_1^t u``
-    with u not starting in a_1 or its inverse.  Then
-    ``a(a_1) = u^-1 a_1 u`` is reduced as written, so u is its suffix
-    after the middle letter; and ``u a(a_2) u^-1 = a_1^-t a_2 a_1^t``
+    For n >= 2 the centre of F_n is trivial, so w is unique, and two
+    images determine it.  Write ``w = a_1^t u`` with u not starting in
+    a_1 or its inverse.  Then ``a(a_1) = u^-1 a_1 u`` is reduced as
+    written, so u is its suffix after the middle letter; and ``u a(a_2) u^-1 = a_1^-t a_2 a_1^t``
     is reduced as written, so a_1^t is its suffix after the middle
     letter.  That one candidate is returned if it conjugates every
     generator to its image.  When every image is its own generator the
@@ -315,8 +294,7 @@ def is_inner(a):
     the read-off would return, so it is returned at once.  At rank 1
     only the identity is inner, and the empty word is returned for it.
     """
-    n = a.rank
-    imgs = a.images
+    n = len(imgs)
     if imgs == tuple((k,) for k in range(1, n + 1)):
         return ()
     if n == 1:
@@ -448,8 +426,8 @@ def verify_gersten(n: int) -> dict:
     """
     rows = []
     for family, label, token_word in gersten_relators(n):
-        endo = relator_automorphism(n, token_word)
-        images = None if is_inner(endo) is not None else [list(w) for w in endo.images]
+        imgs = relator_automorphism(n, token_word)
+        images = None if is_inner(imgs) is not None else [list(w) for w in imgs]
         rows.append((family, label, images))
     families = family_report((family, label, images is None)
                              for family, label, images in rows)
@@ -469,16 +447,16 @@ def verify_gersten(n: int) -> dict:
 # abelianisation
 
 
-def abelianize(a) -> Matrix:
-    """The induced matrix on the abelianisation, columns = images.
+def abelianize(imgs: tuple) -> Matrix:
+    """The induced matrix on the abelianisation of the automorphism with
+    forward images ``imgs``, columns = images.
 
-    Takes an ``Automorphism`` or the forward ``Endomorphism`` of one.
     The column convention makes this a homomorphism for ``*``; the
     determinant of the result is +1 or -1.
     """
     cols = []
-    for img in a.images:
-        v = [0] * a.rank
+    for img in imgs:
+        v = [0] * len(imgs)
         for x in img:
             v[abs(x) - 1] += 1 if x > 0 else -1
         cols.append(v)

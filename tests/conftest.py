@@ -630,13 +630,14 @@ def transvection_commutator(i, j, k, n) -> words.Automorphism:
     return a * b * a.inverse() * b.inverse()
 
 
-def oracle_minus_eigenspace_matrix(a) -> linalg.Matrix:
+def oracle_minus_eigenspace_matrix(imgs) -> linalg.Matrix:
     """Restriction to the (-1)-eigenspace of the deck involution, through
     the Schreier rewrite: in the basis alpha_i = x_i - y_i, the image of
     alpha_i is cover column x_i minus cover column y_i.  Commutation with
-    the deck involution is asserted while extracting the restriction."""
-    n = a.rank
-    m = cover.cover_matrix(a).data
+    the deck involution is asserted while extracting the restriction.
+    ``imgs`` are the forward images of the automorphism."""
+    n = len(imgs)
+    m = cover.cover_matrix(imgs).data
     d = 2 * n - 1
     out = [[0] * (n - 1) for _ in range(n - 1)]
     for i in range(n - 1):
@@ -672,7 +673,7 @@ def mask_to_functional(mask, n) -> tuple:
 def oracle_act_on_functional(a, s) -> tuple:
     """s -> s o ab2(a^-1), through the integer abelianisation of the
     certified inverse."""
-    m = words.abelianize(a.inverse()).data
+    m = words.abelianize(a.backward).data
     n = a.rank
     return tuple(int(sum(s[l] * m[l][k] for l in range(n))) % 2 for k in range(n))
 

@@ -276,6 +276,15 @@ class TestDecompose:
         else:
             assert err == ""
 
+    def test_singular_generator_is_an_input_error(self, tmp_path, capsys):
+        obj = benchmark_inputs().signed_exterior_square_rep_file(1, 4)
+        rho12 = obj["generators"]["rho12"]
+        rho12["entries"] = [["0"] * len(row) for row in rho12["entries"]]
+        assert run(["decompose", "--rep", write_json(tmp_path, obj)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and \
+            err == "error: cannot read rep file: generator 'rho12' is singular\n"
+
     @pytest.mark.parametrize("entry", [True, [1]], ids=["true", "list"])
     def test_non_string_entries_are_input_errors(self, tmp_path, capsys, entry):
         obj = to_json(signed_permutation_rep(3))

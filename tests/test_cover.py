@@ -58,10 +58,10 @@ class TestRewriting:
 
 class TestStabiliser:
     def test_low_transvections_stabilise(self):
-        assert cover.stabilizes_base_functional(W.rho(1, 2, 3))
+        assert cover.stabilizes_base_functional(W.rho(1, 2, 3).forward)
 
     def test_last_column_transvections_do_not(self):
-        assert not cover.stabilizes_base_functional(W.rho(1, 3, 3))
+        assert not cover.stabilizes_base_functional(W.rho(1, 3, 3).forward)
 
     def test_partial_conjugations_always_stabilise(self):
         for n in (3, 4):
@@ -69,18 +69,18 @@ class TestStabiliser:
                 for j in range(1, n + 1):
                     if i != j:
                         g = partial_conjugation(i, j, n)
-                        assert cover.stabilizes_base_functional(g)
+                        assert cover.stabilizes_base_functional(g.forward)
 
     def test_cover_matrix_requires_membership(self):
         with pytest.raises(ValueError):
-            cover.cover_matrix(W.rho(1, 3, 3))
+            cover.cover_matrix(W.rho(1, 3, 3).forward)
 
     def test_minus_eigenspace_matrix_requires_membership(self):
         for a in (W.rho(1, 3, 3), generator(3, "sigma", 2, 3), generator(4, "sigma_star", 4)):
             with pytest.raises(ValueError, match="does not stabilise"):
-                cover.minus_eigenspace_matrix(a)
-            with pytest.raises(ValueError, match="does not stabilise"):
                 cover.minus_eigenspace_matrix(a.forward)
+            with pytest.raises(ValueError, match="does not stabilise"):
+                cover.cover_matrix(a.forward)
 
 
 class TestCoverMatrix:
@@ -96,7 +96,7 @@ class TestCoverMatrix:
             assert m == cover.deck_matrix(n)
 
     def test_identity(self):
-        assert cover.cover_matrix(W.automorphism(3, [])).is_identity()
+        assert cover.cover_matrix(W.automorphism(3, []).forward).is_identity()
 
     def _g_pool(self, n, rng):
         pool = [generator(n, "eps", rng.randint(1, n))]
@@ -117,14 +117,14 @@ class TestCoverMatrix:
         pool = self._g_pool(n, rng)
         for _ in range(25):
             a, b = rng.choice(pool), rng.choice(pool)
-            assert cover.cover_matrix(a * b) == \
-                cover.cover_matrix(a) * cover.cover_matrix(b)
+            assert cover.cover_matrix((a * b).forward) == \
+                cover.cover_matrix(a.forward) * cover.cover_matrix(b.forward)
 
     def test_deck_commutation(self):
         rng = random.Random(77)
         n = 4
         for a in self._g_pool(n, rng):
-            assert cover.commutes_with_deck(a)
+            assert cover.commutes_with_deck(a.forward)
 
     def test_deck_eigenspace_dims(self):
         for n in (3, 4, 5, 6):
@@ -143,7 +143,7 @@ class TestMinusEigenspace:
     def test_partial_conjugation_into_last(self):
         n = 4
         for i in range(1, n):
-            got = cover.minus_eigenspace_matrix(partial_conjugation(i, n, n))
+            got = cover.minus_eigenspace_matrix(partial_conjugation(i, n, n).forward)
             want = [[1 if r == c else 0 for c in range(n - 1)]
                     for r in range(n - 1)]
             want[i - 1][i - 1] = -1
@@ -151,15 +151,15 @@ class TestMinusEigenspace:
 
     def test_commutator_with_last(self):
         n = 4
-        got = cover.minus_eigenspace_matrix(transvection_commutator(1, 2, n, n))
+        got = cover.minus_eigenspace_matrix(transvection_commutator(1, 2, n, n).forward)
         assert got.data[1][0] == 2     # alpha_1 gains 2 alpha_2
         assert got.data[0][0] == 1
-        got = cover.minus_eigenspace_matrix(transvection_commutator(1, n, 3, n))
+        got = cover.minus_eigenspace_matrix(transvection_commutator(1, n, 3, n).forward)
         assert got.data[2][0] == -2    # alpha_1 loses 2 alpha_3
 
     def test_low_commutators_act_trivially(self):
         n = 4
-        got = cover.minus_eigenspace_matrix(transvection_commutator(1, 2, 3, n))
+        got = cover.minus_eigenspace_matrix(transvection_commutator(1, 2, 3, n).forward)
         assert got.is_identity()
 
 
@@ -215,7 +215,7 @@ class TestTables:
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                m = cover.minus_eigenspace_matrix(partial_conjugation(i, j, n))
+                m = cover.minus_eigenspace_matrix(partial_conjugation(i, j, n).forward)
                 for l in range(1, n):
                     if l != i:
                         col = [row[l - 1] for row in m.data]
@@ -225,7 +225,7 @@ class TestTables:
 
 def coset_elements(n):
     """Every coset element t_target^-1 a t_mask of every stored generator
-    of the induced representation, as a forward endomorphism."""
+    of the induced representation, as its forward images."""
     transversal = induced.coset_transversal(n)
     tokens = [("eps", 1, None)] + [(kind, i, j) for i in range(1, n + 1)
                                    for j in range(1, n + 1) if i != j
@@ -243,7 +243,7 @@ def stabiliser_tokens(n):
     tokens = [(kind, i, j) for kind in ("rho", "lam", "sigma") for i, j in pairs]
     tokens += [(kind, i, None) for kind in ("eps", "sigma_star") for i in range(1, n + 1)]
     tokens.append(("delta", None, None))
-    return [t for t in tokens if cover.stabilizes_base_functional(generator(n, *t))]
+    return [t for t in tokens if cover.stabilizes_base_functional(generator(n, *t).forward)]
 
 
 class TestTwistedCount:
@@ -273,7 +273,7 @@ class TestTwistedCount:
         for _ in range(150):
             word = [(rng.choice(tokens), rng.choice((1, -1)))
                     for _ in range(rng.randint(1, 8))]
-            a = W.automorphism(n, word)
+            a = W.automorphism(n, word).forward
             assert cover.minus_eigenspace_matrix(a) == oracle_minus_eigenspace_matrix(a)
 
 

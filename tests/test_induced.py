@@ -82,8 +82,9 @@ class TestMaskAction:
         a = W.rho(1, 2, 3) * W.rho(2, 3, 3)
         assert any(induced.act_on_mask(a.backward, mask) != induced.act_on_mask(a.forward, mask)
                    for mask in range(1, 8))
-        with pytest.raises(TypeError, match="images of a\\^-1"):
-            induced.act_on_mask(a, 0b001)
+        for refused in (a, list(a.backward)):
+            with pytest.raises(TypeError, match="images of a\\^-1"):
+                induced.act_on_mask(refused, 0b001)
 
 
 class TestBlocks:
@@ -166,7 +167,7 @@ class TestInduce:
         for i in range(1, n + 1):
             if i != j:
                 word += [(("rho", i, j), 1), (("lam", i, j), -1)]
-        assert W.is_inner(W.automorphism(n, word)) is not None
+        assert W.is_inner(W.automorphism(n, word).forward) is not None
         assert rep.is_identity(rep.block_of(word))
         assert rep.is_identity(rep.word_block(word))
 
@@ -373,7 +374,7 @@ def oracle_block_of(rep, a):
         target = oracle_act_on_mask(a, mask)
         h = transversal[target].inverse() * (a * transversal[mask])
         cols.append((index[target],
-                     schur_square(oracle_minus_eigenspace_matrix(h), rep.mu)))
+                     schur_square(oracle_minus_eigenspace_matrix(h.forward), rep.mu)))
     return tuple(cols)
 
 
@@ -551,8 +552,8 @@ class TestStoredBlockOracle:
             want = oracle_act_on_functional(a, base) == base
             assert induced.act_on_mask(a.backward, 1 << (n - 1)) == \
                 functional_to_mask(oracle_act_on_functional(a, base))
-            assert cover.stabilizes_base_functional(a) == want
             assert cover.stabilizes_base_functional(a.forward) == want
+            assert cover.stabilizes_base_functional(a.backward) == want
             seen.add(want)
         assert seen == {True, False}
 
@@ -647,7 +648,11 @@ class TestWordBlocks:
         def forbidden(*args, **kwargs):
             raise AssertionError("called on the block path")
         monkeypatch.setattr(W.Automorphism, "__post_init__", forbidden)
-        monkeypatch.setattr(W.Endomorphism, "apply", forbidden)
+        apply = W.apply
+        for mod in (W, cover, induced):
+            if vars(mod).get("apply") is apply:
+                monkeypatch.setattr(mod, "apply", forbidden)
+        assert cover.apply is forbidden
         for name in ("automorphism", "compose", "rho"):
             monkeypatch.setattr(W, name, forbidden)
         for n in (3, 4):

@@ -46,12 +46,9 @@ KEPT = {
     "words.Automorphism.inverse": "benchmark",
     "words.Automorphism.__mul__": "benchmark",
     "words.Automorphism.is_identity": "benchmark",
-    "words.Endomorphism.fixes_generators": "benchmark",
     "words.compose": "benchmark",
     "words.automorphism": "benchmark",
     "words.rho": "benchmark",
-    "words.Endomorphism.__eq__": "value API",
-    "words.Endomorphism.__hash__": "value API",
     "words._sigma_star_move": "ROADMAP item 10",
     "words._delta_move": "ROADMAP item 10",
     "linalg.Matrix.__hash__": "value API",

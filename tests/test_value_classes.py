@@ -29,16 +29,9 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert not {"argparse", "gettext", "locale"} & set(out)
 
 
-def endo(*images, rank=3):
-    return W.Endomorphism(rank, tuple(tuple(u) for u in images))
-
-
 # Each entry builds one object from fresh field values, so two calls
 # give equal but distinct objects; ``other`` differs in one field.
 HASHED = {
-    "Endomorphism": (lambda: endo([1, 2], [2], [3]),
-                     [lambda: endo([1], [2], [3]),
-                      lambda: endo([1, 2], [2], [3], [4], rank=4)]),
     "Automorphism": (lambda: W.rho(1, 2, 3), [lambda: generator(3, "lam", 1, 2),
                                              lambda: W.rho(1, 2, 4),
                                              lambda: W.rho(1, 2, 3).inverse()]),
@@ -93,7 +86,7 @@ class TestEquality:
 
 
 # The two functions that take a letter tuple from a caller, and check it.
-WORD_TAKERS = (lambda w: W.inner(w, 3), endo([1], [2], [3]).apply)
+WORD_TAKERS = (lambda w: W.inner(w, 3), lambda w: W.apply(((1,), (2,), (3,)), w))
 
 
 class TestConstructorChecks:
@@ -112,10 +105,9 @@ class TestConstructorChecks:
                 W.inner((), n)
 
     @pytest.mark.parametrize("build", [
-        lambda: W.Endomorphism(0, ()),
         lambda: W.relator_automorphism(0, []),
         lambda: W.relator_automorphism(-1, []),
-    ], ids=["Endomorphism(0)", "relator_automorphism(0)", "relator_automorphism(-1)"])
+    ], ids=["relator_automorphism(0)", "relator_automorphism(-1)"])
     def test_endomorphism_rank(self, build):
         with pytest.raises(ValueError, match=r"^rank must be at least 1$"):
             build()
@@ -124,16 +116,6 @@ class TestConstructorChecks:
         for take in WORD_TAKERS:
             with pytest.raises(ValueError, match=r"^word is not freely reduced$"):
                 take((2, 1, -1))
-
-    def test_endomorphism_images(self):
-        for images, message in [
-                ((range(1, 2), (2,)), r"^an image is not a tuple of letters$"),
-                (([1], (2,)), r"^an image is not a tuple of letters$"),
-                (((1,), (2, 1, -1)), r"^word is not freely reduced$"),
-                (((1,), (3,)), r"^letter 3 out of range for rank 2$"),
-                (((1,), (2,), (1,)), r"^need one image per generator$")]:
-            with pytest.raises(ValueError, match=message):
-                W.Endomorphism(2, images)
 
     def test_backward_table_not_an_inverse(self):
         a = W.rho(1, 2, 3)
