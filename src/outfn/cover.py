@@ -129,7 +129,9 @@ def deck_matrix(n: int) -> Matrix:
 def minus_eigenspace_matrix(imgs: tuple) -> Matrix:
     """Restriction to the (-1)-eigenspace of the deck involution, in the
     basis alpha_i = x_i - y_i, of the automorphism a with forward
-    images ``imgs``.
+    images ``imgs``; ``ValueError`` when a does not stabilise the base
+    functional, read off the same pass: the sign ends at +1 exactly
+    when a(a_i) has even a_n-parity, and a(a_n) must have odd parity.
 
     Column i is the twisted count of the forward image a(a_i): each
     letter a_l^{+-1} with l < n adds +-1 to row l, negated when an odd
@@ -144,8 +146,6 @@ def minus_eigenspace_matrix(imgs: tuple) -> Matrix:
     image of alpha_i.
     """
     n = len(imgs)
-    if not stabilizes_base_functional(imgs):
-        raise ValueError("automorphism does not stabilise the base functional")
     out = [[0] * (n - 1) for _ in range(n - 1)]
     for i, img in enumerate(imgs[:n - 1]):
         sign = 1
@@ -154,6 +154,10 @@ def minus_eigenspace_matrix(imgs: tuple) -> Matrix:
                 sign = -sign
             else:
                 out[abs(x) - 1][i] += sign if x > 0 else -sign
+        if sign < 0:
+            raise ValueError("automorphism does not stabilise the base functional")
+    if not sum(abs(x) == n for x in imgs[-1]) % 2:
+        raise ValueError("automorphism does not stabilise the base functional")
     return Matrix(out)
 
 

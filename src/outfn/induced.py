@@ -33,9 +33,11 @@ stores every distinct block once under an integer id, and an induced
 matrix is its columns, one ``(block row, block id)`` per block-column.
 ``generators`` (what ``write_json`` writes out), the relators and the
 certificate candidates (``cover.kernel_generators``) all take that
-form.  A word's columns are the product of its letters'; each product
-and inverse of ids is computed once.  A relator u v passes when the
-columns of u and v^-1 are equal.
+form.  A word's columns are the product of its letters', taken one
+letter at a time over all block-columns at once: a letter holds its
+block rows and ids as two tuples, so a step is two gathers and one
+lookup of the id products; each product and inverse of ids is computed
+once.  A relator u v passes when the columns of u and v^-1 are equal.
 
 A block is S(g), with S the square functor of ``mu`` and g the
 (n-1) x (n-1) integer matrix ``cover.minus_eigenspace_matrix`` returns,
@@ -48,19 +50,21 @@ exterior square at rank 3, is the dimension-2 exception).  So equal ids
 are equal blocks and distinct ids distinct ones, products and inverses
 of ids act on the small matrices g, and S is applied only where a
 block's entries are read: by ``unipotency_index`` and ``write_json``,
-once per id.  Products of ids go through ``linalg._product_rows``, the one
-matrix product kernel of the package, and divide nowhere; the inverses
-do, but g is unimodular, so every entry still comes out as a Python
-``int``.
+once per id.  g is held as its flat row-major entries, and a product of
+ids g h runs the letter program of h, built once per right factor (every
+right factor is a letter's block): a few gathers of the entries of g,
+scaled and summed by ``map``, dividing nowhere.  The inverses do divide,
+but g is unimodular, so every entry still comes out as a Python ``int``.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb
+from operator import add, itemgetter, mul, neg
 
-from .linalg import Matrix, _product_rows, schur_square
+from .linalg import Matrix, _identity_rows, schur_square
 from .words import (
     _inv_word,
     abelianize,
@@ -82,7 +86,9 @@ def act_on_mask(inverse: tuple, mask: int) -> int:
 
     ``inverse`` holds the images of a^-1: the move engine's images of
     the inverse word, or ``a.backward``.  Bit k of the image is the
-    parity of the letters of a^-1(a_{k+1}) that the mask selects.
+    parity of the letters of a^-1(a_{k+1}) that the mask selects: the
+    bit count of the mask and the image's parity bitmask, whose bit l
+    reads the parity of its a_{l+1}^{+-1} letters.
     Anything but a tuple is refused, an ``Automorphism`` among them, so
     that its forward images are never read in place of the inverse's.
     """
@@ -90,7 +96,10 @@ def act_on_mask(inverse: tuple, mask: int) -> int:
         raise TypeError("act_on_mask takes the images of a^-1, such as a.backward")
     out = 0
     for k, img in enumerate(inverse):
-        out |= (sum(mask >> (abs(x) - 1) & 1 for x in img) & 1) << k
+        parity = 0
+        for x in img:
+            parity ^= 1 << (abs(x) - 1)
+        out |= ((parity & mask).bit_count() & 1) << k
     return out
 
 
@@ -126,53 +135,88 @@ def coset_transversal(n: int) -> dict:
 # the block table
 
 
-def _up_to_sign(rows) -> tuple:
-    """The rows of g or of -g as a tuple of tuples, whichever has its
-    first nonzero entry positive."""
-    key = tuple(map(tuple, rows))
-    for row in key:
-        for x in row:
-            if x:
-                return key if x > 0 else tuple([tuple([-x for x in row]) for row in key])
-    return key
+def _program(h: tuple, d: int) -> tuple:
+    """The program multiplying by h on the right, h a d x d matrix given
+    by its row-major entries: one to d terms of (gather, scales).
+
+    Entry (r, c) of g h is the sum over the nonzero entries h[k][c] of
+    column c of g[r][k] h[k][c].  Term t gathers, for every entry (r, c),
+    g[r][k] at the t-th nonzero h[k][c] of column c, and its scales are
+    those h[k][c] (0 where column c has fewer nonzeros; ``None`` when
+    all are 1).  A signed permutation h takes one term, a plain
+    permutation a gather alone.
+    """
+    columns = [[(k, h[k * d + c]) for k in range(d) if h[k * d + c]] for c in range(d)]
+    program = []
+    for t in range(max(1, *map(len, columns))):
+        picks = [col[t] if t < len(col) else (0, 0) for col in columns]
+        gather = itemgetter(*[r + k for r in range(0, d * d, d) for k, _ in picks])
+        scales = tuple([x for _, x in picks] * d)
+        program.append((gather, None if scales.count(1) == len(scales) else scales))
+    return tuple(program)
+
+
+def _multiply(g: tuple, program: tuple):
+    """Row-major entries of g h, g given by its row-major entries and h
+    by its ``_program``: a gather per term, scaled and summed by ``map``."""
+    out = None
+    for gather, scales in program:
+        term = gather(g) if scales is None else map(mul, gather(g), scales)
+        out = term if out is None else map(add, out, term)
+    return out
 
 
 class _Blocks:
-    """Interned blocks of one representation, with memoised products
-    and inverses.
+    """Interned d x d blocks of one representation, with memoised
+    products and inverses.
 
-    A block S(g) is held as g up to sign: the rows of g normalised by
-    ``_up_to_sign``, which are both its key and its value.  By the +-g
-    lemma equal ids are equal blocks and distinct ids distinct ones.
-    Products and inverses act on g, and S is applied only where a
-    block's entries are read (``InducedRep.block``).
+    A block S(g) is held as g up to sign: its entries in row-major
+    order, negated when the first nonzero one is negative, a flat tuple
+    that is both its key and its value.  By the +-g lemma equal ids are
+    equal blocks and distinct ids distinct ones.  Products and inverses
+    act on g, and S is applied only where a block's entries are read
+    (``InducedRep.block``).  A product is ``_multiply`` by the program
+    of its right factor, built once per right factor id.
     """
 
-    def __init__(self):
-        self.keys = []         # id -> rows of g up to sign
-        self._ids = {}         # rows -> id
-        self._products = {}    # (id, id) -> id
+    def __init__(self, d: int):
+        self.d = d
+        self.flat = []         # id -> entries of g up to sign
+        self._ids = {}         # entries -> id
+        self.products = {}     # (id, id) -> id
+        self._programs = {}    # right factor id -> _program
         self._inverses = {}    # id -> id
 
-    def intern(self, g) -> int:
-        key = _up_to_sign(g)
+    def intern(self, entries) -> int:
+        """Id of the block whose g has these row-major entries."""
+        key = tuple(entries)
+        if next(filter(None, key), 0) < 0:
+            key = tuple(map(neg, key))
         i = self._ids.get(key)
         if i is None:
-            i = self._ids[key] = len(self.keys)
-            self.keys.append(key)
+            i = self._ids[key] = len(self.flat)
+            self.flat.append(key)
         return i
 
+    def rows(self, i: int) -> tuple:
+        """g of id i as a tuple of rows."""
+        g, d = self.flat[i], self.d
+        return tuple(g[r:r + d] for r in range(0, d * d, d))
+
     def product(self, i: int, j: int) -> int:
-        k = self._products.get((i, j))
+        k = self.products.get((i, j))
         if k is None:
-            g, h = self.keys[i], self.keys[j]
-            k = self._products[i, j] = self.intern(_product_rows(g, h, len(h[0])))
+            program = self._programs.get(j)
+            if program is None:
+                program = self._programs[j] = _program(self.flat[j], self.d)
+            k = self.products[i, j] = self.intern(_multiply(self.flat[i], program))
         return k
 
     def inverse(self, i: int) -> int:
         k = self._inverses.get(i)
         if k is None:
-            k = self._inverses[i] = self.intern(Matrix(self.keys[i]).inverse().data)
+            inverse = Matrix(self.rows(i)).inverse().data
+            k = self._inverses[i] = self.intern(chain.from_iterable(inverse))
         return k
 
 
@@ -202,7 +246,7 @@ class InducedRep:
     block-column, the ids naming blocks of ``blocks``."""
 
     __slots__ = ("n", "mu", "cosets", "transversal", "generators",
-                 "blocks", "_letters")
+                 "blocks", "_letters", "_identity")
 
     def __init__(self, n: int, mu: tuple, transversal: dict):
         self.n = n
@@ -210,8 +254,9 @@ class InducedRep:
         self.transversal = transversal            # mask -> token word
         self.cosets = tuple(sorted(transversal))  # masks; index = block position
         self.generators = {}                      # name -> columns
-        self.blocks = _Blocks()
-        self._letters = {}                        # (token, e) -> columns
+        self.blocks = _Blocks(n - 1)
+        self._letters = {}                        # (token, e) -> (rows, ids, gather)
+        self._identity = None                     # (rows, ids) of the identity
 
     @property
     def dim_u(self) -> int:
@@ -235,45 +280,59 @@ class InducedRep:
         columns = []
         for mask, target in zip(self.cosets, targets):
             h = relator_automorphism(n, [*_inv_word(t[target]), *word, *t[mask]])
-            g = minus_eigenspace_matrix(h).data
+            g = chain.from_iterable(minus_eigenspace_matrix(h).data)
             columns.append((self.cosets.index(target), self.blocks.intern(g)))
         return tuple(columns)
 
     def block(self, i: int) -> Matrix:
         """The block S(g) of id i, as a dense ``Matrix``."""
-        return schur_square(Matrix(self.blocks.keys[i]), self.mu)
+        return schur_square(Matrix(self.blocks.rows(i)), self.mu)
 
     def _letter(self, token, e: int) -> tuple:
-        """Columns of a token's stored generator (KeyError when there is
-        none), inverted for exponent -1: the transposed permutation of
-        the inverted ids."""
-        columns = self._letters.get((token, e))
-        if columns is None:
-            if e == 1:
-                columns = self.generators[generator_name(token)]
-            else:
-                inverse = [None] * len(self.cosets)
-                for c, (r, i) in enumerate(self._letter(token, 1)):
-                    inverse[r] = (c, self.blocks.inverse(i))
-                columns = tuple(inverse)
-            self._letters[token, e] = columns
-        return columns
+        """Store a token's generator (KeyError when there is none),
+        inverted for exponent -1 (the transposed permutation of the
+        inverted ids), in ``_letters`` as its block rows, its ids and a
+        gather of its rows."""
+        columns = self.generators[generator_name(token)]
+        if e != 1:
+            inverse = [None] * len(columns)
+            for c, (r, i) in enumerate(columns):
+                inverse[r] = (c, self.blocks.inverse(i))
+            columns = inverse
+        rows, ids = zip(*columns)
+        letter = self._letters[token, e] = (rows, ids, itemgetter(*rows))
+        return letter
+
+    def _columns(self, word) -> tuple:
+        """(block rows, ids) of the product of the stored blocks of a
+        token word's letters, one letter over all block-columns at once:
+        block-column c of acc * L is block-column mid of acc times the
+        block of L at (mid, c).  Products missing from the table are
+        computed in a second pass."""
+        if not word:
+            if self._identity is None:
+                ident = self.blocks.intern(chain.from_iterable(_identity_rows(self.n - 1)))
+                self._identity = (tuple(range(len(self.cosets))), (ident,) * len(self.cosets))
+            return self._identity
+        letters = self._letters
+        rows, ids, _ = letters.get(word[0]) or self._letter(*word[0])
+        get, product = self.blocks.products.get, self.blocks.product
+        for letter in word[1:]:
+            _, right, gather = letters.get(letter) or self._letter(*letter)
+            rows, left = gather(rows), gather(ids)
+            ids = tuple(map(get, zip(left, right)))
+            if None in ids:
+                ids = tuple([product(i, j) if k is None else k
+                             for k, i, j in zip(ids, left, right)])
+        return rows, ids
 
     def word_block(self, word) -> tuple:
         """Columns of the product of the stored blocks of a token word's
         letters; the identity for the empty word."""
-        if not word:
-            ident = self.blocks.intern(Matrix.identity(self.n - 1).data)
-            return tuple((c, ident) for c in range(len(self.cosets)))
-        product = self.blocks.product
-        acc = self._letter(*word[0])
-        for token, e in word[1:]:
-            acc = tuple([(acc[mid][0], product(acc[mid][1], q))
-                         for mid, q in self._letter(token, e)])
-        return acc
+        return tuple(zip(*self._columns(word)))
 
     def is_identity(self, columns) -> bool:
-        return columns == self.word_block(())
+        return tuple(zip(*columns)) == self._columns(())
 
     def unipotency_index(self, columns):
         """Smallest k with (M - 1)^k = 0 for the matrix M of the
@@ -310,7 +369,7 @@ class InducedRep:
             half = len(word) // 2
             v_inverse = [(token, -e) for token, e in reversed(word[half:])]
             rows.append((family, label,
-                         self.word_block(word[:half]) == self.word_block(v_inverse)))
+                         self._columns(word[:half]) == self._columns(v_inverse)))
         families = family_report(rows)
         return {
             "n": self.n,

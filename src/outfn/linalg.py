@@ -12,13 +12,14 @@ keeps the invariant, and division goes through ``Fraction``; no
 floating point enters at any stage.  ``from_json`` parses each distinct
 entry string of a file once.
 
-Every exact matrix product of the package, ``Matrix.__mul__`` and the
-block products of ``outfn.induced``, goes through the one kernel
-``_product_rows``: row r of a * b is the sum of x * (row j of b) over
-the nonzero entries x = a[r][j].  The matrices multiplied here are
-sparse integer matrices (signed permutations and their square
-functors, transvections, induced blocks), so a product costs about one
-row operation per nonzero entry, in plain integer arithmetic.
+``Matrix.__mul__`` goes through the kernel ``_product_rows``: row r of
+a * b is the sum of x * (row j of b) over the nonzero entries
+x = a[r][j].  The matrices multiplied here are sparse integer matrices
+(signed permutations and their square functors, transvections), so a
+product costs about one row operation per nonzero entry, in plain
+integer arithmetic.  The induced block products of ``outfn.induced``
+go through its letter programs instead, with this kernel as their test
+oracle.
 Elimination picks pivots with the smallest numerator magnitude, which
 keeps intermediate entries small for these structured matrices; a pivot
 of -1 negates its row in integers.

@@ -170,9 +170,14 @@ class FiniteRep:
         for name in group.generators:
             if name not in self.generators:
                 raise ValueError(f"no matrix supplied for generator {name!r}")
+        # a generator g with the relation g g and (g g) = 1 is its own
+        # inverse, so only the others need a determinant
+        involutions = {rel[0] for rel in group.relations if len(rel) == 2 and rel[0] == rel[1]}
         for name, m in self.generators.items():
             if not isinstance(m, Matrix) or m.shape != (dim, dim):
                 raise ValueError(f"generator {name!r} has the wrong shape")
+            if name in involutions and (m * m).is_identity():
+                continue
             if m.determinant() == 0:
                 raise ValueError(f"generator {name!r} is singular")
 

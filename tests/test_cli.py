@@ -285,6 +285,17 @@ class TestDecompose:
         assert out == "" and \
             err == "error: cannot read rep file: generator 'rho12' is singular\n"
 
+    def test_singular_involution_is_an_input_error(self, tmp_path, capsys):
+        # e1 has the relation e1 e1, but a zero e1 squares to zero, not
+        # to the identity, so it still gets a determinant
+        obj = benchmark_inputs().signed_exterior_square_rep_file(1, 4)
+        e1 = obj["generators"]["e1"]
+        e1["entries"] = [["0"] * len(row) for row in e1["entries"]]
+        assert run(["decompose", "--rep", write_json(tmp_path, obj)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and \
+            err == "error: cannot read rep file: generator 'e1' is singular\n"
+
     @pytest.mark.parametrize("entry", [True, [1]], ids=["true", "list"])
     def test_non_string_entries_are_input_errors(self, tmp_path, capsys, entry):
         obj = to_json(signed_permutation_rep(3))

@@ -76,11 +76,17 @@ class TestStabiliser:
             cover.cover_matrix(W.rho(1, 3, 3).forward)
 
     def test_minus_eigenspace_matrix_requires_membership(self):
-        for a in (W.rho(1, 3, 3), generator(3, "sigma", 2, 3), generator(4, "sigma_star", 4)):
+        # the last two: odd a_4-parity in the image of a_3, which is read
+        # after the image of a_1 and a_2 passed; even a_4-parity in the
+        # image of a_4 (a_4 -> a_4^2) after the first three all passed
+        images = [a.forward for a in (W.rho(1, 3, 3), generator(3, "sigma", 2, 3),
+                                      generator(4, "sigma_star", 4), generator(4, "rho", 3, 4))]
+        images.append(((1,), (2,), (3,), (4, 4)))
+        for imgs in images:
             with pytest.raises(ValueError, match="does not stabilise"):
-                cover.minus_eigenspace_matrix(a.forward)
+                cover.minus_eigenspace_matrix(imgs)
             with pytest.raises(ValueError, match="does not stabilise"):
-                cover.cover_matrix(a.forward)
+                cover.cover_matrix(imgs)
 
 
 class TestCoverMatrix:

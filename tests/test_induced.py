@@ -269,7 +269,13 @@ def read(rep, columns):
 
 def stored_g(rep, columns):
     """Columns of ids as the matrices g up to sign that the table holds."""
-    return tuple((r, Matrix(rep.blocks.keys[i])) for r, i in columns)
+    return tuple((r, Matrix(rep.blocks.rows(i))) for r, i in columns)
+
+
+def entries(g):
+    """The entries of a ``Matrix`` in row-major order, as the block table
+    interns them."""
+    return [x for row in g.data for x in row]
 
 
 def written(rep):
@@ -319,7 +325,7 @@ def copy_rep(rep, replaced=None):
     out = induced.InducedRep(rep.n, rep.mu, rep.transversal)
     for name, columns in rep.generators.items():
         block = (replaced or {}).get(name) or stored_g(rep, columns)
-        out.generators[name] = tuple((r, out.blocks.intern(g.data)) for r, g in block)
+        out.generators[name] = tuple((r, out.blocks.intern(entries(g))) for r, g in block)
     return out
 
 
@@ -582,15 +588,41 @@ class TestUpToSign:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_table_interns_up_to_sign(self, k):
         rng = random.Random(70 + k)
-        blocks = induced._Blocks()
+        blocks = induced._Blocks(k)
         for _ in range(12):
             g, h = random_unimodular(rng, k), random_unimodular(rng, k)
-            i, j = blocks.intern(g.data), blocks.intern(h.data)
-            assert blocks.intern((-g).data) == i
-            first = next(x for row in blocks.keys[i] for x in row if x)
-            assert first > 0 and Matrix(blocks.keys[i]) in (g, -g)
-            assert Matrix(blocks.keys[blocks.product(i, j)]) in (g * h, -(g * h))
-            assert Matrix(blocks.keys[blocks.inverse(i)]) in (g.inverse(), -g.inverse())
+            i, j = blocks.intern(entries(g)), blocks.intern(entries(h))
+            assert blocks.intern(entries(-g)) == i
+            first = next(x for row in blocks.rows(i) for x in row if x)
+            assert first > 0 and Matrix(blocks.rows(i)) in (g, -g)
+            assert Matrix(blocks.rows(blocks.product(i, j))) in (g * h, -(g * h))
+            assert Matrix(blocks.rows(blocks.inverse(i))) in (g.inverse(), -g.inverse())
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_program_products_match_matrix_mul(self, k):
+        # the letter programs against ``Matrix.__mul__`` (``_product_rows``),
+        # on every pair of unimodular, dense, signed permutation and +-I
+        # factors, each product and its negative both landing on the id of
+        # the exact product with its first nonzero entry positive
+        rng = random.Random(90 + k)
+        ident = Matrix.identity(k)
+        factors = [ident, -ident]
+        for _ in range(4):
+            perm = rng.sample(range(k), k)
+            factors.append(Matrix([[rng.choice((1, -1)) if perm[r] == c else 0
+                                    for c in range(k)] for r in range(k)]))
+            factors.append(random_unimodular(rng, k))
+            factors.append(Matrix([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]))
+        blocks = induced._Blocks(k)
+        ids = [blocks.intern(entries(g)) for g in factors]
+        for g, i in zip(factors, ids):
+            for h, j in zip(factors, ids):
+                gh = g * h
+                k_id = blocks.product(i, j)
+                assert blocks.products[i, j] == k_id
+                assert blocks.intern(entries(gh)) == blocks.intern(entries(-gh)) == k_id
+                assert Matrix(blocks.rows(k_id)) in (gh, -gh)
+                assert next((x for x in blocks.flat[k_id] if x), 1) > 0
 
     @pytest.mark.parametrize("n,mu", [(3, (2,)), (4, (1, 1)), (4, (2,))])
     def test_ids_match_the_distinct_dense_blocks(self, n, mu):
@@ -605,7 +637,7 @@ class TestUpToSign:
             assert [r for r, _ in columns] == [r for r, _ in dense]
             pairs |= {(i, tuple(map(tuple, b.data))) for (_, i), (_, b) in zip(columns, dense)}
         ids = {i for i, _ in pairs}
-        assert ids == set(range(len(rep.blocks.keys)))
+        assert ids == set(range(len(rep.blocks.flat)))
         assert len(ids) == len(pairs) == len({b for _, b in pairs})
 
 
@@ -629,9 +661,9 @@ class TestWordBlocks:
         assert rep.relator_report()["ok"]
         fresh = copy_rep(rep)
         products = []
-        real = induced._product_rows
-        monkeypatch.setattr(induced, "_product_rows",
-                            lambda a, b, cols: products.append((a, b)) or real(a, b, cols))
+        real = induced._multiply
+        monkeypatch.setattr(induced, "_multiply",
+                            lambda g, program: products.append((g, program)) or real(g, program))
         assert rep.relator_report()["ok"]
         assert products == []
         assert fresh.relator_report()["ok"]

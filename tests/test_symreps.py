@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    benchmark_inputs,
     determinant_rep,
     exterior_square_rep,
     flip_matrix,
@@ -467,3 +468,16 @@ class TestRepSerialisation:
         assert back.generators.keys() == rep.generators.keys()
         assert back.generators["rho12"] == transvection(1, 2, 4)
         assert back.verify_relations()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_only_non_involutions_take_a_determinant(self, monkeypatch, n):
+        # e1 and s1..s(n-1) have the relations g g and square to the
+        # identity; the n (n - 1) transvections rho{i}{j} do not
+        obj = benchmark_inputs().signed_exterior_square_rep_file(1, n)
+        calls = []
+        real = Matrix.determinant
+        monkeypatch.setattr(Matrix, "determinant", lambda m: calls.append(m) or real(m))
+        rep = symreps.FiniteRep.from_json(obj)
+        rhos = [m for name, m in rep.generators.items() if name.startswith("rho")]
+        assert len(calls) == len(rhos) == n * (n - 1)
+        assert all(c is m for c, m in zip(calls, rhos))

@@ -154,5 +154,5 @@ class TestConstructorChecks:
         fresh = induced.InducedRep(rep.n, rep.mu, rep.transversal)
         assert fresh.cosets == rep.cosets
         assert fresh.generators == {} and fresh.generators is not rep.generators
-        assert fresh._letters == {} and fresh.blocks.keys == []
-        assert rep._letters and rep.blocks.keys
+        assert fresh._letters == {} and fresh.blocks.flat == []
+        assert rep._letters and rep.blocks.rows(0)
