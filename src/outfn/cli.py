@@ -181,17 +181,12 @@ def cmd_section4(args) -> int:
 # induce
 
 
-def _parse_mu(text):
-    if text is None:
-        return None
-    return tuple(int(p) for p in text.split(",") if p.strip())
-
-
 def cmd_induce(args) -> int:
     n = args.n
     if n not in (3, 4, 5):
         raise UsageError("induction supports n in {3, 4, 5}")
-    rep = induced.induce(n, _parse_mu(args.mu))
+    mu = None if args.mu is None else [int(p) for p in args.mu.split(",") if p.strip()]
+    rep = induced.induce(n, mu)
     out_path = args.out if args.out is not None else \
         f"induced_n{n}_mu{'-'.join(map(str, rep.mu))}.json"
     with _output(out_path, args.json) as fh:

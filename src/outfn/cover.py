@@ -16,12 +16,12 @@ on partial conjugations and transvection commutators are pinned down by
 exact case tables (verified wholesale by ``verify_ia_action_tables``).
 That eigenspace is H_1 of F_n twisted by the sign character of f
 (Shapiro's lemma), so the restriction is a twisted letter count of the
-forward images a(a_1)..a(a_{n-1}), with no Schreier rewrite.
-
-Those generators of the kernel of abelianisation are named once, as
-token words with their case tables, by ``kernel_generators``; the
-tables are checked on the forward images of each word, which is all
-that ``cover_matrix`` and ``minus_eigenspace_matrix`` read.
+forward images a(a_1)..a(a_{n-1}), with no Schreier rewrite: the one
+kernel ``twisted_counts`` returns its rows, which the induced blocks
+intern as they are, and ``minus_eigenspace_matrix`` wraps them as a
+``Matrix`` for the case tables.  Those generators of the kernel of
+abelianisation are named once, with their tables, by
+``kernel_generators``, and checked on the forward images of each word.
 """
 
 from __future__ import annotations
@@ -126,12 +126,13 @@ def deck_matrix(n: int) -> Matrix:
     return Matrix(grid)
 
 
-def minus_eigenspace_matrix(imgs: tuple) -> Matrix:
-    """Restriction to the (-1)-eigenspace of the deck involution, in the
-    basis alpha_i = x_i - y_i, of the automorphism a with forward
-    images ``imgs``; ``ValueError`` when a does not stabilise the base
-    functional, read off the same pass: the sign ends at +1 exactly
-    when a(a_i) has even a_n-parity, and a(a_n) must have odd parity.
+def twisted_counts(imgs: tuple) -> list:
+    """Rows of the restriction to the (-1)-eigenspace of the deck
+    involution, in the basis alpha_i = x_i - y_i, of the automorphism a
+    with forward images ``imgs``; ``ValueError`` when a does not
+    stabilise the base functional, read off the same pass: the sign ends
+    at +1 exactly when a(a_i) has even a_n-parity, and a(a_n) must have
+    odd parity.
 
     Column i is the twisted count of the forward image a(a_i): each
     letter a_l^{+-1} with l < n adds +-1 to row l, negated when an odd
@@ -158,7 +159,12 @@ def minus_eigenspace_matrix(imgs: tuple) -> Matrix:
             raise ValueError("automorphism does not stabilise the base functional")
     if not sum(abs(x) == n for x in imgs[-1]) % 2:
         raise ValueError("automorphism does not stabilise the base functional")
-    return Matrix(out)
+    return out
+
+
+def minus_eigenspace_matrix(imgs: tuple) -> Matrix:
+    """The rows of ``twisted_counts`` as a ``Matrix``."""
+    return Matrix(twisted_counts(imgs))
 
 
 def commutes_with_deck(imgs: tuple) -> bool:

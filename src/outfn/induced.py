@@ -10,13 +10,14 @@ stabiliser, induction produces block matrices of size (2^n - 1) * dim U:
 one nonzero block per row and column, indexed by the coset the group
 element carries each functional to.
 
-Every group element is a token word, evaluated by the move engine
-``words.relator_automorphism``.  A word w carries the coset of a mask to
-a target read off the images of w^-1, and its block there is that of
-t_target^-1 w t_mask, evaluated as the one word T[target]^-1 w T[mask].
+Every group element is a token word, evaluated by the move engine of
+``words``.  A word w carries the coset of a mask to a target read off
+the images of w^-1, and its block there is that of t_target^-1 w t_mask:
+the images of each T[mask]^-1 are moved once per representation, and a
+block runs only the moves of w and T[mask] on those of T[target]^-1.
 No inverse table is certified on the way: were a target wrong, that
 coset element would not stabilise the base functional, and
-``cover.minus_eigenspace_matrix`` raises ``ValueError`` on exactly that.
+``cover.twisted_counts`` raises ``ValueError`` on exactly that.
 
 Because the square functors kill minus identity and conjugation by any
 word acts as a sign on the eigenspace, the induced matrices are
@@ -30,31 +31,30 @@ being trivial.
 
 Every matrix is held in one form: each representation's block table
 stores every distinct block once under an integer id, and an induced
-matrix is its columns, one ``(block row, block id)`` per block-column.
+matrix is its columns, one ``(block row, block id)`` per block-column:
 ``generators`` (what ``write_json`` writes out), the relators and the
-certificate candidates (``cover.kernel_generators``) all take that
-form.  A word's columns are the product of its letters', taken one
-letter at a time over all block-columns at once: a letter holds its
-block rows and ids as two tuples, so a step is two gathers and one
-lookup of the id products; each product and inverse of ids is computed
-once.  A relator u v passes when the columns of u and v^-1 are equal.
+certificate candidates (``cover.kernel_generators``) alike.  A word's
+columns are the product of its letters', one letter at a time over all
+block-columns: a letter holds its block rows, its ids and, per id, the
+product table of that right factor (left id -> product id), so a step
+is two gathers and one ``dict.get`` per block-column.  A relator u v
+passes when the columns of u and v^-1 are equal.
 
 A block is S(g), with S the square functor of ``mu`` and g the
-(n-1) x (n-1) integer matrix ``cover.minus_eigenspace_matrix`` returns,
-and the table holds g up to sign: its rows with the first nonzero entry
-made positive.  That is exact by two facts (Fulton-Harris,
-*Representation Theory*, 6.1): S(g) S(h) = S(gh), and S(g) = S(h) if
-and only if g = +-h, for the symmetric square in every dimension and for
-the exterior square in dimension at least 3 (the one case refused, the
-exterior square at rank 3, is the dimension-2 exception).  So equal ids
-are equal blocks and distinct ids distinct ones, products and inverses
-of ids act on the small matrices g, and S is applied only where a
-block's entries are read: by ``unipotency_index`` and ``write_json``,
-once per id.  g is held as its flat row-major entries, and a product of
-ids g h runs the letter program of h, built once per right factor (every
-right factor is a letter's block): a few gathers of the entries of g,
-scaled and summed by ``map``, dividing nowhere.  The inverses do divide,
-but g is unimodular, so every entry still comes out as a Python ``int``.
+(n-1) x (n-1) integer matrix of ``cover.twisted_counts``, and the table
+holds g up to sign, its first nonzero entry made positive.  That is
+exact by two facts (Fulton-Harris, *Representation Theory*, 6.1):
+S(g) S(h) = S(gh), and S(g) = S(h) if and only if g = +-h, for the
+symmetric square in every dimension and for the exterior square in
+dimension at least 3 (the one case refused, the exterior square at rank
+3, is the dimension-2 exception).  So ids multiply and invert on the
+small matrices g, each product and inverse once, and S is applied only
+where a block's entries are read (``unipotency_index``, ``write_json``),
+once per id.  A product of ids g h runs the letter program of h, built
+once per right factor: a few gathers of the flat entries of g, scaled
+and summed by ``map``.  An inverse runs integer row operations, Euclid
+down to a +-1 pivot in each column, as g is unimodular.  No step
+divides, so every entry is a Python ``int``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .words import (
     relator_automorphism,
     rho,  # noqa: F401  unused; perfbench/test_smoke.py traces it through this module
 )
-from .cover import kernel_generators, minus_eigenspace_matrix
+from .cover import kernel_generators, twisted_counts
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +172,16 @@ class _Blocks:
 
     A block S(g) is held as g up to sign: its entries in row-major
     order, negated when the first nonzero one is negative, a flat tuple
-    that is both its key and its value.  By the +-g lemma equal ids are
-    equal blocks and distinct ids distinct ones.  Products and inverses
-    act on g, and S is applied only where a block's entries are read
-    (``InducedRep.block``).  A product is ``_multiply`` by the program
-    of its right factor, built once per right factor id.
+    that is both its key and its value.  Each right factor id has its
+    ``_program`` and its product table, left id -> product id, filled
+    by ``multiply``.
     """
 
     def __init__(self, d: int):
         self.d = d
         self.flat = []         # id -> entries of g up to sign
         self._ids = {}         # entries -> id
-        self.products = {}     # (id, id) -> id
-        self._programs = {}    # right factor id -> _program
+        self._right = {}       # right factor id -> (_program, product table)
         self._inverses = {}    # id -> id
 
     def intern(self, entries) -> int:
@@ -203,20 +200,40 @@ class _Blocks:
         g, d = self.flat[i], self.d
         return tuple(g[r:r + d] for r in range(0, d * d, d))
 
-    def product(self, i: int, j: int) -> int:
-        k = self.products.get((i, j))
-        if k is None:
-            program = self._programs.get(j)
-            if program is None:
-                program = self._programs[j] = _program(self.flat[j], self.d)
-            k = self.products[i, j] = self.intern(_multiply(self.flat[i], program))
-        return k
+    def table(self, j: int) -> dict:
+        """The products by id j on the right so far, left id -> id."""
+        if j not in self._right:
+            self._right[j] = (_program(self.flat[j], self.d), {})
+        return self._right[j][1]
+
+    def multiply(self, i: int, j: int) -> int:
+        """Id of g_i g_j, looked up in or added to the table of j."""
+        program, table = self._right[j]
+        if i not in table:
+            table[i] = self.intern(_multiply(self.flat[i], program))
+        return table[i]
 
     def inverse(self, i: int) -> int:
+        """Id of g^-1, by integer row operations on (g | 1): Euclid on
+        each column leaves the gcd of its entries at and below the
+        diagonal there, which must be +-1 (``ValueError`` otherwise, as
+        for a singular g), and the column is then cleared around it."""
         k = self._inverses.get(i)
         if k is None:
-            inverse = Matrix(self.rows(i)).inverse().data
-            k = self._inverses[i] = self.intern(chain.from_iterable(inverse))
+            d = self.d
+            a = [[*row, *(int(r == c) for c in range(d))] for r, row in enumerate(self.rows(i))]
+            for c in range(d):
+                for r in range(c + 1, d):
+                    while a[r][c]:
+                        q = a[c][c] // a[r][c]
+                        a[c], a[r] = a[r], [x - q * y for x, y in zip(a[c], a[r])]
+                if a[c][c] not in (1, -1):
+                    raise ValueError("block is not invertible over the integers")
+                a[c] = [a[c][c] * x for x in a[c]]
+                for r in range(d):
+                    if r != c and (q := a[r][c]):
+                        a[r] = [x - q * y for x, y in zip(a[r], a[c])]
+            k = self._inverses[i] = self.intern(chain.from_iterable(row[d:] for row in a))
         return k
 
 
@@ -246,7 +263,7 @@ class InducedRep:
     block-column, the ids naming blocks of ``blocks``."""
 
     __slots__ = ("n", "mu", "cosets", "transversal", "generators",
-                 "blocks", "_letters", "_identity")
+                 "blocks", "_starts", "_letters", "_identity")
 
     def __init__(self, n: int, mu: tuple, transversal: dict):
         self.n = n
@@ -255,7 +272,9 @@ class InducedRep:
         self.cosets = tuple(sorted(transversal))  # masks; index = block position
         self.generators = {}                      # name -> columns
         self.blocks = _Blocks(n - 1)
-        self._letters = {}                        # (token, e) -> (rows, ids, gather)
+        self._starts = {mask: (r, relator_automorphism(n, _inv_word(transversal[mask])))
+                        for r, mask in enumerate(self.cosets)}  # mask -> (position, T^-1)
+        self._letters = {}                        # (token, e) -> (rows, ids, gather, tables)
         self._identity = None                     # (rows, ids) of the identity
 
     @property
@@ -270,18 +289,19 @@ class InducedRep:
         """Columns of the induced matrix of a token word w, its blocks
         interned in the table.  The images of w^-1 give each mask's target
         (rows that do not form a permutation raise ``ValueError``), and
-        the block is that of t_target^-1 w t_mask, evaluated as one word.
+        the block is that of t_target^-1 w t_mask: the moves of w and
+        t_mask run on the images of t_target^-1, moved once per coset.
         """
-        n, t = self.n, self.transversal
+        n, t, starts, intern = self.n, self.transversal, self._starts, self.blocks.intern
         inverse = relator_automorphism(n, _inv_word(word))
         targets = [act_on_mask(inverse, mask) for mask in self.cosets]
         if sorted(targets) != list(self.cosets):
             raise ValueError("block rows do not form a permutation")
         columns = []
         for mask, target in zip(self.cosets, targets):
-            h = relator_automorphism(n, [*_inv_word(t[target]), *word, *t[mask]])
-            g = chain.from_iterable(minus_eigenspace_matrix(h).data)
-            columns.append((self.cosets.index(target), self.blocks.intern(g)))
+            row, start = starts[target]
+            h = twisted_counts(relator_automorphism(n, chain(word, t[mask]), start))
+            columns.append((row, intern(chain.from_iterable(h))))
         return tuple(columns)
 
     def block(self, i: int) -> Matrix:
@@ -291,38 +311,37 @@ class InducedRep:
     def _letter(self, token, e: int) -> tuple:
         """Store a token's generator (KeyError when there is none),
         inverted for exponent -1 (the transposed permutation of the
-        inverted ids), in ``_letters`` as its block rows, its ids and a
-        gather of its rows."""
+        inverted ids), in ``_letters`` as its block rows, its ids, a
+        gather of its rows and the product table of each id."""
         columns = self.generators[generator_name(token)]
         if e != 1:
-            inverse = [None] * len(columns)
-            for c, (r, i) in enumerate(columns):
-                inverse[r] = (c, self.blocks.inverse(i))
-            columns = inverse
+            columns = sorted((r, c, self.blocks.inverse(i)) for c, (r, i) in enumerate(columns))
+            columns = [(c, i) for _, c, i in columns]
         rows, ids = zip(*columns)
-        letter = self._letters[token, e] = (rows, ids, itemgetter(*rows))
+        letter = (rows, ids, itemgetter(*rows), tuple(map(self.blocks.table, ids)))
+        self._letters[token, e] = letter
         return letter
 
     def _columns(self, word) -> tuple:
         """(block rows, ids) of the product of the stored blocks of a
         token word's letters, one letter over all block-columns at once:
         block-column c of acc * L is block-column mid of acc times the
-        block of L at (mid, c).  Products missing from the table are
-        computed in a second pass."""
+        block of L at (mid, c), looked up in the product table of L's id
+        there.  Products missing from the tables are computed in a
+        second pass."""
         if not word:
             if self._identity is None:
                 ident = self.blocks.intern(chain.from_iterable(_identity_rows(self.n - 1)))
                 self._identity = (tuple(range(len(self.cosets))), (ident,) * len(self.cosets))
             return self._identity
-        letters = self._letters
-        rows, ids, _ = letters.get(word[0]) or self._letter(*word[0])
-        get, product = self.blocks.products.get, self.blocks.product
+        letters, get, multiply = self._letters, dict.get, self.blocks.multiply
+        rows, ids = (letters.get(word[0]) or self._letter(*word[0]))[:2]
         for letter in word[1:]:
-            _, right, gather = letters.get(letter) or self._letter(*letter)
+            _, right, gather, tables = letters.get(letter) or self._letter(*letter)
             rows, left = gather(rows), gather(ids)
-            ids = tuple(map(get, zip(left, right)))
+            ids = tuple(map(get, tables, left))
             if None in ids:
-                ids = tuple([product(i, j) if k is None else k
+                ids = tuple([multiply(i, j) if k is None else k
                              for k, i, j in zip(ids, left, right)])
         return rows, ids
 
@@ -367,16 +386,11 @@ class InducedRep:
         rows = []
         for family, label, word in gersten_relators(self.n):
             half = len(word) // 2
-            v_inverse = [(token, -e) for token, e in reversed(word[half:])]
-            rows.append((family, label,
-                         self._columns(word[:half]) == self._columns(v_inverse)))
+            same = self._columns(word[:half]) == self._columns(_inv_word(word[half:]))
+            rows.append((family, label, same))
         families = family_report(rows)
-        return {
-            "n": self.n,
-            "m": self.m,
-            "families": families,
-            "ok": all(not fam["failures"] for fam in families),
-        }
+        return {"n": self.n, "m": self.m, "families": families,
+                "ok": all(not fam["failures"] for fam in families)}
 
     def write_json(self, fh) -> None:
         """Write the generators as ``Matrix.to_json`` objects, in the
@@ -404,10 +418,6 @@ class InducedRep:
         fh.write("}}\n")
 
 
-def default_partition(n: int) -> tuple:
-    return (2,) if n == 3 else (1, 1)
-
-
 def induce(n: int, mu=None) -> InducedRep:
     """Build the induced representation on the standard generators.
 
@@ -417,7 +427,7 @@ def induce(n: int, mu=None) -> InducedRep:
     """
     if n < 3:
         raise ValueError("needs rank at least 3")
-    mu = default_partition(n) if mu is None else tuple(mu)
+    mu = ((2,) if n == 3 else (1, 1)) if mu is None else tuple(mu)
     dim_u(n, mu)  # refuses any partition but (1, 1) and (2,)
     if n == 3 and mu == (1, 1):
         raise ValueError("the exterior square degenerates to a line at rank 3")
@@ -453,11 +463,7 @@ def check_not_factoring(rep: InducedRep) -> dict:
         if index is None:
             scanned.append({"generator": label, "result": "not unipotent"})
             continue
-        return {
-            "found": True,
-            "generator": label,
-            "nilpotency_index": index,
-            "kernel_membership":
-                abelianize(relator_automorphism(rep.n, word)).is_identity(),
-        }
+        member = abelianize(relator_automorphism(rep.n, word)).is_identity()
+        return {"found": True, "generator": label, "nilpotency_index": index,
+                "kernel_membership": member}
     return {"found": False, "scanned": scanned}

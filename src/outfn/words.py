@@ -213,24 +213,25 @@ _MOVES = {
 }
 
 
-def relator_automorphism(n: int, token_word) -> tuple:
+def relator_automorphism(n: int, token_word, start=None) -> tuple:
     """The forward images of a token word; rightmost letter acts first.
 
-    Starting from the identity images, each letter ``((kind, i, j), e)``
-    is one Nielsen move, looked up in ``_MOVES`` in the loop (an unknown
-    or unhashable kind is a ``ValueError``), so no inverse table is
-    built or certified.  Each letter's indices are checked afresh, with
-    no verdict kept between letters: ``("rho", 1.0, 2)`` equals a valid
-    letter and must still be refused.  The moved tuples are returned
-    unchecked, as they are valid: they start as the generators
-    ``(k,)``; a move checks its indices before it touches a tuple, so it
+    Starting from the identity images, or from ``start``, images of some
+    acc that this engine returned (giving those of acc times the word),
+    each letter ``((kind, i, j), e)`` is one Nielsen move, looked up in
+    ``_MOVES`` in the loop (an unknown or unhashable kind is a
+    ``ValueError``), so no inverse table is built or certified.  Each
+    letter's indices are checked afresh, with no verdict kept between
+    letters: ``("rho", 1.0, 2)`` equals a valid letter and must still be
+    refused.  The moved tuples are returned unchecked, as they are
+    valid: they start as the generators ``(k,)`` or as such moved
+    tuples; a move checks its indices before it touches a tuple, so it
     only reads and writes the n images; and each move rewrites tuples
-    with ``_join`` and ``_inv`` alone, which keep reduced tuples in
-    range reduced and in range.
+    with ``_join`` and ``_inv`` alone, which keep them reduced and in range.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    img = [(k,) for k in range(1, n + 1)]
+    img = [(k,) for k in range(1, n + 1)] if start is None else [*start]
     for (kind, i, j), e in token_word:
         try:
             move = _MOVES[kind]
@@ -312,10 +313,6 @@ def is_inner(imgs: tuple):
 # the finite presentation relator suite
 
 
-def _tok(kind, i=None, j=None):
-    return (kind, i, j)
-
-
 def _comm(a, b):
     # [a, b] = a b a^-1 b^-1 as a token word
     return [(a, 1), (b, 1), (a, -1), (b, -1)]
@@ -342,50 +339,46 @@ def gersten_relators(n: int):
             if k in (i, j) or l == i:
                 continue
             lab = f"i={i},j={j},k={k},l={l}"
-            yield fam, "rho " + lab, _comm(_tok("rho", i, j), _tok("rho", k, l))
-            yield fam, "lam " + lab, _comm(_tok("lam", i, j), _tok("lam", k, l))
+            yield fam, "rho " + lab, _comm(("rho", i, j), ("rho", k, l))
+            yield fam, "lam " + lab, _comm(("lam", i, j), ("lam", k, l))
 
     fam = "left-right commuting pairs"
     for i, j in itertools.permutations(idx, 2):
         for k, l in itertools.permutations(idx, 2):
             if k == j or l == i:
                 continue
-            yield fam, f"i={i},j={j},k={k},l={l}", \
-                _comm(_tok("lam", i, j), _tok("rho", k, l))
+            yield fam, f"i={i},j={j},k={k},l={l}", _comm(("lam", i, j), ("rho", k, l))
 
     for fam, x, y in (("rho commutator identities", "rho", "lam"),
                       ("lambda commutator identities", "lam", "rho")):
         for i, j, k in itertools.permutations(idx, 3):
             lab = f"i={i},j={j},k={k}"
-            x_ik = _tok(x, i, k)
-            a, b = _tok(x, i, j), _tok(x, j, k)
-            c = _tok(y, j, k)
+            a, b, c, x_ik = (x, i, j), (x, j, k), (y, j, k), (x, i, k)
             yield fam, "inv-inv " + lab, [(a, -1), (b, -1), (a, 1), (b, 1), (x_ik, 1)]
             yield fam, "mixed " + lab, _comm(a, c) + [(x_ik, 1)]
             yield fam, "inv-plain " + lab, [(a, -1), (b, 1), (a, 1), (b, -1), (x_ik, -1)]
-            yield fam, "mixed-inv " + lab, \
-                [(a, 1), (c, -1), (a, -1), (c, 1), (x_ik, -1)]
+            yield fam, "mixed-inv " + lab, [(a, 1), (c, -1), (a, -1), (c, 1), (x_ik, -1)]
 
     fam = "quarter turns"
     for i, j in itertools.permutations(idx, 2):
         lab = f"i={i},j={j}"
-        w1 = [(_tok("rho", i, j), 1), (_tok("rho", j, i), -1), (_tok("lam", i, j), 1)]
-        w2 = [(_tok("lam", i, j), 1), (_tok("lam", j, i), -1), (_tok("rho", i, j), 1)]
+        w1 = [(("rho", i, j), 1), (("rho", j, i), -1), (("lam", i, j), 1)]
+        w2 = [(("lam", i, j), 1), (("lam", j, i), -1), (("rho", i, j), 1)]
         yield fam, "two routes " + lab, w1 + _inv_word(w2)
         yield fam, "fourth power " + lab, w1 * 4
 
     fam = "inversion commutes away from its index"
-    e1 = _tok("eps", 1)
+    e1 = ("eps", 1, None)
     for i, j in itertools.permutations(range(2, n + 1), 2):
         lab = f"i={i},j={j}"
-        yield fam, "rho " + lab, _comm(e1, _tok("rho", i, j))
-        yield fam, "lam " + lab, _comm(e1, _tok("lam", i, j))
+        yield fam, "rho " + lab, _comm(e1, ("rho", i, j))
+        yield fam, "lam " + lab, _comm(e1, ("lam", i, j))
 
     fam = "inversion twists the first pair"
     yield fam, "rho12^eps1 = lam12^-1", \
-        [(e1, 1), (_tok("rho", 1, 2), 1), (e1, 1), (_tok("lam", 1, 2), 1)]
+        [(e1, 1), (("rho", 1, 2), 1), (e1, 1), (("lam", 1, 2), 1)]
     yield fam, "rho21^eps1 = rho21^-1", \
-        [(e1, 1), (_tok("rho", 2, 1), 1), (e1, 1), (_tok("rho", 2, 1), 1)]
+        [(e1, 1), (("rho", 2, 1), 1), (e1, 1), (("rho", 2, 1), 1)]
 
     fam = "inversion is an involution"
     yield fam, "eps1^2", [(e1, 1), (e1, 1)]
@@ -395,7 +388,7 @@ def gersten_relators(n: int):
         word = []
         for i in idx:
             if i != j:
-                word += [(_tok("rho", i, j), 1), (_tok("lam", i, j), -1)]
+                word += [(("rho", i, j), 1), (("lam", i, j), -1)]
         yield fam, f"j={j}", word
 
 

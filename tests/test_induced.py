@@ -448,6 +448,26 @@ def random_unimodular(rng, k):
     return g
 
 
+def product(blocks, i, j):
+    """Id of g_i g_j through the product table of the right factor j."""
+    blocks.table(j)
+    return blocks.multiply(i, j)
+
+
+def whole_word_block_of(rep, word):
+    """Columns of a token word as (block row, g) with each coset element
+    t_target^-1 w t_mask moved as one whole word from the identity
+    images, g read off ``cover.minus_eigenspace_matrix``."""
+    n, t = rep.n, rep.transversal
+    inverse = W.relator_automorphism(n, W._inv_word(word))
+    cols = []
+    for mask in rep.cosets:
+        target = induced.act_on_mask(inverse, mask)
+        h = W.relator_automorphism(n, [*W._inv_word(t[target]), *word, *t[mask]])
+        cols.append((rep.cosets.index(target), cover.minus_eigenspace_matrix(h)))
+    return tuple(cols)
+
+
 def failing_labels(report):
     return [(fam["name"], label) for fam in report["families"]
             for label in fam["failures"]]
@@ -514,6 +534,23 @@ class TestStoredBlockOracle:
         for length in [0, 1, 1, 2, 3, 4, 5, 6]:
             word = random_word(rng, n, length)
             assert read(rep, rep.block_of(word)) == oracle_block_of(rep, W.automorphism(n, word))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_block_of_matches_the_whole_word_evaluation(self, n):
+        # the images of t_target^-1 are moved once per coset and shared by
+        # every block_of; the old evaluation moved the whole word afresh
+        rep = induced.induce(n)
+        rng = random.Random(60 + n)
+        words = [[(token, 1)] for token in stored_tokens(n)]
+        words += [random_word(rng, n, length) for length in range(7) for _ in range(3)]
+        for word in words:
+            want = whole_word_block_of(rep, word)
+            got = rep.block_of(word)
+            assert [r for r, _ in got] == [r for r, _ in want]
+            for (_, i), (_, g) in zip(got, want):
+                assert Matrix(rep.blocks.rows(i)) in (g, -g)
+        for token in stored_tokens(n):
+            assert rep.generators[induced.generator_name(token)] == rep.block_of([(token, 1)])
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_generator_inverses(self, reps, n):
@@ -595,8 +632,36 @@ class TestUpToSign:
             assert blocks.intern(entries(-g)) == i
             first = next(x for row in blocks.rows(i) for x in row if x)
             assert first > 0 and Matrix(blocks.rows(i)) in (g, -g)
-            assert Matrix(blocks.rows(blocks.product(i, j))) in (g * h, -(g * h))
+            assert Matrix(blocks.rows(product(blocks, i, j))) in (g * h, -(g * h))
             assert Matrix(blocks.rows(blocks.inverse(i))) in (g.inverse(), -g.inverse())
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_integer_inverse_matches_matrix_inverse(self, k):
+        # Euclid on each column, then a +-1 pivot: the same inverse as
+        # the Fraction Gauss-Jordan of ``Matrix.inverse``, up to sign
+        rng = random.Random(110 + k)
+        blocks = induced._Blocks(k)
+        for _ in range(12):
+            g = random_unimodular(rng, k)
+            inverse = blocks.flat[blocks.inverse(blocks.intern(entries(g)))]
+            assert all(type(x) is int for x in inverse)
+            assert inverse in (tuple(entries(g.inverse())), tuple(entries(-g.inverse())))
+
+    def test_integer_inverse_runs_euclid_and_refuses_non_unimodular_blocks(self):
+        # no +-1 entry in the first column of [[2, 3], [3, 5]]: the pivot
+        # comes out of Euclid on 2 and 3
+        blocks = induced._Blocks(2)
+        g = Matrix([[2, 3], [3, 5]])
+        assert blocks.flat[blocks.inverse(blocks.intern(entries(g)))] == (5, -3, -3, 2)
+        assert Matrix(blocks.rows(blocks.inverse(blocks.intern(entries(g))))) == g.inverse()
+        for bad in ([[1, 2], [2, 4]], [[2, 0], [0, 1]], [[0, 0], [0, 0]]):
+            with pytest.raises(ValueError):
+                blocks.inverse(blocks.intern(entries(Matrix(bad))))
+        blocks = induced._Blocks(3)
+        for bad in ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[1, 1, 0], [1, -1, 0], [0, 0, 1]]):
+            assert Matrix(bad).determinant() in (0, -2)
+            with pytest.raises(ValueError):
+                blocks.inverse(blocks.intern(entries(Matrix(bad))))
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_program_products_match_matrix_mul(self, k):
@@ -618,8 +683,9 @@ class TestUpToSign:
         for g, i in zip(factors, ids):
             for h, j in zip(factors, ids):
                 gh = g * h
-                k_id = blocks.product(i, j)
-                assert blocks.products[i, j] == k_id
+                table = blocks.table(j)
+                k_id = blocks.multiply(i, j)
+                assert table[i] == k_id and blocks.table(j) is table
                 assert blocks.intern(entries(gh)) == blocks.intern(entries(-gh)) == k_id
                 assert Matrix(blocks.rows(k_id)) in (gh, -gh)
                 assert next((x for x in blocks.flat[k_id] if x), 1) > 0
@@ -668,6 +734,12 @@ class TestWordBlocks:
         assert products == []
         assert fresh.relator_report()["ok"]
         assert products and len(set(products)) == len(products)
+        # each letter looks its products up in the table of its own id,
+        # one table per right factor, which the misses filled
+        blocks = fresh.blocks
+        for _, ids, _, tables in fresh._letters.values():
+            assert all(t is blocks.table(j) for t, j in zip(tables, ids))
+        assert sum(map(len, (blocks.table(j) for j in blocks._right))) == len(products)
 
     def test_letter_without_a_stored_block_raises(self, reps):
         with pytest.raises(KeyError, match="sigma12"):
