@@ -5,8 +5,11 @@ A graph is a finite set of vertices and directed edges (loops and
 parallel edges allowed); orientation is the ordered pair (iota, tau) of
 endpoints.  The first homology over the rationals is realised as edge
 weightings balanced at every vertex, i.e. the kernel of the incidence
-matrix, and group elements act on it through signed edge permutations:
-an edge mapped with a reversed orientation picks up a minus sign.
+matrix, which ``h1_basis`` returns as a plain ``Matrix`` (a row per
+edge, a column per cycle); ``collapse`` returns the quotient graph and
+the induced map on cycle spaces as a matrix.  Group elements act on it
+through signed edge permutations: an edge mapped with a reversed
+orientation picks up a minus sign.
 
 On top of that sit the combinatorial certificates used by the rest of
 the package, each polynomial in the size of the graph and in the number
@@ -249,7 +252,8 @@ def _points(aut: GraphAut) -> tuple:
     0 to |V| - 1, in graph order) and the darts: the dart (e, d) goes to
     (g.e, d), or to (g.e, -d) when g flips e."""
     g, dart = aut.graph, _darts(aut.graph)
-    image = [g.vertices.index(aut.vmap[v]) for v in g.vertices]
+    vindex = {v: i for i, v in enumerate(g.vertices)}  # apart from dart: ids may coincide
+    image = [vindex[aut.vmap[v]] for v in g.vertices]
     for e in g.edges:
         d = dart[aut.emap[e]]
         image += [d + 1, d] if aut.flip(e) else [d, d + 1]
@@ -387,29 +391,10 @@ def action_from_json(graph: Graph, obj) -> GraphAction:
 # homology
 
 
-class CycleBasis:
-    """A basis of the balanced edge weightings, one column per cycle."""
-
-    __slots__ = ("graph", "matrix")
-
-    def __init__(self, graph: Graph, matrix: Matrix):
-        self.graph = graph
-        self.matrix = matrix  # |E| x dim
-        if matrix.rows != len(graph.edges):
-            raise ValueError("column length must match the edge count")
-        if not (graph.incidence_matrix() * matrix).is_zero():
-            raise ValueError("columns are not balanced at every vertex")
-        if matrix.cols != graph.rank():
-            raise ValueError("wrong number of independent cycles")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.cols
-
-
-def h1_basis(graph: Graph) -> CycleBasis:
-    """Exact kernel of the incidence matrix."""
-    return CycleBasis(graph, graph.incidence_matrix().kernel_basis())
+def h1_basis(graph: Graph) -> Matrix:
+    """Exact kernel of the incidence matrix: one row per edge, one column
+    per cycle."""
+    return graph.incidence_matrix().kernel_basis()
 
 
 def signed_edge_matrix(aut: GraphAut) -> Matrix:
@@ -422,12 +407,11 @@ def signed_edge_matrix(aut: GraphAut) -> Matrix:
     return Matrix(m, cols=len(g.edges))
 
 
-def induced_matrix(aut: GraphAut, basis: CycleBasis) -> Matrix:
+def induced_matrix(aut: GraphAut, basis: Matrix) -> Matrix:
     """Matrix of the automorphism on homology, in the given cycle basis."""
-    if basis.dim == 0:
+    if basis.cols == 0:
         raise ValueError("homology is trivial; no induced matrix")
-    pushed = signed_edge_matrix(aut) * basis.matrix
-    coords = basis.matrix.solve(pushed)
+    coords = basis.solve(signed_edge_matrix(aut) * basis)
     if coords is None:
         raise AssertionError("pushed cycle left the cycle space")
     return coords
@@ -437,7 +421,7 @@ def induced_rep(action: GraphAction) -> FiniteRep:
     """Package the homology action of every generator as a matrix rep."""
     basis = h1_basis(action.graph)
     gens = {name: induced_matrix(aut, basis) for name, aut in action.maps.items()}
-    return FiniteRep(action.group, basis.dim, gens)
+    return FiniteRep(action.group, basis.cols, gens)
 
 
 def trivial_multiplicity(action: GraphAction) -> int:
@@ -449,7 +433,7 @@ def trivial_multiplicity(action: GraphAction) -> int:
     multiplicity is dim H1 minus the rank of those blocks stacked over
     the generators.
     """
-    cycles = h1_basis(action.graph).matrix
+    cycles = h1_basis(action.graph)
     moved = []
     for name in action.group.generators:
         moved += (signed_edge_matrix(action.maps[name]) * cycles - cycles).data
@@ -460,23 +444,14 @@ def trivial_multiplicity(action: GraphAction) -> int:
 # collapsing
 
 
-class CollapseResult:
-    __slots__ = ("quotient", "cycle_map", "source_basis", "quotient_basis")
-
-    def __init__(self, quotient: Graph, cycle_map: Matrix,
-                 source_basis: CycleBasis, quotient_basis: CycleBasis):
-        self.quotient = quotient
-        self.cycle_map = cycle_map    # quotient cycle coords x source cycle coords
-        self.source_basis = source_basis
-        self.quotient_basis = quotient_basis
-
-
-def collapse(graph: Graph, edge_subset) -> CollapseResult:
-    """Collapse each component of the chosen subgraph to a point.
+def collapse(graph: Graph, edge_subset) -> tuple:
+    """Collapse each component of the chosen subgraph to a point; returns
+    ``(quotient, cycle_map)``.
 
     The induced map on cycle spaces forgets the collapsed coordinates:
     column j of ``cycle_map`` holds the quotient coordinates of the
-    surviving rows of source cycle j.  The map is onto the quotient's
+    surviving rows of source cycle j, so its columns count the source
+    cycles and its rows the quotient's.  The map is onto the quotient's
     cycle space; deciding that is left to the caller.
     """
     chosen = set(edge_subset)
@@ -492,13 +467,12 @@ def collapse(graph: Graph, edge_subset) -> CollapseResult:
     quotient = make_graph(new_vertices, recs)
 
     src = h1_basis(graph)
-    dst = h1_basis(quotient)
     eindex = {e: i for i, e in enumerate(graph.edges)}
-    pushed = Matrix([src.matrix.data[eindex[e]] for e in survivors], cols=src.dim)
-    cycle_map = dst.matrix.solve(pushed)
+    pushed = Matrix([src.data[eindex[e]] for e in survivors], cols=src.cols)
+    cycle_map = h1_basis(quotient).solve(pushed)
     if cycle_map is None:
         raise AssertionError("projected cycle is not balanced downstairs")
-    return CollapseResult(quotient, cycle_map, src, dst)
+    return quotient, cycle_map
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +590,7 @@ def flips_all_simple_loops(graph: Graph, xi: GraphAut) -> bool:
     p = _points(xi)
     if _then(p, p) != tuple(range(len(p))):
         raise ValueError("xi must be an involution")
-    cycles = h1_basis(graph).matrix
+    cycles = h1_basis(graph)
     return signed_edge_matrix(xi) * cycles == -cycles
 
 

@@ -133,7 +133,7 @@ def test_criterion_5_graph_homology():
                 for i in range(ne)]
         g = graphs.make_graph(verts, recs)
         expected = len(g.edges) - len(g.vertices) + g.component_count()
-        assert graphs.h1_basis(g).dim == expected
+        assert graphs.h1_basis(g).cols == expected
         count += 1
 
     n = 5

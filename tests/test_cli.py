@@ -560,6 +560,21 @@ class TestGraph:
         assert status["d is tree"] == "fail"
         assert status["mirror is tree"] == "pass"
 
+    @pytest.mark.parametrize("fault, dim", [
+        # the last cycle missing
+        (lambda k: Matrix([row[:-1] for row in k.data], cols=k.cols - 1), 1),
+        # the first cycle replaced by the edge c1 alone, unbalanced at u and w
+        (lambda k: Matrix([[int(i == 0), *row[1:]] for i, row in enumerate(k.data)]), 2),
+    ], ids=["missing", "unbalanced"])
+    def test_wrong_cycle_basis_fails_its_check(self, tmp_path, monkeypatch, fault, dim):
+        real = Matrix.kernel_basis
+        monkeypatch.setattr(Matrix, "kernel_basis", lambda self: fault(real(self)))
+        out = tmp_path / "h.json"
+        assert run(["graph", "homology", "--builtin", "cage:3", "--json", str(out)]) == 1
+        [c] = load_report(out)["checks"]
+        assert (c["name"], c["status"]) == ("cycle space dimension = 2", "fail")
+        assert c["details"] == {"edges": 3, "vertices": 2, "components": 1, "dim": dim}
+
     def test_unknown_builtin(self):
         assert run(["graph", "homology", "--builtin", "moose:3"]) == 2
 

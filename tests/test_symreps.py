@@ -452,7 +452,7 @@ class TestCrossModuleDecomposition:
             vec[i] = Fraction(1)
             vec[n] = Fraction(-1)
             diffs.append(vec)
-        coords = basis.matrix.solve(Matrix.from_columns(diffs))
+        coords = basis.solve(Matrix.from_columns(diffs))
         assert coords is not None  # every difference is a cycle
         assert coords.rank() == n
         flips = [flip_matrix(i, n) for i in range(1, n + 1)]
