@@ -50,11 +50,12 @@ dimension at least 3 (the one case refused, the exterior square at rank
 3, is the dimension-2 exception).  So ids multiply and invert on the
 small matrices g, each product and inverse once, and S is applied only
 where a block's entries are read (``unipotency_index``, ``write_json``),
-once per id.  A product of ids g h runs the letter program of h, built
-once per right factor: a few gathers of the flat entries of g, scaled
-and summed by ``map``.  An inverse runs integer row operations, Euclid
-down to a +-1 pivot in each column, as g is unimodular.  No step
-divides, so every entry is a Python ``int``.
+once per id.  A product of ids g h runs one straight-line function per
+block dimension d (``_kernel``, generated from d alone when the table
+is made): it unpacks the flat entries of g and h and returns the d * d
+sums of products, with no loop and no call per entry.  An inverse runs
+integer row operations, Euclid down to a +-1 pivot in each column, as
+g is unimodular.  No step divides, so every entry is a Python ``int``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from __future__ import annotations
 import json
 from itertools import chain, permutations
 from math import comb
-from operator import add, itemgetter, mul, neg
+from operator import itemgetter, neg
 
 from .linalg import Matrix, _identity_rows, schur_square
 from .words import (
@@ -135,35 +136,19 @@ def coset_transversal(n: int) -> dict:
 # the block table
 
 
-def _program(h: tuple, d: int) -> tuple:
-    """The program multiplying by h on the right, h a d x d matrix given
-    by its row-major entries: one to d terms of (gather, scales).
-
-    Entry (r, c) of g h is the sum over the nonzero entries h[k][c] of
-    column c of g[r][k] h[k][c].  Term t gathers, for every entry (r, c),
-    g[r][k] at the t-th nonzero h[k][c] of column c, and its scales are
-    those h[k][c] (0 where column c has fewer nonzeros; ``None`` when
-    all are 1).  A signed permutation h takes one term, a plain
-    permutation a gather alone.
-    """
-    columns = [[(k, h[k * d + c]) for k in range(d) if h[k * d + c]] for c in range(d)]
-    program = []
-    for t in range(max(1, *map(len, columns))):
-        picks = [col[t] if t < len(col) else (0, 0) for col in columns]
-        gather = itemgetter(*[r + k for r in range(0, d * d, d) for k, _ in picks])
-        scales = tuple([x for _, x in picks] * d)
-        program.append((gather, None if scales.count(1) == len(scales) else scales))
-    return tuple(program)
-
-
-def _multiply(g: tuple, program: tuple):
-    """Row-major entries of g h, g given by its row-major entries and h
-    by its ``_program``: a gather per term, scaled and summed by ``map``."""
-    out = None
-    for gather, scales in program:
-        term = gather(g) if scales is None else map(mul, gather(g), scales)
-        out = term if out is None else map(add, out, term)
-    return out
+def _kernel(d: int):
+    """The product of two d x d matrices given by their row-major
+    entries, as one straight-line function: it unpacks both tuples and
+    returns the d * d sums of products, entry (r, c) being the sum of
+    g[r][k] h[k][c] over k.  The source is generated from d alone."""
+    g = [f"g{k}" for k in range(d * d)]
+    h = [f"h{k}" for k in range(d * d)]
+    sums = [" + ".join(f"g{r + k}*h{k * d + c}" for k in range(d))
+            for r in range(0, d * d, d) for c in range(d)]
+    namespace = {}
+    exec(f"def product(g, h):\n    {', '.join(g)}, = g\n    {', '.join(h)}, = h\n"
+         f"    return ({', '.join(sums)},)\n", namespace)
+    return namespace["product"]
 
 
 class _Blocks:
@@ -173,15 +158,16 @@ class _Blocks:
     A block S(g) is held as g up to sign: its entries in row-major
     order, negated when the first nonzero one is negative, a flat tuple
     that is both its key and its value.  Each right factor id has its
-    ``_program`` and its product table, left id -> product id, filled
-    by ``multiply``.
+    product table, left id -> product id, filled by ``multiply``, which
+    computes a missing product with ``_kernel(d)``, built once per table.
     """
 
     def __init__(self, d: int):
         self.d = d
         self.flat = []         # id -> entries of g up to sign
         self._ids = {}         # entries -> id
-        self._right = {}       # right factor id -> (_program, product table)
+        self._right = {}       # right factor id -> product table
+        self._product = _kernel(d)
         self._inverses = {}    # id -> id
 
     def intern(self, entries) -> int:
@@ -202,15 +188,13 @@ class _Blocks:
 
     def table(self, j: int) -> dict:
         """The products by id j on the right so far, left id -> id."""
-        if j not in self._right:
-            self._right[j] = (_program(self.flat[j], self.d), {})
-        return self._right[j][1]
+        return self._right.setdefault(j, {})
 
     def multiply(self, i: int, j: int) -> int:
         """Id of g_i g_j, looked up in or added to the table of j."""
-        program, table = self._right[j]
+        table = self._right[j]
         if i not in table:
-            table[i] = self.intern(_multiply(self.flat[i], program))
+            table[i] = self.intern(self._product(self.flat[i], self.flat[j]))
         return table[i]
 
     def inverse(self, i: int) -> int:

@@ -18,8 +18,8 @@ x = a[r][j].  The matrices multiplied here are sparse integer matrices
 (signed permutations and their square functors, transvections), so a
 product costs about one row operation per nonzero entry, in plain
 integer arithmetic.  The induced block products of ``outfn.induced``
-go through its letter programs instead, with this kernel as their test
-oracle.
+go through its straight-line kernel per block dimension instead, with
+this kernel as their test oracle.
 Elimination picks pivots with the smallest numerator magnitude, which
 keeps intermediate entries small for these structured matrices; a pivot
 of -1 negates its row in integers.

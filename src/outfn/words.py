@@ -32,6 +32,7 @@ calibration used to validate the composition order.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .linalg import Matrix
 
@@ -213,6 +214,12 @@ _MOVES = {
 }
 
 
+@lru_cache(maxsize=None, typed=True)
+def _identity(n: int) -> tuple:
+    """The identity images at rank n, built once per rank."""
+    return tuple((k,) for k in range(1, n + 1))
+
+
 def relator_automorphism(n: int, token_word, start=None) -> tuple:
     """The forward images of a token word; rightmost letter acts first.
 
@@ -231,7 +238,7 @@ def relator_automorphism(n: int, token_word, start=None) -> tuple:
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    img = [(k,) for k in range(1, n + 1)] if start is None else [*start]
+    img = [*(_identity(n) if start is None else start)]
     for (kind, i, j), e in token_word:
         try:
             move = _MOVES[kind]
@@ -296,7 +303,7 @@ def is_inner(imgs: tuple):
     only the identity is inner, and the empty word is returned for it.
     """
     n = len(imgs)
-    if imgs == tuple((k,) for k in range(1, n + 1)):
+    if imgs == _identity(n):
         return ()
     if n == 1:
         return None

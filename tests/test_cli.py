@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import re
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -1029,10 +1030,10 @@ class TestFailureBoundary:
                                           command, obj):
         monkeypatch.chdir(tmp_path)
         path = write_json(tmp_path, obj)
-        before = open(path).read()
+        before = Path(path).read_text()
         assert_usage_error(run([*command, path, "--json", "./input.json"]), capsys,
                            quiet=True)
-        assert open(path).read() == before
+        assert Path(path).read_text() == before
 
     @pytest.mark.parametrize("argv,patch", [
         (["gersten", "--n", "3", "--json", "r.json"], (words, "verify_gersten")),

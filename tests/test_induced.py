@@ -664,8 +664,8 @@ class TestUpToSign:
                 blocks.inverse(blocks.intern(entries(Matrix(bad))))
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-    def test_program_products_match_matrix_mul(self, k):
-        # the letter programs against ``Matrix.__mul__`` (``_product_rows``),
+    def test_kernel_products_match_matrix_mul(self, k):
+        # the straight-line kernel against ``Matrix.__mul__`` (``_product_rows``),
         # on every pair of unimodular, dense, signed permutation and +-I
         # factors, each product and its negative both landing on the id of
         # the exact product with its first nonzero entry positive
@@ -689,6 +689,29 @@ class TestUpToSign:
                 assert blocks.intern(entries(gh)) == blocks.intern(entries(-gh)) == k_id
                 assert Matrix(blocks.rows(k_id)) in (gh, -gh)
                 assert next((x for x in blocks.flat[k_id] if x), 1) > 0
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_kernel_products_are_exact_on_big_integers(self, k):
+        # entries near +-2^70, with zero rows, far past any float or
+        # machine word: every product is the exact ``Matrix.__mul__`` one
+        rng = random.Random(130 + k)
+        big = 2 ** 70
+
+        def factor():
+            rows = [[rng.choice((1, -1)) * (big + rng.randint(-5, 5)) for _ in range(k)]
+                    for _ in range(k)]
+            for r in rng.sample(range(k), rng.randint(0, k - 1)):
+                rows[r] = [0] * k
+            return Matrix(rows)
+        factors = [factor() for _ in range(6)]
+        blocks = induced._Blocks(k)
+        ids = [blocks.intern(entries(g)) for g in factors]
+        for g, i in zip(factors, ids):
+            for h, j in zip(factors, ids):
+                blocks.table(j)
+                product = blocks.flat[blocks.multiply(i, j)]
+                assert all(type(x) is int for x in product)
+                assert product in (tuple(entries(g * h)), tuple(entries(-(g * h))))
 
     @pytest.mark.parametrize("n,mu", [(3, (2,)), (4, (1, 1)), (4, (2,))])
     def test_ids_match_the_distinct_dense_blocks(self, n, mu):
@@ -727,9 +750,10 @@ class TestWordBlocks:
         assert rep.relator_report()["ok"]
         fresh = copy_rep(rep)
         products = []
-        real = induced._multiply
-        monkeypatch.setattr(induced, "_multiply",
-                            lambda g, program: products.append((g, program)) or real(g, program))
+        for blocks in (rep.blocks, fresh.blocks):
+            real = blocks._product
+            monkeypatch.setattr(blocks, "_product",
+                                lambda g, h, real=real: products.append((g, h)) or real(g, h))
         assert rep.relator_report()["ok"]
         assert products == []
         assert fresh.relator_report()["ok"]
