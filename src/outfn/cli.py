@@ -197,7 +197,8 @@ def cmd_induce(args) -> int:
             checks.append(check(f"relators: {fam['name']} ({fam['count']} tuples)",
                                 not fam["failures"], {"failures": fam["failures"]}))
         cert = induced.check_not_factoring(rep)
-        checks.append(check("non-factoring certificate", cert["found"], cert))
+        checks.append(check("non-factoring certificate",
+                            cert["found"] and cert["kernel_membership"], cert))
         rep.write_json(fh)
         report = make_report("induce", {"n": n, "mu": list(rep.mu),
                                         "matrices": str(out_path)}, checks)

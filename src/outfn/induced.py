@@ -21,8 +21,18 @@ coset element would not stabilise the base functional, and
 
 Because the square functors kill minus identity and conjugation by any
 word acts as a sign on the eigenspace, the induced matrices are
-constant on outer classes; the full relator suite is run to certify
-that.  A non-factoring certificate is a generator of the kernel of
+constant on outer classes; the relator suite certifies that.  It is
+checked up to the quarter turns tau_k = rho_{k,k+1} rho_{k+1,k}^-1
+lam_{k,k+1}, k = 2..n-1 (``words.reduced_suite``): (a) conjugation by
+tau_k sends each generator x to a generator or its inverse pi_k(x);
+(b) matrices that satisfy the conjugation relators
+tau_k x tau_k^-1 = pi_k(x) send a word w to the identity exactly when
+they send pi_k(w) there, and rotating or inverting w changes nothing;
+(c) every suite relator is linked to one orbit representative by such
+steps.  So the representatives and the conjugation relators passing
+certify the whole suite; when they do not, or at a rank above those the
+tests prove (3..8), every suite relator is checked.  A non-factoring
+certificate is a generator of the kernel of
 abelianisation whose induced matrix is unipotent and different from the
 identity: such a matrix has infinite order, while any representation
 factoring through the integral linear quotient would send the whole
@@ -61,16 +71,21 @@ g is unimodular.  No step divides, so every entry is a Python ``int``.
 from __future__ import annotations
 
 import json
-from itertools import chain, permutations
+from itertools import chain
 from math import comb
 from operator import itemgetter, neg
 
 from .linalg import Matrix, _identity_rows, schur_square
 from .words import (
+    QUARTER_TURN_FAMILY,
+    REDUCED_SUITE_RANKS,
     _inv_word,
     abelianize,
     family_report,
+    generator_name,
+    gersten_generators,
     gersten_relators,
+    reduced_suite,
     relator_automorphism,
     rho,  # noqa: F401  unused; perfbench/test_smoke.py traces it through this module
 )
@@ -234,14 +249,6 @@ def dim_u(n: int, mu) -> int:
     raise ValueError(f"unsupported partition {mu!r}")
 
 
-def generator_name(token) -> str:
-    """Name of the stored block of a relator token ``(kind, i, j)``:
-    ``eps1``, ``rho{i}{j}`` and ``lam{i}{j}`` are the keys of
-    ``InducedRep.generators``."""
-    kind, i, j = token
-    return kind + "".join(str(x) for x in (i, j) if x is not None)
-
-
 class InducedRep:
     """Induced matrices as columns: ``(block row, block id)`` per
     block-column, the ids naming blocks of ``blocks``."""
@@ -301,9 +308,12 @@ class InducedRep:
         if e != 1:
             columns = sorted((r, c, self.blocks.inverse(i)) for c, (r, i) in enumerate(columns))
             columns = [(c, i) for _, c, i in columns]
-        rows, ids = zip(*columns)
+        return self._store((token, e), *zip(*columns))
+
+    def _store(self, key, rows, ids) -> tuple:
+        """Store columns as the letter ``key`` of ``_columns``."""
         letter = (rows, ids, itemgetter(*rows), tuple(map(self.blocks.table, ids)))
-        self._letters[token, e] = letter
+        self._letters[key] = letter
         return letter
 
     def _columns(self, word) -> tuple:
@@ -358,22 +368,48 @@ class InducedRep:
             worst = max(worst, k)
         return worst
 
+    def _holds(self, word) -> bool:
+        """Whether a relator u v lands on the exact identity, checked as
+        equal columns of u and v^-1, two block products fewer than the
+        whole word."""
+        half = len(word) // 2
+        return self._columns(word[:half]) == self._columns(_inv_word(word[half:]))
+
+    def _conjugation_holds(self, word) -> bool:
+        """Whether a conjugation relator tau x tau^-1 y^-1 of
+        ``words.reduced_suite`` holds (tau spelt as its first three
+        letters), checked as equal columns of tau x and y tau with the
+        columns of tau stored once as one letter: two letter steps
+        instead of six."""
+        tau, x, (y, e) = tuple(word[:3]), word[3], word[7]
+        if tau not in self._letters:
+            self._store(tau, *self._columns(tau))
+        return self._columns((tau, x)) == self._columns(((y, -e), tau))
+
     def relator_report(self) -> dict:
         """Evaluate the full relator suite through the induced matrices.
 
         Every relator must land on the exact identity; the suite
         includes the relator that is merely inner, so passing it
-        certifies the representation is constant on outer classes.  A
-        relator u v is checked as equal columns of u and v^-1, which
-        takes two block products fewer than the whole word.
+        certifies the representation is constant on outer classes.
+
+        The suite is checked up to the quarter turns first
+        (``words.reduced_suite``): one relator per orbit and the
+        conjugation relators tau_k x tau_k^-1 = pi_k(x).  The matrices
+        form a homomorphism R from the free group on the generators, so
+        by (a) and (b) there, R(w) = 1 exactly when R(pi_k(w)) = 1, and
+        by (c) every suite relator then passes; the report lists the
+        suite's families and counts with no failures.  When that check
+        fails, or at a rank where its completeness is not proven, each
+        suite relator is checked, so a report is the same either way.
         """
-        rows = []
-        for family, label, word in gersten_relators(self.n):
-            half = len(word) // 2
-            same = self._columns(word[:half]) == self._columns(_inv_word(word[half:]))
-            rows.append((family, label, same))
-        families = family_report(rows)
-        return {"n": self.n, "m": self.m, "families": families,
+        n, suite = self.n, list(gersten_relators(self.n))
+        reduced = n in REDUCED_SUITE_RANKS and all(
+            (self._conjugation_holds if family == QUARTER_TURN_FAMILY else self._holds)(word)
+            for family, _, word in reduced_suite(n, suite))
+        families = family_report((family, label, reduced or self._holds(word))
+                                 for family, label, word in suite)
+        return {"n": n, "m": self.m, "families": families,
                 "ok": all(not fam["failures"] for fam in families)}
 
     def write_json(self, fh) -> None:
@@ -416,10 +452,7 @@ def induce(n: int, mu=None) -> InducedRep:
     if n == 3 and mu == (1, 1):
         raise ValueError("the exterior square degenerates to a line at rank 3")
     rep = InducedRep(n, mu, coset_transversal(n))
-    stored = [("eps", 1, None)]
-    for i, j in permutations(range(1, n + 1), 2):
-        stored += [("rho", i, j), ("lam", i, j)]
-    for token in stored:
+    for token in gersten_generators(n):
         rep.generators[generator_name(token)] = rep.block_of([(token, 1)])
     return rep
 

@@ -329,6 +329,22 @@ def _inv_word(word):
     return [(g, -e) for g, e in reversed(word)]
 
 
+def gersten_generators(n: int) -> list:
+    """The tokens of the presentation's generators: eps1, then rho_ij
+    and lam_ij for each ordered pair."""
+    tokens = [("eps", 1, None)]
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        tokens += [("rho", i, j), ("lam", i, j)]
+    return tokens
+
+
+def generator_name(token) -> str:
+    """Name of a generator token ``(kind, i, j)``: ``eps1``,
+    ``rho{i}{j}`` or ``lam{i}{j}``."""
+    kind, i, j = token
+    return kind + "".join(str(x) for x in (i, j) if x is not None)
+
+
 def gersten_relators(n: int):
     """Yield ``(family, label, token_word)`` for the full relator suite.
 
@@ -397,6 +413,106 @@ def gersten_relators(n: int):
             if i != j:
                 word += [(("rho", i, j), 1), (("lam", i, j), -1)]
         yield fam, f"j={j}", word
+
+
+# ---------------------------------------------------------------------------
+# the suite up to the quarter turns
+
+
+def quarter_turn(k: int) -> list:
+    """tau_k = rho_{k,k+1} rho_{k+1,k}^-1 lam_{k,k+1} as a token word:
+    a_k -> a_{k+1}, a_{k+1} -> a_k^-1, the other generators fixed."""
+    return [(("rho", k, k + 1), 1), (("rho", k + 1, k), -1), (("lam", k, k + 1), 1)]
+
+
+def quarter_turn_image(k: int, token) -> tuple:
+    """The letter ``(token', e)`` with tau_k x tau_k^-1 = x'^e for the
+    generator x of ``token``.  It swaps the indices k and k + 1; a
+    generator whose first index is k + 1 changes kind (rho <-> lam), and
+    one that names k + 1 at all is inverted; eps1 is fixed."""
+    kind, i, j = token
+    if kind == "eps":
+        return token, 1
+    swap = {k: k + 1, k + 1: k}
+    if i == k + 1:
+        kind = "lam" if kind == "rho" else "rho"
+    return ((kind, swap.get(i, i), swap.get(j, j)),
+            -1 if k + 1 in (i, j) else 1)
+
+
+# One suite relator per orbit of the quarter turns, by family and label; a
+# label with an index above n is absent at rank n.  At ranks 3 and 4 a few
+# orbits of the higher ranks split in two for want of a spare index, and the
+# second part of each has a representative at that rank alone.  Every
+# "total twist is inner" relator is an orbit of its own.
+_REPRESENTATIVES = {
+    "right-right and left-left commuting pairs": (
+        "rho i=1,j=2,k=3,l=2", "lam i=1,j=2,k=3,l=2", "rho i=1,j=2,k=3,l=4",
+        "lam i=1,j=2,k=3,l=4", "rho i=2,j=1,k=3,l=1", "rho i=2,j=1,k=3,l=4",
+        "rho i=2,j=3,k=4,l=3", "rho i=2,j=3,k=4,l=5"),
+    "left-right commuting pairs": (
+        "i=1,j=2,k=1,l=2", "i=1,j=2,k=1,l=3", "i=2,j=1,k=2,l=1",
+        "i=2,j=1,k=2,l=3", "i=2,j=3,k=2,l=3", "i=2,j=3,k=2,l=4"),
+    "rho commutator identities": (
+        "inv-inv i=1,j=2,k=3", "inv-inv i=2,j=1,k=3", "mixed i=2,j=1,k=3",
+        "inv-inv i=2,j=3,k=1", "inv-plain i=2,j=3,k=1", "inv-inv i=2,j=3,k=4"),
+    "lambda commutator identities": ("inv-inv i=1,j=2,k=3",),
+    "quarter turns": (
+        "two routes i=1,j=2", "fourth power i=1,j=2", "two routes i=2,j=1",
+        "fourth power i=2,j=1", "two routes i=2,j=3", "fourth power i=2,j=3"),
+    "inversion commutes away from its index": ("rho i=2,j=3",),
+    "inversion twists the first pair": ("rho12^eps1 = lam12^-1", "rho21^eps1 = rho21^-1"),
+    "inversion is an involution": ("eps1^2",),
+}
+_SPLIT_REPRESENTATIVES = {
+    3: {"rho commutator identities": (
+            "mixed i=1,j=2,k=3", "inv-plain i=2,j=1,k=3", "mixed-inv i=2,j=1,k=3",
+            "mixed i=2,j=3,k=1", "mixed-inv i=2,j=3,k=1"),
+        "lambda commutator identities": ("mixed i=1,j=2,k=3",)},
+    4: {"rho commutator identities": ("mixed i=2,j=3,k=4",)},
+}
+
+# the ranks at which the tests prove the reduced suite complete
+REDUCED_SUITE_RANKS = range(3, 9)
+QUARTER_TURN_FAMILY = "quarter turns permute the generators"
+
+
+def reduced_suite(n: int, suite=None):
+    """Yield ``(family, label, token_word)`` for the suite checked up to
+    the quarter turns tau_k, k = 2..n-1: one relator per orbit (as
+    ``gersten_relators`` yields it), then, as the family "quarter turns
+    permute the generators", the relator tau_k x tau_k^-1 pi_k(x)^-1 of
+    eight letters for every k and every generator x (eps1, rho_ij,
+    lam_ij), tau_k spelt as ``quarter_turn(k)`` and pi_k(x) being
+    ``quarter_turn_image``.
+
+    Why that is enough: (a) conjugation by tau_k sends each generator x
+    to the generator or inverse pi_k(x).  (b) A homomorphism R from the
+    free group on the generators that satisfies every conjugation
+    relator has R(tau_k w tau_k^-1) = R(pi_k(w)) for every word w, with
+    pi_k applied letter by letter, so R(w) = 1 exactly when
+    R(pi_k(w)) = 1; rotating or inverting w does not change that either.
+    (c) Every suite relator is linked to one yielded here by a chain of
+    pi_k, rotations and inversions, so R satisfies the whole suite when
+    it satisfies these.  The tests prove (a) and (c) at the ranks of
+    ``REDUCED_SUITE_RANKS``; any other rank is a ``ValueError``.
+    The representatives are read off ``suite``, the rows of
+    ``gersten_relators(n)`` when the caller holds them already.
+    """
+    if n not in REDUCED_SUITE_RANKS:
+        raise ValueError(f"the reduced suite is proven at ranks 3..8 only, not {n!r}")
+    split = _SPLIT_REPRESENTATIVES.get(n, {})
+    for family, label, word in gersten_relators(n) if suite is None else suite:
+        if (family == "total twist is inner" or label in _REPRESENTATIVES.get(family, ())
+                or label in split.get(family, ())):
+            yield family, label, word
+    tokens = gersten_generators(n)
+    for k in range(2, n):
+        tau = quarter_turn(k)
+        for token in tokens:
+            image, e = quarter_turn_image(k, token)
+            yield (QUARTER_TURN_FAMILY, f"k={k},x={generator_name(token)}",
+                   tau + [(token, 1)] + _inv_word(tau) + [(image, -e)])
 
 
 def family_report(rows) -> list:

@@ -392,6 +392,18 @@ class TestInduce:
         assert cert["details"] == {"found": False, "scanned": [
             {"generator": label, "result": "not unipotent"} for _, label, _, _ in partial]}
 
+    def test_certificate_outside_the_kernel_fails(self, tmp_path, monkeypatch):
+        # a unipotent candidate whose abelianisation is not the identity
+        # certifies nothing: the check fails although one was found
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(induced, "abelianize", lambda imgs: Matrix([[1, 1], [0, 1]]))
+        assert run(["induce", "--n", "3", "--json", "r.json"]) == 1
+        [cert] = [c for c in load_report(tmp_path / "r.json")["checks"]
+                  if c["name"] == "non-factoring certificate"]
+        assert cert["status"] == "fail"
+        assert cert["details"] == {"found": True, "generator": "commutator i=1,j=2,k=3",
+                                   "nilpotency_index": 3, "kernel_membership": False}
+
     def test_rank_bounds(self):
         assert run(["induce", "--n", "6"]) == 2
 

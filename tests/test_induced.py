@@ -801,3 +801,122 @@ class TestWordBlocks:
         rep = induced.induce(4)
         assert rep.relator_report()["ok"]
         assert induced.check_not_factoring(rep)["found"]
+
+
+# ---------------------------------------------------------------------------
+# the relators checked up to the quarter turns against the whole suite
+
+
+def whole_word_report(rep):
+    """The relator report of every suite relator, each evaluated as one
+    whole word from the identity."""
+    families = W.family_report((family, label, rep.is_identity(rep.word_block(word)))
+                               for family, label, word in W.gersten_relators(rep.n))
+    return {"n": rep.n, "m": rep.m, "families": families,
+            "ok": all(not fam["failures"] for fam in families)}
+
+
+def reduced_verdict(rep):
+    """Whether every relator of ``words.reduced_suite`` holds, each
+    evaluated as one whole word from the identity."""
+    return all(rep.is_identity(rep.word_block(word))
+               for _, _, word in W.reduced_suite(rep.n))
+
+
+def unimodular_entry_change(g):
+    """g with one entry changed by +-1, the first such change (row-major)
+    that keeps g unimodular and differs from +-g."""
+    for r in range(g.rows):
+        for c in range(g.cols):
+            for delta in (1, -1):
+                data = [list(row) for row in g.data]
+                data[r][c] += delta
+                h = Matrix(data)
+                if abs(h.determinant()) == 1 and h not in (g, -g):
+                    return h
+    raise AssertionError("no unimodular change of one entry")
+
+
+def wrong_entry(rep, name):
+    columns = list(stored_g(rep, rep.generators[name]))
+    row, g = columns[0]
+    columns[0] = (row, unimodular_entry_change(g))
+    return copy_rep(rep, {name: tuple(columns)})
+
+
+def swapped_block_rows(rep, name):
+    columns = list(stored_g(rep, rep.generators[name]))
+    (r0, g0), (r1, g1) = columns[0], columns[1]
+    columns[0], columns[1] = (r1, g0), (r0, g1)
+    return copy_rep(rep, {name: tuple(columns)})
+
+
+def flip_one_exponent(monkeypatch, target):
+    """Patch the suite, as ``words`` and ``induced`` read it, so that the
+    relator labelled ``target`` has its second letter inverted."""
+    suite = W.gersten_relators
+
+    def flipped(n):
+        for family, label, word in suite(n):
+            if (family, label) == target:
+                word = [word[0], (word[1][0], -word[1][1])] + word[2:]
+            yield family, label, word
+    monkeypatch.setattr(W, "gersten_relators", flipped)
+    monkeypatch.setattr(induced, "gersten_relators", flipped)
+
+
+class TestReducedRelatorCheck:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_reduced_verdict_and_report_equal_the_whole_suite(self, n):
+        rep = induced.induce(n)
+        report = rep.relator_report()
+        assert report["ok"] and reduced_verdict(rep)
+        assert report == whole_word_report(induced.induce(n))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("perturb", [lambda rep: wrong_entry(rep, "rho23"),
+                                         lambda rep: swapped_block_rows(rep, "lam12")],
+                             ids=["wrong entry in rho23", "swapped block row in lam12"])
+    def test_a_perturbed_block_fails_both_checks_alike(self, n, perturb):
+        rep = perturb(induced.induce(n))
+        report = rep.relator_report()
+        assert not report["ok"] and not reduced_verdict(rep)
+        assert report == whole_word_report(rep)
+        # each reduced relator's own check agrees with its whole word, and
+        # the conjugation relators, tau stored as one letter, take both verdicts
+        verdicts = set()
+        for family, _, word in W.reduced_suite(n):
+            whole = rep.is_identity(rep.word_block(word))
+            if family == W.QUARTER_TURN_FAMILY:
+                assert rep._conjugation_holds(word) == whole
+                verdicts.add(whole)
+            else:
+                assert rep._holds(word) == whole
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_a_flipped_representative_fails_both_checks_alike(self, monkeypatch, n):
+        target = ("rho commutator identities", "inv-inv i=1,j=2,k=3")
+        flip_one_exponent(monkeypatch, target)
+        rep = induced.induce(n)
+        report = rep.relator_report()
+        assert not reduced_verdict(rep)
+        assert report == whole_word_report(rep)
+        assert failing_labels(report) == [target]
+
+    def test_a_passing_check_evaluates_the_reduced_suite_alone(self, monkeypatch):
+        n = 4
+        calls = {}
+        for name in ("_holds", "_conjugation_holds"):
+            real = getattr(induced.InducedRep, name)
+            monkeypatch.setattr(induced.InducedRep, name,
+                                lambda self, word, real=real, name=name:
+                                calls.update({name: calls.get(name, 0) + 1}) or real(self, word))
+        assert induced.induce(n).relator_report()["ok"]
+        assert calls == {"_holds": 35, "_conjugation_holds": 50}
+        # at a rank outside the proven ones the whole suite runs
+        calls.clear()
+        monkeypatch.setattr(induced, "REDUCED_SUITE_RANKS", range(0))
+        report = induced.induce(n).relator_report()
+        assert calls == {"_holds": 415} and sum(fam["count"] for fam in report["families"]) == 415
+        assert report == whole_word_report(induced.induce(n))

@@ -1,6 +1,7 @@
 """Word algebra, Nielsen automorphisms, inner detection, abelianisation."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -439,6 +440,131 @@ class TestGersten:
         # at n=4: 12 ordered (i,j); k has 2 choices, l has 2; rho and lam
         fams = {f["name"]: f for f in W.verify_gersten(4)["families"]}
         assert fams["right-right and left-left commuting pairs"]["count"] == 12 * 2 * 2 * 2
+
+
+# ---------------------------------------------------------------------------
+# the suite up to the quarter turns: pi_k read off the move engine, and the
+# orbits of the suite under it found by a union-find
+
+
+@lru_cache(maxsize=None)
+def engine_quarter_turn_images(n):
+    """k -> {token: (token', e)} with tau_k x tau_k^-1 = x'^e, found by
+    looking the moved images up among those of the generators and their
+    inverses (eps1 is its own inverse and is looked up with e = 1)."""
+    tokens = W.gersten_generators(n)
+    letters = {W.relator_automorphism(n, [(t, e)]): (t, e) for e in (-1, 1) for t in tokens}
+    out = {}
+    for k in range(2, n):
+        tau = [(("rho", k, k + 1), 1), (("rho", k + 1, k), -1), (("lam", k, k + 1), 1)]
+        out[k] = {t: letters[W.relator_automorphism(n, tau + [(t, 1)] + W._inv_word(tau))]
+                  for t in tokens}
+    return out
+
+
+def canonical(word):
+    """The least rotation of a word or of its inverse, letters as
+    nonzero ints (-x the inverse of x)."""
+    inverse = tuple(-x for x in reversed(word))
+    return min(w[r:] + w[:r] for w in (word, inverse) for r in range(len(w)))
+
+
+def suite_orbits(n, suite):
+    """The orbits of the relators ``suite`` (rows of ``gersten_relators``)
+    under pi_k, k = 2..n-1, up to rotation and inversion: a union-find
+    links each relator r to the relator whose canonical form is that of
+    pi_k(r).  Returns a list of sets of ``(family, label)``."""
+    code = {t: c for c, t in enumerate(W.gersten_generators(n), 1)}
+    encoded = [tuple(e * code[t] for t, e in word) for _, _, word in suite]
+    where = {}
+    for i, word in enumerate(encoded):
+        where.setdefault(canonical(word), i)
+    parent = list(range(len(suite)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for k, images in engine_quarter_turn_images(n).items():
+        pi = {code[t]: e * code[u] for t, (u, e) in images.items()}
+        pi.update({-c: -x for c, x in pi.items()})
+        for i, word in enumerate(encoded):
+            j = where.get(canonical(tuple(pi[x] for x in word)))
+            if j is not None:
+                parent[find(i)] = find(j)
+    orbits = {}
+    for i, (family, label, _) in enumerate(suite):
+        orbits.setdefault(find(i), set()).add((family, label))
+    return list(orbits.values())
+
+
+def split_reduced_suite(n, suite=None):
+    rows = list(W.reduced_suite(n, suite))
+    return ([(f, l) for f, l, _ in rows if f != W.QUARTER_TURN_FAMILY],
+            [(l, w) for f, l, w in rows if f == W.QUARTER_TURN_FAMILY])
+
+
+class TestReducedSuite:
+    ORBITS = {3: 33, 4: 35, 5: 36, 6: 37, 7: 38, 8: 39}
+
+    @pytest.mark.parametrize("n", list(ORBITS))
+    def test_quarter_turn_images_match_the_move_engine(self, n):
+        for k, images in engine_quarter_turn_images(n).items():
+            want = [(k + 1,) if m == k else (-k,) if m == k + 1 else (m,)
+                    for m in range(1, n + 1)]
+            assert W.relator_automorphism(n, W.quarter_turn(k)) == tuple(want)
+            for token in W.gersten_generators(n):
+                assert W.quarter_turn_image(k, token) == images[token]
+
+    @pytest.mark.parametrize("n", list(ORBITS))
+    def test_conjugation_relators_are_every_k_and_generator(self, n):
+        _, conjugations = split_reduced_suite(n)
+        assert len(conjugations) == (n - 2) * (2 * n * (n - 1) + 1) \
+            == {3: 13, 4: 50, 5: 123, 6: 244, 7: 425, 8: 678}[n]
+        images = engine_quarter_turn_images(n)
+        want = {}
+        for k in range(2, n):
+            tau = W.quarter_turn(k)
+            for token in W.gersten_generators(n):
+                y, e = images[k][token]
+                label = f"k={k},x={W.generator_name(token)}"
+                want[label] = tau + [(token, 1)] + W._inv_word(tau) + [(y, -e)]
+        assert dict(conjugations) == want
+        for _, word in conjugations:
+            assert len(word) == 8
+            assert W.relator_automorphism(n, word) == W.relator_automorphism(n, [])
+
+    @pytest.mark.parametrize("n", list(ORBITS))
+    def test_every_orbit_has_exactly_one_representative(self, n):
+        suite = list(W.gersten_relators(n))
+        orbits = suite_orbits(n, suite)
+        assert len(orbits) == self.ORBITS[n]
+        twists = [o for o in orbits if any(f == "total twist is inner" for f, _ in o)]
+        assert len(twists) == n and all(len(o) == 1 for o in twists)
+        representatives, _ = split_reduced_suite(n)
+        assert len(representatives) == len(set(representatives)) == len(orbits)
+        assert all(len(o & set(representatives)) == 1 for o in orbits)
+
+    def test_a_relator_off_the_suite_has_no_representative(self):
+        # "rho i=1,j=3,k=2,l=3" is no representative; with one exponent
+        # flipped it is no relator either, and it links to nothing
+        n = 4
+        suite = list(W.gersten_relators(n))
+        i = next(i for i, (f, l, _) in enumerate(suite) if l == "rho i=1,j=3,k=2,l=3")
+        family, label, word = suite[i]
+        suite[i] = family, label, [word[0], (word[1][0], -word[1][1])] + word[2:]
+        orbits = suite_orbits(n, suite)
+        representatives, _ = split_reduced_suite(n, suite)
+        assert {(family, label)} in orbits
+        assert (family, label) not in representatives
+        assert len(orbits) == self.ORBITS[n] + 1
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_unproven_ranks_are_refused(self, n):
+        with pytest.raises(ValueError):
+            list(W.reduced_suite(n))
 
 
 def oracle_relator_automorphism(n, token_word):
