@@ -21,23 +21,13 @@ coset element would not stabilise the base functional, and
 
 Because the square functors kill minus identity and conjugation by any
 word acts as a sign on the eigenspace, the induced matrices are
-constant on outer classes; the relator suite certifies that.  It is
-checked up to the quarter turns tau_k = rho_{k,k+1} rho_{k+1,k}^-1
-lam_{k,k+1}, k = 2..n-1 (``words.reduced_suite``): (a) conjugation by
-tau_k sends each generator x to a generator or its inverse pi_k(x);
-(b) matrices that satisfy the conjugation relators
-tau_k x tau_k^-1 = pi_k(x) send a word w to the identity exactly when
-they send pi_k(w) there, and rotating or inverting w changes nothing;
-(c) every suite relator is linked to one orbit representative by such
-steps.  So the representatives and the conjugation relators passing
-certify the whole suite; when they do not, or at a rank above those the
-tests prove (3..8), every suite relator is checked.  A non-factoring
-certificate is a generator of the kernel of
-abelianisation whose induced matrix is unipotent and different from the
-identity: such a matrix has infinite order, while any representation
-factoring through the integral linear quotient would send the whole
-kernel to finite order elements jointly with its finite image there
-being trivial.
+constant on outer classes; the relator suite certifies that, checked
+by ``words.check_suite``.  A non-factoring certificate is a generator
+of the kernel of abelianisation whose induced matrix is unipotent and
+different from the identity: such a matrix has infinite order, while
+any representation factoring through the integral linear quotient
+would send the whole kernel to finite order elements jointly with its
+finite image there being trivial.
 
 Every matrix is held in one form: each representation's block table
 stores every distinct block once under an integer id, and an induced
@@ -78,14 +68,11 @@ from operator import itemgetter, neg
 from .linalg import Matrix, _identity_rows, schur_square
 from .words import (
     QUARTER_TURN_FAMILY,
-    REDUCED_SUITE_RANKS,
     _inv_word,
     abelianize,
-    family_report,
+    check_suite,
     generator_name,
     gersten_generators,
-    gersten_relators,
-    reduced_suite,
     relator_automorphism,
     rho,  # noqa: F401  unused; perfbench/test_smoke.py traces it through this module
 )
@@ -392,24 +379,13 @@ class InducedRep:
         Every relator must land on the exact identity; the suite
         includes the relator that is merely inner, so passing it
         certifies the representation is constant on outer classes.
-
-        The suite is checked up to the quarter turns first
-        (``words.reduced_suite``): one relator per orbit and the
-        conjugation relators tau_k x tau_k^-1 = pi_k(x).  The matrices
-        form a homomorphism R from the free group on the generators, so
-        by (a) and (b) there, R(w) = 1 exactly when R(pi_k(w)) = 1, and
-        by (c) every suite relator then passes; the report lists the
-        suite's families and counts with no failures.  When that check
-        fails, or at a rank where its completeness is not proven, each
-        suite relator is checked, so a report is the same either way.
+        ``words.check_suite`` decides which relators settle the suite;
+        a conjugation relator of the quarter turns is checked by
+        ``_conjugation_holds``, any other by ``_holds``.
         """
-        n, suite = self.n, list(gersten_relators(self.n))
-        reduced = n in REDUCED_SUITE_RANKS and all(
-            (self._conjugation_holds if family == QUARTER_TURN_FAMILY else self._holds)(word)
-            for family, _, word in reduced_suite(n, suite))
-        families = family_report((family, label, reduced or self._holds(word))
-                                 for family, label, word in suite)
-        return {"n": n, "m": self.m, "families": families,
+        families = check_suite(self.n, lambda family, word: (
+            self._conjugation_holds if family == QUARTER_TURN_FAMILY else self._holds)(word))
+        return {"n": self.n, "m": self.m, "families": families,
                 "ok": all(not fam["failures"] for fam in families)}
 
     def write_json(self, fh) -> None:

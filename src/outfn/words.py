@@ -441,10 +441,11 @@ def quarter_turn_image(k: int, token) -> tuple:
 
 
 # One suite relator per orbit of the quarter turns, by family and label; a
-# label with an index above n is absent at rank n.  At ranks 3 and 4 a few
-# orbits of the higher ranks split in two for want of a spare index, and the
-# second part of each has a representative at that rank alone.  Every
-# "total twist is inner" relator is an orbit of its own.
+# label names its indices as single digits, and one with an index above n is
+# absent at rank n.  At ranks 3 and 4 a few orbits of the higher ranks split
+# in two for want of a spare index, and the second part of each has a
+# representative at that rank alone.  Every "total twist is inner" relator is
+# an orbit of its own.
 _REPRESENTATIVES = {
     "right-right and left-left commuting pairs": (
         "rho i=1,j=2,k=3,l=2", "lam i=1,j=2,k=3,l=2", "rho i=1,j=2,k=3,l=4",
@@ -473,8 +474,19 @@ _SPLIT_REPRESENTATIVES = {
 }
 
 # the ranks at which the tests prove the reduced suite complete
-REDUCED_SUITE_RANKS = range(3, 9)
+REDUCED_SUITE_RANKS = range(3, 11)
 QUARTER_TURN_FAMILY = "quarter turns permute the generators"
+
+
+@lru_cache(maxsize=None)
+def _representatives(n: int) -> dict:
+    """family -> the labels of its orbit representatives at rank n."""
+    split, above = _SPLIT_REPRESENTATIVES.get(n, {}), set(map(str, range(n + 1, 10)))
+    table = {family: frozenset(label for label in labels + split.get(family, ())
+                               if above.isdisjoint(label))
+             for family, labels in _REPRESENTATIVES.items()}
+    table["total twist is inner"] = frozenset(f"j={j}" for j in range(1, n + 1))
+    return table
 
 
 def reduced_suite(n: int, suite=None):
@@ -500,11 +512,10 @@ def reduced_suite(n: int, suite=None):
     ``gersten_relators(n)`` when the caller holds them already.
     """
     if n not in REDUCED_SUITE_RANKS:
-        raise ValueError(f"the reduced suite is proven at ranks 3..8 only, not {n!r}")
-    split = _SPLIT_REPRESENTATIVES.get(n, {})
+        raise ValueError(f"the reduced suite is proven at ranks 3..10 only, not {n!r}")
+    representatives = _representatives(n)
     for family, label, word in gersten_relators(n) if suite is None else suite:
-        if (family == "total twist is inner" or label in _REPRESENTATIVES.get(family, ())
-                or label in split.get(family, ())):
+        if label in representatives.get(family, ()):
             yield family, label, word
     tokens = gersten_generators(n)
     for k in range(2, n):
@@ -531,32 +542,43 @@ def family_report(rows) -> list:
     return list(families.values())
 
 
-def verify_gersten(n: int) -> dict:
-    """Instantiate every relator family and check it in the outer group.
-
-    Returns a report listing, per family, how many index tuples were
-    instantiated and which of them (if any) failed.  A family with
-    failures also gets ``images``: each failing label's reduced forward
-    images, as lists of letters.  The relators are checked one after
-    another in this process.
+def check_suite(n: int, holds) -> list:
+    """The ``family_report`` of the relator suite at rank n, a relator
+    passing when ``holds(family, token_word)``.  At a rank of
+    ``REDUCED_SUITE_RANKS``, when every relator of ``reduced_suite``
+    holds and the suite held every representative the table lists (its
+    labels being distinct), every suite relator passes by (a)-(c) there;
+    otherwise each one is decided.
     """
-    rows = []
-    for family, label, token_word in gersten_relators(n):
-        imgs = relator_automorphism(n, token_word)
-        images = None if is_inner(imgs) is not None else [list(w) for w in imgs]
-        rows.append((family, label, images))
-    families = family_report((family, label, images is None)
-                             for family, label, images in rows)
-    for fam in families:
-        if fam["failures"]:
-            fam["images"] = {label: images for family, label, images in rows
-                             if family == fam["name"] and images is not None}
-    return {
-        "n": n,
-        "families": families,
-        "total": len(rows),
-        "ok": all(not fam["failures"] for fam in families),
-    }
+    suite = list(gersten_relators(n))
+    if n in REDUCED_SUITE_RANKS:
+        found = 0
+        for family, label, word in reduced_suite(n, suite):
+            if not holds(family, word):
+                break
+            found += family != QUARTER_TURN_FAMILY
+        else:
+            if found == sum(map(len, _representatives(n).values())):
+                return family_report((family, label, True) for family, label, _ in suite)
+    return family_report((family, label, holds(family, word)) for family, label, word in suite)
+
+
+def verify_gersten(n: int) -> dict:
+    """Check the relator suite in the outer group with ``check_suite``,
+    a relator holding when its automorphism is inner.  The report lists,
+    per family, how many index tuples were instantiated and which of
+    them failed; a family with failures also gets ``images``: each
+    failing label's reduced forward images, as lists of letters.
+    """
+    families = check_suite(n, lambda _, word: is_inner(relator_automorphism(n, word)) is not None)
+    failing = {(fam["name"], label): fam for fam in families for label in fam["failures"]}
+    if failing:
+        for family, label, word in gersten_relators(n):
+            if (family, label) in failing:
+                images = failing[family, label].setdefault("images", {})
+                images[label] = [list(w) for w in relator_automorphism(n, word)]
+    return {"n": n, "families": families, "total": sum(fam["count"] for fam in families),
+            "ok": not failing}
 
 
 # ---------------------------------------------------------------------------

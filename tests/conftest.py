@@ -582,6 +582,19 @@ def generator(n, kind, i=None, j=None) -> words.Automorphism:
     return words.automorphism(n, [((kind, i, j), 1)])
 
 
+def flip_one_exponent(monkeypatch, target):
+    """Patch the suite, as ``words`` reads it for ``check_suite``, so that
+    the relator labelled ``target`` has its second letter inverted."""
+    suite = words.gersten_relators
+
+    def flipped(n):
+        for family, label, word in suite(n):
+            if (family, label) == target:
+                word = [word[0], (word[1][0], -word[1][1])] + word[2:]
+            yield family, label, word
+    monkeypatch.setattr(words, "gersten_relators", flipped)
+
+
 def oracle_token_images(n, token_word) -> list:
     """The forward images of a token word as letter tuples, by substitution.
 

@@ -10,6 +10,7 @@ from itertools import permutations
 import pytest
 
 from conftest import (
+    flip_one_exponent,
     functional_to_mask,
     generator,
     mask_to_functional,
@@ -851,20 +852,6 @@ def swapped_block_rows(rep, name):
     return copy_rep(rep, {name: tuple(columns)})
 
 
-def flip_one_exponent(monkeypatch, target):
-    """Patch the suite, as ``words`` and ``induced`` read it, so that the
-    relator labelled ``target`` has its second letter inverted."""
-    suite = W.gersten_relators
-
-    def flipped(n):
-        for family, label, word in suite(n):
-            if (family, label) == target:
-                word = [word[0], (word[1][0], -word[1][1])] + word[2:]
-            yield family, label, word
-    monkeypatch.setattr(W, "gersten_relators", flipped)
-    monkeypatch.setattr(induced, "gersten_relators", flipped)
-
-
 class TestReducedRelatorCheck:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_reduced_verdict_and_report_equal_the_whole_suite(self, n):
@@ -916,7 +903,17 @@ class TestReducedRelatorCheck:
         assert calls == {"_holds": 35, "_conjugation_holds": 50}
         # at a rank outside the proven ones the whole suite runs
         calls.clear()
-        monkeypatch.setattr(induced, "REDUCED_SUITE_RANKS", range(0))
+        monkeypatch.setattr(W, "REDUCED_SUITE_RANKS", range(0))
         report = induced.induce(n).relator_report()
         assert calls == {"_holds": 415} and sum(fam["count"] for fam in report["families"]) == 415
         assert report == whole_word_report(induced.induce(n))
+
+    def test_a_suite_without_the_representatives_is_checked_whole(self, monkeypatch):
+        # a stand-in suite holds none of the representatives, so the
+        # conjugation relators passing settle nothing
+        def bare_rho12(n):
+            yield "bare", "rho12", [(("rho", 1, 2), 1)]
+        monkeypatch.setattr(W, "gersten_relators", bare_rho12)
+        report = induced.induce(3).relator_report()
+        assert report["families"] == [{"name": "bare", "count": 1, "failures": ["rho12"]}]
+        assert not report["ok"]

@@ -6,7 +6,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import generator, oracle_act_on_mask, oracle_token_images, reduce_word
+from conftest import (
+    flip_one_exponent,
+    generator,
+    oracle_act_on_mask,
+    oracle_token_images,
+    reduce_word,
+)
 from outfn import induced, words as W
 
 
@@ -507,7 +513,7 @@ def split_reduced_suite(n, suite=None):
 
 
 class TestReducedSuite:
-    ORBITS = {3: 33, 4: 35, 5: 36, 6: 37, 7: 38, 8: 39}
+    ORBITS = {3: 33, 4: 35, 5: 36, 6: 37, 7: 38, 8: 39, 9: 40, 10: 41}
 
     @pytest.mark.parametrize("n", list(ORBITS))
     def test_quarter_turn_images_match_the_move_engine(self, n):
@@ -522,7 +528,7 @@ class TestReducedSuite:
     def test_conjugation_relators_are_every_k_and_generator(self, n):
         _, conjugations = split_reduced_suite(n)
         assert len(conjugations) == (n - 2) * (2 * n * (n - 1) + 1) \
-            == {3: 13, 4: 50, 5: 123, 6: 244, 7: 425, 8: 678}[n]
+            == {3: 13, 4: 50, 5: 123, 6: 244, 7: 425, 8: 678, 9: 1015, 10: 1448}[n]
         images = engine_quarter_turn_images(n)
         want = {}
         for k in range(2, n):
@@ -561,10 +567,89 @@ class TestReducedSuite:
         assert (family, label) not in representatives
         assert len(orbits) == self.ORBITS[n] + 1
 
-    @pytest.mark.parametrize("n", [2, 9])
+    @pytest.mark.parametrize("n", [2, 11])
     def test_unproven_ranks_are_refused(self, n):
         with pytest.raises(ValueError):
             list(W.reduced_suite(n))
+
+
+# ---------------------------------------------------------------------------
+# verify_gersten against every suite relator decided alone
+
+
+def whole_suite_report(n):
+    """The ``verify_gersten`` report with every suite relator decided
+    alone by ``is_inner`` on its own images."""
+    rows = [(family, label, W.relator_automorphism(n, word))
+            for family, label, word in W.gersten_relators(n)]
+    families = W.family_report((family, label, W.is_inner(images) is not None)
+                               for family, label, images in rows)
+    for fam in families:
+        if fam["failures"]:
+            fam["images"] = {label: [list(w) for w in images] for family, label, images in rows
+                             if family == fam["name"] and label in fam["failures"]}
+    return {"n": n, "families": families, "total": len(rows),
+            "ok": all(not fam["failures"] for fam in families)}
+
+
+def failing_images(report):
+    return [(fam["name"], fam["failures"], list(fam["images"]))
+            for fam in report["families"] if fam["failures"]]
+
+
+class TestGerstenAgreesWithTheWholeSuite:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_a_passing_report_equals_the_whole_suite(self, n):
+        report = W.verify_gersten(n)
+        assert report["ok"] and report == whole_suite_report(n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_a_flipped_representative_is_reported_with_its_images(self, monkeypatch, n):
+        family, label = "rho commutator identities", "inv-inv i=1,j=2,k=3"
+        flip_one_exponent(monkeypatch, (family, label))
+        report = W.verify_gersten(n)
+        assert report == whole_suite_report(n)
+        assert failing_images(report) == [(family, [label], [label])]
+
+    def test_a_flipped_non_representative_is_seen_by_the_whole_check_only(self, monkeypatch):
+        # the flipped word lies in no orbit (see TestReducedSuite), so the
+        # reduced check, which certifies the suite that gersten_relators
+        # generates, does not see it; with the ranks patched empty it is
+        # reported with its images
+        family, label = "right-right and left-left commuting pairs", "rho i=1,j=3,k=2,l=3"
+        flip_one_exponent(monkeypatch, (family, label))
+        assert W.verify_gersten(4)["ok"]
+        monkeypatch.setattr(W, "REDUCED_SUITE_RANKS", range(0))
+        report = W.verify_gersten(4)
+        assert report == whole_suite_report(4)
+        assert failing_images(report) == [(family, [label], [label])]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_a_missing_representative_makes_the_suite_checked_whole(self, monkeypatch, n):
+        # eps1^2 replaced by eps1^3: no representative is flipped, but one
+        # is missing, so the reduced verdict settles nothing
+        suite = W.gersten_relators
+
+        def stand_in(n):
+            for family, label, word in suite(n):
+                if label == "eps1^2":
+                    label, word = "eps1^3", word + word[:1]
+                yield family, label, word
+        monkeypatch.setattr(W, "gersten_relators", stand_in)
+        report = W.verify_gersten(n)
+        assert report == whole_suite_report(n)
+        assert failing_images(report) == [("inversion is an involution", ["eps1^3"], ["eps1^3"])]
+
+    def test_a_passing_check_evaluates_the_reduced_suite_alone(self, monkeypatch):
+        calls = []
+        real = W.relator_automorphism
+        monkeypatch.setattr(W, "relator_automorphism",
+                            lambda n, word: calls.append(word) or real(n, word))
+        assert W.verify_gersten(4)["ok"]
+        assert len(calls) == 35 + 50
+        calls.clear()
+        monkeypatch.setattr(W, "REDUCED_SUITE_RANKS", range(0))
+        assert W.verify_gersten(4)["ok"] and len(calls) == 415
 
 
 def oracle_relator_automorphism(n, token_word):
