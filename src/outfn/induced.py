@@ -29,16 +29,17 @@ any representation factoring through the integral linear quotient
 would send the whole kernel to finite order elements jointly with its
 finite image there being trivial.
 
-Every matrix is held in one form: each representation's block table
-stores every distinct block once under an integer id, and an induced
-matrix is its columns, one ``(block row, block id)`` per block-column:
+Every matrix is held in one form, its columns ``(rows, ids)``: the
+block row and the id of each block-column, each distinct block stored
+once under an integer id in the representation's table.  So are
 ``generators`` (what ``write_json`` writes out), the relators and the
-certificate candidates (``cover.kernel_generators``) alike.  A word's
-columns are the product of its letters', one letter at a time over all
-block-columns: a letter holds its block rows, its ids and, per id, the
-product table of that right factor (left id -> product id), so a step
-is two gathers and one ``dict.get`` per block-column.  A relator u v
-passes when the columns of u and v^-1 are equal.
+certificate candidates (``cover.kernel_generators``).  A word's columns
+are the product of its letters', one letter at a time over all
+block-columns: a letter (a generator, or the quarter turn tau_k, the
+product of ``words.quarter_turn(k)``) holds its block rows, its ids and,
+per id, the product table of that right factor (left id -> product id),
+so a step is two gathers and one ``dict.get`` per block-column.  Every
+relator u v passes when the columns of u and v^-1 are equal.
 
 A block is S(g), with S the square functor of ``mu`` and g the
 (n-1) x (n-1) integer matrix of ``cover.twisted_counts``, and the table
@@ -67,12 +68,12 @@ from operator import itemgetter, neg
 
 from .linalg import Matrix, _identity_rows, schur_square
 from .words import (
-    QUARTER_TURN_FAMILY,
     _inv_word,
     abelianize,
     check_suite,
     generator_name,
     gersten_generators,
+    quarter_turn,
     relator_automorphism,
     rho,  # noqa: F401  unused; perfbench/test_smoke.py traces it through this module
 )
@@ -114,13 +115,12 @@ def coset_transversal(n: int) -> dict:
     index onto a pivot p (n itself when that bit is set, else the
     smallest set bit), then adding p into each other set bit k: as one
     token word, rho_kp for k from the highest down, then sigma_pn when
-    p != n.  The base coset gets the empty word.  Every word is
-    verified against the action, on the move engine's images of its
-    inverse word, before being returned.
+    p != n.  The base coset gets the empty word.  ``InducedRep``
+    verifies every word against the action, on the move engine's images
+    of its inverse word, which it keeps.
     """
     if n < 2:
         raise ValueError("needs rank at least 2")
-    base_mask = 1 << (n - 1)
     out = {}
     for mask in range(1, 2 ** n):
         bits = [k for k in range(1, n + 1) if mask >> (k - 1) & 1]
@@ -128,8 +128,6 @@ def coset_transversal(n: int) -> dict:
         word = [(("rho", k, p), 1) for k in reversed(bits) if k != p]
         if p != n:
             word.append((("sigma", p, n), 1))
-        if act_on_mask(relator_automorphism(n, _inv_word(word)), base_mask) != mask:
-            raise AssertionError("transversal element misses its coset")
         out[mask] = tuple(word)
     return out
 
@@ -237,11 +235,11 @@ def dim_u(n: int, mu) -> int:
 
 
 class InducedRep:
-    """Induced matrices as columns: ``(block row, block id)`` per
-    block-column, the ids naming blocks of ``blocks``."""
+    """Induced matrices as columns ``(block rows, block ids)``, the ids
+    naming blocks of ``blocks``.  Each transversal word must reach its coset."""
 
     __slots__ = ("n", "mu", "cosets", "transversal", "generators",
-                 "blocks", "_starts", "_letters", "_identity")
+                 "blocks", "_starts", "_letters")
 
     def __init__(self, n: int, mu: tuple, transversal: dict):
         self.n = n
@@ -252,8 +250,10 @@ class InducedRep:
         self.blocks = _Blocks(n - 1)
         self._starts = {mask: (r, relator_automorphism(n, _inv_word(transversal[mask])))
                         for r, mask in enumerate(self.cosets)}  # mask -> (position, T^-1)
+        if any(act_on_mask(start, 1 << (n - 1)) != mask
+               for mask, (_, start) in self._starts.items()):
+            raise AssertionError("transversal element misses its coset")
         self._letters = {}                        # (token, e) -> (rows, ids, gather, tables)
-        self._identity = None                     # (rows, ids) of the identity
 
     @property
     def dim_u(self) -> int:
@@ -275,46 +275,43 @@ class InducedRep:
         targets = [act_on_mask(inverse, mask) for mask in self.cosets]
         if sorted(targets) != list(self.cosets):
             raise ValueError("block rows do not form a permutation")
-        columns = []
+        ids = []
         for mask, target in zip(self.cosets, targets):
-            row, start = starts[target]
-            h = twisted_counts(relator_automorphism(n, chain(word, t[mask]), start))
-            columns.append((row, intern(chain.from_iterable(h))))
-        return tuple(columns)
+            h = twisted_counts(relator_automorphism(n, chain(word, t[mask]), starts[target][1]))
+            ids.append(intern(chain.from_iterable(h)))
+        return tuple(starts[target][0] for target in targets), tuple(ids)
 
     def block(self, i: int) -> Matrix:
         """The block S(g) of id i, as a dense ``Matrix``."""
         return schur_square(Matrix(self.blocks.rows(i)), self.mu)
 
     def _letter(self, token, e: int) -> tuple:
-        """Store a token's generator (KeyError when there is none),
-        inverted for exponent -1 (the transposed permutation of the
-        inverted ids), in ``_letters`` as its block rows, its ids, a
-        gather of its rows and the product table of each id."""
-        columns = self.generators[generator_name(token)]
+        """Store a letter in ``_letters``: its block rows, its ids, a
+        gather of its rows and the product table of each id.  A quarter
+        turn ``("tau", k, None)``, 1 < k < n, is the product of the stored
+        blocks of ``quarter_turn(k)``, any other token its generator
+        (KeyError when there is none); exponent -1 inverts that, as the
+        transposed permutation of the inverted ids."""
+        kind, k, _ = token
+        rows, ids = (self.columns(quarter_turn(k)) if kind == "tau" and 1 < k < self.n
+                     else self.generators[generator_name(token)])
         if e != 1:
-            columns = sorted((r, c, self.blocks.inverse(i)) for c, (r, i) in enumerate(columns))
-            columns = [(c, i) for _, c, i in columns]
-        return self._store((token, e), *zip(*columns))
-
-    def _store(self, key, rows, ids) -> tuple:
-        """Store columns as the letter ``key`` of ``_columns``."""
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            rows, ids = tuple(order), tuple(self.blocks.inverse(ids[c]) for c in order)
         letter = (rows, ids, itemgetter(*rows), tuple(map(self.blocks.table, ids)))
-        self._letters[key] = letter
+        self._letters[token, e] = letter
         return letter
 
-    def _columns(self, word) -> tuple:
-        """(block rows, ids) of the product of the stored blocks of a
-        token word's letters, one letter over all block-columns at once:
-        block-column c of acc * L is block-column mid of acc times the
-        block of L at (mid, c), looked up in the product table of L's id
-        there.  Products missing from the tables are computed in a
-        second pass."""
+    def columns(self, word) -> tuple:
+        """Columns of the product of the stored blocks of a token word's
+        letters, the identity for the empty word, one letter over all
+        block-columns at once: block-column c of acc * L is block-column
+        mid of acc times the block of L at (mid, c), looked up in the
+        product table of L's id there.  Products missing from the tables
+        are computed in a second pass."""
         if not word:
-            if self._identity is None:
-                ident = self.blocks.intern(chain.from_iterable(_identity_rows(self.n - 1)))
-                self._identity = (tuple(range(len(self.cosets))), (ident,) * len(self.cosets))
-            return self._identity
+            ident = self.blocks.intern(chain.from_iterable(_identity_rows(self.n - 1)))
+            return tuple(range(len(self.cosets))), (ident,) * len(self.cosets)
         letters, get, multiply = self._letters, dict.get, self.blocks.multiply
         rows, ids = (letters.get(word[0]) or self._letter(*word[0]))[:2]
         for letter in word[1:]:
@@ -326,13 +323,8 @@ class InducedRep:
                              for k, i, j in zip(ids, left, right)])
         return rows, ids
 
-    def word_block(self, word) -> tuple:
-        """Columns of the product of the stored blocks of a token word's
-        letters; the identity for the empty word."""
-        return tuple(zip(*self._columns(word)))
-
     def is_identity(self, columns) -> bool:
-        return tuple(zip(*columns)) == self._columns(())
+        return columns == self.columns(())
 
     def unipotency_index(self, columns):
         """Smallest k with (M - 1)^k = 0 for the matrix M of the
@@ -342,11 +334,11 @@ class InducedRep:
         already rules unipotency out; otherwise each distinct diagonal
         block is tested once for nilpotency of (block - 1).
         """
-        if any(r != c for c, (r, _) in enumerate(columns)):
+        if columns[0] != tuple(range(len(self.cosets))):
             return None
         ident = Matrix.identity(self.dim_u)
         worst = 0
-        for i in {i for _, i in columns}:
+        for i in set(columns[1]):
             nil, power, k = self.block(i) - ident, ident, 0
             while not power.is_zero():
                 if k == self.dim_u:
@@ -360,18 +352,7 @@ class InducedRep:
         equal columns of u and v^-1, two block products fewer than the
         whole word."""
         half = len(word) // 2
-        return self._columns(word[:half]) == self._columns(_inv_word(word[half:]))
-
-    def _conjugation_holds(self, word) -> bool:
-        """Whether a conjugation relator tau x tau^-1 y^-1 of
-        ``words.reduced_suite`` holds (tau spelt as its first three
-        letters), checked as equal columns of tau x and y tau with the
-        columns of tau stored once as one letter: two letter steps
-        instead of six."""
-        tau, x, (y, e) = tuple(word[:3]), word[3], word[7]
-        if tau not in self._letters:
-            self._store(tau, *self._columns(tau))
-        return self._columns((tau, x)) == self._columns(((y, -e), tau))
+        return self.columns(word[:half]) == self.columns(_inv_word(word[half:]))
 
     def relator_report(self) -> dict:
         """Evaluate the full relator suite through the induced matrices.
@@ -379,12 +360,10 @@ class InducedRep:
         Every relator must land on the exact identity; the suite
         includes the relator that is merely inner, so passing it
         certifies the representation is constant on outer classes.
-        ``words.check_suite`` decides which relators settle the suite;
-        a conjugation relator of the quarter turns is checked by
-        ``_conjugation_holds``, any other by ``_holds``.
+        ``words.check_suite`` decides which relators settle the suite,
+        each by ``_holds``.
         """
-        families = check_suite(self.n, lambda family, word: (
-            self._conjugation_holds if family == QUARTER_TURN_FAMILY else self._holds)(word))
+        families = check_suite(self.n, self._holds)
         return {"n": self.n, "m": self.m, "families": families,
                 "ok": all(not fam["failures"] for fam in families)}
 
@@ -401,9 +380,9 @@ class InducedRep:
         strings = {}  # id -> entry strings of its block, one per row
         header = {"n": self.n, "mu": list(self.mu), "m": self.m, "cosets": list(self.cosets)}
         fh.write(json.dumps(header)[:-1] + ', "generators": {')
-        for k, (name, columns) in enumerate(self.generators.items()):
+        for k, (name, (block_rows, ids)) in enumerate(self.generators.items()):
             column_of = [None] * cosets  # block row -> (block column, id)
-            for c, (r, i) in enumerate(columns):
+            for c, (r, i) in enumerate(zip(block_rows, ids)):
                 column_of[r] = (c, i)
                 if i not in strings:
                     strings[i] = ['", "'.join(map(str, row)) for row in self.block(i).data]
@@ -448,7 +427,7 @@ def check_not_factoring(rep: InducedRep) -> dict:
     """
     scanned = []
     for _, label, word, _ in kernel_generators(rep.n):
-        columns = rep.word_block(word)
+        columns = rep.columns(word)
         if rep.is_identity(columns):
             scanned.append({"generator": label, "result": "identity"})
             continue

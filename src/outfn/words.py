@@ -167,7 +167,9 @@ class Automorphism:
 # Nielsen move on the tuple.  Each move checks its indices first; rho
 # and lambda, most letters, with one inline test that passes two
 # distinct plain ints in range and leaves every other pair to
-# ``_check_pair``, which raises or accepts it (``True`` as 1, say).
+# ``_check_pair``, which raises or accepts it (``True`` as 1, say).  The
+# quarter turn ``("tau", k, None)``, k a plain int in 2..n-1, runs the
+# moves of ``quarter_turn(k)`` (of its inverse for e < 0), built once per k.
 
 
 def _rho_move(img, i, j, e):
@@ -204,6 +206,13 @@ def _delta_move(img, i, j, e):
     img[:] = [_inv(u) for u in img]
 
 
+def _tau_move(img, k, j, e):
+    if not (type(k) is int and 1 < k < len(img)):
+        raise ValueError(f"quarter turn index {k!r} out of range for rank {len(img)}")
+    for move, a, b, f in _quarter_turn_moves(k)[e < 0]:
+        move(img, a, b, f)
+
+
 _MOVES = {
     "rho": _rho_move,
     "lam": _lam_move,
@@ -211,7 +220,16 @@ _MOVES = {
     "sigma": _sigma_move,
     "sigma_star": _sigma_star_move,
     "delta": _delta_move,
+    "tau": _tau_move,
 }
+
+
+@lru_cache(maxsize=None)
+def _quarter_turn_moves(k: int) -> tuple:
+    """The moves ``(move, i, j, e)`` of ``quarter_turn(k)``, then of its inverse."""
+    word = quarter_turn(k)
+    return tuple(tuple((_MOVES[kind], i, j, e) for (kind, i, j), e in w)
+                 for w in (word, _inv_word(word)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -225,16 +243,17 @@ def relator_automorphism(n: int, token_word, start=None) -> tuple:
 
     Starting from the identity images, or from ``start``, images of some
     acc that this engine returned (giving those of acc times the word),
-    each letter ``((kind, i, j), e)`` is one Nielsen move, looked up in
-    ``_MOVES`` in the loop (an unknown or unhashable kind is a
-    ``ValueError``), so no inverse table is built or certified.  Each
-    letter's indices are checked afresh, with no verdict kept between
-    letters: ``("rho", 1.0, 2)`` equals a valid letter and must still be
-    refused.  The moved tuples are returned unchecked, as they are
-    valid: they start as the generators ``(k,)`` or as such moved
-    tuples; a move checks its indices before it touches a tuple, so it
-    only reads and writes the n images; and each move rewrites tuples
-    with ``_join`` and ``_inv`` alone, which keep them reduced and in range.
+    each letter ``((kind, i, j), e)`` is one Nielsen move (the quarter
+    turn ``("tau", k, None)`` three), looked up in ``_MOVES`` in the
+    loop (an unknown or unhashable kind is a ``ValueError``), so no
+    inverse table is built or certified.  Each letter's indices are
+    checked afresh, with no verdict kept between letters:
+    ``("rho", 1.0, 2)`` equals a valid letter and must still be refused.
+    The moved tuples are returned unchecked, as they are valid: they
+    start as the generators ``(k,)`` or as such moved tuples; a move
+    checks its indices before it touches a tuple, so it only reads and
+    writes the n images; and each move rewrites tuples with ``_join``
+    and ``_inv`` alone, which keep them reduced and in range.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
@@ -493,10 +512,10 @@ def reduced_suite(n: int, suite=None):
     """Yield ``(family, label, token_word)`` for the suite checked up to
     the quarter turns tau_k, k = 2..n-1: one relator per orbit (as
     ``gersten_relators`` yields it), then, as the family "quarter turns
-    permute the generators", the relator tau_k x tau_k^-1 pi_k(x)^-1 of
-    eight letters for every k and every generator x (eps1, rho_ij,
-    lam_ij), tau_k spelt as ``quarter_turn(k)`` and pi_k(x) being
-    ``quarter_turn_image``.
+    permute the generators", the relator tau_k x tau_k^-1 pi_k(x)^-1 for
+    every k and every generator x (eps1, rho_ij, lam_ij), tau_k being the
+    letter ``("tau", k, None)``, valued as ``quarter_turn(k)`` by both
+    evaluators, and pi_k(x) being ``quarter_turn_image``.
 
     Why that is enough: (a) conjugation by tau_k sends each generator x
     to the generator or inverse pi_k(x).  (b) A homomorphism R from the
@@ -519,11 +538,11 @@ def reduced_suite(n: int, suite=None):
             yield family, label, word
     tokens = gersten_generators(n)
     for k in range(2, n):
-        tau = quarter_turn(k)
+        tau = ("tau", k, None)
         for token in tokens:
             image, e = quarter_turn_image(k, token)
             yield (QUARTER_TURN_FAMILY, f"k={k},x={generator_name(token)}",
-                   tau + [(token, 1)] + _inv_word(tau) + [(image, -e)])
+                   [(tau, 1), (token, 1), (tau, -1), (image, -e)])
 
 
 def family_report(rows) -> list:
@@ -544,7 +563,7 @@ def family_report(rows) -> list:
 
 def check_suite(n: int, holds) -> list:
     """The ``family_report`` of the relator suite at rank n, a relator
-    passing when ``holds(family, token_word)``.  At a rank of
+    passing when ``holds(token_word)``.  At a rank of
     ``REDUCED_SUITE_RANKS``, when every relator of ``reduced_suite``
     holds and the suite held every representative the table lists (its
     labels being distinct), every suite relator passes by (a)-(c) there;
@@ -554,13 +573,13 @@ def check_suite(n: int, holds) -> list:
     if n in REDUCED_SUITE_RANKS:
         found = 0
         for family, label, word in reduced_suite(n, suite):
-            if not holds(family, word):
+            if not holds(word):
                 break
             found += family != QUARTER_TURN_FAMILY
         else:
             if found == sum(map(len, _representatives(n).values())):
                 return family_report((family, label, True) for family, label, _ in suite)
-    return family_report((family, label, holds(family, word)) for family, label, word in suite)
+    return family_report((family, label, holds(word)) for family, label, word in suite)
 
 
 def verify_gersten(n: int) -> dict:
@@ -570,7 +589,7 @@ def verify_gersten(n: int) -> dict:
     them failed; a family with failures also gets ``images``: each
     failing label's reduced forward images, as lists of letters.
     """
-    families = check_suite(n, lambda _, word: is_inner(relator_automorphism(n, word)) is not None)
+    families = check_suite(n, lambda word: is_inner(relator_automorphism(n, word)) is not None)
     failing = {(fam["name"], label): fam for fam in families for label in fam["failures"]}
     if failing:
         for family, label, word in gersten_relators(n):

@@ -595,6 +595,19 @@ def flip_one_exponent(monkeypatch, target):
     monkeypatch.setattr(words, "gersten_relators", flipped)
 
 
+def spelt_out(word) -> list:
+    """A token word with each quarter-turn letter ``("tau", k, None)``
+    written out as ``words.quarter_turn(k)``, or as its inverse word."""
+    out = []
+    for token, e in word:
+        if token[0] == "tau":
+            turn = words.quarter_turn(token[1])
+            out += turn if e > 0 else words._inv_word(turn)
+        else:
+            out.append((token, e))
+    return out
+
+
 def oracle_token_images(n, token_word) -> list:
     """The forward images of a token word as letter tuples, by substitution.
 

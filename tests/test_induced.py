@@ -19,6 +19,7 @@ from conftest import (
     oracle_kernel_generators,
     oracle_minus_eigenspace_matrix,
     partial_conjugation,
+    spelt_out,
     transvection_commutator,
 )
 from outfn import cover, induced, words as W
@@ -60,6 +61,15 @@ class TestTransversal:
             assert t.forward == want[mask].forward
             assert t.backward == want[mask].backward
 
+    def test_a_word_off_its_coset_is_refused(self):
+        # two masks' words swapped: each carries the base functional onto
+        # the other mask, which the representation checks when it is made
+        n = 3
+        tr = dict(induced.coset_transversal(n))
+        tr[0b001], tr[0b010] = tr[0b010], tr[0b001]
+        with pytest.raises(AssertionError, match="^transversal element misses its coset$"):
+            induced.InducedRep(n, (2,), tr)
+
 
 class TestMaskAction:
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -96,9 +106,8 @@ class TestBlocks:
 
     def test_block_structure_is_a_permutation(self):
         rep = induced.induce(3)
-        for name, columns in rep.generators.items():
-            rows = sorted(r for r, _ in columns)
-            assert rows == list(range(len(rep.cosets))), name
+        for name, (rows, ids) in rep.generators.items():
+            assert sorted(rows) == list(range(len(rep.cosets))) and len(ids) == len(rows), name
 
     def test_block_product_matches_dense_product(self):
         rep = induced.induce(3)
@@ -107,7 +116,7 @@ class TestBlocks:
         dense = to_dense(rep, a) * to_dense(rep, b)
         assert to_dense(rep, block_product(a, b)) == dense
         word = [(("rho", 1, 2), 1), (("eps", 1, None), 1)]
-        assert to_dense(rep, read(rep, rep.word_block(word))) == dense
+        assert to_dense(rep, read(rep, rep.columns(word))) == dense
 
     def test_block_of_is_multiplicative(self):
         rep = induced.induce(3)
@@ -170,7 +179,7 @@ class TestInduce:
                 word += [(("rho", i, j), 1), (("lam", i, j), -1)]
         assert W.is_inner(W.automorphism(n, word).forward) is not None
         assert rep.is_identity(rep.block_of(word))
-        assert rep.is_identity(rep.word_block(word))
+        assert rep.is_identity(rep.columns(word))
 
     def test_json_shape(self):
         rep = induced.induce(3)
@@ -251,7 +260,7 @@ class TestCertificate:
         assert not rep.is_identity(columns)
         assert rep.unipotency_index(columns) is None
         base_index = rep.cosets.index(functional_to_mask((0, 0, 1)))
-        row, i = columns[base_index]
+        row, i = columns[0][base_index], columns[1][base_index]
         assert row == base_index and rep.block(i).is_identity()
 
 
@@ -263,14 +272,15 @@ class TestCertificate:
 
 
 def read(rep, columns):
-    """Columns of ids as dense blocks S(g), read through the
+    """Columns ``(rows, ids)`` as dense blocks S(g), read through the
     representation's block table."""
-    return tuple((r, rep.block(i)) for r, i in columns)
+    return tuple((r, rep.block(i)) for r, i in zip(*columns))
 
 
 def stored_g(rep, columns):
-    """Columns of ids as the matrices g up to sign that the table holds."""
-    return tuple((r, Matrix(rep.blocks.rows(i))) for r, i in columns)
+    """Columns ``(rows, ids)`` as the matrices g up to sign that the
+    table holds."""
+    return tuple((r, Matrix(rep.blocks.rows(i))) for r, i in zip(*columns))
 
 
 def entries(g):
@@ -326,7 +336,8 @@ def copy_rep(rep, replaced=None):
     out = induced.InducedRep(rep.n, rep.mu, rep.transversal)
     for name, columns in rep.generators.items():
         block = (replaced or {}).get(name) or stored_g(rep, columns)
-        out.generators[name] = tuple((r, out.blocks.intern(entries(g))) for r, g in block)
+        out.generators[name] = (tuple(r for r, _ in block),
+                                tuple(out.blocks.intern(entries(g)) for _, g in block))
     return out
 
 
@@ -546,9 +557,9 @@ class TestStoredBlockOracle:
         words += [random_word(rng, n, length) for length in range(7) for _ in range(3)]
         for word in words:
             want = whole_word_block_of(rep, word)
-            got = rep.block_of(word)
-            assert [r for r, _ in got] == [r for r, _ in want]
-            for (_, i), (_, g) in zip(got, want):
+            rows, ids = rep.block_of(word)
+            assert list(rows) == [r for r, _ in want]
+            for i, (_, g) in zip(ids, want):
                 assert Matrix(rep.blocks.rows(i)) in (g, -g)
         for token in stored_tokens(n):
             assert rep.generators[induced.generator_name(token)] == rep.block_of([(token, 1)])
@@ -564,7 +575,7 @@ class TestStoredBlockOracle:
             inv = block_inverse(g)
             assert block_product(g, inv) == ident == block_product(inv, g)
             assert inv == oracle_block_of(rep, generator(n, *token).inverse())
-            assert read(rep, rep.word_block([(token, -1)])) == inv
+            assert read(rep, rep.columns([(token, -1)])) == inv
             assert all(type(x) is int for _, b in inv for row in b.data for x in row)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -574,8 +585,8 @@ class TestStoredBlockOracle:
         want = oracle_kernel_generators(n)
         assert [label for _, label, _, _ in got] == [label for label, _ in want]
         for (_, _, word, _), (_, g) in zip(got, want):
-            assert rep.word_block(word) == rep.block_of(word)
-            assert read(rep, rep.word_block(word)) == oracle_block_of(rep, g) \
+            assert rep.columns(word) == rep.block_of(word)
+            assert read(rep, rep.columns(word)) == oracle_block_of(rep, g) \
                 == oracle_word_block(rep, word)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -723,9 +734,9 @@ class TestUpToSign:
         pairs = set()
         for word in words:
             dense = oracle_block_of(rep, W.automorphism(n, word))
-            columns = rep.block_of(word)
-            assert [r for r, _ in columns] == [r for r, _ in dense]
-            pairs |= {(i, tuple(map(tuple, b.data))) for (_, i), (_, b) in zip(columns, dense)}
+            rows, ids = rep.block_of(word)
+            assert list(rows) == [r for r, _ in dense]
+            pairs |= {(i, tuple(map(tuple, b.data))) for i, (_, b) in zip(ids, dense)}
         ids = {i for i, _ in pairs}
         assert ids == set(range(len(rep.blocks.flat)))
         assert len(ids) == len(pairs) == len({b for _, b in pairs})
@@ -734,8 +745,8 @@ class TestUpToSign:
 class TestWordBlocks:
     def test_empty_word_is_the_identity(self, reps):
         rep = reps[3]
-        assert rep.is_identity(rep.word_block([]))
-        assert read(rep, rep.word_block([])) == block_identity(rep)
+        assert rep.is_identity(rep.columns([]))
+        assert read(rep, rep.columns([])) == block_identity(rep)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_word_blocks_match_the_stored_block_oracle(self, reps, n):
@@ -744,7 +755,7 @@ class TestWordBlocks:
         tokens = stored_tokens(n)
         for length in range(9):
             word = [(rng.choice(tokens), rng.choice((1, -1))) for _ in range(length)]
-            assert read(rep, rep.word_block(word)) == oracle_word_block(rep, word)
+            assert read(rep, rep.columns(word)) == oracle_word_block(rep, word)
 
     def test_block_products_are_memoised_per_representation(self, monkeypatch):
         rep = induced.induce(3)
@@ -768,7 +779,7 @@ class TestWordBlocks:
 
     def test_letter_without_a_stored_block_raises(self, reps):
         with pytest.raises(KeyError, match="sigma12"):
-            reps[3].word_block([(("rho", 1, 2), 1), (("sigma", 1, 2), 1)])
+            reps[3].columns([(("rho", 1, 2), 1), (("sigma", 1, 2), 1)])
 
     def test_no_certified_automorphism_on_the_block_path(self, monkeypatch):
         for name in ("compose", "automorphism", "Automorphism", "BlockMatrix"):
@@ -811,7 +822,7 @@ class TestWordBlocks:
 def whole_word_report(rep):
     """The relator report of every suite relator, each evaluated as one
     whole word from the identity."""
-    families = W.family_report((family, label, rep.is_identity(rep.word_block(word)))
+    families = W.family_report((family, label, rep.is_identity(rep.columns(word)))
                                for family, label, word in W.gersten_relators(rep.n))
     return {"n": rep.n, "m": rep.m, "families": families,
             "ok": all(not fam["failures"] for fam in families)}
@@ -819,8 +830,8 @@ def whole_word_report(rep):
 
 def reduced_verdict(rep):
     """Whether every relator of ``words.reduced_suite`` holds, each
-    evaluated as one whole word from the identity."""
-    return all(rep.is_identity(rep.word_block(word))
+    evaluated as one whole word from the identity, tau spelt out."""
+    return all(rep.is_identity(rep.columns(spelt_out(word)))
                for _, _, word in W.reduced_suite(rep.n))
 
 
@@ -852,6 +863,41 @@ def swapped_block_rows(rep, name):
     return copy_rep(rep, {name: tuple(columns)})
 
 
+class TestQuarterTurnLetter:
+    """The letter ``("tau", k, None)`` against the word ``quarter_turn(k)``
+    in the induced evaluator."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_letter_is_the_product_of_the_quarter_turn_word(self, n):
+        rep = induced.induce(n)
+        for k in range(2, n):
+            turn = W.quarter_turn(k)
+            for e, word in ((1, turn), (-1, W._inv_word(turn))):
+                letter = [(("tau", k, None), e)]
+                assert rep.columns(letter) == rep.columns(word)
+                assert read(rep, rep.columns(letter)) == oracle_word_block(rep, word)
+                assert rep.columns(letter + word[:1]) == rep.columns(word + word[:1])
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_bad_index_has_no_letter(self, n):
+        # as in the move engine, k = 1, n or 1.0 names no quarter turn
+        rep = induced.induce(n)
+        for k in (1, n, 1.0):
+            for e in (1, -1):
+                with pytest.raises(KeyError, match="tau"):
+                    rep.columns([(("rho", 1, 2), 1), (("tau", k, None), e)])
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_random_words_with_quarter_turns(self, n):
+        rep = induced.induce(n)
+        rng = random.Random(300 + n)
+        letters = [(t, e) for t in stored_tokens(n) for e in (1, -1)]
+        letters += [(("tau", k, None), e) for k in range(2, n) for e in (1, -1)]
+        for length in range(1, 7):
+            word = [rng.choice(letters) for _ in range(length)]
+            assert rep.columns(word) == rep.columns(spelt_out(word))
+
+
 class TestReducedRelatorCheck:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_reduced_verdict_and_report_equal_the_whole_suite(self, n):
@@ -859,6 +905,7 @@ class TestReducedRelatorCheck:
         report = rep.relator_report()
         assert report["ok"] and reduced_verdict(rep)
         assert report == whole_word_report(induced.induce(n))
+        assert all(rep._holds(word) for _, _, word in W.reduced_suite(n))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("perturb", [lambda rep: wrong_entry(rep, "rho23"),
@@ -869,16 +916,16 @@ class TestReducedRelatorCheck:
         report = rep.relator_report()
         assert not report["ok"] and not reduced_verdict(rep)
         assert report == whole_word_report(rep)
-        # each reduced relator's own check agrees with its whole word, and
-        # the conjugation relators, tau stored as one letter, take both verdicts
+        # each reduced relator's own check agrees with its whole word, tau
+        # spelt out, and the conjugation relators, tau one letter, take both
+        # verdicts, as a whole word too
         verdicts = set()
         for family, _, word in W.reduced_suite(n):
-            whole = rep.is_identity(rep.word_block(word))
+            whole = rep.is_identity(rep.columns(spelt_out(word)))
+            assert rep._holds(word) == whole
             if family == W.QUARTER_TURN_FAMILY:
-                assert rep._conjugation_holds(word) == whole
+                assert rep.is_identity(rep.columns(word)) == whole
                 verdicts.add(whole)
-            else:
-                assert rep._holds(word) == whole
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -892,15 +939,14 @@ class TestReducedRelatorCheck:
         assert failing_labels(report) == [target]
 
     def test_a_passing_check_evaluates_the_reduced_suite_alone(self, monkeypatch):
+        # 35 representatives and 50 conjugation relators, one predicate
         n = 4
         calls = {}
-        for name in ("_holds", "_conjugation_holds"):
-            real = getattr(induced.InducedRep, name)
-            monkeypatch.setattr(induced.InducedRep, name,
-                                lambda self, word, real=real, name=name:
-                                calls.update({name: calls.get(name, 0) + 1}) or real(self, word))
+        real = induced.InducedRep._holds
+        monkeypatch.setattr(induced.InducedRep, "_holds", lambda self, word:
+                            calls.update({"_holds": calls.get("_holds", 0) + 1}) or real(self, word))
         assert induced.induce(n).relator_report()["ok"]
-        assert calls == {"_holds": 35, "_conjugation_holds": 50}
+        assert calls == {"_holds": 35 + 50}
         # at a rank outside the proven ones the whole suite runs
         calls.clear()
         monkeypatch.setattr(W, "REDUCED_SUITE_RANKS", range(0))

@@ -12,6 +12,7 @@ from conftest import (
     oracle_act_on_mask,
     oracle_token_images,
     reduce_word,
+    spelt_out,
 )
 from outfn import induced, words as W
 
@@ -530,17 +531,21 @@ class TestReducedSuite:
         assert len(conjugations) == (n - 2) * (2 * n * (n - 1) + 1) \
             == {3: 13, 4: 50, 5: 123, 6: 244, 7: 425, 8: 678, 9: 1015, 10: 1448}[n]
         images = engine_quarter_turn_images(n)
-        want = {}
+        want, spelt = {}, {}
         for k in range(2, n):
-            tau = W.quarter_turn(k)
+            tau, turn = ("tau", k, None), W.quarter_turn(k)
             for token in W.gersten_generators(n):
                 y, e = images[k][token]
                 label = f"k={k},x={W.generator_name(token)}"
-                want[label] = tau + [(token, 1)] + W._inv_word(tau) + [(y, -e)]
+                want[label] = [(tau, 1), (token, 1), (tau, -1), (y, -e)]
+                spelt[label] = turn + [(token, 1)] + W._inv_word(turn) + [(y, -e)]
         assert dict(conjugations) == want
-        for _, word in conjugations:
-            assert len(word) == 8
-            assert W.relator_automorphism(n, word) == W.relator_automorphism(n, [])
+        assert {label: spelt_out(word) for label, word in conjugations} == spelt
+        identity = W.relator_automorphism(n, [])
+        for label, word in conjugations:
+            assert len(word) == 4 and len(spelt[label]) == 8
+            assert W.relator_automorphism(n, word) == identity
+            assert W.relator_automorphism(n, spelt[label]) == identity
 
     @pytest.mark.parametrize("n", list(ORBITS))
     def test_every_orbit_has_exactly_one_representative(self, n):
@@ -571,6 +576,50 @@ class TestReducedSuite:
     def test_unproven_ranks_are_refused(self, n):
         with pytest.raises(ValueError):
             list(W.reduced_suite(n))
+
+
+class TestQuarterTurnLetter:
+    """The letter ``("tau", k, None)`` against the word ``quarter_turn(k)``
+    in the move engine."""
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_letter_is_the_quarter_turn_word(self, n):
+        for k in range(2, n):
+            turn = W.quarter_turn(k)
+            assert W.relator_automorphism(n, [(("tau", k, None), 1)]) == \
+                W.relator_automorphism(n, turn)
+            assert W.relator_automorphism(n, [(("tau", k, None), -1)]) == \
+                W.relator_automorphism(n, W._inv_word(turn))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_a_bad_index_is_refused(self, n):
+        for k in (1, n, 1.0):
+            for e in (1, -1):
+                with pytest.raises(ValueError, match="out of range"):
+                    W.relator_automorphism(n, [(("rho", 1, 2), 1), (("tau", k, None), e)])
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_conjugation_relators_take_the_spelt_out_verdict(self, n):
+        # with tau one letter and spelt out, each conjugation relator has
+        # the same images; with the exponent of x flipped it fails alike
+        _, conjugations = split_reduced_suite(n)
+        verdicts = set()
+        for _, word in conjugations:
+            flipped = word[:1] + [(word[1][0], -word[1][1])] + word[2:]
+            for w in (word, flipped):
+                images = W.relator_automorphism(n, w)
+                assert images == W.relator_automorphism(n, spelt_out(w))
+                verdicts.add(W.is_inner(images) is not None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_words_with_quarter_turns(self, n):
+        rng = random.Random(200 + n)
+        letters = [(t, e) for t in W.gersten_generators(n) for e in (1, -1)]
+        letters += [(("tau", k, None), e) for k in range(2, n) for e in (1, -1)]
+        for length in range(1, 9):
+            word = [rng.choice(letters) for _ in range(length)]
+            assert W.relator_automorphism(n, word) == W.relator_automorphism(n, spelt_out(word))
 
 
 # ---------------------------------------------------------------------------
