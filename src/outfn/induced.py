@@ -291,7 +291,10 @@ class InducedRep:
         turn ``("tau", k, None)``, 1 < k < n, is the product of the stored
         blocks of ``quarter_turn(k)``, any other token its generator
         (KeyError when there is none); exponent -1 inverts that, as the
-        transposed permutation of the inverted ids."""
+        transposed permutation of the inverted ids, and any exponent other
+        than 1 and -1 is a ``ValueError``, as in the move engine."""
+        if e != 1 and e != -1:
+            raise ValueError(f"exponent {e!r} is neither 1 nor -1")
         kind, k, _ = token
         rows, ids = (self.columns(quarter_turn(k)) if kind == "tau" and 1 < k < self.n
                      else self.generators[generator_name(token)])
@@ -355,13 +358,14 @@ class InducedRep:
         return self.columns(word[:half]) == self.columns(_inv_word(word[half:]))
 
     def relator_report(self) -> dict:
-        """Evaluate the full relator suite through the induced matrices.
+        """Check the relator suite through the induced matrices.
 
         Every relator must land on the exact identity; the suite
         includes the relator that is merely inner, so passing it
         certifies the representation is constant on outer classes.
-        ``words.check_suite`` decides which relators settle the suite,
-        each by ``_holds``.
+        ``words.check_suite`` decides, each by ``_holds``, the reduced
+        suite alone when it settles the whole (reading each family's
+        count off its table) and every suite relator otherwise.
         """
         families = check_suite(self.n, self._holds)
         return {"n": self.n, "m": self.m, "families": families,

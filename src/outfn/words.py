@@ -160,16 +160,16 @@ class Automorphism:
 # Nielsen generators as moves on image tuples
 
 
-# Each move takes the forward images ``img`` of some acc (a list of
-# reduced letter tuples, img[k] = acc(a_{k+1})) and turns it in place
-# into the images of acc * g, where g is the generator for e >= 0 and
-# its inverse for e < 0.  Since ``acc * g`` applies g first, this is a
-# Nielsen move on the tuple.  Each move checks its indices first; rho
-# and lambda, most letters, with one inline test that passes two
-# distinct plain ints in range and leaves every other pair to
+# Each move takes the forward images ``img`` of some acc (a list of reduced
+# letter tuples, img[k] = acc(a_{k+1})) and turns it in place into the images
+# of acc * g, where g is the generator for e = 1 and its inverse for e = -1,
+# the only exponents ``relator_automorphism`` lets through.  Since ``acc * g``
+# applies g first, this is a Nielsen move on the tuple.  Each move checks its
+# indices first; rho and lambda, most letters, with one inline test that
+# passes two distinct plain ints in range and leaves every other pair to
 # ``_check_pair``, which raises or accepts it (``True`` as 1, say).  The
-# quarter turn ``("tau", k, None)``, k a plain int in 2..n-1, runs the
-# moves of ``quarter_turn(k)`` (of its inverse for e < 0), built once per k.
+# quarter turn ``("tau", k, None)``, k a plain int in 2..n-1, runs the moves
+# of ``quarter_turn(k)`` (of its inverse for e = -1), built once per k.
 
 
 def _rho_move(img, i, j, e):
@@ -241,19 +241,19 @@ def _identity(n: int) -> tuple:
 def relator_automorphism(n: int, token_word, start=None) -> tuple:
     """The forward images of a token word; rightmost letter acts first.
 
-    Starting from the identity images, or from ``start``, images of some
-    acc that this engine returned (giving those of acc times the word),
-    each letter ``((kind, i, j), e)`` is one Nielsen move (the quarter
-    turn ``("tau", k, None)`` three), looked up in ``_MOVES`` in the
-    loop (an unknown or unhashable kind is a ``ValueError``), so no
-    inverse table is built or certified.  Each letter's indices are
-    checked afresh, with no verdict kept between letters:
-    ``("rho", 1.0, 2)`` equals a valid letter and must still be refused.
-    The moved tuples are returned unchecked, as they are valid: they
-    start as the generators ``(k,)`` or as such moved tuples; a move
+    Starting from the identity images, or from ``start``, images of some acc
+    that this engine returned (giving those of acc times the word), each
+    letter ``((kind, i, j), e)`` is one Nielsen move (the quarter turn
+    ``("tau", k, None)`` three), looked up in ``_MOVES`` in the loop (an
+    unknown or unhashable kind, or an exponent other than 1 and -1, is a
+    ``ValueError``), so no inverse table is built or certified.  Each
+    letter's indices are checked afresh, with no verdict kept between
+    letters: ``("rho", 1.0, 2)`` equals a valid letter and must still be
+    refused.  The moved tuples are returned unchecked, as they are valid:
+    they start as the generators ``(k,)`` or as such moved tuples; a move
     checks its indices before it touches a tuple, so it only reads and
-    writes the n images; and each move rewrites tuples with ``_join``
-    and ``_inv`` alone, which keep them reduced and in range.
+    writes the n images; and each move rewrites tuples with ``_join`` and
+    ``_inv`` alone, which keep them reduced and in range.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
@@ -263,6 +263,8 @@ def relator_automorphism(n: int, token_word, start=None) -> tuple:
             move = _MOVES[kind]
         except (KeyError, TypeError):
             raise ValueError(f"unknown generator kind {kind!r}") from None
+        if e != 1 and e != -1:
+            raise ValueError(f"exponent {e!r} is neither 1 nor -1")
         move(img, i, j, e)
     return tuple(img)
 
@@ -339,9 +341,9 @@ def is_inner(imgs: tuple):
 # the finite presentation relator suite
 
 
-def _comm(a, b):
-    # [a, b] = a b a^-1 b^-1 as a token word
-    return [(a, 1), (b, 1), (a, -1), (b, -1)]
+def _comm(a, b, e=1, f=1):
+    # [a^e, b^f] = a^e b^f a^-e b^-f as a token word
+    return [(a, e), (b, f), (a, -e), (b, -f)]
 
 
 def _inv_word(word):
@@ -351,10 +353,8 @@ def _inv_word(word):
 def gersten_generators(n: int) -> list:
     """The tokens of the presentation's generators: eps1, then rho_ij
     and lam_ij for each ordered pair."""
-    tokens = [("eps", 1, None)]
-    for i, j in itertools.permutations(range(1, n + 1), 2):
-        tokens += [("rho", i, j), ("lam", i, j)]
-    return tokens
+    pairs = itertools.permutations(range(1, n + 1), 2)
+    return [("eps", 1, None)] + [(kind, i, j) for i, j in pairs for kind in ("rho", "lam")]
 
 
 def generator_name(token) -> str:
@@ -364,74 +364,74 @@ def generator_name(token) -> str:
     return kind + "".join(str(x) for x in (i, j) if x is not None)
 
 
-def gersten_relators(n: int):
-    """Yield ``(family, label, token_word)`` for the full relator suite.
+def _turn(i, j, x="rho", y="lam"):
+    # x_ij x_ji^-1 y_ij: a quarter turn at (i, j), by the route x first
+    return [((x, i, j), 1), ((x, j, i), -1), ((y, i, j), 1)]
 
-    Every token word is a relator: it must be trivial in the outer
-    automorphism group (families 1-8 are trivial already among honest
-    automorphisms; family 9 is an inner automorphism).
-    """
+
+def _identities(x, y):
+    """The variants of the x commutator identities, y the other kind."""
+    return (("inv-inv", lambda i, j, k: _comm((x, i, j), (x, j, k), -1, -1) + [((x, i, k), 1)]),
+            ("mixed", lambda i, j, k: _comm((x, i, j), (y, j, k)) + [((x, i, k), 1)]),
+            ("inv-plain", lambda i, j, k: _comm((x, i, j), (x, j, k), -1) + [((x, i, k), -1)]),
+            ("mixed-inv", lambda i, j, k: _comm((x, i, j), (y, j, k), 1, -1) + [((x, i, k), -1)]))
+
+
+def _families(n: int) -> tuple:
+    """The relator suite at rank n, one row ``(name, index names, index
+    tuples, variants)`` per family in suite order, a variant being a
+    ``(label prefix, word builder)`` pair: a family's relators are each
+    variant of each tuple, tuple by tuple.  Families 1-8 are trivial among
+    honest automorphisms already; family 9 is an inner automorphism."""
     if n < 3:
         raise ValueError("the presentation needs rank at least 3")
     idx = range(1, n + 1)
-
-    fam = "right-right and left-left commuting pairs"
-    for i, j in itertools.permutations(idx, 2):
-        for k, l in itertools.permutations(idx, 2):
-            if k in (i, j) or l == i:
-                continue
-            lab = f"i={i},j={j},k={k},l={l}"
-            yield fam, "rho " + lab, _comm(("rho", i, j), ("rho", k, l))
-            yield fam, "lam " + lab, _comm(("lam", i, j), ("lam", k, l))
-
-    fam = "left-right commuting pairs"
-    for i, j in itertools.permutations(idx, 2):
-        for k, l in itertools.permutations(idx, 2):
-            if k == j or l == i:
-                continue
-            yield fam, f"i={i},j={j},k={k},l={l}", _comm(("lam", i, j), ("rho", k, l))
-
-    for fam, x, y in (("rho commutator identities", "rho", "lam"),
-                      ("lambda commutator identities", "lam", "rho")):
-        for i, j, k in itertools.permutations(idx, 3):
-            lab = f"i={i},j={j},k={k}"
-            a, b, c, x_ik = (x, i, j), (x, j, k), (y, j, k), (x, i, k)
-            yield fam, "inv-inv " + lab, [(a, -1), (b, -1), (a, 1), (b, 1), (x_ik, 1)]
-            yield fam, "mixed " + lab, _comm(a, c) + [(x_ik, 1)]
-            yield fam, "inv-plain " + lab, [(a, -1), (b, 1), (a, 1), (b, -1), (x_ik, -1)]
-            yield fam, "mixed-inv " + lab, [(a, 1), (c, -1), (a, -1), (c, 1), (x_ik, -1)]
-
-    fam = "quarter turns"
-    for i, j in itertools.permutations(idx, 2):
-        lab = f"i={i},j={j}"
-        w1 = [(("rho", i, j), 1), (("rho", j, i), -1), (("lam", i, j), 1)]
-        w2 = [(("lam", i, j), 1), (("lam", j, i), -1), (("rho", i, j), 1)]
-        yield fam, "two routes " + lab, w1 + _inv_word(w2)
-        yield fam, "fourth power " + lab, w1 * 4
-
-    fam = "inversion commutes away from its index"
+    pairs = tuple(itertools.permutations(idx, 2))
+    triples = tuple(itertools.permutations(idx, 3))
     e1 = ("eps", 1, None)
-    for i, j in itertools.permutations(range(2, n + 1), 2):
-        lab = f"i={i},j={j}"
-        yield fam, "rho " + lab, _comm(e1, ("rho", i, j))
-        yield fam, "lam " + lab, _comm(e1, ("lam", i, j))
+    return (
+        ("right-right and left-left commuting pairs", "ijkl",
+         tuple((i, j, k, l) for i, j in pairs for k, l in pairs if k not in (i, j) and l != i),
+         (("rho", lambda i, j, k, l: _comm(("rho", i, j), ("rho", k, l))),
+          ("lam", lambda i, j, k, l: _comm(("lam", i, j), ("lam", k, l))))),
+        ("left-right commuting pairs", "ijkl",
+         tuple((i, j, k, l) for i, j in pairs for k, l in pairs if k != j and l != i),
+         (("", lambda i, j, k, l: _comm(("lam", i, j), ("rho", k, l))),)),
+        ("rho commutator identities", "ijk", triples, _identities("rho", "lam")),
+        ("lambda commutator identities", "ijk", triples, _identities("lam", "rho")),
+        ("quarter turns", "ij", pairs,
+         (("two routes", lambda i, j: _turn(i, j) + _inv_word(_turn(i, j, "lam", "rho"))),
+          ("fourth power", lambda i, j: _turn(i, j) * 4))),
+        ("inversion commutes away from its index", "ij", tuple(itertools.permutations(idx[1:], 2)),
+         (("rho", lambda i, j: _comm(e1, ("rho", i, j))),
+          ("lam", lambda i, j: _comm(e1, ("lam", i, j))))),
+        ("inversion twists the first pair", "", ((),),
+         (("rho12^eps1 = lam12^-1",
+           lambda: [(e1, 1), (("rho", 1, 2), 1), (e1, 1), (("lam", 1, 2), 1)]),
+          ("rho21^eps1 = rho21^-1",
+           lambda: [(e1, 1), (("rho", 2, 1), 1), (e1, 1), (("rho", 2, 1), 1)]))),
+        ("inversion is an involution", "", ((),), (("eps1^2", lambda: [(e1, 1), (e1, 1)]),)),
+        ("total twist is inner", "j", tuple((j,) for j in idx),
+         (("", lambda j: [x for i in idx if i != j
+                          for x in ((("rho", i, j), 1), (("lam", i, j), -1))]),)),
+    )
 
-    fam = "inversion twists the first pair"
-    yield fam, "rho12^eps1 = lam12^-1", \
-        [(e1, 1), (("rho", 1, 2), 1), (e1, 1), (("lam", 1, 2), 1)]
-    yield fam, "rho21^eps1 = rho21^-1", \
-        [(e1, 1), (("rho", 2, 1), 1), (e1, 1), (("rho", 2, 1), 1)]
 
-    fam = "inversion is an involution"
-    yield fam, "eps1^2", [(e1, 1), (e1, 1)]
+def _label(prefix: str, names: str) -> str:
+    """A variant's label format, such as ``rho i={},j={}``, for an index tuple."""
+    return " ".join(filter(None, (prefix, ",".join(name + "={}" for name in names))))
 
-    fam = "total twist is inner"
-    for j in idx:
-        word = []
-        for i in idx:
-            if i != j:
-                word += [(("rho", i, j), 1), (("lam", i, j), -1)]
-        yield fam, f"j={j}", word
+
+def gersten_relators(n: int):
+    """Yield ``(family, label, token_word)`` for each relator of the table
+    ``_families(n)``, each trivial in the outer automorphism group.  Only
+    a failing ``check_suite``, and ``verify_gersten`` for its ``images``,
+    build these words."""
+    for family, names, tuples, variants in _families(n):
+        labels = [(_label(prefix, names), word) for prefix, word in variants]
+        for t in tuples:
+            for label, word in labels:
+                yield family, label.format(*t), word(*t)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +441,7 @@ def gersten_relators(n: int):
 def quarter_turn(k: int) -> list:
     """tau_k = rho_{k,k+1} rho_{k+1,k}^-1 lam_{k,k+1} as a token word:
     a_k -> a_{k+1}, a_{k+1} -> a_k^-1, the other generators fixed."""
-    return [(("rho", k, k + 1), 1), (("rho", k + 1, k), -1), (("lam", k, k + 1), 1)]
+    return _turn(k, k + 1)
 
 
 def quarter_turn_image(k: int, token) -> tuple:
@@ -459,37 +459,38 @@ def quarter_turn_image(k: int, token) -> tuple:
             -1 if k + 1 in (i, j) else 1)
 
 
-# One suite relator per orbit of the quarter turns, by family and label; a
-# label names its indices as single digits, and one with an index above n is
-# absent at rank n.  At ranks 3 and 4 a few orbits of the higher ranks split
-# in two for want of a spare index, and the second part of each has a
-# representative at that rank alone.  Every "total twist is inner" relator is
-# an orbit of its own.
+# One suite relator per orbit of the quarter turns, by family, as its label
+# prefix and index tuple, absent at a rank below its largest index.  At ranks
+# 3 and 4 a few orbits of the higher ranks split in two for want of a spare
+# index, the second part of each represented at that rank alone.  Every
+# "total twist is inner" relator is an orbit of its own.
 _REPRESENTATIVES = {
     "right-right and left-left commuting pairs": (
-        "rho i=1,j=2,k=3,l=2", "lam i=1,j=2,k=3,l=2", "rho i=1,j=2,k=3,l=4",
-        "lam i=1,j=2,k=3,l=4", "rho i=2,j=1,k=3,l=1", "rho i=2,j=1,k=3,l=4",
-        "rho i=2,j=3,k=4,l=3", "rho i=2,j=3,k=4,l=5"),
+        ("rho", (1, 2, 3, 2)), ("lam", (1, 2, 3, 2)), ("rho", (1, 2, 3, 4)),
+        ("lam", (1, 2, 3, 4)), ("rho", (2, 1, 3, 1)), ("rho", (2, 1, 3, 4)),
+        ("rho", (2, 3, 4, 3)), ("rho", (2, 3, 4, 5))),
     "left-right commuting pairs": (
-        "i=1,j=2,k=1,l=2", "i=1,j=2,k=1,l=3", "i=2,j=1,k=2,l=1",
-        "i=2,j=1,k=2,l=3", "i=2,j=3,k=2,l=3", "i=2,j=3,k=2,l=4"),
+        ("", (1, 2, 1, 2)), ("", (1, 2, 1, 3)), ("", (2, 1, 2, 1)),
+        ("", (2, 1, 2, 3)), ("", (2, 3, 2, 3)), ("", (2, 3, 2, 4))),
     "rho commutator identities": (
-        "inv-inv i=1,j=2,k=3", "inv-inv i=2,j=1,k=3", "mixed i=2,j=1,k=3",
-        "inv-inv i=2,j=3,k=1", "inv-plain i=2,j=3,k=1", "inv-inv i=2,j=3,k=4"),
-    "lambda commutator identities": ("inv-inv i=1,j=2,k=3",),
+        ("inv-inv", (1, 2, 3)), ("inv-inv", (2, 1, 3)), ("mixed", (2, 1, 3)),
+        ("inv-inv", (2, 3, 1)), ("inv-plain", (2, 3, 1)), ("inv-inv", (2, 3, 4))),
+    "lambda commutator identities": (("inv-inv", (1, 2, 3)),),
     "quarter turns": (
-        "two routes i=1,j=2", "fourth power i=1,j=2", "two routes i=2,j=1",
-        "fourth power i=2,j=1", "two routes i=2,j=3", "fourth power i=2,j=3"),
-    "inversion commutes away from its index": ("rho i=2,j=3",),
-    "inversion twists the first pair": ("rho12^eps1 = lam12^-1", "rho21^eps1 = rho21^-1"),
-    "inversion is an involution": ("eps1^2",),
+        ("two routes", (1, 2)), ("fourth power", (1, 2)), ("two routes", (2, 1)),
+        ("fourth power", (2, 1)), ("two routes", (2, 3)), ("fourth power", (2, 3))),
+    "inversion commutes away from its index": (("rho", (2, 3)),),
+    "inversion twists the first pair": (("rho12^eps1 = lam12^-1", ()),
+                                        ("rho21^eps1 = rho21^-1", ())),
+    "inversion is an involution": (("eps1^2", ()),),
+    "total twist is inner": tuple(("", (j,)) for j in range(1, 11)),
 }
 _SPLIT_REPRESENTATIVES = {
     3: {"rho commutator identities": (
-            "mixed i=1,j=2,k=3", "inv-plain i=2,j=1,k=3", "mixed-inv i=2,j=1,k=3",
-            "mixed i=2,j=3,k=1", "mixed-inv i=2,j=3,k=1"),
-        "lambda commutator identities": ("mixed i=1,j=2,k=3",)},
-    4: {"rho commutator identities": ("mixed i=2,j=3,k=4",)},
+            ("mixed", (1, 2, 3)), ("inv-plain", (2, 1, 3)), ("mixed-inv", (2, 1, 3)),
+            ("mixed", (2, 3, 1)), ("mixed-inv", (2, 3, 1))),
+        "lambda commutator identities": (("mixed", (1, 2, 3)),)},
+    4: {"rho commutator identities": (("mixed", (2, 3, 4)),)},
 }
 
 # the ranks at which the tests prove the reduced suite complete
@@ -497,25 +498,22 @@ REDUCED_SUITE_RANKS = range(3, 11)
 QUARTER_TURN_FAMILY = "quarter turns permute the generators"
 
 
-@lru_cache(maxsize=None)
-def _representatives(n: int) -> dict:
-    """family -> the labels of its orbit representatives at rank n."""
-    split, above = _SPLIT_REPRESENTATIVES.get(n, {}), set(map(str, range(n + 1, 10)))
-    table = {family: frozenset(label for label in labels + split.get(family, ())
-                               if above.isdisjoint(label))
-             for family, labels in _REPRESENTATIVES.items()}
-    table["total twist is inner"] = frozenset(f"j={j}" for j in range(1, n + 1))
-    return table
+def _listed(n: int) -> list:
+    """``(family, prefix, index tuple)`` of each representative listed at rank n."""
+    split = _SPLIT_REPRESENTATIVES.get(n, {})
+    return [(family, prefix, t) for family, listed in _REPRESENTATIVES.items()
+            for prefix, t in listed + split.get(family, ()) if max(t, default=0) <= n]
 
 
-def reduced_suite(n: int, suite=None):
+def reduced_suite(n: int):
     """Yield ``(family, label, token_word)`` for the suite checked up to
-    the quarter turns tau_k, k = 2..n-1: one relator per orbit (as
-    ``gersten_relators`` yields it), then, as the family "quarter turns
-    permute the generators", the relator tau_k x tau_k^-1 pi_k(x)^-1 for
-    every k and every generator x (eps1, rho_ij, lam_ij), tau_k being the
-    letter ``("tau", k, None)``, valued as ``quarter_turn(k)`` by both
-    evaluators, and pi_k(x) being ``quarter_turn_image``.
+    the quarter turns tau_k, k = 2..n-1: one relator per orbit, built
+    from its row of ``_families(n)`` as ``gersten_relators`` builds it,
+    then, as the family "quarter turns permute the generators", the relator
+    tau_k x tau_k^-1 pi_k(x)^-1 for every k and every generator x (eps1,
+    rho_ij, lam_ij), tau_k being the letter ``("tau", k, None)``, valued
+    as ``quarter_turn(k)`` by both evaluators, and pi_k(x) being
+    ``quarter_turn_image``.
 
     Why that is enough: (a) conjugation by tau_k sends each generator x
     to the generator or inverse pi_k(x).  (b) A homomorphism R from the
@@ -527,15 +525,13 @@ def reduced_suite(n: int, suite=None):
     pi_k, rotations and inversions, so R satisfies the whole suite when
     it satisfies these.  The tests prove (a) and (c) at the ranks of
     ``REDUCED_SUITE_RANKS``; any other rank is a ``ValueError``.
-    The representatives are read off ``suite``, the rows of
-    ``gersten_relators(n)`` when the caller holds them already.
     """
     if n not in REDUCED_SUITE_RANKS:
         raise ValueError(f"the reduced suite is proven at ranks 3..10 only, not {n!r}")
-    representatives = _representatives(n)
-    for family, label, word in gersten_relators(n) if suite is None else suite:
-        if label in representatives.get(family, ()):
-            yield family, label, word
+    families = {family: (names, dict(variants)) for family, names, _, variants in _families(n)}
+    for family, prefix, t in _listed(n):
+        names, word = families[family]
+        yield family, _label(prefix, names).format(*t), word[prefix](*t)
     tokens = gersten_generators(n)
     for k in range(2, n):
         tau = ("tau", k, None)
@@ -553,8 +549,7 @@ def family_report(rows) -> list:
     """
     families: dict = {}
     for family, label, ok in rows:
-        entry = families.setdefault(family, {"name": family, "count": 0,
-                                             "failures": []})
+        entry = families.setdefault(family, {"name": family, "count": 0, "failures": []})
         entry["count"] += 1
         if not ok:
             entry["failures"].append(label)
@@ -563,23 +558,24 @@ def family_report(rows) -> list:
 
 def check_suite(n: int, holds) -> list:
     """The ``family_report`` of the relator suite at rank n, a relator
-    passing when ``holds(token_word)``.  At a rank of
-    ``REDUCED_SUITE_RANKS``, when every relator of ``reduced_suite``
-    holds and the suite held every representative the table lists (its
-    labels being distinct), every suite relator passes by (a)-(c) there;
-    otherwise each one is decided.
+    passing when ``holds(token_word)``.  At a rank of ``REDUCED_SUITE_RANKS``,
+    when each family of ``_families(n)`` has a listed representative, each
+    one listed is a row of its family and every ``reduced_suite`` relator
+    holds, the whole suite passes by (a)-(c): the counts are read off the
+    table and no suite word is built.  Otherwise each relator is decided.
     """
-    suite = list(gersten_relators(n))
+    table = _families(n)
     if n in REDUCED_SUITE_RANKS:
-        found = 0
-        for family, label, word in reduced_suite(n, suite):
-            if not holds(word):
-                break
-            found += family != QUARTER_TURN_FAMILY
-        else:
-            if found == sum(map(len, _representatives(n).values())):
-                return family_report((family, label, True) for family, label, _ in suite)
-    return family_report((family, label, holds(word)) for family, label, word in suite)
+        rows = {(family, prefix): tuples for family, _, tuples, variants in table
+                for prefix, _ in variants}
+        listed = _listed(n)
+        if ({family for family, _ in rows} <= {family for family, _, _ in listed}
+                and all(t in rows.get((family, prefix), ()) for family, prefix, t in listed)
+                and all(holds(word) for _, _, word in reduced_suite(n))):
+            return [{"name": family, "count": len(tuples) * len(variants), "failures": []}
+                    for family, _, tuples, variants in table]
+    return family_report((family, label, holds(word))
+                         for family, label, word in gersten_relators(n))
 
 
 def verify_gersten(n: int) -> dict:
@@ -591,11 +587,10 @@ def verify_gersten(n: int) -> dict:
     """
     families = check_suite(n, lambda word: is_inner(relator_automorphism(n, word)) is not None)
     failing = {(fam["name"], label): fam for fam in families for label in fam["failures"]}
-    if failing:
-        for family, label, word in gersten_relators(n):
-            if (family, label) in failing:
-                images = failing[family, label].setdefault("images", {})
-                images[label] = [list(w) for w in relator_automorphism(n, word)]
+    for family, label, word in gersten_relators(n) if failing else ():
+        if (family, label) in failing:
+            images = failing[family, label].setdefault("images", {})
+            images[label] = [list(w) for w in relator_automorphism(n, word)]
     return {"n": n, "families": families, "total": sum(fam["count"] for fam in families),
             "ok": not failing}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.util
 import itertools
 from dataclasses import dataclass
@@ -19,6 +20,18 @@ def benchmark_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def benchmark_relator_count():
+    """``gersten_relator_count`` of ``perfbench/workloads.py``, the closed
+    form of the suite's size, compiled alone from that file's source (the
+    module itself imports the benchmark's inputs by a bare name)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    [fn] = [node for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name == "gersten_relator_count"]
+    namespace = {}
+    exec(compile(ast.Module([fn], type_ignores=[]), str(path), "exec"), namespace)
+    return namespace["gersten_relator_count"]
 
 
 def argparse_oracle() -> argparse.ArgumentParser:
@@ -583,16 +596,32 @@ def generator(n, kind, i=None, j=None) -> words.Automorphism:
 
 
 def flip_one_exponent(monkeypatch, target):
-    """Patch the suite, as ``words`` reads it for ``check_suite``, so that
-    the relator labelled ``target`` has its second letter inverted."""
-    suite = words.gersten_relators
+    """Patch the relator table ``words._families``, which ``check_suite``
+    reads on both of its paths, so that the relator labelled ``target``
+    has its second letter inverted."""
+    name, target_label = target
+    table = words._families
+
+    def flip(prefix, names, word):
+        def build(*t):
+            w = word(*t)
+            if words._label(prefix, names).format(*t) == target_label:
+                w = [w[0], (w[1][0], -w[1][1])] + w[2:]
+            return w
+        return prefix, build
 
     def flipped(n):
-        for family, label, word in suite(n):
-            if (family, label) == target:
-                word = [word[0], (word[1][0], -word[1][1])] + word[2:]
-            yield family, label, word
-    monkeypatch.setattr(words, "gersten_relators", flipped)
+        return tuple((family, names, tuples,
+                      tuple(flip(prefix, names, word) for prefix, word in variants)
+                      if family == name else variants)
+                     for family, names, tuples, variants in table(n))
+    monkeypatch.setattr(words, "_families", flipped)
+
+
+def bare_rho12(n):
+    """A stand-in relator table: one family, "bare", whose one relator
+    ``rho12`` is the bare generator rho12, which is no relator."""
+    return (("bare", "", ((),), (("rho12", lambda: [(("rho", 1, 2), 1)]),)),)
 
 
 def spelt_out(word) -> list:

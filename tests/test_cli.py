@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import (argparse_oracle, benchmark_inputs, flip_matrix,
+from conftest import (argparse_oracle, bare_rho12, benchmark_inputs, flip_matrix,
                       oracle_identity, signed_permutation_rep, to_json, with_transvections)
 from outfn import actions, cli, cover, graphs, induced, symreps, words
 from outfn.linalg import Matrix
@@ -94,9 +94,7 @@ class TestGersten:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_relator_reports_its_images(self, tmp_path, monkeypatch, jobs):
-        def bare_rho12(n):
-            yield "bare", "rho12", [(("rho", 1, 2), 1)]
-        monkeypatch.setattr(words, "gersten_relators", bare_rho12)
+        monkeypatch.setattr(words, "_families", bare_rho12)
         out = tmp_path / "g.json"
         assert run(["gersten", "--n", "3", "--jobs", jobs, "--json", str(out)]) == 1
         [fam] = load_report(out)["checks"]

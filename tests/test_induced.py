@@ -10,6 +10,7 @@ from itertools import permutations
 import pytest
 
 from conftest import (
+    bare_rho12,
     flip_one_exponent,
     functional_to_mask,
     generator,
@@ -748,6 +749,16 @@ class TestWordBlocks:
         assert rep.is_identity(rep.columns([]))
         assert read(rep, rep.columns([])) == block_identity(rep)
 
+    @pytest.mark.parametrize("e", [2, 0, -2])
+    def test_an_exponent_other_than_one_or_minus_one_is_refused(self, e):
+        # as in the move engine: rho12^2 is neither rho12 nor rho12^-1
+        rep = induced.induce(3)
+        for token in (("rho", 1, 2), ("tau", 2, None)):
+            for word in ([(token, e)], [(("lam", 2, 3), 1), (token, e)]):
+                with pytest.raises(ValueError, match="exponent"):
+                    rep.columns(word)
+            assert (token, e) not in rep._letters
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_word_blocks_match_the_stored_block_oracle(self, reps, n):
         rep = reps[n]
@@ -954,12 +965,19 @@ class TestReducedRelatorCheck:
         assert calls == {"_holds": 415} and sum(fam["count"] for fam in report["families"]) == 415
         assert report == whole_word_report(induced.induce(n))
 
+    def test_a_passing_check_builds_no_suite_word(self, monkeypatch):
+        reports = {n: induced.induce(n).relator_report() for n in (3, 4, 5)}
+
+        def forbidden(n):
+            raise AssertionError("a passing check built the suite")
+        monkeypatch.setattr(W, "gersten_relators", forbidden)
+        for n, report in reports.items():
+            assert report["ok"] and induced.induce(n).relator_report() == report
+
     def test_a_suite_without_the_representatives_is_checked_whole(self, monkeypatch):
         # a stand-in suite holds none of the representatives, so the
         # conjugation relators passing settle nothing
-        def bare_rho12(n):
-            yield "bare", "rho12", [(("rho", 1, 2), 1)]
-        monkeypatch.setattr(W, "gersten_relators", bare_rho12)
+        monkeypatch.setattr(W, "_families", bare_rho12)
         report = induced.induce(3).relator_report()
         assert report["families"] == [{"name": "bare", "count": 1, "failures": ["rho12"]}]
         assert not report["ok"]

@@ -51,6 +51,7 @@ KEPT = {
     "words.rho": "benchmark",
     "words._sigma_star_move": "ROADMAP item 10",
     "words._delta_move": "ROADMAP item 10",
+    "words.gersten_relators": "failure path",
     "linalg.Matrix.__hash__": "value API",
     "linalg.Matrix.__repr__": "value API",
     "linalg.Matrix.zeros": "acceptance",

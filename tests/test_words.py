@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    bare_rho12,
+    benchmark_relator_count,
     flip_one_exponent,
     generator,
     oracle_act_on_mask,
@@ -507,8 +509,8 @@ def suite_orbits(n, suite):
     return list(orbits.values())
 
 
-def split_reduced_suite(n, suite=None):
-    rows = list(W.reduced_suite(n, suite))
+def split_reduced_suite(n):
+    rows = list(W.reduced_suite(n))
     return ([(f, l) for f, l, _ in rows if f != W.QUARTER_TURN_FAMILY],
             [(l, w) for f, l, w in rows if f == W.QUARTER_TURN_FAMILY])
 
@@ -567,7 +569,7 @@ class TestReducedSuite:
         family, label, word = suite[i]
         suite[i] = family, label, [word[0], (word[1][0], -word[1][1])] + word[2:]
         orbits = suite_orbits(n, suite)
-        representatives, _ = split_reduced_suite(n, suite)
+        representatives, _ = split_reduced_suite(n)
         assert {(family, label)} in orbits
         assert (family, label) not in representatives
         assert len(orbits) == self.ORBITS[n] + 1
@@ -647,10 +649,22 @@ def failing_images(report):
 
 
 class TestGerstenAgreesWithTheWholeSuite:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(3, 11))
     def test_a_passing_report_equals_the_whole_suite(self, n):
         report = W.verify_gersten(n)
         assert report["ok"] and report == whole_suite_report(n)
+        # the counts read off the table sum to the closed form
+        assert sum(fam["count"] for fam in report["families"]) == report["total"] \
+            == benchmark_relator_count()(n)
+
+    def test_a_passing_check_builds_no_suite_word(self, monkeypatch):
+        reports = {n: W.verify_gersten(n) for n in range(3, 11)}
+
+        def forbidden(n):
+            raise AssertionError("a passing check built the suite")
+        monkeypatch.setattr(W, "gersten_relators", forbidden)
+        for n, report in reports.items():
+            assert report["ok"] and W.verify_gersten(n) == report
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_a_flipped_representative_is_reported_with_its_images(self, monkeypatch, n):
@@ -677,17 +691,31 @@ class TestGerstenAgreesWithTheWholeSuite:
     def test_a_missing_representative_makes_the_suite_checked_whole(self, monkeypatch, n):
         # eps1^2 replaced by eps1^3: no representative is flipped, but one
         # is missing, so the reduced verdict settles nothing
-        suite = W.gersten_relators
+        table = W._families
 
         def stand_in(n):
-            for family, label, word in suite(n):
-                if label == "eps1^2":
-                    label, word = "eps1^3", word + word[:1]
-                yield family, label, word
-        monkeypatch.setattr(W, "gersten_relators", stand_in)
+            rows = []
+            for family, names, tuples, variants in table(n):
+                if family == "inversion is an involution":
+                    [(_, word)] = variants
+                    variants = (("eps1^3", lambda: word() + word()[:1]),)
+                rows.append((family, names, tuples, variants))
+            return tuple(rows)
+        monkeypatch.setattr(W, "_families", stand_in)
         report = W.verify_gersten(n)
         assert report == whole_suite_report(n)
         assert failing_images(report) == [("inversion is an involution", ["eps1^3"], ["eps1^3"])]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_a_family_without_a_representative_makes_the_suite_checked_whole(
+            self, monkeypatch, n):
+        # every listed representative is a row and passes, but the added
+        # family has none, so the reduced verdict settles nothing
+        table = W._families
+        monkeypatch.setattr(W, "_families", lambda n: table(n) + bare_rho12(n))
+        report = W.verify_gersten(n)
+        assert report == whole_suite_report(n)
+        assert failing_images(report) == [("bare", ["rho12"], ["rho12"])]
 
     def test_a_passing_check_evaluates_the_reduced_suite_alone(self, monkeypatch):
         calls = []
@@ -843,6 +871,15 @@ class TestRelatorMoves:
     def test_bad_tokens_are_value_errors(self, token):
         with pytest.raises(ValueError):
             W.relator_automorphism(3, [(("rho", 1, 2), 1), (token, 1)])
+
+    @pytest.mark.parametrize("e", [2, 0, -2])
+    def test_an_exponent_other_than_one_or_minus_one_is_refused(self, e):
+        # rho12^2 read as rho12 here and as rho12^-1 by the induced
+        # evaluator would give the two different verdicts
+        for token in (("rho", 1, 2), ("eps", 1, None), ("tau", 2, None)):
+            for word in ([(token, e)], [(("lam", 2, 3), 1), (token, e)]):
+                with pytest.raises(ValueError, match="exponent"):
+                    W.relator_automorphism(3, word)
 
     def test_a_bad_letter_raises_after_its_equal_valid_letter_ran(self):
         good, bad = (("rho", 1, 2), 1), (("rho", 1.0, 2), 1)
