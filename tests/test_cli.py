@@ -438,6 +438,42 @@ class TestInduce:
 
 
 class TestGraph:
+    # sha256 of the --json report of each passing argv; the graph file is
+    # the benchmark's relabelled 9-cage (seed 3), read from the working
+    # directory as cage.json
+    GOLDEN = {
+        "admissible --builtin rose:5 --group W5":
+            "434afa32c047b3df7cda5cd176f4527858344629b913a7feeb7d54265da7f28f",
+        "admissible --builtin cage:7 --group G6":
+            "6e83348070a693bdcb3898c9e102e4eb9febefe01c34a0d61ef67668ad586dcb",
+        "admissible --builtin cage:6 --group B5":
+            "b2e1e03dde7933b7851b482a718b3983cab7b9f3b80b7c03ce214b90be5614a6",
+        "rose-lemma --builtin rose:7 --group A7":
+            "9b73189e5ebe8e30ca4579694738a894d663106a476899c01b182ea7cefdc3db",
+        "rose-lemma --builtin rose:4 --group S4":
+            "571f7b459aa5550e48f05853d091863534fcd04d0606ce6501c30cba393823f8",
+        "cage-lemma --builtin cage:6 --group A6":
+            "91740f4c7bcb1e55f1751cb886b1baba85bd25f8f79358917a6d0c83995f20c3",
+        "homology --builtin cover:5":
+            "ee6688968d03d6936508d7e9b08c386b6f4ab447612e9cc308496db6ca9382e9",
+        "double-tree --builtin cage:5 --xi vertex-swap":
+            "83bd6a5b35fcf1b4d6c7722fb05008874dc310a176685af73d10e66f2ebf5b68",
+        "double-tree --builtin rose:3 --xi flip-all":
+            "1c8dee989bd0bf4d6af7c03ccbc975bae51355e7867e167d8602623ec23abe9c",
+        "double-tree --file cage.json --xi def57":
+            "44d2ded3f756e12eb515ee952137486fe994718e2fdebc2a40b1191352aa2ef8",
+        "collapse --builtin cage:3 --edges c1":
+            "2599c79251d63ce1d5d4a96ce030d176cb1e7c495396b04cf18cbeda38944397",
+    }
+
+    @pytest.mark.parametrize("argv", list(GOLDEN))
+    def test_report_bytes_are_pinned(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, benchmark_inputs().cage_graph_file(3, 9), "cage.json")
+        assert run(["graph", *argv.split(), "--json", "r.json"]) == 0
+        digest = hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN[argv]
+
     def test_admissible_builtin(self, tmp_path):
         out = tmp_path / "a.json"
         assert run(["graph", "admissible", "--builtin", "cage:7",
