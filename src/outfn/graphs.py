@@ -7,23 +7,24 @@ endpoints.  The first homology over the rationals is realised as edge
 weightings balanced at every vertex, i.e. the kernel of the incidence
 matrix, which ``h1_basis`` returns as a plain ``Matrix`` (a row per
 edge, a column per cycle); ``collapse`` returns the quotient graph and
-the induced map on cycle spaces as a matrix.  Group elements act on it
-through signed edge permutations: an edge mapped with a reversed
-orientation picks up a minus sign.
+the induced map on cycle spaces as a matrix.
 
-On top of that sit the combinatorial certificates used by the rest of
-the package, each polynomial in the size of the graph and in the number
-of generators of the acting group: admissibility via forest edge
+A graph automorphism is read in one form, its permutation of the
+vertices and darts (``GraphAut.points``, built once when it is
+checked).  Relations and perfectness compose these permutations, edge
+orbits and invariant orientations read one union-find over the
+generators' points, and a cycle is pushed by moving each edge's row to
+its image's row, negated when the image is reversed.
+
+On top of that sit the certificates, each polynomial in the size of the
+graph and in the number of generators: admissibility via forest edge
 orbits, minimal-loop lengths by breadth-first search and the
 obstruction witnesses built from them, loop-flipping involutions checked
-on a cycle basis, and the splitting of a graph into two trees exchanged
-by such an involution.  Trivial multiplicities and equivariant
-orientations come from the generators alone: a vector is fixed by the
-group exactly when every generator fixes it, and an invariant
-orientation exists exactly when the generators never carry an edge's
-two darts (its two oriented copies) into one orbit.  The cage lemma's
-perfectness check grows the commutator subgroup as a stabiliser chain
-from the generators; no check lists the group.
+on a cycle basis, the splitting of a graph into two trees exchanged by
+such an involution, and the trivial multiplicities and invariant
+orientations of the rose and cage lemmas.  The cage lemma's perfectness
+check grows the commutator subgroup as a stabiliser chain from the
+generators; no check lists the group.
 """
 
 from __future__ import annotations
@@ -206,11 +207,13 @@ class GraphAut:
 
     ``flips[e]`` is True when the image of e carries the reversed
     orientation, i.e. iota(g.e) = g.tau(e) instead of g.iota(e).
-    Group elements are composed as point permutations (``_points``),
-    never in this form.
+    ``points`` is the same automorphism as a faithful permutation of the
+    vertices (points 0 to |V| - 1, in graph order) and the darts, the
+    dart (e_j, +1) of the j-th edge being point |V| + 2j and (e_j, -1)
+    the next: (e, d) goes to (g.e, d), or to (g.e, -d) when g flips e.
     """
 
-    __slots__ = ("graph", "vmap", "emap", "flips")
+    __slots__ = ("graph", "vmap", "emap", "flips", "points")
 
     def __init__(self, graph: Graph, vmap: dict, emap: dict, flips: dict):
         self.graph = graph
@@ -224,6 +227,9 @@ class GraphAut:
         unknown = set(flips) - set(graph.edges)
         if unknown:
             raise ValueError(f"flips name unknown edges: {sorted(map(str, unknown))}")
+        point = {v: i for i, v in enumerate(graph.vertices)}  # apart from dart: ids may coincide
+        dart = {e: len(point) + 2 * j for j, e in enumerate(graph.edges)}
+        points = [point[vmap[v]] for v in graph.vertices]
         for e in graph.edges:
             io, ta = graph.ends[e]
             im_io, im_ta = graph.ends[emap[e]]
@@ -231,6 +237,9 @@ class GraphAut:
             want = (vmap[ta], vmap[io]) if flip else (vmap[io], vmap[ta])
             if (im_io, im_ta) != want:
                 raise ValueError(f"incidence equivariance fails at edge {e!r}")
+            d = dart[emap[e]]
+            points += [d + 1, d] if flip else [d, d + 1]
+        self.points = tuple(points)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -240,24 +249,6 @@ class GraphAut:
 
     def flip(self, e) -> bool:
         return bool(self.flips.get(e, False))
-
-
-def _darts(graph: Graph) -> dict:
-    """The point of the dart (e, +1) of each edge e; (e, -1) is the next."""
-    return {e: len(graph.vertices) + 2 * j for j, e in enumerate(graph.edges)}
-
-
-def _points(aut: GraphAut) -> tuple:
-    """The automorphism as a faithful permutation of the vertices (points
-    0 to |V| - 1, in graph order) and the darts: the dart (e, d) goes to
-    (g.e, d), or to (g.e, -d) when g flips e."""
-    g, dart = aut.graph, _darts(aut.graph)
-    vindex = {v: i for i, v in enumerate(g.vertices)}  # apart from dart: ids may coincide
-    image = [vindex[aut.vmap[v]] for v in g.vertices]
-    for e in g.edges:
-        d = dart[aut.emap[e]]
-        image += [d + 1, d] if aut.flip(e) else [d, d + 1]
-    return tuple(image)
 
 
 def _then(a: tuple, b: tuple) -> tuple:
@@ -358,7 +349,7 @@ class GraphAction:
         A word acts as the composite of its letters, the rightmost applied
         first; it is folded over the generators' point permutations.
         """
-        points = {name: _points(self.maps[name]) for name in self.group.generators}
+        points = {name: self.maps[name].points for name in self.group.generators}
         identity = tuple(range(len(self.graph.vertices) + 2 * len(self.graph.edges)))
         return [rel for rel in self.group.relations
                 if functools.reduce(_then, map(points.get, reversed(rel)), identity)
@@ -367,16 +358,24 @@ class GraphAction:
     def verify_relations(self) -> bool:
         return not self.failed_relations()
 
+    def _dart_roots(self) -> dict:
+        """Each edge's darts (e, +1) and (e, -1) as the roots of their
+        orbits, in one union-find over the points of the generators."""
+        g = self.graph
+        find, union = _union_find(range(len(g.vertices) + 2 * len(g.edges)))
+        for name in self.group.generators:
+            for p, q in enumerate(self.maps[name].points):
+                union(p, q)
+        darts = range(len(g.vertices), len(g.vertices) + 2 * len(g.edges), 2)
+        return {e: (find(d), find(d + 1)) for e, d in zip(g.edges, darts)}
+
     def edge_orbits(self) -> list:
         """Orbits of edges, each sorted by ``str``, in the graph order of
-        their first edges."""
-        find, union = _union_find(self.graph.edges)
-        for name in self.group.generators:
-            for e, f in self.maps[name].emap.items():
-                union(e, f)
+        their first edges.  The darts of an edge orbit fill one or two dart
+        orbits and no others, so the smaller root of its darts names it."""
         orbits: dict = {}
-        for e in self.graph.edges:
-            orbits.setdefault(find(e), []).append(e)
+        for e, darts in self._dart_roots().items():
+            orbits.setdefault(min(darts), []).append(e)
         return [sorted(orbit, key=str) for orbit in orbits.values()]
 
 
@@ -397,21 +396,20 @@ def h1_basis(graph: Graph) -> Matrix:
     return graph.incidence_matrix().kernel_basis()
 
 
-def signed_edge_matrix(aut: GraphAut) -> Matrix:
-    """Push-forward of edge weightings; orientation reversal negates."""
-    g = aut.graph
-    eindex = {e: i for i, e in enumerate(g.edges)}
-    m = [[0] * len(g.edges) for _ in g.edges]
-    for e in g.edges:
-        m[eindex[aut.emap[e]]][eindex[e]] = -1 if aut.flip(e) else 1
-    return Matrix(m, cols=len(g.edges))
+def push(aut: GraphAut, weights: Matrix) -> Matrix:
+    """Edge weightings (a row per edge) pushed along the automorphism: the
+    row of e goes to the row of g.e, negated when g flips e."""
+    nv, rows = len(aut.graph.vertices), [None] * weights.rows
+    for row, d in zip(weights.data, aut.points[nv::2]):  # the image of each (e, +1)
+        rows[(d - nv) // 2] = [-x for x in row] if (d - nv) % 2 else row
+    return Matrix(rows, cols=weights.cols)
 
 
 def induced_matrix(aut: GraphAut, basis: Matrix) -> Matrix:
     """Matrix of the automorphism on homology, in the given cycle basis."""
     if basis.cols == 0:
         raise ValueError("homology is trivial; no induced matrix")
-    coords = basis.solve(signed_edge_matrix(aut) * basis)
+    coords = basis.solve(push(aut, basis))
     if coords is None:
         raise AssertionError("pushed cycle left the cycle space")
     return coords
@@ -429,14 +427,14 @@ def trivial_multiplicity(action: GraphAction) -> int:
 
     The vectors fixed by the group are those fixed by every generator.
     The cycle basis B has full column rank, so B x is fixed by s exactly
-    when (P_s B - B) x = 0, with P_s the signed edge matrix of s; the
+    when (s.B - B) x = 0, with s.B the push of B along s; the
     multiplicity is dim H1 minus the rank of those blocks stacked over
     the generators.
     """
     cycles = h1_basis(action.graph)
     moved = []
     for name in action.group.generators:
-        moved += (signed_edge_matrix(action.maps[name]) * cycles - cycles).data
+        moved += (push(action.maps[name], cycles) - cycles).data
     return cycles.cols - Matrix(moved, cols=cycles.cols).rank()
 
 
@@ -587,11 +585,11 @@ def flips_all_simple_loops(graph: Graph, xi: GraphAut) -> bool:
     """
     if xi.graph != graph:
         raise ValueError("xi is an automorphism of another graph")
-    p = _points(xi)
+    p = xi.points
     if _then(p, p) != tuple(range(len(p))):
         raise ValueError("xi must be an involution")
     cycles = h1_basis(graph)
-    return signed_edge_matrix(xi) * cycles == -cycles
+    return push(xi, cycles) == -cycles
 
 
 class DoubleTree:
@@ -720,8 +718,8 @@ def double_tree_decomposition(graph: Graph, xi: GraphAut) -> DoubleTree | None:
 def invariant_orientation(action: GraphAction) -> dict:
     """Equivariant orientation data for a group acting on a rose.
 
-    The generators permute the darts (e, +1) and (e, -1) of the edges,
-    as in ``_points``.  Some element stabilises e and reverses it exactly
+    The generators permute the darts (e, +1) and (e, -1) of the edges
+    (see ``GraphAut``).  Some element stabilises e and reverses it exactly
     when both darts of e lie in one orbit; the first such edge is the
     obstruction.  Otherwise the orientation gives e the sign +1 exactly
     when (e, +1) lies in the orbit of (rep, +1), rep being the first edge
@@ -731,25 +729,22 @@ def invariant_orientation(action: GraphAction) -> dict:
     g = action.graph
     if len(g.vertices) != 1 or not all(g.is_loop(e) for e in g.edges):
         raise ValueError("orientation equivariance is implemented for roses")
-    dart = _darts(g)
-    find, union = _union_find(range(len(g.vertices) + 2 * len(g.edges)))
-    for name in action.group.generators:
-        for p, q in enumerate(_points(action.maps[name])):
-            union(p, q)
-    obstruction = next((e for e in g.edges if find(dart[e]) == find(dart[e] + 1)), None)
-    orbits = action.edge_orbits()
+    roots = action._dart_roots()
+    obstruction = next((e for e, (plus, minus) in roots.items() if plus == minus), None)
+    rep = {}  # the name of each orbit -> its first edge by str
+    for e in sorted(g.edges, key=str):
+        rep.setdefault(min(roots[e]), e)
     orientation = None
     if obstruction is None:
-        rep = {e: orbit[0] for orbit in orbits for e in orbit}
-        orientation = {e: 1 if find(dart[e]) == find(dart[rep[e]]) else -1
-                       for e in g.edges}
+        orientation = {e: 1 if plus == roots[rep[min(plus, minus)]][0] else -1
+                       for e, (plus, minus) in roots.items()}
     mult = trivial_multiplicity(action)
     return {
         "orientation": orientation,
         "obstruction_edge": obstruction,
-        "orbit_count": len(orbits),
+        "orbit_count": len(rep),
         "trivial_multiplicity": mult,
-        "counts_match": obstruction is None and len(orbits) == mult,
+        "counts_match": obstruction is None and len(rep) == mult,
     }
 
 
@@ -757,11 +752,11 @@ def is_perfect(action: GraphAction) -> bool:
     """Is the acting image its own commutator subgroup N?
 
     N is the normal closure of the generators' commutators, built as a
-    stabiliser chain on the points of ``_points`` (Sims 1970; Seress,
+    stabiliser chain on the generators' ``points`` (Sims 1970; Seress,
     Permutation Group Algorithms, CUP 2003, ch. 4 and section 2.3).  The
     image is perfect exactly when every generator sifts into N.
     """
-    gens = [_points(action.maps[name]) for name in action.group.generators]
+    gens = [action.maps[name].points for name in action.group.generators]
     commutators = [_then(_then(a, b), _then(_inverse(a), _inverse(b)))
                    for a, b in itertools.combinations(gens, 2)]
     chain = _closure(commutators, gens)

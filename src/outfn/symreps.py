@@ -142,15 +142,18 @@ def with_central_involution(base: GroupDescriptor) -> GroupDescriptor:
     """Extend a descriptor by a central involution ``xi``.
 
     Commutation relations are spelled as positive words, which needs
-    the order of each base generator: 3 for t-generators, 2 otherwise,
-    matching the presets above.
+    an order o of each base generator g: it is read off a power relation
+    g^o of the base, and a generator without one is refused.
     """
+    orders = {rel[0]: len(rel) for rel in base.relations if rel and rel == rel[:1] * len(rel)}
+    missing = [g for g in base.generators if g not in orders]
+    if missing:
+        raise ValueError(f"no power relation gives the order of {', '.join(missing)}")
     gens = base.generators + ("xi",)
     rels = list(base.relations) + [("xi", "xi")]
     for g in base.generators:
-        o = 3 if g.startswith("t") else 2
         # xi g xi g^(o-1) = [xi, g] rewritten without inverses
-        rels.append(("xi", g, "xi") + (g,) * (o - 1))
+        rels.append(("xi", g, "xi") + (g,) * (orders[g] - 1))
     return GroupDescriptor(base.name + "x2", gens, tuple(rels))
 
 

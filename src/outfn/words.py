@@ -377,12 +377,13 @@ def _identities(x, y):
             ("mixed-inv", lambda i, j, k: _comm((x, i, j), (y, j, k), 1, -1) + [((x, i, k), -1)]))
 
 
+@lru_cache(maxsize=None, typed=True)
 def _families(n: int) -> tuple:
     """The relator suite at rank n, one row ``(name, index names, index
     tuples, variants)`` per family in suite order, a variant being a
     ``(label prefix, word builder)`` pair: a family's relators are each
-    variant of each tuple, tuple by tuple.  Families 1-8 are trivial among
-    honest automorphisms already; family 9 is an inner automorphism."""
+    variant of each tuple, tuple by tuple, built once per rank.  Families
+    1-8 are trivial among honest automorphisms already; family 9 is inner."""
     if n < 3:
         raise ValueError("the presentation needs rank at least 3")
     idx = range(1, n + 1)

@@ -344,6 +344,33 @@ def oracle_compose(a, b):
                            {e: b.flip(e) ^ a.flip(b.emap[e]) for e in g.edges})
 
 
+def oracle_points(aut) -> tuple:
+    """The automorphism as a permutation of the points: vertex i (graph
+    order) is point i, the darts (e, +1) and (e, -1) of the j-th edge
+    are points |V| + 2j and |V| + 2j + 1."""
+    g = aut.graph
+    vertex = {v: i for i, v in enumerate(g.vertices)}
+    plus = {e: len(g.vertices) + 2 * j for j, e in enumerate(g.edges)}
+    minus = {e: p + 1 for e, p in plus.items()}
+    image = {vertex[v]: vertex[aut.vmap[v]] for v in g.vertices}
+    for e in g.edges:
+        f = aut.emap[e]
+        image[plus[e]], image[minus[e]] = ((minus[f], plus[f]) if aut.flip(e)
+                                           else (plus[f], minus[f]))
+    return tuple(image[p] for p in range(len(image)))
+
+
+def oracle_signed_edge_matrix(aut) -> linalg.Matrix:
+    """Push-forward of edge weightings as a dense |E| x |E| matrix;
+    orientation reversal negates."""
+    g = aut.graph
+    eindex = {e: i for i, e in enumerate(g.edges)}
+    m = [[0] * len(g.edges) for _ in g.edges]
+    for e in g.edges:
+        m[eindex[aut.emap[e]]][eindex[e]] = -1 if aut.flip(e) else 1
+    return linalg.Matrix(m, cols=len(g.edges))
+
+
 def oracle_word_aut(action, word):
     """The automorphism a word names: its letters composed, the rightmost
     applied first."""

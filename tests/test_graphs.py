@@ -11,7 +11,8 @@ from conftest import (benchmark_inputs, oracle_builtin_action, oracle_compose,
                       oracle_double_tree, oracle_doubled_cage_maps, oracle_edge_orbits, oracle_elements, oracle_homology_trace,
                       oracle_identity, oracle_is_identity, oracle_is_perfect,
                       oracle_min_loop, oracle_orientation_obstruction,
-                      oracle_parity_involution, oracle_simple_cycles,
+                      oracle_parity_involution, oracle_points, oracle_signed_edge_matrix,
+                      oracle_simple_cycles,
                       oracle_subdivide_inverted_edges, oracle_trivial_multiplicity,
                       oracle_valence, oracle_word_aut, simple_loops, to_json)
 from outfn import actions, cli, graphs, symreps
@@ -71,7 +72,7 @@ def two_cages_and_a_loop():
 
 
 def flips_every_listed_loop(g, xi):
-    p = graphs.signed_edge_matrix(xi)
+    p = oracle_signed_edge_matrix(xi)
     return all(p * v == -v for v in (Matrix.from_columns([loop.edge_vector(g)])
                                      for loop in simple_loops(g)))
 
@@ -446,7 +447,7 @@ class TestFlipsAndDoubleTree:
         sw = actions.strand_swap(g)
         # every doubled-edge loop is flipped, the long strand loops are
         # exchanged instead, so the global answer is negative
-        p = graphs.signed_edge_matrix(sw)
+        p = oracle_signed_edge_matrix(sw)
         for l in simple_loops(g):
             v = Matrix.from_columns([l.edge_vector(g)])
             flipped = p * v == -v
@@ -656,6 +657,16 @@ def one_edge_cage():
     return actions.trivial_action(graphs.cage(1))
 
 
+def petals_exchanged_reversed():
+    """Z2 exchanging the two petals, reversing both: the darts fill two
+    orbits, (p1, +1) with (p2, -1) and (p1, -1) with (p2, +1)."""
+    g = graphs.rose(2)
+    swap = graphs.GraphAut(g, {"v": "v"}, {"p1": "p2", "p2": "p1"},
+                           {"p1": True, "p2": True})
+    desc = symreps.GroupDescriptor("Z2", ("d",), (("d", "d"),))
+    return graphs.GraphAction(g, desc, {"d": swap})
+
+
 def single_petal_flip():
     g = graphs.rose(1)
     desc = symreps.GroupDescriptor("Z2", ("f",), (("f", "f"),))
@@ -668,7 +679,8 @@ class TestGeneratorMultiplicity:
 
     def _all(self):
         return (stock_actions() + [two_cages_and_a_loop(), one_edge_cage(),
-                                   single_petal_flip()] + random_actions())
+                                   single_petal_flip(), petals_exchanged_reversed()]
+                + random_actions())
 
     def test_multiplicity_matches_trace_average(self):
         values = set()
@@ -758,11 +770,11 @@ class TestPerfectness:
     def test_chain_holds_the_group(self):
         for act in perfectness_actions() + random_actions():
             chain = graphs._closure(
-                [graphs._points(act.maps[name]) for name in act.group.generators], [])
+                [act.maps[name].points for name in act.group.generators], [])
             elements = oracle_elements(act)
             assert math.prod(len(back) for _, _, back in chain) == len(elements)
             for aut in elements:
-                residue, _ = graphs._sift(chain, graphs._points(aut))
+                residue, _ = graphs._sift(chain, aut.points)
                 assert residue == tuple(range(len(residue)))
 
 
@@ -812,8 +824,8 @@ class TestPointRelations:
     def test_points_of_a_product(self):
         for act in random_actions() + perfectness_actions():
             for a, b in itertools.product(act.maps.values(), repeat=2):
-                assert (graphs._points(oracle_compose(a, b))
-                        == graphs._then(graphs._points(b), graphs._points(a)))
+                assert (oracle_compose(a, b).points
+                        == graphs._then(b.points, a.points))
 
     def test_tree_claims_match_the_subgraph_oracle(self):
         # a forest with ends in V and |V| - 1 edges is a tree on V
@@ -832,6 +844,42 @@ class TestPointRelations:
             assert got["d_is_tree"] == got["mirror_is_tree"] == want
             verdicts.add(want)
         assert verdicts == {True, False}
+
+
+def same_ids_action():
+    """D3 on a triangle whose vertex ids are its edge ids: edge m runs
+    from vertex m to vertex m + 1 (mod 3); the mirror reverses every edge."""
+    g = graphs.make_graph([0, 1, 2], [(m, m, (m + 1) % 3) for m in range(3)])
+    turn = graphs.GraphAut(g, {m: (m + 1) % 3 for m in range(3)},
+                           {m: (m + 1) % 3 for m in range(3)}, {})
+    mirror = graphs.GraphAut(g, {m: -m % 3 for m in range(3)},
+                             {m: (-m - 1) % 3 for m in range(3)},
+                             dict.fromkeys(range(3), True))
+    desc = symreps.GroupDescriptor("D3", ("r", "s"),
+                                   (("r", "r", "r"), ("s", "s"), ("s", "r", "s", "r")))
+    return graphs.GraphAction(g, desc, {"r": turn, "s": mirror})
+
+
+class TestPointForm:
+    """``GraphAut.points`` and ``push`` against the permutation and the
+    dense signed matrix built from the vertex, edge and flip maps."""
+
+    def _automorphisms(self):
+        acts = stock_actions() + [two_cages_and_a_loop(), same_ids_action()]
+        return ([aut for act in acts for aut in act.maps.values()]
+                + [aut for act in acts for aut in oracle_elements(act)])
+
+    def test_points(self):
+        for aut in self._automorphisms():
+            assert aut.points == oracle_points(aut)
+
+    def test_push(self):
+        for aut in self._automorphisms():
+            g = aut.graph
+            assert (graphs.push(aut, Matrix.identity(len(g.edges)))
+                    == oracle_signed_edge_matrix(aut))
+            cycles = graphs.h1_basis(g)
+            assert graphs.push(aut, cycles) == oracle_signed_edge_matrix(aut) * cycles
 
 
 class TestPairedInvolutions:
@@ -911,7 +959,7 @@ def relabelled(rng, action):
 class TestEdgeOrbits:
     def test_union_find_matches_breadth_first_search(self):
         rng = random.Random(4242)
-        acts = stock_actions() + [two_cages_and_a_loop()]
+        acts = stock_actions() + [two_cages_and_a_loop(), petals_exchanged_reversed()]
         acts += [relabelled(rng, act) for act in acts + random_actions()]
         out_of_str_order = 0
         for act in acts:

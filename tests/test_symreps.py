@@ -460,6 +460,40 @@ class TestCrossModuleDecomposition:
         assert dec.layer_dims == (0, n, 0, 0, 0)
 
 
+class TestCentralInvolution:
+    """``with_central_involution`` reads each generator's order from its
+    power relation, and the extension holds in C_o x C_2 with xi = -1."""
+
+    def test_rotation_of_order_three(self):
+        c3 = symreps.GroupDescriptor("C3", ("r",), (("r", "r", "r"),))
+        desc = symreps.with_central_involution(c3)
+        assert desc.relations[-1] == ("xi", "r", "xi", "r", "r")
+        rotation = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        minus = Matrix([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
+        rep = symreps.FiniteRep(desc, 3, {"r": rotation, "xi": minus})
+        assert rep.failed_relations() == []
+
+    def test_involution_named_like_a_three_cycle(self):
+        z2 = symreps.GroupDescriptor("Z2", ("t1",), (("t1", "t1"),))
+        desc = symreps.with_central_involution(z2)
+        assert desc.relations[-1] == ("xi", "t1", "xi", "t1")
+        rep = symreps.FiniteRep(desc, 1, {"t1": Matrix([[-1]]), "xi": Matrix([[-1]])})
+        assert rep.failed_relations() == []
+
+    def test_generator_without_a_power_relation(self):
+        base = symreps.GroupDescriptor("G", ("a", "b", "c"),
+                                       (("a", "b", "a", "b"), ("b", "b"), ()))
+        with pytest.raises(ValueError, match="order of a, c$"):
+            symreps.with_central_involution(base)
+
+    def test_alternating_extension_unchanged(self):
+        a5 = symreps.alternating_group(5)
+        desc = symreps.with_central_involution(a5)
+        assert (desc.name, desc.generators) == ("A5x2", ("t3", "t4", "t5", "xi"))
+        assert desc.relations == a5.relations + (("xi", "xi"),) + tuple(
+            ("xi", t, "xi", t, t) for t in ("t3", "t4", "t5"))
+
+
 class TestRepSerialisation:
     def test_round_trip(self):
         rep = with_transvections(signed_permutation_rep(4), 4)

@@ -666,6 +666,12 @@ class TestGerstenAgreesWithTheWholeSuite:
         for n, report in reports.items():
             assert report["ok"] and W.verify_gersten(n) == report
 
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_a_passing_check_builds_the_table_once(self, n):
+        W._families.cache_clear()
+        assert W.verify_gersten(n)["ok"]
+        assert W._families.cache_info().misses == 1
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_a_flipped_representative_is_reported_with_its_images(self, monkeypatch, n):
         family, label = "rho commutator identities", "inv-inv i=1,j=2,k=3"
