@@ -18,13 +18,12 @@ its image's row, negated when the image is reversed.
 
 On top of that sit the certificates, each polynomial in the size of the
 graph and in the number of generators: admissibility via forest edge
-orbits, minimal-loop lengths by breadth-first search and the
-obstruction witnesses built from them, loop-flipping involutions checked
-on a cycle basis, the splitting of a graph into two trees exchanged by
-such an involution, and the trivial multiplicities and invariant
-orientations of the rose and cage lemmas.  The cage lemma's perfectness
-check grows the commutator subgroup as a stabiliser chain from the
-generators; no check lists the group.
+orbits, loop-flipping involutions checked on a cycle basis, the
+splitting of a graph into two trees exchanged by such an involution,
+and the trivial multiplicities and invariant orientations of the rose
+and cage lemmas.  The cage lemma's perfectness check grows the
+commutator subgroup as a stabiliser chain from the generators; no check
+lists the group.
 """
 
 from __future__ import annotations
@@ -101,9 +100,6 @@ class Graph:
     def is_loop(self, e) -> bool:
         io, ta = self.ends[e]
         return io == ta
-
-    def edges_at(self, v) -> list:
-        return [e for e in self.edges if v in self.ends[e]]
 
     def component_count(self) -> int:
         find, union = _union_find(self.vertices)
@@ -355,9 +351,6 @@ class GraphAction:
                 if functools.reduce(_then, map(points.get, reversed(rel)), identity)
                 != identity]
 
-    def verify_relations(self) -> bool:
-        return not self.failed_relations()
-
     def _dart_roots(self) -> dict:
         """Each edge's darts (e, +1) and (e, -1) as the roots of their
         orbits, in one union-find over the points of the generators."""
@@ -474,60 +467,6 @@ def collapse(graph: Graph, edge_subset) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# minimal loops
-
-
-def min_loop_through_edge(graph: Graph, e) -> int | None:
-    """Length of the shortest simple loop through e; None if e separates.
-
-    A loop edge is a loop of length one; otherwise the shortest loop is
-    e followed by a shortest path between its endpoints avoiding e.
-    """
-    if e not in graph.ends:
-        raise ValueError(f"unknown edge {e!r}")
-    start, goal = graph.ends[e]
-    if start == goal:
-        return 1
-    neighbours = {v: [] for v in graph.vertices}
-    for f in graph.edges:
-        if f != e:
-            a, b = graph.ends[f]
-            neighbours[a].append(b)
-            neighbours[b].append(a)
-    distance = {start: 0}
-    queue = [start]
-    for v in queue:  # the queue grows while it is read: breadth first
-        for w in neighbours[v]:
-            if w not in distance:
-                distance[w] = distance[v] + 1
-                queue.append(w)
-    return distance[goal] + 1 if goal in distance else None
-
-
-def separating_edges(graph: Graph) -> list:
-    return [e for e in graph.edges if min_loop_through_edge(graph, e) is None]
-
-
-def admissibility_obstruction(graph: Graph):
-    """A witness (edge, endpoint) ruling out admissibility, or None.
-
-    The witness property: every other edge meeting the chosen endpoint
-    has a different minimal simple-loop length than the witness edge.
-    Separating edges are skipped here; they are a diagnosis of their
-    own (see ``separating_edges``).
-    """
-    table = {e: min_loop_through_edge(graph, e) for e in graph.edges}
-    for e in graph.edges:
-        if table[e] is None:
-            continue
-        for x in dict.fromkeys(graph.ends[e]):
-            others = [f for f in graph.edges_at(x) if f != e]
-            if all(table[f] != table[e] for f in others):
-                return (e, x)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # admissibility
 
 
@@ -565,11 +504,6 @@ def admissibility_conditions(action: GraphAction) -> list:
         ("no invariant nontrivial forest", not forests,
          {"forests": [list(map(str, f)) for f in forests]}),
     ]
-
-
-def is_admissible(action: GraphAction) -> bool:
-    """Whether all three ``admissibility_conditions`` hold."""
-    return all(holds for _, holds, _ in admissibility_conditions(action))
 
 
 # ---------------------------------------------------------------------------
@@ -766,12 +700,14 @@ def is_perfect(action: GraphAction) -> bool:
 def cage_trivial_multiplicity_check(action: GraphAction) -> dict:
     """On a cage, trivial multiplicity must be the orbit count minus one.
 
-    Stated for perfect acting groups (they cannot swap the two cage
-    vertices); the acting image is checked to be perfect.  As for the
-    other lemmas, the caller checks the action's defining relations.
+    A cage is a graph of two vertices and at least one edge, none of them
+    a loop; any other graph is refused.  The lemma is stated for perfect
+    acting groups (they cannot swap the two cage vertices); the acting
+    image is checked to be perfect.  As for the other lemmas, the caller
+    checks the action's defining relations.
     """
     g = action.graph
-    if len(set(g.vertices)) != 2 or any(g.is_loop(e) for e in g.edges):
+    if len(g.vertices) != 2 or not g.edges or any(g.is_loop(e) for e in g.edges):
         raise ValueError("not a cage")
     if not is_perfect(action):
         raise ValueError("the acting image is not perfect")

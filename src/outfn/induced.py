@@ -367,7 +367,7 @@ class InducedRep:
         suite alone when it settles the whole (reading each family's
         count off its table) and every suite relator otherwise.
         """
-        families = check_suite(self.n, self._holds)
+        families, _ = check_suite(self.n, self._holds)
         return {"n": self.n, "m": self.m, "families": families,
                 "ok": all(not fam["failures"] for fam in families)}
 

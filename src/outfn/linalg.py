@@ -375,8 +375,3 @@ def schur_square(m: Matrix, mu) -> Matrix:
     return Matrix([[a[p][r] * a[p][s] if p == q
                     else a[p][r] * a[q][s] + sign * a[p][s] * a[q][r]
                     for (r, s) in pairs] for (p, q) in pairs], cols=len(pairs))
-
-
-def exterior_square(m: Matrix) -> Matrix:
-    """Induced map on the exterior square, basis e_p ^ e_q with p < q."""
-    return schur_square(m, (1, 1))

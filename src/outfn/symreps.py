@@ -2,10 +2,8 @@
 
 Covers the pieces of representation theory the rest of the package
 leans on: simultaneous eigenspace decompositions for families of
-commuting involutions, the divisibility and containment laws those
-decompositions satisfy, and character multiplicities for the named
-symmetric-group modules (trivial, determinant, standard, permutation,
-signed standard).
+commuting involutions, and the divisibility and containment laws those
+decompositions satisfy.
 
 The joint eigenspaces are found by splitting the space under one
 involution at a time, and that the pieces fill the space certifies the
@@ -23,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from fractions import Fraction
 
 from .linalg import Matrix
 
@@ -199,20 +196,6 @@ class FiniteRep:
                 out.append(rel)
         return out
 
-    def verify_relations(self) -> bool:
-        return not self.failed_relations()
-
-    def direct_sum(self, other: "FiniteRep") -> "FiniteRep":
-        if self.group != other.group:
-            raise ValueError("descriptors differ")
-        gens = {}
-        for name in self.generators:
-            a, b = self.generators[name], other.generators[name]
-            top = a.hstack(Matrix.zeros(a.rows, b.cols))
-            bot = Matrix.zeros(b.rows, a.cols).hstack(b)
-            gens[name] = top.vstack(bot)
-        return FiniteRep(self.group, self.dim + other.dim, gens)
-
     @classmethod
     def from_json(cls, obj) -> "FiniteRep":
         dim = obj["dim"]
@@ -381,23 +364,16 @@ def simultaneous_eigenspaces(involutions) -> EpsDecomposition:
     return EpsDecomposition(len(mats), d, {s: pieces[s] for s in bitmask_order})
 
 
-def check_diamond(rep: FiniteRep, decomp: EpsDecomposition, i: int, j: int) -> bool:
-    """Containment law for a single transvection-type generator.
-
-    The matrix named ``rho{i}{j}`` may move the joint eigenspace of a
-    subset I only into pieces indexed by subsets differing from I
-    inside {i, j}.
-    """
-    return not diamond_violations(rep, decomp, i, j)
-
-
 def diamond_violations(rep: FiniteRep, decomp: EpsDecomposition, i: int, j: int) -> list:
     """The k outside {i, j} whose involution e_k does not commute with rho{i}{j}.
 
-    The pieces allowed for a subset I add up to exactly the vectors on
-    which every e_k with k outside {i, j} acts by the sign of I.  The
-    pieces fill the space, so ``rho{i}{j}`` maps every piece into its
-    allowed sum if and only if it commutes with each such e_k.
+    The containment law holds when this is empty: ``rho{i}{j}`` may move
+    the joint eigenspace of a subset I only into the pieces allowed for
+    I, those indexed by subsets differing from I inside {i, j}.  They add
+    up to exactly the vectors on which every e_k with k outside {i, j}
+    acts by the sign of I.  The pieces fill the space, so ``rho{i}{j}``
+    maps every piece into its allowed sum if and only if it commutes
+    with each such e_k.
 
     In the joint eigenbasis P, rho{i}{j} is r' = P^-1 r P and e_k is the
     diagonal sign matrix D_k, and D_k r' = r' D_k exactly when
@@ -433,123 +409,3 @@ def divisibility_check(decomp: EpsDecomposition) -> dict:
         ok = ok and good
         layers.append({"i": i, "dim": dim, "binom": b, "divisible": good})
     return {"ok": ok, "layers": layers}
-
-
-# ---------------------------------------------------------------------------
-# symmetric-group characters and multiplicities
-
-
-def partitions(n: int):
-    """All partitions of n as weakly decreasing tuples, in reverse
-    lexicographic order."""
-    return _partitions(n, n)
-
-
-def _partitions(n: int, largest: int):
-    """Partitions of n into parts at most ``largest``, none built and dropped."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def class_size(n: int, cycle_type) -> int:
-    if sum(cycle_type) != n:
-        raise ValueError("not a partition of n")
-    counts: dict = {}
-    for part in cycle_type:
-        counts[part] = counts.get(part, 0) + 1
-    denom = 1
-    for part, mult in counts.items():
-        denom *= (part ** mult) * math.factorial(mult)
-    return math.factorial(n) // denom
-
-
-def named_character(name: str, n: int, cycle_type) -> int:
-    """Character value of a named module at a cycle type."""
-    if sum(cycle_type) != n or any(p < 1 for p in cycle_type):
-        raise ValueError("not a partition of n")
-    fixed = sum(1 for p in cycle_type if p == 1)
-    sign = 1
-    for p in cycle_type:
-        if (p - 1) % 2 == 1:
-            sign = -sign
-    if name == "trivial":
-        return 1
-    if name == "determinant":
-        return sign
-    if name == "permutation":
-        return fixed
-    if name == "standard":
-        return fixed - 1
-    if name == "signed_standard":
-        return sign * (fixed - 1)
-    raise ValueError(f"unknown module name {name!r}")
-
-
-def class_representative(cycle_type, n: int) -> tuple:
-    """One-line permutation whose cycles fill 1..n in order."""
-    img = list(range(1, n + 1))
-    start = 0
-    for part in cycle_type:
-        block = list(range(start + 1, start + part + 1))
-        for a, b in zip(block, block[1:] + block[:1]):
-            img[a - 1] = b
-        start += part
-    return tuple(img)
-
-
-def adjacent_factorization(perm) -> list:
-    """Write a permutation as s_{i1} * ... * s_{ik}, rightmost first.
-
-    Returned as the list of generator names whose matrix product (in
-    the given order) represents the permutation; the factorization is
-    re-composed and compared against the input before returning.
-    """
-    n = len(perm)
-    p = list(perm)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            if p[i] > p[i + 1]:
-                p[i], p[i + 1] = p[i + 1], p[i]
-                swaps.append(i + 1)
-                changed = True
-    names = [f"s{i}" for i in reversed(swaps)]
-    check = list(range(1, n + 1))
-    for i in swaps:  # rightmost factor applied first
-        image = [0] * n
-        for x in range(1, n + 1):
-            y = check[x - 1]
-            if y == i:
-                y = i + 1
-            elif y == i + 1:
-                y = i
-            image[x - 1] = y
-        check = image
-    if tuple(check) != tuple(perm):
-        raise AssertionError("factorization failed to recompose")
-    return names
-
-
-def multiplicity(rep: FiniteRep, name: str, n: int) -> int:
-    """Multiplicity of a named module in a relation-checked rep of S_n.
-
-    Computed as the character inner product over cycle types; a
-    non-integral or negative answer means the supplied matrices do not
-    actually represent the symmetric group.
-    """
-    total = Fraction(0)
-    for lam in partitions(n):
-        perm = class_representative(lam, n)
-        word = adjacent_factorization(perm)
-        tr = rep.matrix_of(word).trace()
-        total += Fraction(class_size(n, lam)) * tr * named_character(name, n, lam)
-    value = total / math.factorial(n)
-    if value.denominator != 1 or value < 0:
-        raise ValueError(f"inconsistent rep: multiplicity of {name} is {value}")
-    return int(value)

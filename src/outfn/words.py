@@ -426,8 +426,7 @@ def _label(prefix: str, names: str) -> str:
 def gersten_relators(n: int):
     """Yield ``(family, label, token_word)`` for each relator of the table
     ``_families(n)``, each trivial in the outer automorphism group.  Only
-    a failing ``check_suite``, and ``verify_gersten`` for its ``images``,
-    build these words."""
+    a failing ``check_suite`` builds these words."""
     for family, names, tuples, variants in _families(n):
         labels = [(_label(prefix, names), word) for prefix, word in variants]
         for t in tuples:
@@ -557,13 +556,15 @@ def family_report(rows) -> list:
     return list(families.values())
 
 
-def check_suite(n: int, holds) -> list:
+def check_suite(n: int, holds) -> tuple:
     """The ``family_report`` of the relator suite at rank n, a relator
-    passing when ``holds(token_word)``.  At a rank of ``REDUCED_SUITE_RANKS``,
-    when each family of ``_families(n)`` has a listed representative, each
-    one listed is a row of its family and every ``reduced_suite`` relator
-    holds, the whole suite passes by (a)-(c): the counts are read off the
-    table and no suite word is built.  Otherwise each relator is decided.
+    passing when ``holds(token_word)``, and the words of its failing
+    relators, keyed by ``(family, label)`` in suite order.  At a rank of
+    ``REDUCED_SUITE_RANKS``, when each family of ``_families(n)`` has a
+    listed representative, each one listed is a row of its family and
+    every ``reduced_suite`` relator holds, the whole suite passes by
+    (a)-(c): the counts are read off the table and no suite word is
+    built.  Otherwise each relator is built and decided once.
     """
     table = _families(n)
     if n in REDUCED_SUITE_RANKS:
@@ -574,9 +575,16 @@ def check_suite(n: int, holds) -> list:
                 and all(t in rows.get((family, prefix), ()) for family, prefix, t in listed)
                 and all(holds(word) for _, _, word in reduced_suite(n))):
             return [{"name": family, "count": len(tuples) * len(variants), "failures": []}
-                    for family, _, tuples, variants in table]
-    return family_report((family, label, holds(word))
-                         for family, label, word in gersten_relators(n))
+                    for family, _, tuples, variants in table], {}
+    failed = {}
+
+    def decide(family, label, word):
+        ok = holds(word)
+        if not ok:
+            failed[family, label] = word
+        return ok
+    return family_report((family, label, decide(family, label, word))
+                         for family, label, word in gersten_relators(n)), failed
 
 
 def verify_gersten(n: int) -> dict:
@@ -586,14 +594,14 @@ def verify_gersten(n: int) -> dict:
     them failed; a family with failures also gets ``images``: each
     failing label's reduced forward images, as lists of letters.
     """
-    families = check_suite(n, lambda word: is_inner(relator_automorphism(n, word)) is not None)
-    failing = {(fam["name"], label): fam for fam in families for label in fam["failures"]}
-    for family, label, word in gersten_relators(n) if failing else ():
-        if (family, label) in failing:
-            images = failing[family, label].setdefault("images", {})
-            images[label] = [list(w) for w in relator_automorphism(n, word)]
+    families, failed = check_suite(
+        n, lambda word: is_inner(relator_automorphism(n, word)) is not None)
+    by_name = {fam["name"]: fam for fam in families}
+    for (family, label), word in failed.items():
+        images = by_name[family].setdefault("images", {})
+        images[label] = [list(w) for w in relator_automorphism(n, word)]
     return {"n": n, "families": families, "total": sum(fam["count"] for fam in families),
-            "ok": not failing}
+            "ok": not failed}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import argparse
 import ast
 import importlib.util
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -128,6 +130,62 @@ def oracle_min_loop(g, e):
     return min(lengths) if lengths else None
 
 
+# ---------------------------------------------------------------------------
+# minimal loops and the admissibility obstruction by breadth-first search:
+# the oracles of the graph-lemma witnesses (ROADMAP item 9), which takes
+# them back into ``outfn.graphs`` with a CLI path
+
+
+def min_loop_through_edge(graph, e) -> int | None:
+    """Length of the shortest simple loop through e; None if e separates.
+
+    A loop edge is a loop of length one; otherwise the shortest loop is
+    e followed by a shortest path between its endpoints avoiding e.
+    """
+    if e not in graph.ends:
+        raise ValueError(f"unknown edge {e!r}")
+    start, goal = graph.ends[e]
+    if start == goal:
+        return 1
+    neighbours = {v: [] for v in graph.vertices}
+    for f in graph.edges:
+        if f != e:
+            a, b = graph.ends[f]
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    distance = {start: 0}
+    queue = [start]
+    for v in queue:  # the queue grows while it is read: breadth first
+        for w in neighbours[v]:
+            if w not in distance:
+                distance[w] = distance[v] + 1
+                queue.append(w)
+    return distance[goal] + 1 if goal in distance else None
+
+
+def separating_edges(graph) -> list:
+    return [e for e in graph.edges if min_loop_through_edge(graph, e) is None]
+
+
+def admissibility_obstruction(graph):
+    """A witness (edge, endpoint) ruling out admissibility, or None.
+
+    The witness property: every other edge meeting the chosen endpoint
+    has a different minimal simple-loop length than the witness edge.
+    Separating edges are skipped here; they are a diagnosis of their
+    own (see ``separating_edges``).
+    """
+    table = {e: min_loop_through_edge(graph, e) for e in graph.edges}
+    for e in graph.edges:
+        if table[e] is None:
+            continue
+        for x in dict.fromkeys(graph.ends[e]):
+            others = [f for f in graph.edges if f != e and x in graph.ends[f]]
+            if all(table[f] != table[e] for f in others):
+                return (e, x)
+    return None
+
+
 @dataclass(frozen=True)
 class SimpleLoop:
     """A simple loop: cyclic edge path repeating no vertex.
@@ -211,7 +269,7 @@ def oracle_homology_trace(aut) -> int:
         stack = [v]
         while stack:
             x = stack.pop()
-            for e in g.edges_at(x):
+            for e in [f for f in g.edges if x in g.ends[f]]:
                 for y in g.ends[e]:
                     if y not in component:
                         component[y] = v
@@ -592,7 +650,7 @@ def exterior_square_rep(n) -> symreps.FiniteRep:
     """Signed permutations acting on the exterior square of the carrier."""
     base = signed_permutation_rep(n)
     d = n * (n - 1) // 2
-    gens = {name: linalg.exterior_square(m) for name, m in base.generators.items()}
+    gens = {name: linalg.schur_square(m, (1, 1)) for name, m in base.generators.items()}
     return symreps.FiniteRep(base.group, d, gens)
 
 
@@ -608,6 +666,115 @@ def symmetric_group_perm_rep(n) -> symreps.FiniteRep:
 def determinant_rep(n) -> symreps.FiniteRep:
     gens = {f"s{i}": linalg.Matrix([[Fraction(-1)]]) for i in range(1, n)}
     return symreps.FiniteRep(symreps.symmetric_group(n), 1, gens)
+
+
+def direct_sum(a, b) -> symreps.FiniteRep:
+    """The block-diagonal sum of two reps of one group."""
+    assert a.group == b.group, "descriptors differ"
+    gens = {}
+    for name, x in a.generators.items():
+        y = b.generators[name]
+        top = x.hstack(linalg.Matrix.zeros(x.rows, y.cols))
+        bottom = linalg.Matrix.zeros(y.rows, x.cols).hstack(y)
+        gens[name] = top.vstack(bottom)
+    return symreps.FiniteRep(a.group, a.dim + b.dim, gens)
+
+
+# ---------------------------------------------------------------------------
+# characters and multiplicities of the named modules of S_n by the character
+# inner product over cycle types: the oracles of the degree tables (ROADMAP
+# item 6), which takes them back into ``outfn.symreps`` with a CLI path
+
+
+def partitions(n: int):
+    """All partitions of n as weakly decreasing tuples, in reverse
+    lexicographic order."""
+    return _partitions(n, n)
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts at most ``largest``, none built and dropped."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def class_size(n: int, cycle_type) -> int:
+    if sum(cycle_type) != n:
+        raise ValueError("not a partition of n")
+    return math.factorial(n) // math.prod(part ** mult * math.factorial(mult)
+                                          for part, mult in Counter(cycle_type).items())
+
+
+def named_character(name: str, n: int, cycle_type) -> int:
+    """Character value of a named module at a cycle type."""
+    if sum(cycle_type) != n or any(p < 1 for p in cycle_type):
+        raise ValueError("not a partition of n")
+    fixed = sum(p == 1 for p in cycle_type)
+    sign = (-1) ** (n - len(cycle_type))  # a p-cycle has sign (-1)^(p - 1)
+    values = {"trivial": 1, "determinant": sign, "permutation": fixed,
+              "standard": fixed - 1, "signed_standard": sign * (fixed - 1)}
+    if name not in values:
+        raise ValueError(f"unknown module name {name!r}")
+    return values[name]
+
+
+def class_representative(cycle_type, n: int) -> tuple:
+    """One-line permutation whose cycles fill 1..n in order."""
+    img = list(range(1, n + 1))
+    start = 0
+    for part in cycle_type:
+        block = list(range(start + 1, start + part + 1))
+        for a, b in zip(block, block[1:] + block[:1]):
+            img[a - 1] = b
+        start += part
+    return tuple(img)
+
+
+def adjacent_factorization(perm) -> list:
+    """Write a permutation as s_{i1} * ... * s_{ik}, rightmost first.
+
+    Returned as the list of generator names whose matrix product (in
+    the given order) represents the permutation; the factorization is
+    re-composed and compared against the input before returning.
+    """
+    n = len(perm)
+    p = list(perm)
+    swaps = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n - 1):
+            if p[i] > p[i + 1]:
+                p[i], p[i + 1] = p[i + 1], p[i]
+                swaps.append(i + 1)
+                changed = True
+    names = [f"s{i}" for i in reversed(swaps)]
+    check = list(range(1, n + 1))
+    for i in swaps:  # rightmost factor applied first
+        check = [i + 1 if y == i else i if y == i + 1 else y for y in check]
+    if tuple(check) != tuple(perm):
+        raise AssertionError("factorization failed to recompose")
+    return names
+
+
+def multiplicity(rep: symreps.FiniteRep, name: str, n: int) -> int:
+    """Multiplicity of a named module in a relation-checked rep of S_n.
+
+    Computed as the character inner product over cycle types; a
+    non-integral or negative answer means the supplied matrices do not
+    actually represent the symmetric group.
+    """
+    total = sum(class_size(n, lam) * named_character(name, n, lam)
+                * rep.matrix_of(adjacent_factorization(class_representative(lam, n))).trace()
+                for lam in partitions(n))
+    value = Fraction(total) / math.factorial(n)
+    if value.denominator != 1 or value < 0:
+        raise ValueError(f"inconsistent rep: multiplicity of {name} is {value}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

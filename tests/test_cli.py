@@ -526,6 +526,16 @@ class TestGraph:
                     "--group", "S9"]) == 2
         assert capsys.readouterr().err == "error: the acting image is not perfect\n"
 
+    def test_cage_lemma_on_an_edgeless_graph_is_an_input_error(self, tmp_path, capsys):
+        # two vertices and no loop, but no edge either: no cage, so no
+        # orbit count and no multiplicity to compare
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"graph": {"vertices": ["u", "w"], "edges": []},
+                                    "group": {"name": "1", "generators": []},
+                                    "maps": {}}))
+        assert run(["graph", "cage-lemma", "--file", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: not a cage\n")
+
     def test_rose_lemma_without_invariant_orientation_skips(self, tmp_path):
         # flipping every petal fixes p1 and reverses it, so the lemma's
         # hypothesis fails: both checks are skipped, and the run passes

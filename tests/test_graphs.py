@@ -7,14 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (benchmark_inputs, oracle_builtin_action, oracle_compose,
+from conftest import (adjacent_factorization, admissibility_obstruction, benchmark_inputs,
+                      class_representative, min_loop_through_edge, multiplicity,
+                      named_character, oracle_builtin_action, oracle_compose,
                       oracle_double_tree, oracle_doubled_cage_maps, oracle_edge_orbits, oracle_elements, oracle_homology_trace,
                       oracle_identity, oracle_is_identity, oracle_is_perfect,
                       oracle_min_loop, oracle_orientation_obstruction,
                       oracle_parity_involution, oracle_points, oracle_signed_edge_matrix,
                       oracle_simple_cycles,
                       oracle_subdivide_inverted_edges, oracle_trivial_multiplicity,
-                      oracle_valence, oracle_word_aut, simple_loops, to_json)
+                      oracle_valence, oracle_word_aut, partitions, separating_edges,
+                      simple_loops, to_json)
 from outfn import actions, cli, graphs, symreps
 from outfn.linalg import Matrix
 
@@ -151,10 +154,10 @@ class TestHomology:
 class TestInducedAction:
     def test_rose_permutation_matrices(self):
         act = actions.symmetric_rose(4)
-        assert act.verify_relations()
+        assert not act.failed_relations()
         rep = graphs.induced_rep(act)
-        assert rep.verify_relations()
-        assert symreps.multiplicity(rep, "trivial", 4) == 1
+        assert not rep.failed_relations()
+        assert multiplicity(rep, "trivial", 4) == 1
 
     def test_flip_on_single_petal(self):
         g = graphs.rose(1)
@@ -165,15 +168,14 @@ class TestInducedAction:
     def test_cage_character_is_fixed_points_minus_one(self):
         n = 5
         rep = graphs.induced_rep(actions.symmetric_cage(n))
-        for lam in symreps.partitions(n):
-            word = symreps.adjacent_factorization(
-                symreps.class_representative(lam, n))
+        for lam in partitions(n):
+            word = adjacent_factorization(class_representative(lam, n))
             tr = rep.matrix_of(word).trace()
-            assert tr == symreps.named_character("standard", n, lam)
+            assert tr == named_character("standard", n, lam)
 
     def test_vertex_swap_acts_as_minus_identity(self):
         full = actions.cage_full(5)
-        assert full.verify_relations()
+        assert not full.failed_relations()
         rep = graphs.induced_rep(full)
         assert rep.generators["delta"] == Matrix.identity(4).scale(-1)
 
@@ -291,18 +293,18 @@ class TestSimpleLoops:
 
 class TestMinLoopAndObstruction:
     def test_cage_edges(self):
-        assert graphs.min_loop_through_edge(graphs.cage(4), "c2") == 2
+        assert min_loop_through_edge(graphs.cage(4), "c2") == 2
 
     def test_bridge_is_separating(self):
-        assert graphs.min_loop_through_edge(graphs.barbell(), "b") is None
-        assert graphs.separating_edges(graphs.barbell()) == ["b"]
+        assert min_loop_through_edge(graphs.barbell(), "b") is None
+        assert separating_edges(graphs.barbell()) == ["b"]
 
     def test_rose_edge(self):
-        assert graphs.min_loop_through_edge(graphs.rose(3), "p1") == 1
+        assert min_loop_through_edge(graphs.rose(3), "p1") == 1
 
     def test_homogeneous_graphs_have_no_witness(self):
-        assert graphs.admissibility_obstruction(graphs.cage(4)) is None
-        assert graphs.admissibility_obstruction(graphs.rose(3)) is None
+        assert admissibility_obstruction(graphs.cage(4)) is None
+        assert admissibility_obstruction(graphs.rose(3)) is None
 
     def _doubled_triangle(self):
         return graphs.make_graph(
@@ -312,7 +314,7 @@ class TestMinLoopAndObstruction:
 
     def test_heterogeneous_witness_matches_brute_force(self):
         g = self._doubled_triangle()
-        witness = graphs.admissibility_obstruction(g)
+        witness = admissibility_obstruction(g)
         assert witness is not None
         # brute force via the subset oracle
         m = {e: oracle_min_loop(g, e) for e in g.edges}
@@ -333,13 +335,13 @@ class TestMinLoopAndObstruction:
         for _ in range(80):
             g = random_multigraph(rng, max_edges=10)
             m = {e: oracle_min_loop(g, e) for e in g.edges}
-            assert {e: graphs.min_loop_through_edge(g, e) for e in g.edges} == m
-            assert graphs.separating_edges(g) == [e for e in g.edges if m[e] is None]
+            assert {e: min_loop_through_edge(g, e) for e in g.edges} == m
+            assert separating_edges(g) == [e for e in g.edges if m[e] is None]
             brute = [(e, x) for e in g.edges if m[e] is not None
                      for x in dict.fromkeys(g.ends[e])
                      if all(m[f] != m[e] for f in g.edges
                             if f != e and x in g.ends[f])]
-            assert graphs.admissibility_obstruction(g) == (brute[0] if brute else None)
+            assert admissibility_obstruction(g) == (brute[0] if brute else None)
 
 
 def double_tree_corpus() -> list:
@@ -374,25 +376,25 @@ def outcome(fn, *args):
 
 class TestAdmissibility:
     def test_full_cage_action_is_admissible(self):
-        assert graphs.is_admissible(actions.cage_full(5))
+        assert all(holds for _, holds, _ in graphs.admissibility_conditions(actions.cage_full(5)))
         assert graphs.invariant_forests(actions.cage_full(5)) == []
 
     def test_trivial_group_on_small_cage(self):
         act = actions.trivial_action(graphs.cage(2))
         forests = graphs.invariant_forests(act)
         assert forests  # every single edge is a forest
-        assert not graphs.is_admissible(act)
+        assert not all(holds for _, holds, _ in graphs.admissibility_conditions(act))
 
     def test_barbell_always_rejected(self):
         act = actions.trivial_action(graphs.barbell())
         assert ["b"] in graphs.invariant_forests(act)
-        assert not graphs.is_admissible(act)
+        assert not all(holds for _, holds, _ in graphs.admissibility_conditions(act))
 
     def test_rose_under_trivial_group_is_admissible(self):
         # loops are never forests, and the rose vertex has valence 2n >= 4
         act = actions.trivial_action(graphs.rose(2))
         assert graphs.invariant_forests(act) == []
-        assert graphs.is_admissible(act)
+        assert all(holds for _, holds, _ in graphs.admissibility_conditions(act))
 
     def test_valences_match_a_per_vertex_count(self):
         rng = random.Random(33)
@@ -621,6 +623,12 @@ class TestCageMultiplicity:
         assert oracle_is_perfect(act)
         out = graphs.cage_trivial_multiplicity_check(act)
         assert out == {"orbit_count": 1, "trivial_multiplicity": 0, "ok": True}
+
+    def test_not_a_cage_is_refused(self):
+        for g in (graphs.make_graph(["u", "w"], []), graphs.rose(2), graphs.barbell(),
+                  graphs.make_graph(["u", "w", "x"], [("a", "u", "w")])):
+            with pytest.raises(ValueError, match="not a cage"):
+                graphs.cage_trivial_multiplicity_check(actions.trivial_action(g))
 
 
 def random_action(rng, graph):
@@ -912,16 +920,16 @@ class TestPairedInvolutions:
 class TestSignedRose:
     def test_full_rose_symmetries(self):
         act = actions.signed_rose(4)
-        assert act.verify_relations()
+        assert not act.failed_relations()
         rep = graphs.induced_rep(act)
-        assert rep.verify_relations()
+        assert not rep.failed_relations()
         assert rep.generators["e1"] == Matrix(
             [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
     def test_central_alternating_cage(self):
         act = actions.cage_central_alternating(6)
-        assert act.verify_relations()
-        assert graphs.is_admissible(act)
+        assert not act.failed_relations()
+        assert all(holds for _, holds, _ in graphs.admissibility_conditions(act))
 
     def test_parity_involution(self):
         # even rank: plain vertex swap, flips everything
@@ -1007,5 +1015,5 @@ class TestActionSerialisation:
             obj = to_json(act)
             g = graphs.Graph.from_json(obj["graph"])
             back = graphs.action_from_json(g, obj)
-            assert back.verify_relations()
+            assert not back.failed_relations()
             assert back.maps == act.maps

@@ -26,8 +26,6 @@ MODULES = (words, linalg, symreps, graphs, actions, cover, induced, cli)
 REASONS = {
     "benchmark",         # perfbench/tracer.py or perfbench/test_smoke.py names it
     "acceptance",        # tests/test_acceptance.py imports it
-    "ROADMAP item 6",    # reserved for the degree tables
-    "ROADMAP item 9",    # reserved for the graph-lemma witnesses
     "ROADMAP item 10",   # reserved for the stock actions in Out(F_n)
     "oracle",            # the independent check of a CLI output
     "value API",         # equality, hashing and algebra of a value class
@@ -59,27 +57,10 @@ KEPT = {
     "linalg.Matrix.scale": "acceptance",
     "linalg.Matrix.trace": "acceptance",
     "linalg.Matrix.to_json": "oracle",  # of the ``induce --out`` file
-    "linalg.exterior_square": "acceptance",
     "symreps.GroupDescriptor.__eq__": "value API",
-    "symreps.FiniteRep.verify_relations": "acceptance",
-    "symreps.FiniteRep.direct_sum": "acceptance",
-    "symreps.check_diamond": "acceptance",
-    "symreps.partitions": "ROADMAP item 6",
-    "symreps._partitions": "ROADMAP item 6",
-    "symreps.class_size": "ROADMAP item 6",
-    "symreps.named_character": "ROADMAP item 6",
-    "symreps.class_representative": "ROADMAP item 6",
-    "symreps.adjacent_factorization": "ROADMAP item 6",
-    "symreps.multiplicity": "ROADMAP item 6",
-    "graphs.Graph.edges_at": "ROADMAP item 9",
     "graphs.GraphAut.__eq__": "value API",
-    "graphs.GraphAction.verify_relations": "acceptance",
     "graphs.induced_matrix": "acceptance",  # through induced_rep
     "graphs.induced_rep": "acceptance",
-    "graphs.min_loop_through_edge": "ROADMAP item 9",
-    "graphs.separating_edges": "ROADMAP item 9",
-    "graphs.admissibility_obstruction": "ROADMAP item 9",
-    "graphs.is_admissible": "acceptance",
 }
 
 
@@ -181,7 +162,7 @@ def unreached(tmp_path_factory):
 
 
 def test_every_kept_entry_has_a_known_reason():
-    assert set(KEPT.values()) <= REASONS
+    assert set(KEPT.values()) == REASONS
 
 
 def test_src_holds_only_what_the_cli_runs_or_kept_names(unreached):

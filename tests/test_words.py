@@ -680,6 +680,16 @@ class TestGerstenAgreesWithTheWholeSuite:
         assert report == whole_suite_report(n)
         assert failing_images(report) == [(family, [label], [label])]
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_a_failing_check_builds_the_suite_once(self, monkeypatch, n):
+        family, label = "rho commutator identities", "inv-inv i=1,j=2,k=3"
+        flip_one_exponent(monkeypatch, (family, label))
+        built, real = [], W.gersten_relators
+        monkeypatch.setattr(W, "gersten_relators", lambda n: built.append(n) or real(n))
+        report = W.verify_gersten(n)
+        assert built == [n]
+        assert not report["ok"] and report == whole_suite_report(n)
+
     def test_a_flipped_non_representative_is_seen_by_the_whole_check_only(self, monkeypatch):
         # the flipped word lies in no orbit (see TestReducedSuite), so the
         # reduced check, which certifies the suite that gersten_relators
