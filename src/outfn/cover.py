@@ -1,27 +1,25 @@
 """Rank-(2n-1) representation of the stabiliser of a mod-2 functional.
 
 Fix the functional f on the free group of rank n that reads off the
-parity of the last generator.  Its kernel K is a free group of rank
-2n-1 with the Schreier basis (coset transversal {1, a_n})
-
-    x_i = a_i,   y_i = a_n a_i a_n^-1   (i = 1..n-1),   z = a_n^2.
-
+parity of the last generator.  Its kernel K, with cosets K and a_n K, is
+free of rank 2n-1 on x_i = a_i, y_i = a_n a_i a_n^-1 (i = 1..n-1) and
+z = a_n^2, the coordinates of its abelianisation in the order x, y, z.
 Every automorphism stabilising f preserves K, and its action on the
-abelianisation of K is an integer matrix in the basis above: that is
-the rank-(2n-1) representation computed here.  Conjugation by a_n acts
-as the involution exchanging x_i and y_i and fixing z; its (-1)
-eigenspace is spanned by the differences alpha_i = x_i - y_i and the
-restriction there is the (n-1)-dimensional representation whose values
-on partial conjugations and transvection commutators are pinned down by
-exact case tables (verified wholesale by ``verify_ia_action_tables``).
-That eigenspace is H_1 of F_n twisted by the sign character of f
-(Shapiro's lemma), so the restriction is a twisted letter count of the
-forward images a(a_1)..a(a_{n-1}), with no Schreier rewrite: the one
-kernel ``twisted_counts`` returns its rows, which the induced blocks
-intern as they are, and ``minus_eigenspace_matrix`` wraps them as a
-``Matrix`` for the case tables.  Those generators of the kernel of
-abelianisation are named once, with their tables, by
-``kernel_generators``, and checked on the forward images of each word.
+abelianisation of K is the rank-(2n-1) integer matrix computed here.
+Conjugation by a_n acts as the deck involution T exchanging x_i and y_i
+and fixing z.  Every cover matrix commutes with T: ``cover_matrix``
+proves it is M = [C | TC | u] with Tu = u, so MT = [TC | C | u] = TM.
+
+The (-1) eigenspace of T, spanned by alpha_i = x_i - y_i, carries the
+(n-1)-dimensional representation whose values on partial conjugations
+and transvection commutators are the exact case tables that
+``verify_ia_action_tables`` checks.  It is H_1 of F_n twisted by the
+sign character of f (Shapiro's lemma), so the restriction is a twisted
+letter count of the forward images a(a_1)..a(a_{n-1}): the one kernel
+``twisted_counts`` returns its rows, which the induced blocks intern as
+they are, and ``minus_eigenspace_matrix`` wraps them as a ``Matrix``.
+Those generators of the kernel of abelianisation are named once, with
+their tables, by ``kernel_generators``.
 """
 
 from __future__ import annotations
@@ -30,84 +28,48 @@ import itertools
 
 from .linalg import Matrix, _identity_rows
 from .words import (
-    apply,
     inner,
     relator_automorphism,
     rho,  # noqa: F401  unused; perfbench/test_smoke.py traces it through this module
 )
 
 
-def stabilizes_base_functional(imgs: tuple) -> bool:
-    """Does the automorphism with forward images ``imgs`` fix the base
-    functional?
-
-    Equivalently: the parity of the last generator in the image of a_i
-    is 1 exactly when i = n, which is what is read off here.
-    """
-    n = len(imgs)
-    return all(sum(abs(x) == n for x in img) % 2 == (i == n - 1)
-               for i, img in enumerate(imgs))
-
-
-# ---------------------------------------------------------------------------
-# the Schreier basis of the kernel and rewriting
-
-
-def schreier_symbols(n: int) -> list:
-    """Names and defining letter tuples of the free basis of the kernel."""
-    if n < 2:
-        raise ValueError("needs rank at least 2")
-    return ([(f"x{i}", (i,)) for i in range(1, n)]
-            + [(f"y{i}", (n, i, -n)) for i in range(1, n)] + [("z", (n, n))])
-
-
-def rewrite_in_kernel(w: tuple, n: int) -> tuple:
-    """Rewrite a kernel element, a reduced letter tuple of rank n, in the
-    Schreier basis.
-
-    Scans the word tracking which coset of the kernel the prefix lies
-    in; raises when the total parity of the last generator is odd (the
-    word is then not in the kernel).  Symbols are returned as
-    (index, +-1) pairs in the x_1..x_{n-1}, y_1..y_{n-1}, z ordering.
-    """
-    if n < 2:
-        raise ValueError("needs rank at least 2")
-    out = []
-    state = 0
-    for x in w:
-        sign = 1 if x > 0 else -1
-        if abs(x) < n:
-            out.append((abs(x) - 1 + state * (n - 1), sign))
-            continue
-        # a_n^+-1 flips the coset; z is a_n read in coset 1, z^-1 is
-        # a_n^-1 read in coset 0
-        if state == (sign > 0):
-            out.append((2 * (n - 1), sign))
-        state ^= 1
-    if state != 0:
-        raise ValueError("word is not in the kernel (odd parity)")
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# the matrix representations
-
-
 def cover_matrix(imgs: tuple) -> Matrix:
     """The (2n-1)-dimensional representation of the stabiliser, at the
-    automorphism with forward images ``imgs``.
+    automorphism a with forward images ``imgs``; ``ValueError`` when a
+    does not stabilise the base functional.
 
-    Integer matrix of the action on the abelianised kernel: column j is
-    the exponent vector of the rewritten image of the j-th basis symbol.
+    Each image is read in one pass from both cosets.  A letter a_l^{+-1}
+    with l < n adds +-1 to row x_l when read in K and to row y_l when
+    read in a_n K; a_n read in a_n K adds +1 to row z, a_n^-1 read in K
+    adds -1; every a_n^{+-1} switches the coset.  Column x_i is a(a_i)
+    read from K, column y_i is a(a_i) read from a_n K (the two a(a_n)
+    terms of a(a_n a_i a_n^-1) cancel), and column z is a(a_n) read from
+    both.  The stabiliser test is that a(a_i) ends in the coset it
+    started from and a(a_n) in the other.
+
+    Deck commutation.  Reading from a_n K switches every coset: that
+    exchanges the x and y rows, and moves the z row by the steps into K
+    less the steps out of K, which is 0 for a(a_i).  So column y_i is T
+    times column x_i, and T fixes column z, the sum of the two readings.
     """
     n = len(imgs)
-    if not stabilizes_base_functional(imgs):
-        raise ValueError("automorphism does not stabilise the base functional")
     d = 2 * n - 1
     grid = [[0] * d for _ in range(d)]
-    for j, (_, definition) in enumerate(schreier_symbols(n)):
-        for index, e in rewrite_in_kernel(apply(imgs, definition), n):
-            grid[index][j] += e
+    for i, img in enumerate(imgs):
+        cols = (i, n - 1 + i) if i < n - 1 else (d - 1, d - 1)
+        c = 0  # the coset of the prefix read from K; read from a_n K it is 1 - c
+        for x in img:
+            e = 1 if x > 0 else -1
+            if abs(x) < n:
+                grid[abs(x) - 1][cols[c]] += e
+                grid[n - 2 + abs(x)][cols[1 - c]] += e
+            else:
+                # a_n counts in the reading that is in a_n K, a_n^-1 in the one in K
+                grid[d - 1][cols[c != (x > 0)]] += e
+                c ^= 1
+        if c != (i == n - 1):
+            raise ValueError("automorphism does not stabilise the base functional")
     return Matrix(grid)
 
 

@@ -659,9 +659,10 @@ def invariant_orientation(action: GraphAction) -> dict:
     when (e, +1) lies in the orbit of (rep, +1), rep being the first edge
     of e's orbit.  The orbit count equals the multiplicity of the trivial
     module in homology when the orientation exists; both are reported.
+    Any graph but a rose of at least one petal is refused.
     """
     g = action.graph
-    if len(g.vertices) != 1 or not all(g.is_loop(e) for e in g.edges):
+    if len(g.vertices) != 1 or not g.edges or not all(g.is_loop(e) for e in g.edges):
         raise ValueError("orientation equivariance is implemented for roses")
     roots = action._dart_roots()
     obstruction = next((e for e, (plus, minus) in roots.items() if plus == minus), None)

@@ -5,8 +5,8 @@ stands for the k-th generator, ``-k`` for its inverse, and every stored
 word is freely reduced.  Every word is such a tuple, an image or a
 conjugator alike, with its rank passed beside it where one is needed.
 An endomorphism is its tuple of images, one word per generator, and
-its rank is the length of that tuple; ``apply`` is where a caller's
-word is checked against that rank.
+its rank is the length of that tuple, against which ``apply`` checks
+a word; only the certified ``Automorphism`` layer calls it.
 An element of Out(F_n) is a token word in the Nielsen generators.  CLI
 paths evaluate it by Nielsen moves only: each letter rewrites one or a
 few forward images, and deciding innerness reads only those, so no
@@ -103,8 +103,8 @@ class Automorphism:
     """An automorphism with a certified inverse table, built by
     ``automorphism``: ``forward`` and ``backward`` are image tuples.
     No CLI path builds one.  ``perfbench`` traces ``__post_init__`` and
-    wraps ``rho``, so this class, ``compose``, ``automorphism`` and
-    ``rho`` stay until the benchmark changes."""
+    wraps ``rho``, so this class, ``compose`` with ``apply``,
+    ``automorphism`` and ``rho`` stay until the benchmark changes."""
 
     __slots__ = ("forward", "backward")
 
@@ -463,7 +463,7 @@ def quarter_turn_image(k: int, token) -> tuple:
 # prefix and index tuple, absent at a rank below its largest index.  At ranks
 # 3 and 4 a few orbits of the higher ranks split in two for want of a spare
 # index, the second part of each represented at that rank alone.  Every
-# "total twist is inner" relator is an orbit of its own.
+# "total twist is inner" relator is an orbit of its own: ``_listed`` adds them.
 _REPRESENTATIVES = {
     "right-right and left-left commuting pairs": (
         ("rho", (1, 2, 3, 2)), ("lam", (1, 2, 3, 2)), ("rho", (1, 2, 3, 4)),
@@ -483,7 +483,6 @@ _REPRESENTATIVES = {
     "inversion twists the first pair": (("rho12^eps1 = lam12^-1", ()),
                                         ("rho21^eps1 = rho21^-1", ())),
     "inversion is an involution": (("eps1^2", ()),),
-    "total twist is inner": tuple(("", (j,)) for j in range(1, 11)),
 }
 _SPLIT_REPRESENTATIVES = {
     3: {"rho commutator identities": (
@@ -501,8 +500,10 @@ QUARTER_TURN_FAMILY = "quarter turns permute the generators"
 def _listed(n: int) -> list:
     """``(family, prefix, index tuple)`` of each representative listed at rank n."""
     split = _SPLIT_REPRESENTATIVES.get(n, {})
-    return [(family, prefix, t) for family, listed in _REPRESENTATIVES.items()
+    rows = [(family, prefix, t) for family, listed in _REPRESENTATIVES.items()
             for prefix, t in listed + split.get(family, ()) if max(t, default=0) <= n]
+    twist, _, tuples, _ = _families(n)[-1]
+    return rows + [(twist, "", t) for t in tuples]
 
 
 def reduced_suite(n: int):

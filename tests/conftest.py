@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from outfn import cli, cover, graphs, linalg, symreps, words
+from outfn import cli, graphs, linalg, symreps, words
 
 
 def benchmark_inputs():
@@ -879,6 +879,76 @@ def transvection_commutator(i, j, k, n) -> words.Automorphism:
     return a * b * a.inverse() * b.inverse()
 
 
+# ---------------------------------------------------------------------------
+# the Schreier basis of the kernel of the base functional, and rewriting in
+# it: the textbook route to the cover matrix that ``cover`` reads off the
+# forward images in one pass
+
+
+def stabilizes_base_functional(imgs: tuple) -> bool:
+    """Does the automorphism with forward images ``imgs`` fix the base
+    functional?
+
+    Equivalently: the parity of the last generator in the image of a_i
+    is 1 exactly when i = n, which is what is read off here.
+    """
+    n = len(imgs)
+    return all(sum(abs(x) == n for x in img) % 2 == (i == n - 1)
+               for i, img in enumerate(imgs))
+
+
+def schreier_symbols(n: int) -> list:
+    """Names and defining letter tuples of the free basis of the kernel."""
+    if n < 2:
+        raise ValueError("needs rank at least 2")
+    return ([(f"x{i}", (i,)) for i in range(1, n)]
+            + [(f"y{i}", (n, i, -n)) for i in range(1, n)] + [("z", (n, n))])
+
+
+def rewrite_in_kernel(w: tuple, n: int) -> tuple:
+    """Rewrite a kernel element, a reduced letter tuple of rank n, in the
+    Schreier basis.
+
+    Scans the word tracking which coset of the kernel the prefix lies
+    in; raises when the total parity of the last generator is odd (the
+    word is then not in the kernel).  Symbols are returned as
+    (index, +-1) pairs in the x_1..x_{n-1}, y_1..y_{n-1}, z ordering.
+    """
+    if n < 2:
+        raise ValueError("needs rank at least 2")
+    out = []
+    state = 0
+    for x in w:
+        sign = 1 if x > 0 else -1
+        if abs(x) < n:
+            out.append((abs(x) - 1 + state * (n - 1), sign))
+            continue
+        # a_n^+-1 flips the coset; z is a_n read in coset 1, z^-1 is
+        # a_n^-1 read in coset 0
+        if state == (sign > 0):
+            out.append((2 * (n - 1), sign))
+        state ^= 1
+    if state != 0:
+        raise ValueError("word is not in the kernel (odd parity)")
+    return tuple(out)
+
+
+def oracle_cover_matrix(imgs) -> linalg.Matrix:
+    """``cover.cover_matrix`` through the Schreier rewrite: column j is
+    the exponent vector of the rewritten image of the j-th basis symbol,
+    each image substituted by ``_substitute``.  The same ``ValueError``
+    when the automorphism does not stabilise the base functional."""
+    n = len(imgs)
+    if not stabilizes_base_functional(imgs):
+        raise ValueError("automorphism does not stabilise the base functional")
+    d = 2 * n - 1
+    grid = [[0] * d for _ in range(d)]
+    for j, (_, definition) in enumerate(schreier_symbols(n)):
+        for index, e in rewrite_in_kernel(_substitute(imgs, definition, n), n):
+            grid[index][j] += e
+    return linalg.Matrix(grid)
+
+
 def oracle_minus_eigenspace_matrix(imgs) -> linalg.Matrix:
     """Restriction to the (-1)-eigenspace of the deck involution, through
     the Schreier rewrite: in the basis alpha_i = x_i - y_i, the image of
@@ -886,7 +956,7 @@ def oracle_minus_eigenspace_matrix(imgs) -> linalg.Matrix:
     the deck involution is asserted while extracting the restriction.
     ``imgs`` are the forward images of the automorphism."""
     n = len(imgs)
-    m = cover.cover_matrix(imgs).data
+    m = oracle_cover_matrix(imgs).data
     d = 2 * n - 1
     out = [[0] * (n - 1) for _ in range(n - 1)]
     for i in range(n - 1):

@@ -20,6 +20,7 @@ from conftest import (
     named_character,
     oracle_min_loop,
     partitions,
+    schreier_symbols,
     signed_permutation_rep,
     transvection,
     with_transvections,
@@ -208,7 +209,7 @@ def test_criterion_7_double_tree():
 def test_criterion_8_cross_module_consistency():
     for n in (3, 4, 5, 6):
         g = graphs.cover_of_rose(n)
-        assert g.rank() == 2 * n - 1 == len(cover.schreier_symbols(n))
+        assert g.rank() == 2 * n - 1 == len(schreier_symbols(n))
         can = words.inner((n,), n)
         assert cover.cover_matrix(can) == cover.deck_matrix(n)
         assert cover.deck_eigenspace_dims(n) == (n, n - 1)

@@ -536,6 +536,17 @@ class TestGraph:
         assert run(["graph", "cage-lemma", "--file", str(path)]) == 2
         assert capsys.readouterr() == ("", "error: not a cage\n")
 
+    def test_rose_lemma_on_a_rose_without_petals_is_an_input_error(self, tmp_path, capsys):
+        # one vertex and no edge: ``graphs.rose(0)`` refuses it, so the
+        # lemma has no orbit to count and must not pass vacuously
+        path = tmp_path / "petalless.json"
+        path.write_text(json.dumps({"graph": {"vertices": ["v"], "edges": []},
+                                    "group": {"name": "1", "generators": []},
+                                    "maps": {}}))
+        assert run(["graph", "rose-lemma", "--file", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: orientation equivariance is "
+                                           "implemented for roses\n")
+
     def test_rose_lemma_without_invariant_orientation_skips(self, tmp_path):
         # flipping every petal fixes p1 and reverses it, so the lemma's
         # hypothesis fails: both checks are skipped, and the run passes

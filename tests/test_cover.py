@@ -1,4 +1,5 @@
-"""Kernel rewriting, the double-cover representation, and its case tables."""
+"""The Schreier rewrite oracle, the double-cover representation, and its
+case tables."""
 
 import random
 
@@ -6,10 +7,15 @@ import pytest
 
 from conftest import (
     generator,
+    oracle_cover_matrix,
     oracle_kernel_generators,
     oracle_minus_eigenspace_matrix,
+    oracle_token_images,
     partial_conjugation,
     reduce_word,
+    rewrite_in_kernel,
+    schreier_symbols,
+    stabilizes_base_functional,
     transvection_commutator,
 )
 from outfn import cover, graphs, induced, words as W
@@ -27,41 +33,41 @@ def rand_kernel_word(rng, n, max_len=10):
 
 class TestRewriting:
     def test_plain_generator(self):
-        assert cover.rewrite_in_kernel((1,), 3) == ((0, 1),)
+        assert rewrite_in_kernel((1,), 3) == ((0, 1),)
 
     def test_conjugated_generator(self):
         w = reduce_word([3, 1, -3], 3)
-        assert cover.rewrite_in_kernel(w, 3) == ((2, 1),)
+        assert rewrite_in_kernel(w, 3) == ((2, 1),)
 
     def test_unreduced_conjugation(self):
         w = reduce_word([3, 1, 3], 3)
-        assert cover.rewrite_in_kernel(w, 3) == ((2, 1), (4, 1))
+        assert rewrite_in_kernel(w, 3) == ((2, 1), (4, 1))
 
     def test_odd_parity_rejected(self):
         with pytest.raises(ValueError):
-            cover.rewrite_in_kernel((3,), 3)
+            rewrite_in_kernel((3,), 3)
 
     def test_round_trips(self):
         rng = random.Random(616)
         for _ in range(120):
             n = rng.choice([2, 3, 4, 5])
             w = rand_kernel_word(rng, n)
-            defs = [d for _, d in cover.schreier_symbols(n)]
+            defs = [d for _, d in schreier_symbols(n)]
             letters = []
-            for index, e in cover.rewrite_in_kernel(w, n):
+            for index, e in rewrite_in_kernel(w, n):
                 letters += defs[index] if e > 0 else [-x for x in reversed(defs[index])]
             assert reduce_word(letters, n) == w
 
     def test_symbol_count(self):
-        assert len(cover.schreier_symbols(4)) == 7
+        assert len(schreier_symbols(4)) == 7
 
 
 class TestStabiliser:
     def test_low_transvections_stabilise(self):
-        assert cover.stabilizes_base_functional(W.rho(1, 2, 3).forward)
+        assert stabilizes_base_functional(W.rho(1, 2, 3).forward)
 
     def test_last_column_transvections_do_not(self):
-        assert not cover.stabilizes_base_functional(W.rho(1, 3, 3).forward)
+        assert not stabilizes_base_functional(W.rho(1, 3, 3).forward)
 
     def test_partial_conjugations_always_stabilise(self):
         for n in (3, 4):
@@ -69,7 +75,7 @@ class TestStabiliser:
                 for j in range(1, n + 1):
                     if i != j:
                         g = partial_conjugation(i, j, n)
-                        assert cover.stabilizes_base_functional(g.forward)
+                        assert stabilizes_base_functional(g.forward)
 
     def test_cover_matrix_requires_membership(self):
         with pytest.raises(ValueError):
@@ -243,13 +249,19 @@ def coset_elements(n):
             yield W.compose(target.backward, W.compose(a.forward, W.automorphism(n, word).forward))
 
 
-def stabiliser_tokens(n):
-    """Nielsen tokens of all six kinds that fix the base functional."""
+def nielsen_tokens(n):
+    """Nielsen tokens of all six kinds at rank n."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     tokens = [(kind, i, j) for kind in ("rho", "lam", "sigma") for i, j in pairs]
     tokens += [(kind, i, None) for kind in ("eps", "sigma_star") for i in range(1, n + 1)]
     tokens.append(("delta", None, None))
-    return [t for t in tokens if cover.stabilizes_base_functional(generator(n, *t).forward)]
+    return tokens
+
+
+def stabiliser_tokens(n):
+    """Nielsen tokens of all six kinds that fix the base functional."""
+    return [t for t in nielsen_tokens(n)
+            if stabilizes_base_functional(generator(n, *t).forward)]
 
 
 class TestTwistedCount:
@@ -283,8 +295,47 @@ class TestTwistedCount:
             assert cover.minus_eigenspace_matrix(a) == oracle_minus_eigenspace_matrix(a)
 
 
+def into_stabiliser(n, word):
+    """``word`` followed by transvections that bring the base functional
+    back: rho_nj makes the a_n-parity p_n of the image of a_n odd, and
+    each rho_kn then makes p_k even (right factors act first)."""
+    p = [sum(abs(x) == n for x in img) % 2 for img in oracle_token_images(n, word)]
+    if not p[-1]:
+        word = word + [(("rho", n, p.index(1) + 1), 1)]
+    return word + [(("rho", k, n), 1) for k in range(1, n) if p[k - 1]]
+
+
+class TestCoverMatrixOracle:
+    """The one-pass reading of both cosets against the Schreier rewrite."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_random_words(self, n):
+        # random words over all tokens, half of them brought into the
+        # stabiliser; the rest mostly leave it
+        rng = random.Random(4700 + n)
+        tokens = nielsen_tokens(n)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            word = [(rng.choice(tokens), rng.choice((1, -1)))
+                    for _ in range(rng.randint(0, 8))]
+            if rng.random() < 0.5:
+                word = into_stabiliser(n, word)
+            imgs = tuple(oracle_token_images(n, word))
+            try:
+                want = oracle_cover_matrix(imgs)
+            except ValueError as e:
+                assert str(e) == "automorphism does not stabilise the base functional"
+                with pytest.raises(ValueError, match=f"^{e}$"):
+                    cover.cover_matrix(imgs)
+                seen[False] += 1
+            else:
+                assert cover.cover_matrix(imgs) == want
+                seen[True] += 1
+        assert min(seen.values()) >= 50, seen
+
+
 class TestCrossModule:
     def test_cover_graph_rank_matches_symbol_count(self):
         for n in (3, 4, 5, 6):
             g = graphs.cover_of_rose(n)
-            assert g.rank() == 2 * n - 1 == len(cover.schreier_symbols(n))
+            assert g.rank() == 2 * n - 1 == len(schreier_symbols(n))

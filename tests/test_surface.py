@@ -45,6 +45,7 @@ KEPT = {
     "words.Automorphism.__mul__": "benchmark",
     "words.Automorphism.is_identity": "benchmark",
     "words.compose": "benchmark",
+    "words.apply": "benchmark",
     "words.automorphism": "benchmark",
     "words.rho": "benchmark",
     "words._sigma_star_move": "ROADMAP item 10",

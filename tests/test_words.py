@@ -733,6 +733,17 @@ class TestGerstenAgreesWithTheWholeSuite:
         assert report == whole_suite_report(n)
         assert failing_images(report) == [("bare", ["rho12"], ["rho12"])]
 
+    def test_a_twist_relator_beyond_the_proven_ranks_is_decided(self, monkeypatch):
+        # each "total twist is inner" relator is an orbit of its own, so
+        # the reduced suite at rank n holds all n of them: with the ranks
+        # patched to reach 11, a failing j = 11 makes the suite checked whole
+        n, family = 11, "total twist is inner"
+        [(_, _, _, [(_, twist)])] = [row for row in W._families(n) if row[0] == family]
+        monkeypatch.setattr(W, "REDUCED_SUITE_RANKS", range(3, n + 1))
+        families, failed = W.check_suite(n, lambda word: word != twist(n))
+        assert [fam["failures"] for fam in families if fam["failures"]] == [["j=11"]]
+        assert list(failed) == [(family, "j=11")]
+
     def test_a_passing_check_evaluates_the_reduced_suite_alone(self, monkeypatch):
         calls = []
         real = W.relator_automorphism
