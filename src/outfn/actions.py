@@ -125,7 +125,9 @@ def parity_involution(g: Graph) -> GraphAut:
     """The distinguished central-type involution on a cage with n + 1 edges.
 
     For even n it is the vertex swap; for odd n the vertex swap after the
-    exchange of the first two edges in graph order.
+    exchange of the first two edges in graph order.  The exchange keeps
+    each edge's direction, so after the swap it flips the two edges
+    exactly when they have the same ends.
     """
     swap = vertex_swap(g)
     if len(g.edges) % 2:
@@ -133,5 +135,7 @@ def parity_involution(g: Graph) -> GraphAut:
     if not g.edges:
         raise ValueError("a cage needs at least one edge")
     first, second = g.edges[:2]
-    return GraphAut(g, swap.vmap, {**swap.emap, first: second, second: first}, swap.flips)
+    same = g.ends[first] == g.ends[second]
+    return GraphAut(g, swap.vmap, {**swap.emap, first: second, second: first},
+                    {**swap.flips, first: same, second: same})
 

@@ -139,12 +139,9 @@ def cmd_decompose(args) -> int:
     _require_relations("rep", rep.failed_relations())
     decomp = symreps.simultaneous_eigenspaces(symreps.involution_family(rep, n))
     checks = []
-    table = {
-        ",".join(map(str, sorted(subset))) or "-": basis.cols
-        for subset, basis in decomp.spaces.items()
-    }
-    checks.append(check("eigenspaces fill the space",
-                        decomp.total_dim() == rep.dim,
+    table = {",".join(str(k) for k in range(1, n + 1) if label >> (k - 1) & 1) or "-":
+             decomp.labels.count(label) for label in dict.fromkeys(decomp.labels)}
+    checks.append(check("eigenspaces fill the space", len(decomp.labels) == rep.dim,
                         {"dims": table, "layers": list(decomp.layer_dims)}))
     div = symreps.divisibility_check(decomp)
     checks.append(check("layer dimensions divisible by binomials",

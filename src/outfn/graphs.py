@@ -129,6 +129,8 @@ class Graph:
 
     @classmethod
     def from_json(cls, obj) -> "Graph":
+        if not obj["vertices"]:
+            raise ValueError("a graph needs at least one vertex")
         edges = [rec["id"] for rec in obj["edges"]]
         ends = {rec["id"]: (rec["iota"], rec["tau"]) for rec in obj["edges"]}
         return cls(tuple(obj["vertices"]), tuple(edges), ends)
@@ -338,6 +340,9 @@ class GraphAction:
         for name in group.generators:
             if name not in maps:
                 raise ValueError(f"no automorphism supplied for generator {name!r}")
+        unknown = set(maps) - set(group.generators)
+        if unknown:
+            raise ValueError(f"maps name no generator: {sorted(map(str, unknown))}")
 
     def failed_relations(self) -> list:
         """The relations whose words do not act as the identity, in order.

@@ -7,9 +7,11 @@ decompositions satisfy.
 
 The joint eigenspaces are found by splitting the space under one
 involution at a time, and that the pieces fill the space certifies the
-involutions.  The containment law is read off the transvection written
-in the joint eigenbasis the split returns, so neither enumerates the
-2^n subsets.
+involutions.  The split returns them as one labelled eigenbasis: each
+column is a joint eigenvector, labelled by the bitmask of the
+involutions that negate it.  The divisibility law counts the labels by
+their bit count, and the containment law is read off the transvection
+written in that eigenbasis, so neither enumerates the 2^n subsets.
 
 Group presentations are carried explicitly so that every matrix
 representation can be relation-checked before any law is asserted
@@ -265,49 +267,36 @@ def involution_family(rep: FiniteRep, n: int) -> list:
 
 
 class EpsDecomposition:
-    """Joint eigenspaces of n commuting involutions.
+    """Joint eigenspaces of n commuting involutions, as one labelled
+    eigenbasis.
 
-    ``spaces`` maps each subset of {1..n} (as a frozenset) whose joint
-    eigenspace is nonzero to a basis of that eigenspace, given as the
-    columns of a matrix; the j-th involution acts by -1 there exactly
-    for j in the subset.  Subsets come in bitmask order (involution j is
-    bit j-1).  ``layer_dims[i]`` adds up the dimensions over subsets of
-    size i.
-
-    The spaces must fill the ambient space.  Their bases side by side,
-    in that order, form the joint eigenbasis ``basis`` (P), whose
-    column c lies in the eigenspace of the subset with bitmask
-    ``labels[c]``; ``basis_inverse`` is P^-1, computed once.  So the
-    j-th involution is P D_j P^-1, with D_j diagonal holding -1 at the
-    columns whose label has bit j-1.
+    The columns of ``basis`` (P) are joint eigenvectors that fill the
+    space.  Column c lies in the eigenspace labelled by the bitmask
+    ``labels[c]``: the j-th involution acts there by -1 exactly when bit
+    j-1 is set.  The columns sharing one label are a basis of that joint
+    eigenspace, and labels ascend along P.  ``basis_inverse`` is P^-1,
+    computed once.  So the j-th involution is P D_j P^-1, with D_j
+    diagonal holding -1 at the columns whose label has bit j-1.  The
+    labels are the eps-layer multiset: ``layer_dims[i]`` counts those
+    with i bits set.
     """
 
-    __slots__ = ("n", "ambient", "spaces", "basis", "labels", "basis_inverse")
+    __slots__ = ("n", "basis", "labels", "basis_inverse")
 
-    def __init__(self, n: int, ambient: int, spaces: dict):
+    def __init__(self, n: int, basis: Matrix, labels: tuple):
         self.n = n
-        self.ambient = ambient
-        self.spaces = spaces
-        self.basis = Matrix([[*itertools.chain.from_iterable(
-            b.data[r] for b in spaces.values())] for r in range(ambient)],
-            cols=self.total_dim())
-        self.labels = tuple(sum(1 << (k - 1) for k in subset)
-                            for subset, b in spaces.items() for _ in range(b.cols))
-        self.basis_inverse = self.basis.inverse()
+        self.basis = basis
+        self.labels = labels
+        self.basis_inverse = basis.inverse()
 
     @property
     def layer_dims(self) -> tuple:
-        dims = [0] * (self.n + 1)
-        for subset, basis in self.spaces.items():
-            dims[len(subset)] += basis.cols
-        return tuple(dims)
-
-    def total_dim(self) -> int:
-        return sum(basis.cols for basis in self.spaces.values())
+        return tuple(sum(label.bit_count() == i for label in self.labels)
+                     for i in range(self.n + 1))
 
 
 def simultaneous_eigenspaces(involutions) -> EpsDecomposition:
-    """Split the ambient space under the inputs, one at a time, and
+    """Split the whole space under the inputs, one at a time, and
     certify them as commuting involutions by the split itself.
 
     Each input m splits every piece B found so far into its parts
@@ -337,17 +326,17 @@ def simultaneous_eigenspaces(involutions) -> EpsDecomposition:
     for m in mats:
         if m.shape != (d, d):
             raise ValueError("dimension mismatch")
-    pieces = {frozenset(): Matrix.identity(d)} if d else {}
-    for j, m in enumerate(mats, start=1):
+    pieces = {0: Matrix.identity(d)} if d else {}  # bit j: input j + 1 negates the piece
+    for j, m in enumerate(mats):
         split = {}
-        for subset, basis in pieces.items():
+        for mask, basis in pieces.items():
             image = m * basis
             if image == basis:
-                split[subset] = basis
+                split[mask] = basis
             elif image == -basis:
-                split[subset | {j}] = basis
+                split[mask | 1 << j] = basis
             else:
-                for key, shifted in ((subset, image - basis), (subset | {j}, image + basis)):
+                for key, shifted in ((mask, image - basis), (mask | 1 << j, image + basis)):
                     part = basis * shifted.kernel_basis()
                     if part.cols:
                         split[key] = part
@@ -360,8 +349,10 @@ def simultaneous_eigenspaces(involutions) -> EpsDecomposition:
             if a * b != b * a:
                 raise ValueError("involutions do not commute")
         raise AssertionError("eigenspaces do not fill the space")
-    bitmask_order = sorted(pieces, key=lambda s: sum(1 << (k - 1) for k in s))
-    return EpsDecomposition(len(mats), d, {s: pieces[s] for s in bitmask_order})
+    order = sorted(pieces)
+    basis = Matrix.from_columns([c for mask in order for c in zip(*pieces[mask].data)], rows=d)
+    return EpsDecomposition(len(mats), basis,
+                            tuple(mask for mask in order for _ in range(pieces[mask].cols)))
 
 
 def diamond_violations(rep: FiniteRep, decomp: EpsDecomposition, i: int, j: int) -> list:
@@ -386,7 +377,7 @@ def diamond_violations(rep: FiniteRep, decomp: EpsDecomposition, i: int, j: int)
     if name not in rep.generators:
         raise ValueError(f"rep has no generator {name!r}")
     r = rep.generators[name]
-    if r.rows != decomp.ambient:
+    if r.rows != decomp.basis.rows:
         raise ValueError("dimension mismatch")
     moved = decomp.basis_inverse * (r * decomp.basis)
     labels = decomp.labels

@@ -547,6 +547,47 @@ class TestGraph:
         assert capsys.readouterr() == ("", "error: orientation equivariance is "
                                            "implemented for roses\n")
 
+    @pytest.mark.parametrize("sub", cli._COMMANDS["graph"][2])
+    def test_a_graph_without_vertices_is_an_input_error(self, tmp_path, capsys, sub):
+        # no vertex means no component, so every check would pass vacuously
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"graph": {"vertices": [], "edges": []},
+                                    "group": {"name": "1", "generators": []},
+                                    "maps": {}}))
+        argv = ["graph", sub, "--file", str(path), "--xi", "vertex-swap"]
+        assert run(argv if sub == "double-tree" else argv[:4]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(": a graph needs at least one vertex\n")
+
+    def test_a_map_for_no_generator_is_an_input_error(self, tmp_path, capsys):
+        # the vertex swap as an unlisted ``xi`` must not be dropped, leaving
+        # the lemma to run on A5 alone
+        obj = benchmark_inputs().alternating_cage_action_file(1, 5)
+        g = graphs.Graph.from_json(obj["graph"])
+        obj["maps"]["xi"] = to_json(actions.vertex_swap(g))
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(obj))
+        assert run(["graph", "cage-lemma", "--file", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot read action file: maps name no generator: ['xi']\n")
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_def57_on_a_cage_whose_second_edge_runs_back(self, tmp_path, capsys, k):
+        # the exchange of c1 and c2 keeps each edge's direction, so reversing
+        # c2 in the file changes neither the checks nor the exit code
+        checks = []
+        for back in (False, True):
+            g = to_json(graphs.cage(k))
+            if back:
+                g["edges"][1].update(iota="w", tau="u")
+            path, out = tmp_path / "cage.json", tmp_path / "dt.json"
+            path.write_text(json.dumps(g))
+            assert run(["graph", "double-tree", "--file", str(path), "--xi", "def57",
+                        "--json", str(out)]) == 1
+            checks.append(load_report(out)["checks"])
+        assert checks[0] == checks[1]
+        assert capsys.readouterr().err == ""
+
     def test_rose_lemma_without_invariant_orientation_skips(self, tmp_path):
         # flipping every petal fixes p1 and reverses it, so the lemma's
         # hypothesis fails: both checks are skipped, and the run passes

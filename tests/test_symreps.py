@@ -45,6 +45,20 @@ def oracle_stacked_spaces(mats) -> dict:
     return out
 
 
+def bitmask(subset) -> int:
+    """The subset of {1..n} as a bitmask: element k is bit k-1."""
+    return sum(1 << (k - 1) for k in subset)
+
+
+def eigenspaces(dec) -> dict:
+    """Each label of ``dec``, in the order of its first column, to the
+    columns of the eigenbasis that carry it."""
+    columns: dict = {}
+    for label, column in zip(dec.labels, zip(*dec.basis.data)):
+        columns.setdefault(label, []).append(column)
+    return {label: Matrix.from_columns(cols) for label, cols in columns.items()}
+
+
 def oracle_diamond_holds(rho: Matrix, spaces: dict, i: int, j: int) -> bool:
     """The containment law subset by subset: each image of a basis
     vector of a piece must solve into the span of the allowed pieces."""
@@ -115,9 +129,10 @@ class TestSimultaneousEigenspaces:
         assert not rep.failed_relations()
         dec = symreps.simultaneous_eigenspaces(symreps.involution_family(rep, n))
         assert dec.layer_dims == (0, n, 0, 0, 0)
-        assert list(dec.spaces) == [frozenset([i]) for i in range(1, n + 1)]
+        spaces = eigenspaces(dec)
+        assert list(spaces) == [bitmask([i]) for i in range(1, n + 1)]
         for i in range(1, n + 1):
-            basis = dec.spaces[frozenset([i])]
+            basis = spaces[bitmask([i])]
             assert basis.shape == (n, 1)
             column = [row[0] for row in basis.data]
             assert column[i - 1] != 0
@@ -135,9 +150,9 @@ class TestSimultaneousEigenspaces:
 
     def test_all_identity(self):
         dec = symreps.simultaneous_eigenspaces([Matrix.identity(3)] * 2)
-        assert list(dec.spaces) == [frozenset()]
-        assert dec.spaces[frozenset()].rank() == 3
-        assert dec.total_dim() == 3
+        assert list(eigenspaces(dec)) == [0]
+        assert eigenspaces(dec)[0].rank() == 3
+        assert len(dec.labels) == 3
 
     def test_matches_stacked_kernel_oracle(self):
         rng = random.Random(5)
@@ -154,20 +169,20 @@ class TestSimultaneousEigenspaces:
                     signed_permutation_rep(d), d)])
         for mats in families:
             dec = symreps.simultaneous_eigenspaces(mats)
-            oracle = oracle_stacked_spaces(mats)
-            nonzero = [s for s, basis in oracle.items() if basis.cols]
-            assert list(dec.spaces) == nonzero  # bitmask order, nonzero only
-            for subset, basis in dec.spaces.items():
-                assert basis.cols == oracle[subset].cols
+            spaces = eigenspaces(dec)
+            oracle = {bitmask(s): basis for s, basis in oracle_stacked_spaces(mats).items()}
+            nonzero = [mask for mask, basis in oracle.items() if basis.cols]
+            assert list(spaces) == nonzero  # bitmask order, nonzero only
+            for mask, basis in spaces.items():
+                assert basis.cols == oracle[mask].cols
                 assert basis.rank() == basis.cols
                 for j, m in enumerate(mats, start=1):
-                    assert m * basis == basis.scale(-1 if j in subset else 1)
+                    assert m * basis == basis.scale(-1 if mask >> (j - 1) & 1 else 1)
             # the eigenbasis reading: e_j = P D_j P^-1, D_j the signs of bit j-1
             p = dec.basis
             assert p * dec.basis_inverse == Matrix.identity(p.rows)
-            assert dec.labels == tuple(sum(1 << (k - 1) for k in subset)
-                                       for subset, basis in dec.spaces.items()
-                                       for _ in range(basis.cols))
+            assert dec.labels == tuple(mask for mask in nonzero
+                                       for _ in range(oracle[mask].cols))
             for j, m in enumerate(mats, start=1):
                 signs = Matrix([[(-1 if dec.labels[a] >> (j - 1) & 1 else 1) if a == b else 0
                                  for b in range(p.cols)] for a in range(p.cols)])
